@@ -899,7 +899,16 @@ def main(argv=None):
                        help="seed for randomized internal sampling")
         p.add_argument("--verify-box", type=int, default=8)
     args = ap.parse_args(argv)
-    text = sys.stdin.read() if args.file == "-" else open(args.file).read()
+    try:
+        if args.file == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.file) as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        sys.stderr.write("cannot read %s: %s\n" % (args.file, reason))
+        return 2
     try:
         pf = parse(text)
     except ProblemSyntaxError as exc:
@@ -910,9 +919,8 @@ def main(argv=None):
             len(pf.built_ideals), len(pf.oracles), len(pf.tasks)))
         return 0
     if args.seed:
-        from . import arith as _arith, telescoping as _tel
+        from . import arith as _arith
         _arith._gcd_rng.seed(args.seed)
-        _tel._spec_rng.seed(args.seed)
     if args.max_degree is not None:
         for task in pf.tasks:
             if "maxdeg" in task.data:

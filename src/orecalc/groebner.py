@@ -229,10 +229,12 @@ def buchberger(generators, order: MonomialOrder = GREVLEX,
                algebra: OreAlgebra = None) -> GroebnerBasis:
     """Reduced left Groebner basis by Buchberger's procedure.
 
-    Normal pair-selection strategy; pairs with coprime leading exponents
-    are skipped (valid here since exponents are commutative).  The output
-    is the unique reduced basis for the order: monic, fully interreduced,
-    canonically sorted.
+    Normal pair-selection strategy; every S-pair is reduced.  The product
+    criterion (skip pairs with coprime leading exponents) is not used: it
+    holds for commutative polynomials but not in Ore algebras, where
+    d_y*(d_x + y) - d_x*d_y - y*d_y = 1 although d_x + y and d_y have
+    coprime leading exponents.  The output is the unique reduced basis for
+    the order: monic, fully interreduced, canonically sorted.
     """
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
@@ -263,8 +265,6 @@ def buchberger(generators, order: MonomialOrder = GREVLEX,
         ei = order.leading_exp(basis[i])
         ej = order.leading_exp(basis[j])
         g = lcm_exp(ei, ej)
-        if all(x + y == z for x, y, z in zip(ei, ej, g)):
-            continue  # coprime leading exponents: S-pair reduces to zero
         si = basis[i].lmul_monomial(tuple(a - b for a, b in zip(g, ei)))
         sj = basis[j].lmul_monomial(tuple(a - b for a, b in zip(g, ej)))
         s = si - sj

@@ -7,6 +7,7 @@ A + sum d_{t_i} Q_i reduces to zero modulo the ideal.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from .arith import (
     exact_div,
     factored_expand,
     factored_merge,
-    matrix_rank_at_point,
     nullspace,
     nullspace_selected,
     poly_gcd,
@@ -33,8 +33,6 @@ from .ore import (
     shift_to_difference,
     telescopable_witness,
 )
-
-import random as _random
 
 
 def telescoping_bound(d: int, p: int, t_count: int, x_count: int):
@@ -394,10 +392,134 @@ def _t_expanded_rows(rows, K, t_var_idx):
     return out
 
 
+# The certificate's modulus and the seed of its sample points.  Both are fixed,
+# so a run depends on no hidden state; an unlucky draw only sends a degree
+# down the exact path, it never changes a result.
+_CERT_PRIME = 2 ** 61 - 1
+_CERT_SEED = 0xFA5E
+
+
+def _full_rank_mod_p(rows, ncols, K, t_var_idx) -> bool:
+    """True only if the rows admit no nonzero t-free solution.
+
+    The rows hold RatFunc entries over Q(x, t); a solution is a vector c
+    over Q(x) with row . c = 0 for every row, i.e. a kernel vector of the
+    cleared t-expanded rows of `_t_expanded_rows`.  The x-variables are set
+    to one random point x0 mod p, and each row is sampled at random
+    t-values t_s into an incremental row echelon mod p; a row is dropped
+    after two samples in a row that add no rank.  Reaching rank ncols
+    proves the kernel empty:
+
+    - each sampled row r(x, t_s) equals 1/D(x, t_s) times a combination,
+      with coefficients t_s^j, of the row's cleared t-expanded rows, so a
+      solution c satisfies r(x, t_s) . c = 0 as well;
+    - reducing mod p and setting x = x0 is a ring homomorphism on the
+      rational functions whose coefficient denominators are prime to p and
+      whose denominator does not vanish at x0 mod p, and every sampled
+      entry is one of them (entries that are not are never sampled);
+    - so a nonzero ncols-minor of the sampled vectors mod p is the image of
+      a nonzero minor over Q(x): the sampled rows have full rank ncols over
+      Q(x), and only c = 0 solves them.
+
+    False means "not proven", never "a solution exists".  That is the
+    answer when p divides a coefficient denominator (the row is skipped)
+    or a denominator vanishes at every sample, so an unlucky prime or
+    point costs time, never correctness.
+    """
+    p = _CERT_PRIME
+    rng = random.Random(_CERT_SEED)
+    tset = set(t_var_idx)
+    point = {i: rng.randrange(p) for i in range(K.nvars) if i not in tset}
+    pivots = {}
+    for row in rows:
+        images = _row_images_mod_p(row, point, t_var_idx, p)
+        if images is None:
+            continue
+        misses = 0
+        while misses < 2:
+            ts = [rng.randrange(p) for _ in t_var_idx]
+            vec = _sample_row_mod_p(images, ts, p)
+            if vec is None or not _echelon_insert_mod_p(pivots, vec, p):
+                misses += 1
+                continue
+            if len(pivots) == ncols:
+                return True
+            misses = 0
+    return False
+
+
+def _row_images_mod_p(row, point, t_var_idx, p):
+    """Per entry, None for zero or the (num, den) images at the x-point mod
+    p as dicts over t-exponents; None for the row when p divides a
+    coefficient denominator."""
+    images = []
+    for x in row:
+        if x.is_zero():
+            images.append(None)
+            continue
+        num = _t_image_mod_p(x.num, point, t_var_idx, p)
+        den = _t_image_mod_p(x.den, point, t_var_idx, p)
+        if num is None or den is None:
+            return None
+        images.append((num, den))
+    return images
+
+
+def _t_image_mod_p(f: MPoly, point, t_var_idx, p):
+    out = {}
+    for e, c in f.terms.items():
+        if c.denominator % p == 0:
+            return None
+        v = c.numerator % p * pow(c.denominator, -1, p) % p
+        for i, xv in point.items():
+            if e[i]:
+                v = v * pow(xv, e[i], p) % p
+        te = tuple(e[j] for j in t_var_idx)
+        out[te] = (out.get(te, 0) + v) % p
+    return out
+
+
+def _eval_t_mod_p(image, ts, p):
+    s = 0
+    for te, c in image.items():
+        for t, d in zip(ts, te):
+            if d:
+                c = c * pow(t, d, p) % p
+        s += c
+    return s % p
+
+
+def _sample_row_mod_p(images, ts, p):
+    """The row at t = ts mod p, or None where a denominator vanishes."""
+    vec = []
+    for im in images:
+        if im is None:
+            vec.append(0)
+            continue
+        den = _eval_t_mod_p(im[1], ts, p)
+        if not den:
+            return None
+        vec.append(_eval_t_mod_p(im[0], ts, p) * pow(den, -1, p) % p)
+    return vec
+
+
+def _echelon_insert_mod_p(pivots, vec, p) -> bool:
+    """Reduce vec by the echelon rows {col: row with 1 at col and zeros
+    before it}; keep it and return True when it adds rank."""
+    for c in range(len(vec)):
+        a = vec[c]
+        if not a:
+            continue
+        piv = pivots.get(c)
+        if piv is None:
+            inv = pow(a, -1, p)
+            pivots[c] = [v * inv % p for v in vec]
+            return True
+        vec = [(v - a * w) % p for v, w in zip(vec, piv)]
+    return False
+
+
 # -- Fasenmyer-style search -----------------------------------------------------
-
-
-_spec_rng = _random.Random(0xFA5E)
 
 
 def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
@@ -405,9 +527,15 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
                      collect_all: bool = False) -> SearchOutcome:
     """Search for t-free operators of I by increasing total degree.
 
-    Each t-free kernel element is decomposed into telescoper plus
-    certificates; the search stops once the telescopers generate an ideal
-    of dimension at most target_dim (when given), else runs the budget."""
+    At each degree the normal forms of the candidate monomials give rows
+    over C(x, t).  A degree is skipped when `_full_rank_mod_p` proves that
+    the rows have no t-free solution, from one x-point and a few t-samples
+    mod a word-size prime; only the other degrees clear denominators
+    (`_t_expanded_rows`) and solve exactly (`nullspace_selected`), so every
+    kernel, and every result, comes from exact arithmetic.  Each t-free
+    kernel element is decomposed into telescoper plus certificates; the
+    search stops once the telescopers generate an ideal of dimension at
+    most target_dim (when given), else runs the budget."""
     work, t_names = _difference_form(I, t_names)
     alg = work.algebra
     t_idx, t_vars, t_var_idx = _t_data(alg, t_names)
@@ -425,13 +553,12 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     achieved = None
     for deg in range(1, max_degree + 1):
         monomials = _monomials_up_to(alg.ngens, deg)
-        rows = _fasenmyer_rows(gb, monomials, K, t_var_idx)
+        rows = _fasenmyer_rows(gb, monomials, K)
         ncols = len(monomials)
-        if not rows:
-            continue
-        point = _good_point(rows, K, ncols)
-        if matrix_rank_at_point(rows, ncols, point) == ncols:
-            continue  # full column rank at a random point: no solution here
+        if not rows or _full_rank_mod_p(rows, ncols, K, t_var_idx):
+            continue  # no t-free operator of this degree
+        # rebinding frees the rational rows before the exact solve
+        rows = _t_expanded_rows(rows, K, t_var_idx)
         kernel = nullspace_selected(rows, ncols, K)
         for vec in kernel:
             terms = {m: c for m, c in zip(monomials, vec) if not c.is_zero()}
@@ -479,22 +606,16 @@ def _monomials_up_to(n, s):
     return out
 
 
-def _fasenmyer_rows(gb, monomials, K, t_var_idx):
-    """Rows over C(x): per staircase monomial, per t-power."""
+def _fasenmyer_rows(gb, monomials, K):
+    """Rows over C(x, t), one per staircase monomial: the coefficients of
+    d^gamma in the normal forms of the candidate monomials."""
     states = [gb.phi(m) for m in monomials]
     support = set()
     for st in states:
         support |= set(st)
     support = sorted(support)
     zero = RatFunc.zero(K)
-    rat_rows = []
-    for gamma in support:
-        rat_rows.append([st.get(gamma, zero) for st in states])
-    return _t_expanded_rows([r for r in rat_rows], K, t_var_idx)
-
-
-def _good_point(rows, K, ncols):
-    return [Fraction(_spec_rng.randint(7, 997)) for _ in K.names]
+    return [[st.get(gamma, zero) for st in states] for gamma in support]
 
 
 def _canonical_key(f: OrePoly, order):

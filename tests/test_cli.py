@@ -133,3 +133,14 @@ class TestRun:
         monkeypatch.setattr("sys.stdin", io.StringIO("algebra Q(n <"))
         status = main(["run", "-"])
         assert status == 2
+
+    @pytest.mark.parametrize("make_path", [
+        lambda tmp: str(tmp / "missing.ore"),
+        lambda tmp: str(tmp),
+    ], ids=["missing", "directory"])
+    def test_unreadable_file_exit_code(self, tmp_path, capsys, make_path):
+        status = main(["run", make_path(tmp_path)])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("cannot read ")
+        assert err.count("\n") == 1 and "Traceback" not in err

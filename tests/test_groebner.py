@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from orecalc.arith import MPoly, RatFunc
+from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.errors import AlgebraMismatch
 from orecalc.groebner import (
     GREVLEX,
@@ -16,7 +17,7 @@ from orecalc.groebner import (
     normal_form,
     same_ideal,
 )
-from orecalc.ore import OrePoly
+from orecalc.ore import OreAlgebra, OreGenerator, OreKind, OrePoly
 
 from corpus_objects import (
     algebra_nk,
@@ -112,6 +113,25 @@ class TestBuchberger:
         assert len(gb) == 1
         assert gb.elements[0] == alg.one
         assert I.is_unit_ideal()
+
+    def test_coprime_leads_differential_unit_ideal(self):
+        # Dy*(Dx + y) - Dx*Dy - y*Dy = 1: the S-pair of two generators with
+        # coprime leading exponents does not reduce to zero here
+        alg = OreAlgebra(["x", "y"],
+                         [OreGenerator("Dx", OreKind.DIFFERENTIATION, "x"),
+                          OreGenerator("Dy", OreKind.DIFFERENTIATION, "y")])
+        y = alg.scalar(RatFunc.from_poly(alg.field.var("y")))
+        I = LeftIdeal(alg, [alg.gen("Dx") + y, alg.gen("Dy")])
+        assert I.is_unit_ideal()
+        assert hilbert_dimension(I) is UNIT_IDEAL
+
+    def test_coprime_leads_shift_unit_ideal(self):
+        # Sk*(Sn - k) - Sn*(Sk - 1) = Sn - (k + 1)*Sk = -1 modulo the ideal
+        alg = algebra_nk()
+        k = alg.scalar(RatFunc.from_poly(alg.field.var("k")))
+        I = LeftIdeal(alg, [alg.gen("Sn") - k, alg.gen("Sk") - alg.one])
+        assert I.is_unit_ideal()
+        assert is_member(alg.one, I)
 
     def test_binomial_ideal_already_gb(self):
         # the two monic-normalized generators form a reduced GB: all

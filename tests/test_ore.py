@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -104,7 +105,7 @@ class TestSigmaDelta:
     @pytest.mark.parametrize("kind", [k for k, _ in ALL_KINDS])
     def test_skew_leibniz(self, kind):
         alg = make_algebra(kind)
-        rng = random.Random(hash(kind) & 0xFFFF)
+        rng = random.Random(zlib.crc32(str(kind).encode()) & 0xFFFF)
         pole = 2 if kind == "divdiff" else None
         for _ in range(200):
             u = rand_ratfunc(alg.field, rng, avoid_pole_at=pole)
@@ -119,7 +120,7 @@ class TestSigmaDelta:
     def test_commutation_rule_via_product(self, kind):
         # d*a == sigma(a)*d + delta(a) as operator identity
         alg = make_algebra(kind)
-        rng = random.Random(hash(kind) & 0xFFF)
+        rng = random.Random(zlib.crc32(str(kind).encode()) & 0xFFF)
         gen = alg.gen(alg.gens[0].name)
         pole = 2 if kind == "divdiff" else None
         for _ in range(20):

@@ -5,6 +5,7 @@ exact, so any failure is a real defect, not noise.
 """
 import itertools
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ CORPUS_IDEALS = [
 @pytest.mark.parametrize("kind", [k for k, _ in ALL_KINDS])
 def test_skew_leibniz_per_kind(kind):
     alg = make_algebra(kind)
-    rng = random.Random(0xBEEF ^ hash(kind))
+    rng = random.Random(0xBEEF ^ zlib.crc32(str(kind).encode()))
     pole = 2 if kind == "divdiff" else None
     for _ in range(CASES_PER_KIND):
         u = rand_ratfunc(alg.field, rng, avoid_pole_at=pole)
@@ -58,7 +59,7 @@ def test_associativity_per_kind(kind):
     # multiplication agrees with composition of the natural module action,
     # checked per catalog kind on random operators and arguments
     alg = make_algebra(kind)
-    rng = random.Random(0xACC ^ hash(kind))
+    rng = random.Random(0xACC ^ zlib.crc32(str(kind).encode()))
     pole = 2 if kind == "divdiff" else None
     g = alg.gen(alg.gens[0].name)
     x = alg.var(alg.gens[0].var)

@@ -1,11 +1,20 @@
+import os
+import random
+from fractions import Fraction
+
 import pytest
 
-from orecalc.arith import RatFunc
+from orecalc import telescoping
+from orecalc.arith import MPoly, PolyRing, RatFunc, nullspace_selected
+from orecalc.cli import parse
+from orecalc.closure import closure_product
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.errors import MultipleTelescopingVars
 from orecalc.groebner import LeftIdeal, is_member
 from orecalc.ore import OreKind, shift_to_difference
 from orecalc.telescoping import (
+    _full_rank_mod_p,
+    _t_expanded_rows,
     extract_telescoper,
     fasenmyer_search,
     restrict_to_x,
@@ -16,6 +25,7 @@ from orecalc.telescoping import (
 from orecalc.verify import Builtin, DefiniteSum, LinExpr
 
 from corpus_objects import (
+    abel_ideal,
     algebra_nk,
     algebra_nmkl,
     binomial_ideal,
@@ -206,3 +216,130 @@ class TestAgreement:
         d = hilbert_dimension(T)
         bound, _ = telescoping_bound(2, 1, 1, 3)
         assert d is UNIT_IDEAL or d <= bound
+
+
+# -- the mod-p rank certificate of the Fasenmyer search --------------------------
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+MK = PolyRing(["m", "k"])
+MKL = PolyRing(["m", "k", "l"])
+T_IDX = (1,)  # k is the telescoping variable
+
+
+def _rand_poly(rng, ring, variables, max_deg=2):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * ring.nvars
+        for v in variables:
+            e[v] = rng.randint(0, max_deg)
+        e = tuple(e)
+        terms[e] = terms.get(e, Fraction(0)) + rng.randint(-4, 4)
+    return MPoly(ring, {e: c for e, c in terms.items() if c})
+
+
+def _rand_entry(rng, ring=MK):
+    every = range(ring.nvars)
+    num = _rand_poly(rng, ring, every)
+    if num.is_zero() or rng.random() < 0.2:
+        return RatFunc.zero(ring)
+    den = _rand_poly(rng, ring, every, max_deg=1)
+    return RatFunc(num, den if not den.is_zero() else ring.one)
+
+
+class TestRankCertificate:
+    def test_planted_t_free_kernel_is_never_full_rank(self):
+        rng = random.Random(0xC3)
+        for _ in range(60):
+            ncols = rng.randint(2, 4)
+            j = rng.randrange(ncols)
+            c = [_rand_poly(rng, MK, (0,)) for _ in range(ncols)]
+            while c[j].is_zero():
+                c[j] = _rand_poly(rng, MK, (0,))
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                row = [_rand_entry(rng) for _ in range(ncols)]
+                rest = RatFunc.zero(MK)
+                for i in range(ncols):
+                    if i != j:
+                        rest = rest + row[i] * RatFunc.from_poly(c[i])
+                row[j] = -rest / RatFunc.from_poly(c[j])
+                rows.append(row)
+            assert not _full_rank_mod_p(rows, ncols, MK, T_IDX)
+
+    @pytest.mark.parametrize("ring, t_idx", [(MK, (1,)), (MKL, (1, 2))],
+                             ids=["t=k", "t=k,l"])
+    def test_agrees_with_the_exact_kernel_on_random_rows(self, ring, t_idx):
+        # a proof of full rank means an empty exact kernel; with a word-size
+        # prime the certificate also finds every empty kernel of these rows
+        rng = random.Random(0xC4)
+        proved = 0
+        for _ in range(40):
+            ncols = rng.randint(1, 3)
+            rows = [[_rand_entry(rng, ring) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, 3))]
+            kernel = nullspace_selected(_t_expanded_rows(rows, ring, t_idx),
+                                        ncols, ring)
+            full = _full_rank_mod_p(rows, ncols, ring, t_idx)
+            assert full == (kernel == [])
+            proved += full
+        assert 10 <= proved < 40
+
+    def test_prime_dividing_a_coefficient_denominator(self):
+        p = telescoping._CERT_PRIME
+        assert _full_rank_mod_p([[RatFunc.const(MK, 3)]], 1, MK, T_IDX)
+        assert not _full_rank_mod_p([[RatFunc.const(MK, Fraction(3, p))]],
+                                    1, MK, T_IDX)
+
+    def test_denominator_vanishing_at_every_sample(self, monkeypatch):
+        # m^7 - m is 0 mod 7 at every point; m^7 - m + 1 never is
+        monkeypatch.setattr(telescoping, "_CERT_PRIME", 7)
+        m = MK.var("m")
+        assert _full_rank_mod_p([[RatFunc(MK.one, m ** 7 - m + 1)]],
+                                1, MK, T_IDX)
+        assert not _full_rank_mod_p([[RatFunc(MK.one, m ** 7 - m)]],
+                                    1, MK, T_IDX)
+
+    def test_zero_rows_are_not_full_rank(self):
+        assert not _full_rank_mod_p([[RatFunc.zero(MK)] * 2], 2, MK, T_IDX)
+
+
+def _stirling_eulerian_ideal():
+    with open(os.path.join(CORPUS, "stirling_eulerian.ore")) as fh:
+        pf = parse(fh.read())
+    ideals = dict(pf.built_ideals)
+    for task in pf.tasks:
+        if task.kind == "closure":
+            d = task.data
+            ideals[d["as"]] = closure_product(
+                ideals[d["left"]], ideals[d["right"]], d["maxdeg"]).ideal
+    return ideals["ANN"]
+
+
+def _summary(out):
+    return (out.budget_exhausted, out.achieved_dim, out.trivial,
+            [(r.degree, r.telescoper, r.certificates, r.membership_checked)
+             for r in out.results])
+
+
+@pytest.mark.parametrize("make_ideal, maxdeg, target", [
+    (binomial_ideal, 2, None),
+    (abel_ideal, 3, 2),
+    (_stirling_eulerian_ideal, 4, 1),
+], ids=["binomial", "abel", "stirling_eulerian"])
+def test_certificate_skips_change_no_result(monkeypatch, make_ideal, maxdeg,
+                                            target):
+    I = make_ideal()
+    answers = []
+    real = telescoping._full_rank_mod_p
+
+    def recorded(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(telescoping, "_full_rank_mod_p", recorded)
+    with_skips = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
+    assert any(answers)  # some degree was skipped
+    monkeypatch.setattr(telescoping, "_full_rank_mod_p", lambda *args: False)
+    exact_only = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
+    assert with_skips.results
+    assert _summary(with_skips) == _summary(exact_only)
