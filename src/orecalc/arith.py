@@ -90,25 +90,6 @@ class MPoly:
         self.ring = ring
         self.terms = terms
 
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def from_terms(ring, items) -> "MPoly":
-        terms = {}
-        for exp, c in items:
-            if c == 0:
-                continue
-            cur = terms.get(exp)
-            if cur is None:
-                terms[exp] = c
-            else:
-                cur = cur + c
-                if cur:
-                    terms[exp] = cur
-                else:
-                    del terms[exp]
-        return MPoly(ring, terms)
-
     # -- predicates and inspection --------------------------------------------
 
     def is_zero(self) -> bool:
@@ -135,11 +116,6 @@ class MPoly:
         if not self.terms:
             return -1
         return max(sum(e[i] for i in var_indices) for e in self.terms)
-
-    def degree_var(self, i) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def variables(self):
         """Indices of variables that actually occur."""
@@ -332,20 +308,6 @@ class MPoly:
             total += v
         return total
 
-    def eval_partial(self, assignment: dict) -> "MPoly":
-        """Evaluate a subset of variables at rational values."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            v = c
-            for i, val in assignment.items():
-                if ne[i]:
-                    v *= Fraction(val) ** ne[i]
-                    ne[i] = 0
-            if v:
-                _acc(out, tuple(ne), v)
-        return MPoly(self.ring, out)
-
     # -- normalization ----------------------------------------------------------
 
     def rational_content(self) -> Fraction:
@@ -374,18 +336,6 @@ class MPoly:
             return self
         return self * (1 / lc)
 
-    def coeffs_in_var(self, i) -> dict:
-        """Map degree-in-x_i -> MPoly coefficient (with x_i cleared)."""
-        groups = {}
-        for e, c in self.terms.items():
-            ne = list(e)
-            d = ne[i]
-            ne[i] = 0
-            key = tuple(ne)
-            g = groups.setdefault(d, {})
-            _acc(g, key, c)
-        return {d: MPoly(self.ring, t) for d, t in groups.items()}
-
     def __repr__(self):
         return "MPoly(%s)" % format_poly(self)
 
@@ -394,6 +344,8 @@ class MPoly:
 
 
 def _acc(d, e, c):
+    """d[e] += c, storing no zero: the one sparse accumulator, for Fraction
+    and RatFunc values alike (both are false exactly when zero)."""
     cur = d.get(e)
     if cur is None:
         if c:
@@ -495,9 +447,6 @@ def divides(g: MPoly, f: MPoly) -> bool:
         return False
 
 
-_gcd_rng = random.Random(0x5eed)
-
-
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Monic gcd; poly_gcd(0, b) is the monic normalization of b."""
     if a.is_zero():
@@ -508,177 +457,7 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
         return a.ring.one
     if a.terms == b.terms:
         return a.monic()
-    ap, bp = a.primitive(), b.primitive()
-    g = _modular_gcd(ap, bp)
-    if g is None:
-        g = _gcd_inner(ap, bp)
-    return g.monic()
-
-
-def _gcd_inner(a: MPoly, b: MPoly) -> MPoly:
-    # both nonzero, primitive
-    if a.is_constant() or b.is_constant():
-        return a.ring.one
-    if len(a.terms) == 1 or len(b.terms) == 1:
-        return _gcd_with_monomial(a, b)
-    common = a.variables() & b.variables()
-    if not common:
-        return a.ring.one
-    # main variable: smallest max-degree keeps the PRS short
-    v = min(common, key=lambda i: (min(a.degree_var(i), b.degree_var(i)), i))
-    if _gcd_free_of(a, b, v):
-        return _gcd_inner(_content_in(a, v), _content_in(b, v))
-    if a.degree_var(v) < b.degree_var(v):
-        a, b = b, a
-    # quick win: one argument dividing the other is common (lcm chains)
-    da, db = a.degree_var(v), b.degree_var(v)
-    if da >= db and divides(b, a):
-        return b
-    if db >= da and divides(a, b):
-        return a
-    ca, pa = _split_content(a, v)
-    cb, pb = _split_content(b, v)
-    cont = _gcd_inner(ca, cb) if not (ca.is_constant() and cb.is_constant()) else a.ring.one
-    prim = _primitive_prs(pa, pb, v)
-    return cont * prim
-
-
-def _gcd_with_monomial(a: MPoly, b: MPoly) -> MPoly:
-    if len(b.terms) == 1:
-        a, b = b, a
-    (me,) = a.terms  # a is the monomial
-    lo = list(me)
-    for e in b.terms:
-        lo = [min(x, y) for x, y in zip(lo, e)]
-        if not any(lo):
-            break
-    return a.ring.monomial(tuple(lo))
-
-
-def _content_in(f: MPoly, v) -> MPoly:
-    coeffs = list(f.coeffs_in_var(v).values())
-    g = coeffs[0]
-    for c in coeffs[1:]:
-        if g.is_constant():
-            break
-        g = poly_gcd(g, c)
-    return g.monic() if not g.is_constant() else f.ring.one
-
-
-def _split_content(f: MPoly, v):
-    cont = _content_in(f, v)
-    if cont.is_one() or cont.is_constant():
-        return f.ring.one, f
-    return cont, exact_div(f, cont)
-
-
-_GCD_PRIME = 2 ** 61 - 1
-
-
-def _gcd_free_of(a: MPoly, b: MPoly, v) -> bool:
-    """Certify deg_v gcd(a, b) == 0 via a random specialization mod p.
-
-    Sound when the specialized leading coefficient of `a` in v survives:
-    any common divisor then keeps its v-degree under the specialization,
-    and its modular image divides the modular gcd.
-    """
-    p = _GCD_PRIME
-    others = (a.variables() | b.variables()) - {v}
-    for _ in range(4):
-        point = {i: _gcd_rng.randint(2, p - 2) for i in others}
-        try:
-            ua = _specialize_univariate_modp(a, v, point, p)
-            ub = _specialize_univariate_modp(b, v, point, p)
-        except ZeroDivisionError:  # denominator divisible by p: retry
-            continue
-        if not ua or not ub:
-            continue
-        if len(ua) - 1 != a.degree_var(v):  # lc vanished: unlucky point
-            continue
-        if _univ_gcd_degree_modp(ua, ub, p) == 0:
-            return True
-        return False
-    return False
-
-
-def _specialize_univariate_modp(f: MPoly, v, point, p):
-    coeffs = [0] * (f.degree_var(v) + 1)
-    for e, c in f.terms.items():
-        val = c.numerator % p * pow(c.denominator, -1, p) % p
-        for i, pt in point.items():
-            if e[i]:
-                val = val * pow(pt, e[i], p) % p
-        coeffs[e[v]] = (coeffs[e[v]] + val) % p
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _univ_gcd_degree_modp(a, b, p) -> int:
-    while b:
-        r = a[:]
-        db = len(b) - 1
-        inv_lb = pow(b[-1], -1, p)
-        while r and len(r) - 1 >= db:
-            q = r[-1] * inv_lb % p
-            shift = len(r) - 1 - db
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - q * c) % p
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    return len(a) - 1
-
-
-def _primitive_prs(f: MPoly, g: MPoly, v) -> MPoly:
-    """Gcd of v-primitive f, g by the primitive pseudo-remainder sequence.
-
-    Each remainder is reduced to its primitive part (rational and
-    polynomial content), which keeps coefficient growth minimal at the
-    cost of content gcds per step.
-    """
-    if f.degree_var(v) < g.degree_var(v):
-        f, g = g, f
-    f, g = f.primitive(), g.primitive()
-    while True:
-        r = _pseudo_rem(f, g, v)
-        if r.is_zero():
-            _, pp = _split_content(g, v)
-            return pp
-        if r.degree_var(v) == 0:
-            return f.ring.one
-        r = r.primitive()
-        _, r = _split_content(r, v)
-        f, g = g, r
-
-
-def _lead_coeff_in(f: MPoly, v) -> MPoly:
-    d = f.degree_var(v)
-    out = {}
-    for e, c in f.terms.items():
-        if e[v] == d:
-            ne = list(e)
-            ne[v] = 0
-            _acc(out, tuple(ne), c)
-    return MPoly(f.ring, out)
-
-
-def _pseudo_rem(f: MPoly, g: MPoly, v) -> MPoly:
-    dg = g.degree_var(v)
-    lg = _lead_coeff_in(g, v)
-    r = f
-    delta = f.degree_var(v) - dg
-    steps = delta + 1
-    while not r.is_zero() and r.degree_var(v) >= dg:
-        dr = r.degree_var(v)
-        lr = _lead_coeff_in(r, v)
-        xshift = [0] * f.ring.nvars
-        xshift[v] = dr - dg
-        r = lg * r - f.ring.monomial(tuple(xshift)) * lr * g
-        steps -= 1
-    if steps > 0:
-        r = lg ** steps * r
-    return r
+    return _modular_gcd(a.primitive(), b.primitive()).monic()
 
 
 def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
@@ -693,20 +472,54 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
 _GCD_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1)
 
 
-def _modular_gcd(a: MPoly, b: MPoly):
+def _gcd_primes():
+    """The moduli `_modular_gcd` tries, in order; the sequence never ends.
+
+    After the Mersenne primes come, for m = 128, 256, 512, ..., the least
+    prime k*2^m + 1 with k odd that Proth's theorem proves prime: such an n
+    is prime as soon as a^((n-1)/2) = -1 (mod n) for some a.  The primes
+    grow without bound, so every lift eventually fits, and only finitely
+    many of them can be unlucky for a given input."""
+    yield from _GCD_PRIMES
+    m = 128
+    while True:
+        k = 1
+        while not _proth_prime((k << m) + 1):
+            k += 2
+        yield (k << m) + 1
+        m *= 2
+
+
+def _proth_prime(n) -> bool:
+    """True only for a proven prime n = k*2^m + 1 with k < 2^m; False may
+    also skip a prime, which only moves the search to the next k."""
+    half = n >> 1
+    for a in (3, 5, 7, 11, 13, 17, 19, 23):
+        r = pow(a, half, n)
+        if r == n - 1:
+            return True
+        if r != 1:
+            return False  # Euler's criterion fails: n is composite
+    return False
+
+
+def _modular_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Gcd of integer-primitive a, b via gcd mod p plus interpolation.
 
     A nontrivial candidate is accepted only after exact trial division, so
     the only soundness obligation kept internally is the "gcd is 1" path,
-    which the leading-coefficient checks certify.  Returns None when every
-    prime fails (caller falls back to the pseudo-remainder sequence).
+    which the leading-coefficient checks certify.  A prime that divides a
+    leading coefficient, meets persistent bad luck or gives a lift that
+    fails trial division is passed over for the next one.
     """
     active = sorted(a.variables() | b.variables())
-    one = a.ring.one
-    for p in _GCD_PRIMES:
-        la = a.leading_coeff()
-        lb = b.leading_coeff()
-        if la.numerator % p == 0 or lb.numerator % p == 0:
+    la = a.leading_coeff().numerator
+    lb = b.leading_coeff().numerator
+    # rescale so the lift carries integer coefficients: lc(gcd) divides
+    # gcd of the integer leading coefficients
+    gamma = math.gcd(la, lb)
+    for p in _gcd_primes():
+        if la % p == 0 or lb % p == 0:
             continue
         fp = {e: c.numerator % p for e, c in a.terms.items() if c.numerator % p}
         gp = {e: c.numerator % p for e, c in b.terms.items() if c.numerator % p}
@@ -714,16 +527,12 @@ def _modular_gcd(a: MPoly, b: MPoly):
         if res is None:
             continue
         if _modp_is_constant(res):
-            return one
-        # rescale so the lift carries integer coefficients: lc(gcd) divides
-        # gcd of the integer leading coefficients
-        gamma = math.gcd(la.numerator, lb.numerator)
+            return a.ring.one
         lead = max(res, key=_grevlex_key)
         res = _modp_scale(res, gamma % p * pow(res[lead], -1, p) % p, p)
         cand = _modp_lift(res, a.ring, p).primitive()
         if divides(cand, a) and divides(cand, b):
             return cand
-    return None
 
 
 def _modp_is_constant(f):
@@ -920,7 +729,7 @@ def _modp_gcd(f, g, active, p):
     """Gcd over GF(p) by dense interpolation in the last active variable.
 
     Result is normalized only up to a unit; may return None on persistent
-    bad luck (caller retries with another prime or falls back)."""
+    bad luck (the caller moves on to the next prime)."""
     if not f or not g:
         return f or g or None
     active = [v for v in active if _modp_deg(f, v) > 0 or _modp_deg(g, v) > 0]
@@ -1251,9 +1060,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
 
@@ -1530,7 +1336,7 @@ def _finalize_ratfunc_vector_rat(vec, ring):
     return [RatFunc.from_poly(p) for p in polys]
 
 
-def nullspace_selected(rows, ncols, ring, rng=None) -> list:
+def nullspace_selected(rows, ncols, ring) -> list:
     """Nullspace of an MPoly matrix using a specialized row preselection.
 
     A random integer specialization identifies a maximal independent row
@@ -1539,7 +1345,7 @@ def nullspace_selected(rows, ncols, ring, rng=None) -> list:
     Sound: specialization rank is a lower bound on generic rank, and the
     final kernel is checked exactly.
     """
-    rng = rng or random.Random(0x9A7)
+    rng = random.Random(0x9A7)
     rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
     if not rows:
         return [[RatFunc.one(ring) if i == j else RatFunc.zero(ring)
@@ -1597,22 +1403,4 @@ def _row_basis_at_point(rows, ncols, point):
 def matrix_rank_at_point(rows, ncols, point) -> int:
     """Rank of an MPoly matrix specialized at an integer point (may be a
     lower bound on the generic rank; equality holds generically)."""
-    spec = []
-    for row in rows:
-        srow = [x.eval_point(point) for x in row]
-        spec.append(srow)
-    rank = 0
-    cols = list(range(ncols))
-    rows_left = list(range(len(spec)))
-    for c in cols:
-        pr = next((r for r in rows_left if spec[r][c] != 0), None)
-        if pr is None:
-            continue
-        rows_left.remove(pr)
-        rank += 1
-        pv = spec[pr][c]
-        for r in rows_left:
-            f = spec[r][c]
-            if f:
-                spec[r] = [a - f / pv * b for a, b in zip(spec[r], spec[pr])]
-    return rank
+    return _row_basis_at_point(rows, ncols, point)[0]

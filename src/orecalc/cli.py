@@ -128,6 +128,8 @@ class AlgebraDecl:
 class Task:
     kind: str
     data: dict = dataclass_field(default_factory=dict)
+    # (line, col) of the first use of each generator or variable name
+    pos: dict = dataclass_field(default_factory=dict)
 
 
 @dataclass
@@ -172,6 +174,12 @@ class Parser:
             raise ProblemSyntaxError("expected a name, got %r" % (t.text or "eof"),
                                      t.line, t.col)
         return t
+
+    def expect_name_at(self, pos):
+        """A name, with its position recorded in `pos` for `_check_names`."""
+        t = self.expect_name()
+        pos.setdefault(t.text, (t.line, t.col))
+        return t.text
 
     def expect_int(self):
         t = self.next()
@@ -448,6 +456,7 @@ class Parser:
     def parse_task(self) -> Task:
         t = self.expect_name()
         kind = t.text
+        pos = {}
         if kind == "gb":
             name = self.expect_name().text
             self.expect(";")
@@ -463,7 +472,7 @@ class Parser:
                                          t.line, t.col)
             data = {"op": sub}
             if sub == "apply":
-                data["gen"] = self.expect_name().text
+                data["gen"] = self.expect_name_at(pos)
                 data["ideal"] = self.expect_name().text
             else:
                 data["left"] = self.expect_name().text
@@ -474,7 +483,7 @@ class Parser:
                 self.next()
                 data["as"] = self.expect_name().text
             self.expect(";")
-            return Task("closure", data)
+            return Task("closure", data, pos)
         if kind == "growth":
             method = self.expect_name().text
             if method not in ("exact", "probe"):
@@ -482,24 +491,24 @@ class Parser:
                                          t.line, t.col)
             name = self.expect_name().text
             self.expect("over")
-            tvars = [self.expect_name().text]
+            tvars = [self.expect_name_at(pos)]
             while self.peek().text == ",":
                 self.next()
-                tvars.append(self.expect_name().text)
+                tvars.append(self.expect_name_at(pos))
             window = 10
             if self.peek().text == "window":
                 self.next()
                 window = self.expect_int()
             self.expect(";")
             return Task("growth", {"method": method, "ideal": name,
-                                   "tvars": tvars, "window": window})
+                                   "tvars": tvars, "window": window}, pos)
         if kind == "telescope":
             name = self.expect_name().text
             self.expect("over")
-            tgens = [self.expect_name().text]
+            tgens = [self.expect_name_at(pos)]
             while self.peek().text == ",":
                 self.next()
-                tgens.append(self.expect_name().text)
+                tgens.append(self.expect_name_at(pos))
             self.expect("maxdeg")
             maxdeg = self.expect_int()
             data = {"ideal": name, "tgens": tgens, "maxdeg": maxdeg}
@@ -512,11 +521,11 @@ class Parser:
                 else:
                     data["expect"] = self.expect_name().text
             self.expect(";")
-            return Task("telescope", data)
+            return Task("telescope", data, pos)
         if kind == "zeilberger":
             name = self.expect_name().text
             self.expect("over")
-            tgen = self.expect_name().text
+            tgen = self.expect_name_at(pos)
             self.expect("dega")
             dega = self.expect_int()
             self.expect("degb")
@@ -531,13 +540,13 @@ class Parser:
                 else:
                     data["expect"] = self.expect_name().text
             self.expect(";")
-            return Task("zeilberger", data)
+            return Task("zeilberger", data, pos)
         if kind == "verify":
             result = self.expect_name().text
             self.expect(":")
             self.expect("sum")
             self.expect("(")
-            var = self.expect_name().text
+            var = self.expect_name_at(pos)
             self.expect(",")
             summand = self.expect_name().text
             self.expect(")")
@@ -552,7 +561,7 @@ class Parser:
                 self.next()
                 data["positive"] = 1
             self.expect(";")
-            return Task("verify", data)
+            return Task("verify", data, pos)
         raise ProblemSyntaxError("unknown task %r" % kind, t.line, t.col)
 
 
@@ -599,6 +608,37 @@ def _build(pf: ProblemFile):
         ops = [_eval_opexpr(e, pf.algebra) for e in exprs]
         pf.built_ideals[name] = LeftIdeal(pf.algebra, ops)
     pf.built_oracles = dict(pf.oracles)
+    _check_names(pf)
+
+
+def _check_names(pf: ProblemFile):
+    """Resolve the generator and variable names the tasks use, so that an
+    unknown one is an UnknownName at its position, not a failed run.
+    Ideal, oracle and result names stay with the run: tasks can create
+    ideals and results as they go."""
+    alg = pf.algebra
+    for task in pf.tasks:
+        d = task.data
+        if task.kind == "closure":
+            if d["op"] == "apply" and d["gen"] not in alg.gen_index:
+                raise UnknownName("unknown generator %r" % d["gen"],
+                                  *_at(task, d["gen"]))
+        elif task.kind == "growth":
+            for v in d["tvars"]:
+                if v not in alg.field.index:
+                    raise UnknownName("unknown variable %r" % v, *_at(task, v))
+        elif task.kind in ("telescope", "zeilberger"):
+            for g in d["tgens"] if task.kind == "telescope" else [d["tgen"]]:
+                _resolve_gen(alg, g, *_at(task, g))
+        elif task.kind == "verify":
+            summand = pf.oracles.get(d["summand"])
+            if summand is not None and d["var"] not in summand.variables():
+                raise UnknownName("summation variable %r does not occur in %r"
+                                  % (d["var"], d["summand"]), *_at(task, d["var"]))
+
+
+def _at(task, name):
+    return task.pos.get(name, (None, None))
 
 
 def _eval_opexpr(node, alg: OreAlgebra) -> OrePoly:
@@ -865,14 +905,14 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
     return status, rendered
 
 
-def _resolve_gen(algebra, name):
+def _resolve_gen(algebra, name, line=None, col=None):
     """Accept a generator name or a ground variable carrying one generator."""
     if name in algebra.gen_index:
         return name
     for g in algebra.gens:
         if g.var == name:
             return g.name
-    raise UnknownName("no generator named or attached to %r" % name)
+    raise UnknownName("no generator named or attached to %r" % name, line, col)
 
 
 def _get(table, name):
@@ -895,8 +935,6 @@ def main(argv=None):
         p.add_argument("--max-degree", type=int, default=None,
                        help="overrides task degree budgets")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized internal sampling")
         p.add_argument("--verify-box", type=int, default=8)
     args = ap.parse_args(argv)
     try:
@@ -918,9 +956,6 @@ def main(argv=None):
         sys.stdout.write("ok: %d ideal(s), %d oracle(s), %d task(s)\n" % (
             len(pf.built_ideals), len(pf.oracles), len(pf.tasks)))
         return 0
-    if args.seed:
-        from . import arith as _arith
-        _arith._gcd_rng.seed(args.seed)
     if args.max_degree is not None:
         for task in pf.tasks:
             if "maxdeg" in task.data:

@@ -10,12 +10,13 @@ which every catalog kind provides).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .arith import RatFunc, nullspace
+from .arith import RatFunc, _acc, nullspace
 from .dimension import UNIT_IDEAL, hilbert_dimension
 from .errors import AlgebraMismatch, NonlinearAlgebra
 from .groebner import GREVLEX, GroebnerBasis, LeftIdeal, MonomialOrder
-from .ore import OrePoly
+from .ore import OrePoly, exponents_up_to, peel_walk
 
 
 @dataclass
@@ -33,37 +34,6 @@ class ClosureResult:
         yield self.bound_met
 
 
-def _monomials_up_to(n, s):
-    out = []
-    exp = [0] * n
-
-    def rec(pos, budget):
-        if pos == n:
-            out.append(tuple(exp))
-            return
-        for d in range(budget + 1):
-            exp[pos] = d
-            rec(pos + 1, budget - d)
-        exp[pos] = 0
-
-    rec(0, s)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
-def _acc(d, key, val):
-    cur = d.get(key)
-    if cur is None:
-        if not val.is_zero():
-            d[key] = val
-    else:
-        cur = cur + val
-        if cur.is_zero():
-            del d[key]
-        else:
-            d[key] = cur
-
-
 def _check_linear(alg):
     for i in range(alg.ngens):
         try:
@@ -73,127 +43,68 @@ def _check_linear(alg):
                 "generator %s has no linear extension" % alg.gens[i].name)
 
 
-class _ProductFrame:
-    """Expansion table for d^alpha . (f1*f2) over coordinate pairs."""
+# Each derived function's expansion of d^alpha . f is a walk from its value
+# at alpha = 0, one generator at a time (`peel_walk`); a step applies d_i to
+# a coordinate dict.
 
-    def __init__(self, gb1: GroebnerBasis, gb2: GroebnerBasis):
-        self.alg = gb1.algebra
-        self.gb1 = gb1
-        self.gb2 = gb2
-        zero = (0,) * self.alg.ngens
-        one = RatFunc.one(self.alg.field)
-        self.states = {zero: {(zero, zero): one}}
 
-    def state(self, alpha):
-        st = self.states.get(alpha)
-        if st is not None:
-            return st
-        i = max(j for j, x in enumerate(alpha) if x)
-        prev = list(alpha)
-        prev[i] -= 1
-        st = self._apply_gen(i, self.state(tuple(prev)))
-        self.states[alpha] = st
-        return st
-
-    def _apply_gen(self, i, state):
-        alg = self.alg
-        asig, bsig, adel, bdel, lam = alg.linearization(i)
-        c_dd = lam * asig * asig + asig * adel       # (dF)(dG)
-        c_d0 = lam * asig * bsig + asig * bdel + adel  # (dF)(G)
-        c_0d = lam * bsig * asig + bsig * adel       # (F)(dG)
-        c_00 = lam * bsig * bsig + bsig * bdel + bdel  # (F)(G)
-        out = {}
-        for (beta, gamma), u in state.items():
-            su = alg.sigma(i, u)
-            du = alg.delta(i, u)
-            if not su.is_zero():
-                dF = self.gb1.table(i, beta) if (not c_dd.is_zero() or not c_d0.is_zero()) else {}
-                dG = self.gb2.table(i, gamma) if (not c_dd.is_zero() or not c_0d.is_zero()) else {}
-                if not c_dd.is_zero():
-                    for b2, vb in dF.items():
-                        svb = su * c_dd * vb
-                        for g2, vg in dG.items():
-                            _acc(out, (b2, g2), svb * vg)
-                if not c_d0.is_zero():
-                    for b2, vb in dF.items():
-                        _acc(out, (b2, gamma), su * c_d0 * vb)
-                if not c_0d.is_zero():
+def _product_step(gb1: GroebnerBasis, gb2: GroebnerBasis, i, state):
+    """d_i applied to an expansion of f1*f2 over coordinate pairs."""
+    alg = gb1.algebra
+    asig, bsig, adel, bdel, lam = alg.linearization(i)
+    c_dd = lam * asig * asig + asig * adel       # (dF)(dG)
+    c_d0 = lam * asig * bsig + asig * bdel + adel  # (dF)(G)
+    c_0d = lam * bsig * asig + bsig * adel       # (F)(dG)
+    c_00 = lam * bsig * bsig + bsig * bdel + bdel  # (F)(G)
+    out = {}
+    for (beta, gamma), u in state.items():
+        su = alg.sigma(i, u)
+        du = alg.delta(i, u)
+        if not su.is_zero():
+            dF = gb1.table(i, beta) if (not c_dd.is_zero() or not c_d0.is_zero()) else {}
+            dG = gb2.table(i, gamma) if (not c_dd.is_zero() or not c_0d.is_zero()) else {}
+            if not c_dd.is_zero():
+                for b2, vb in dF.items():
+                    svb = su * c_dd * vb
                     for g2, vg in dG.items():
-                        _acc(out, (beta, g2), su * c_0d * vg)
-                if not c_00.is_zero():
-                    _acc(out, (beta, gamma), su * c_00)
-            if not du.is_zero():
-                _acc(out, (beta, gamma), du)
-        return out
+                        _acc(out, (b2, g2), svb * vg)
+            if not c_d0.is_zero():
+                for b2, vb in dF.items():
+                    _acc(out, (b2, gamma), su * c_d0 * vb)
+            if not c_0d.is_zero():
+                for g2, vg in dG.items():
+                    _acc(out, (beta, g2), su * c_0d * vg)
+            if not c_00.is_zero():
+                _acc(out, (beta, gamma), su * c_00)
+        if not du.is_zero():
+            _acc(out, (beta, gamma), du)
+    return out
 
 
-class _SumFrame:
-    """Expansion of d^alpha . (f1+f2): two independent coordinate blocks."""
-
-    def __init__(self, gb1, gb2):
-        self.alg = gb1.algebra
-        self.gbs = (gb1, gb2)
-        zero = (0,) * self.alg.ngens
-        one = RatFunc.one(self.alg.field)
-        self.states = {zero: {(0, zero): one, (1, zero): one}}
-
-    def state(self, alpha):
-        st = self.states.get(alpha)
-        if st is not None:
-            return st
-        i = max(j for j, x in enumerate(alpha) if x)
-        prev = list(alpha)
-        prev[i] -= 1
-        st = self._apply_gen(i, self.state(tuple(prev)))
-        self.states[alpha] = st
-        return st
-
-    def _apply_gen(self, i, state):
-        alg = self.alg
-        out = {}
-        for (side, gamma), u in state.items():
-            su = alg.sigma(i, u)
-            du = alg.delta(i, u)
-            if not su.is_zero():
-                for g2, v in self.gbs[side].table(i, gamma).items():
-                    _acc(out, (side, g2), su * v)
-            if not du.is_zero():
-                _acc(out, (side, gamma), du)
-        return out
-
-
-class _ApplyFrame:
-    """Expansion of d^alpha . (g . f): plain normal forms of d^alpha * g."""
-
-    def __init__(self, gb: GroebnerBasis, gen_index: int):
-        self.alg = gb.algebra
-        self.gb = gb
-        e = [0] * self.alg.ngens
-        e[gen_index] = 1
-        zero = (0,) * self.alg.ngens
-        self.states = {zero: dict(gb.phi(tuple(e)))}
-
-    def state(self, alpha):
-        st = self.states.get(alpha)
-        if st is not None:
-            return st
-        i = max(j for j, x in enumerate(alpha) if x)
-        prev = list(alpha)
-        prev[i] -= 1
-        st = self.gb.apply_gen_to_nf(i, self.state(tuple(prev)))
-        self.states[alpha] = st
-        return st
+def _sum_step(gbs, i, state):
+    """d_i applied to an expansion of f1+f2: two independent blocks."""
+    alg = gbs[0].algebra
+    out = {}
+    for (side, gamma), u in state.items():
+        su = alg.sigma(i, u)
+        du = alg.delta(i, u)
+        if not su.is_zero():
+            for g2, v in gbs[side].table(i, gamma).items():
+                _acc(out, (side, g2), su * v)
+        if not du.is_zero():
+            _acc(out, (side, gamma), du)
+    return out
 
 
 def _numeric_dim(d):
     return None if d is UNIT_IDEAL else d
 
 
-def _kernel_relations(frame, monomials, alg, order):
+def _kernel_relations(states, step, monomials, alg):
     coords = set()
     cols = []
     for m in monomials:
-        st = frame.state(m)
+        st = peel_walk(states, m, step)
         coords |= set(st)
         cols.append(st)
     coord_list = sorted(coords, key=repr)
@@ -231,16 +142,18 @@ def _autoreduce(rels, order, alg):
     return out
 
 
-def _closure_run(make_frame, bound, I_args, max_degree, order):
-    alg = I_args[0].algebra
-    frame = make_frame()
+def _closure_run(alg, start, step, bound, max_degree, order):
+    """Kernels of the expansions d^alpha . f, degree by degree, until the
+    relations found meet the dimension bound; `start` is the expansion at
+    alpha = 0 and `step` applies one generator."""
+    states = {alg._zero_exp: start}
     relations = []
     used = 0
     dim = None
     for s in range(1, max_degree + 1):
         used = s
-        monomials = _monomials_up_to(alg.ngens, s)
-        rels = _kernel_relations(frame, monomials, alg, order)
+        monomials = exponents_up_to(alg.ngens, s)
+        rels = _kernel_relations(states, step, monomials, alg)
         rels = _autoreduce(rels, order, alg)
         if not rels:
             continue
@@ -264,9 +177,10 @@ def closure_product(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,
     d1 = _numeric_dim(hilbert_dimension(I1, order))
     d2 = _numeric_dim(hilbert_dimension(I2, order))
     bound = None if d1 is None or d2 is None else d1 + d2
-    gb1, gb2 = I1.groebner_basis(order), I2.groebner_basis(order)
-    return _closure_run(lambda: _ProductFrame(gb1, gb2), bound,
-                        (I1, I2), max_degree, order)
+    alg = I1.algebra
+    zero, one = alg._zero_exp, RatFunc.one(alg.field)
+    step = partial(_product_step, I1.groebner_basis(order), I2.groebner_basis(order))
+    return _closure_run(alg, {(zero, zero): one}, step, bound, max_degree, order)
 
 
 def closure_sum(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,
@@ -282,9 +196,11 @@ def closure_sum(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,
         bound = d1
     else:
         bound = max(d1, d2)
-    gb1, gb2 = I1.groebner_basis(order), I2.groebner_basis(order)
-    return _closure_run(lambda: _SumFrame(gb1, gb2), bound,
-                        (I1, I2), max_degree, order)
+    alg = I1.algebra
+    zero, one = alg._zero_exp, RatFunc.one(alg.field)
+    step = partial(_sum_step, (I1.groebner_basis(order), I2.groebner_basis(order)))
+    return _closure_run(alg, {(0, zero): one, (1, zero): one}, step, bound,
+                        max_degree, order)
 
 
 def closure_apply(gen_name: str, I: LeftIdeal, max_degree: int,
@@ -292,6 +208,7 @@ def closure_apply(gen_name: str, I: LeftIdeal, max_degree: int,
     """Annihilator (subideal) of d.f for a single generator d."""
     bound = _numeric_dim(hilbert_dimension(I, order))
     gb = I.groebner_basis(order)
-    gi = I.algebra.gen_index[gen_name]
-    return _closure_run(lambda: _ApplyFrame(gb, gi), bound,
-                        (I,), max_degree, order)
+    e = [0] * I.algebra.ngens
+    e[I.algebra.gen_index[gen_name]] = 1
+    return _closure_run(I.algebra, dict(gb.phi(tuple(e))), gb.apply_gen_to_nf,
+                        bound, max_degree, order)

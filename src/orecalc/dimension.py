@@ -8,15 +8,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .groebner import GREVLEX, GroebnerBasis, LeftIdeal, MonomialOrder
+from .groebner import GREVLEX, LeftIdeal, MonomialOrder
 
 #: distinguished dimension of the unit ideal (empty staircase complement)
 UNIT_IDEAL = "empty"
-
-
-def staircase(I: LeftIdeal, order: MonomialOrder = GREVLEX):
-    """The set of leading exponents of the reduced Groebner basis."""
-    return set(I.groebner_basis(order).corners)
 
 
 def hilbert_function(I: LeftIdeal, s: int, order: MonomialOrder = GREVLEX) -> int:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import RatFunc
+from .arith import RatFunc, _acc
 from .errors import AlgebraMismatch
-from .ore import OreAlgebra, OrePoly
+from .ore import OreAlgebra, OrePoly, _lmul_gen, exponents_up_to, peel_walk
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,11 @@ class GroebnerBasis:
                                      reverse=True))
         self.leads = tuple(order.leading_exp(g) for g in self.elements)
         self.corners = frozenset(self.leads)
-        self._shift_cache = {}
+        # per element g_i: d^delta * g_i by delta (leading coefficient 1)
+        zero = algebra._zero_exp
+        self._shift_cache = [{zero: g} for g in self.elements]
         self._table_cache = {}
-        self._phi_cache = {}
+        self._phi_cache = {zero: {zero: RatFunc.one(algebra.field)}}
 
     def __iter__(self):
         return iter(self.elements)
@@ -78,39 +80,8 @@ class GroebnerBasis:
 
     def reduced_monomials(self, max_degree):
         """Staircase-complement exponents of total degree <= max_degree."""
-        out = []
-        n = self.algebra.ngens
-        exp = [0] * n
-
-        def rec(pos, budget):
-            if pos == n:
-                e = tuple(exp)
-                if self.is_reduced_exp(e):
-                    out.append(e)
-                return
-            for d in range(budget + 1):
-                exp[pos] = d
-                rec(pos + 1, budget - d)
-            exp[pos] = 0
-
-        rec(0, max_degree)
-        return sorted(out, key=self.order.key)
-
-    def _shift_multiple(self, gi, delta):
-        """d^delta * g_i, cached; leading coefficient stays 1."""
-        key = (gi, delta)
-        h = self._shift_cache.get(key)
-        if h is not None:
-            return h
-        if not any(delta):
-            h = self.elements[gi]
-        else:
-            i = max(j for j, x in enumerate(delta) if x)
-            prev = list(delta)
-            prev[i] -= 1
-            h = self._shift_multiple(gi, tuple(prev)).lmul_gen(i)
-        self._shift_cache[key] = h
-        return h
+        return sorted((e for e in exponents_up_to(self.algebra.ngens, max_degree)
+                       if self.is_reduced_exp(e)), key=self.order.key)
 
     def _find_reducer(self, exp):
         for gi, le in enumerate(self.leads):
@@ -138,21 +109,10 @@ class GroebnerBasis:
                 done[exp] = coeff
                 continue
             delta = tuple(a - b for a, b in zip(exp, self.leads[gi]))
-            red = self._shift_multiple(gi, delta)
+            red = peel_walk(self._shift_cache[gi], delta, _lmul_gen)
             for e, c in red.terms.items():
-                if e == exp:
-                    continue
-                cur = work.get(e)
-                if cur is None:
-                    v = -(coeff * c)
-                    if not v.is_zero():
-                        work[e] = v
-                else:
-                    cur = cur - coeff * c
-                    if cur.is_zero():
-                        del work[e]
-                    else:
-                        work[e] = cur
+                if e != exp:
+                    _acc(work, e, -(coeff * c))
         return OrePoly(self.algebra, done)
 
     # -- memoized quotient-space machinery (closure, growth, telescoping) ------
@@ -184,41 +144,21 @@ class GroebnerBasis:
             s = alg.sigma(i, c)
             if not s.is_zero():
                 for e, v in self.table(i, gamma).items():
-                    _acc_rf(out, e, s * v)
+                    _acc(out, e, s * v)
             d = alg.delta(i, c)
             if not d.is_zero():
-                _acc_rf(out, gamma, d)
+                _acc(out, gamma, d)
         return out
 
     def phi(self, alpha) -> dict:
         """NF of the monomial d^alpha as a coefficient dict, memoized."""
         t = self._phi_cache.get(alpha)
-        if t is not None:
-            return t
-        if not any(alpha):
-            t = {alpha: RatFunc.one(self.algebra.field)}
-        elif self.is_reduced_exp(alpha):
-            t = {alpha: RatFunc.one(self.algebra.field)}
-        else:
-            i = max(j for j, x in enumerate(alpha) if x)
-            prev = list(alpha)
-            prev[i] -= 1
-            t = self.apply_gen_to_nf(i, self.phi(tuple(prev)))
-        self._phi_cache[alpha] = t
+        if t is None:
+            if self.is_reduced_exp(alpha):
+                t = self._phi_cache[alpha] = {alpha: RatFunc.one(self.algebra.field)}
+            else:
+                t = peel_walk(self._phi_cache, alpha, self.apply_gen_to_nf)
         return t
-
-
-def _acc_rf(d, e, c):
-    cur = d.get(e)
-    if cur is None:
-        if not c.is_zero():
-            d[e] = c
-    else:
-        cur = cur + c
-        if cur.is_zero():
-            del d[e]
-        else:
-            d[e] = cur
 
 
 def normal_form(f: OrePoly, gb: GroebnerBasis) -> OrePoly:

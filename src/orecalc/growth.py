@@ -1,28 +1,21 @@
 """Polynomial growth of annihilating ideals.
 
 For zero-dimensional ideals in difference-differential algebras the
-denominator-clearing polynomials P_s follow an explicit lcm recurrence
-whose t-degree growth certifies the polynomial growth exponent; for
-positive-dimensional ideals no algorithm is known, so an empirical probe
-measures the degrees of cleared normal forms directly and fits the
-exponent heuristically.
+denominator-clearing polynomials P_s, the cumulative lcms of the
+normal-form denominators degree by degree, certify the polynomial growth
+exponent through their t-degrees; for positive-dimensional ideals no
+algorithm is known, so an empirical probe measures the degrees of cleared
+normal forms directly and fits the exponent heuristically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .arith import (
-    MPoly,
-    RatFunc,
-    factored_expand,
-    factored_merge,
-    poly_lcm,
-    squarefree_part,
-)
+from .arith import MPoly, factored_expand, factored_merge, poly_lcm
 from .dimension import hilbert_dimension
 from .errors import NotDifferenceDifferential, NotZeroDimensional
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder
-from .ore import OreKind, difference_to_shift
+from .ore import OreKind, difference_to_shift, exponents_up_to
 
 # generator kinds admissible in a difference-differential algebra
 _SUBSTITUTION_KINDS = frozenset({OreKind.SHIFT, OreKind.Q_DILATION,
@@ -55,7 +48,6 @@ class GrowthCertificate:
     heuristic: bool = False
     window: int = 0
     polys: list = dataclass_field(default_factory=list)
-    recurrence_degrees: list = dataclass_field(default_factory=list)
 
     def __str__(self):
         tag = " (degenerate)" if self.degenerate else ""
@@ -100,13 +92,20 @@ def _classify(algebra):
     return subs, ders
 
 
+def _zero_dimensional_dd(I: LeftIdeal, order):
+    """(substitution, derivation) generator indices of a zero-dimensional
+    ideal in a difference-differential algebra; raises otherwise."""
+    kinds = _classify(I.algebra)
+    if hilbert_dimension(I, order) != 0:
+        raise NotZeroDimensional("uniform reduction needs a 0-dimensional ideal")
+    return kinds
+
+
 def uniform_reduction_data(I: LeftIdeal, t_names,
                            order: MonomialOrder = GREVLEX) -> UniformReduction:
     """The (L, m) clearing pair read off the finite normal-form table."""
     algebra = I.algebra
-    subs, ders = _classify(algebra)
-    if hilbert_dimension(I, order) != 0:
-        raise NotZeroDimensional("uniform reduction needs a 0-dimensional ideal")
+    subs, ders = _zero_dimensional_dd(I, order)
     gb = I.groebner_basis(order)
     t_idx = _t_indices(algebra, t_names)
     staircase = _finite_staircase(gb)
@@ -130,67 +129,44 @@ def uniform_reduction_data(I: LeftIdeal, t_names,
                             t_indices=t_idx)
 
 
-def _sigma_poly(algebra, i, poly: MPoly) -> MPoly:
-    img = algebra.sigma(i, RatFunc.from_poly(poly))
-    if not img.den.is_one():
-        raise NotDifferenceDifferential(
-            "sigma of %s does not preserve polynomials" % algebra.gens[i].name)
-    return img.num
-
-
-# -- factored polynomials -----------------------------------------------------
-#
-# The P_s recurrence multiplies, lcm's, and shifts products of small
-# factors; expanding them makes the gcd work explode, so polynomials are
-# kept as {monic factor: multiplicity} with pairwise-coprime factors.
-
-
-def _merge_insert(A, q, m, combine):
-    factored_merge(A, q, m, combine)
-
-
-def _fact_lcm(A, B):
-    out = dict(A)
-    for f, m in B.items():
-        factored_merge(out, f, m, max)
-    return out
-
-
-def _fact_mul(A, B):
-    out = dict(A)
-    for f, m in B.items():
-        factored_merge(out, f, m, lambda a, b: a + b)
-    return out
-
-
-def _fact_sigma(algebra, i, A):
-    out = {}
-    for f, m in A.items():
-        img = _sigma_poly(algebra, i, f).monic()
-        out[img] = out.get(img, 0) + m
-    return out
-
-
 def _fact_deg_t(A, t_idx):
     return sum(m * _deg_t(f, t_idx) for f, m in A.items())
 
 
-def _fact_expand(A, ring):
-    return factored_expand(A, ring)
+def _clearing_lcms(gb, t_idx, window):
+    """For s = 1..window: the lcm of the denominators in the normal forms of
+    all monomials of total degree <= s, factored ({monic factor:
+    multiplicity}, pairwise coprime: expanding these products of shifted
+    factors makes the gcd work explode), and the largest t-degree of the
+    numerators there."""
+    n = gb.algebra.ngens
+    lcm = {}
+    seen = set()
+    top = 0
+    for s in range(1, window + 1):
+        for alpha in exponents_up_to(n, s):
+            if sum(alpha) != s:
+                continue
+            for c in gb.phi(alpha).values():
+                if not c.den.is_one():
+                    key = frozenset(c.den.terms.items())
+                    if key not in seen:
+                        seen.add(key)
+                        factored_merge(lcm, c.den, 1, max)
+                top = max(top, _deg_t(c.num, t_idx))
+        yield dict(lcm), top
 
 
 def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
                             order: MonomialOrder = GREVLEX) -> GrowthCertificate:
     """Clearing-polynomial certificate for a zero-dimensional ideal.
 
-    The certificate's primary sequence is the minimal one: the cumulative
-    lcm of the reduced normal-form denominators degree by degree, which is
-    an exact clearing family (P_0 = 1, P_s | P_{s+1}) and coincides with
-    the closed forms known for the classical cases (products of shifted
+    The certificate's sequence is the minimal one: the cumulative lcm of
+    the reduced normal-form denominators degree by degree, which is an
+    exact clearing family (P_0 = 1, P_s | P_{s+1}) and coincides with the
+    closed forms known for the classical cases (products of shifted
     factors for hypergeometric ideals, L^s for the purely differential
-    case).  The coarser lcm-recurrence sequence built from the uniform
-    reduction data is computed alongside and reported as secondary data;
-    its compounded factor multiplicities can overshoot the growth.
+    case).
 
     Shift algebras are difference-differential as they stand; ideals
     presented with difference generators are transported to shift form
@@ -203,45 +179,12 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
         algebra = I.algebra
     if window < 8:
         window = 8
-    ur = uniform_reduction_data(I, t_names, order)
-    subs, ders = _classify(algebra)
-    K = algebra.field
-    t_idx = ur.t_indices
+    subs, ders = _zero_dimensional_dd(I, order)
+    t_idx = _t_indices(algebra, t_names)
     gb = I.groebner_basis(order)
-
-    # minimal exact clearing sequence
-    facts = [{}]
-    seen = set()
-    acc = {}
-    for s in range(1, window + 1):
-        for alpha in _exponents_of_degree(algebra.ngens, s):
-            for c in gb.phi(alpha).values():
-                if not c.den.is_one():
-                    key = frozenset(c.den.terms.items())
-                    if key not in seen:
-                        seen.add(key)
-                        _merge_insert(acc, c.den, 1, max)
-        facts.append(dict(acc))
-    polys = [_fact_expand(A, K) for A in facts]
+    facts = [{}] + [lcm for lcm, _ in _clearing_lcms(gb, t_idx, window)]
+    polys = [factored_expand(A, algebra.field) for A in facts]
     degrees = [_fact_deg_t(A, t_idx) for A in facts]
-
-    # the stated lcm recurrence, for reference
-    Lf = {} if ur.L.is_one() else {ur.L.monic(): 1}
-    rec = [{}]
-    for _ in range(window):
-        P = rec[-1]
-        cur = P
-        for i in subs + ders:
-            cur = _fact_lcm(cur, _fact_mul(Lf, _fact_sigma(algebra, i, P)))
-        if ders:
-            Q = {}
-            for f in P:
-                if _deg_t(f, t_idx) > 0:
-                    Q[squarefree_part(f, t_idx)] = 1
-            cur = _fact_lcm(cur, _fact_mul(P, _fact_lcm(Lf, Q)))
-        rec.append(cur)
-    rec_degrees = [_fact_deg_t(A, t_idx) for A in rec]
-
     p, degenerate = _fit_exponent(degrees)
     method = "ExactClearing"
     if ders and not subs and all(
@@ -249,8 +192,7 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
         method = "HolonomicLPower"
     return GrowthCertificate(method=method, order=order, t_names=tuple(t_names),
                              degrees=degrees, p=p, degenerate=degenerate,
-                             heuristic=False, window=window, polys=polys,
-                             recurrence_degrees=rec_degrees)
+                             heuristic=False, window=window, polys=polys)
 
 
 def growth_probe(I: LeftIdeal, t_names, window: int = 10,
@@ -266,45 +208,13 @@ def growth_probe(I: LeftIdeal, t_names, window: int = 10,
         window = 8
     gb = I.groebner_basis(order)
     t_idx = _t_indices(algebra, t_names)
-    den_fact = {}
-    seen = set()
-    max_deg = 0
-    degrees = [0]
-    for s in range(1, window + 1):
-        for alpha in _exponents_of_degree(algebra.ngens, s):
-            nf = gb.phi(alpha)
-            for c in nf.values():
-                if not c.den.is_one():
-                    key = frozenset(c.den.terms.items())
-                    if key not in seen:
-                        seen.add(key)
-                        _merge_insert(den_fact, c.den, 1, max)
-                max_deg = max(max_deg, _deg_t(c.num, t_idx))
-        degrees.append(max(_fact_deg_t(den_fact, t_idx), max_deg))
+    degrees = [0] + [max(_fact_deg_t(lcm, t_idx), top)
+                     for lcm, top in _clearing_lcms(gb, t_idx, window)]
     p, degenerate = _fit_exponent(degrees)
     return GrowthCertificate(method="EmpiricalProbe", order=order,
                              t_names=tuple(t_names), degrees=degrees, p=p,
                              degenerate=degenerate, heuristic=True,
                              window=window)
-
-
-def _exponents_of_degree(n, s):
-    out = []
-    exp = [0] * n
-
-    def rec(pos, budget):
-        if pos == n - 1:
-            exp[pos] = budget
-            out.append(tuple(exp))
-            exp[pos] = 0
-            return
-        for d in range(budget + 1):
-            exp[pos] = d
-            rec(pos + 1, budget - d)
-        exp[pos] = 0
-
-    rec(0, s)
-    return out
 
 
 def _fit_exponent(degrees):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .arith import MPoly, PolyRing, RatFunc, format_poly, _grevlex_key
+from .arith import MPoly, PolyRing, RatFunc, _acc, _grevlex_key
 from .errors import AlgebraMismatch, KindMismatch, UnknownVariable
 
 
@@ -174,31 +174,6 @@ class OreAlgebra:
             raise UnknownVariable("coefficient uses a foreign variable")
         return self.sigma(i, a), self.delta(i, a)
 
-    def sigma_pow(self, i, a: RatFunc, e: int) -> RatFunc:
-        """sigma_i applied e times; negative e where sigma is invertible."""
-        if e == 0:
-            return a
-        g = self.gens[i]
-        kind = g.kind
-        v = self._var_index(g)
-        if kind in (OreKind.DIFFERENTIATION, OreKind.EULER):
-            return a
-        if kind in (OreKind.SHIFT, OreKind.DIFFERENCE):
-            return a.shift_var(v, e)
-        if e > 0:
-            for _ in range(e):
-                a = self.sigma(i, a)
-            return a
-        if kind in (OreKind.Q_DILATION, OreKind.CONT_Q_DIFFERENCE,
-                    OreKind.Q_DIFFERENTIATION, OreKind.Q_SHIFT,
-                    OreKind.DISCRETE_Q_DIFFERENCE):
-            q = RatFunc.from_poly(self.field.var(g.param))
-            x = RatFunc.from_poly(self.field.var(g.var))
-            for _ in range(-e):
-                a = a.eval_var(v, x / q)
-            return a
-        raise KindMismatch("sigma of %s is not invertible" % kind.value)
-
     def module_action(self, i, a: RatFunc) -> RatFunc:
         """Action of generator i on the coefficient field as a left module."""
         if self.gens[i].kind in _SIGMA_ACTION_KINDS:
@@ -307,14 +282,6 @@ class OrePoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_gen(self, i) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
-    def support(self):
-        return set(self.terms)
-
     def _require_same(self, other):
         if self.algebra != other.algebra:
             raise AlgebraMismatch("operands live in different Ore algebras")
@@ -325,15 +292,7 @@ class OrePoly:
         self._require_same(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            cur = terms.get(e)
-            if cur is None:
-                terms[e] = c
-            else:
-                cur = cur + c
-                if cur.is_zero():
-                    del terms[e]
-                else:
-                    terms[e] = cur
+            _acc(terms, e, c)
         return OrePoly(self.algebra, terms)
 
     __radd__ = __add__
@@ -366,10 +325,10 @@ class OrePoly:
             if not s.is_zero():
                 ne = list(e)
                 ne[i] += 1
-                _opacc(out, tuple(ne), s)
+                _acc(out, tuple(ne), s)
             d = alg.delta(i, c)
             if not d.is_zero():
-                _opacc(out, e, d)
+                _acc(out, e, d)
         return OrePoly(alg, out)
 
     def lmul_monomial(self, exp) -> "OrePoly":
@@ -385,24 +344,11 @@ class OrePoly:
             other = self.algebra.scalar(other)
         self._require_same(other)
         alg = self.algebra
-        cache = {alg._zero_exp: other}
-
-        def monomial_times_other(exp):
-            h = cache.get(exp)
-            if h is not None:
-                return h
-            i = max(j for j, x in enumerate(exp) if x)
-            prev = list(exp)
-            prev[i] -= 1
-            h = monomial_times_other(tuple(prev)).lmul_gen(i)
-            cache[exp] = h
-            return h
-
+        products = {alg._zero_exp: other}  # d^e * other, by e
         out = {}
         for e, c in sorted(self.terms.items(), key=lambda t: _grevlex_key(t[0])):
-            part = monomial_times_other(e)
-            for pe, pc in part.terms.items():
-                _opacc(out, pe, c * pc)
+            for pe, pc in peel_walk(products, e, _lmul_gen).terms.items():
+                _acc(out, pe, c * pc)
         return OrePoly(alg, out)
 
     def __rmul__(self, other):
@@ -435,33 +381,13 @@ class OrePoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def map_coeffs(self, fn) -> "OrePoly":
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[e] = v
-        return OrePoly(self.algebra, out)
-
     def apply_to_ratfunc(self, r: RatFunc) -> RatFunc:
         """Act on an element of the coefficient field (the natural module)."""
         alg = self.algebra
-        cache = {alg._zero_exp: r}
-
-        def act(exp):
-            v = cache.get(exp)
-            if v is not None:
-                return v
-            i = max(j for j, x in enumerate(exp) if x)
-            prev = list(exp)
-            prev[i] -= 1
-            v = alg.module_action(i, act(tuple(prev)))
-            cache[exp] = v
-            return v
-
+        actions = {alg._zero_exp: r}  # d^e . r, by e
         total = RatFunc.zero(alg.field)
         for e, c in self.terms.items():
-            total = total + c * act(e)
+            total = total + c * peel_walk(actions, e, alg.module_action)
         return total
 
     def __repr__(self):
@@ -471,17 +397,35 @@ class OrePoly:
         return format_opoly(self)
 
 
-def _opacc(d, e, c):
-    cur = d.get(e)
-    if cur is None:
-        if not c.is_zero():
-            d[e] = c
-    else:
-        cur = cur + c
-        if cur.is_zero():
-            del d[e]
-        else:
-            d[e] = cur
+# -- walks over generator exponents ------------------------------------------------
+
+
+def exponents_up_to(n, s):
+    """All exponent vectors in n generators of total degree <= s, by degree
+    and then in ascending lexicographic order."""
+    out = [()]
+    for _ in range(n):
+        out = [e + (d,) for e in out for d in range(s - sum(e) + 1)]
+    out.sort(key=lambda e: (sum(e), e))
+    return out
+
+
+def peel_walk(cache, alpha, step):
+    """cache[alpha], filled in on a miss by cache[a] = step(i, cache[a - e_i])
+    with i the last generator that a involves.
+
+    The cache holds the walk's start (the value at the zero exponent) and
+    every value found since; `step(i, v)` applies generator i to v."""
+    value = cache.get(alpha)
+    if value is None:
+        i = max(j for j, x in enumerate(alpha) if x)
+        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        value = cache[alpha] = step(i, peel_walk(cache, prev, step))
+    return value
+
+
+def _lmul_gen(i, f: OrePoly) -> OrePoly:
+    return f.lmul_gen(i)
 
 
 def format_opoly(f: OrePoly) -> str:
@@ -571,17 +515,7 @@ def _transport(f: OrePoly, target: OreAlgebra, gen_idx, offset: int) -> OrePoly:
                                       pc * math.comb(d, j) * Fraction(offset) ** (d - j)))
             parts = new_parts
         for pe, pc in parts:
-            cur = out.get(pe)
-            add = c * pc
-            if cur is None:
-                if not add.is_zero():
-                    out[pe] = add
-            else:
-                cur = cur + add
-                if cur.is_zero():
-                    del out[pe]
-                else:
-                    out[pe] = cur
+            _acc(out, pe, c * pc)
     return OrePoly(target, out)
 
 

@@ -30,6 +30,7 @@ from .ore import (
     OreAlgebra,
     OreKind,
     OrePoly,
+    exponents_up_to,
     shift_to_difference,
     telescopable_witness,
 )
@@ -552,7 +553,7 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     xalg = x_subalgebra(alg, t_names)
     achieved = None
     for deg in range(1, max_degree + 1):
-        monomials = _monomials_up_to(alg.ngens, deg)
+        monomials = exponents_up_to(alg.ngens, deg)
         rows = _fasenmyer_rows(gb, monomials, K)
         ncols = len(monomials)
         if not rows or _full_rank_mod_p(rows, ncols, K, t_var_idx):
@@ -586,24 +587,6 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
                     achieved is UNIT_IDEAL or achieved <= target_dim):
                 return SearchOutcome(results, False, target_dim, achieved, work)
     return SearchOutcome(results, True, target_dim, achieved, work)
-
-
-def _monomials_up_to(n, s):
-    out = []
-    exp = [0] * n
-
-    def rec(pos, budget):
-        if pos == n:
-            out.append(tuple(exp))
-            return
-        for d in range(budget + 1):
-            exp[pos] = d
-            rec(pos + 1, budget - d)
-        exp[pos] = 0
-
-    rec(0, s)
-    out.sort(key=lambda e: (sum(e), e))
-    return out
 
 
 def _fasenmyer_rows(gb, monomials, K):
@@ -683,7 +666,7 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     # ansatz monomial lists: A over all d_x-monomials (its reducible ones
     # matter: the reduced rewriting would drag t into the coefficients),
     # B over the d_t-free staircase monomials
-    a_mons = [e for e in _monomials_up_to(alg.ngens, degA) if e[ti] == 0]
+    a_mons = [e for e in exponents_up_to(alg.ngens, degA) if e[ti] == 0]
     b_mons = [ge for ge in gb.reduced_monomials(degB) if ge[ti] == 0]
     D = _denominator_ansatz(gb, t_var_idx, denom_bound)
     degN = D.degree_in(t_var_idx) + denom_bound

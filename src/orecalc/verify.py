@@ -278,22 +278,9 @@ class DefiniteSum(SequenceOracle):
         key = tuple(sorted((v, env[v]) for v in self.variables()))
         v = self._memo.get(key)
         if v is None:
-            v = self._sum(dict(env))
+            v = sum(self._values(dict(env)), Fraction(0))
             self._memo[key] = v
         return v
-
-    def _sum(self, env):
-        forward = self._values(env)
-        total = Fraction(0)
-        for x in forward:
-            total += x
-        # reversed accumulation must agree exactly
-        rtotal = Fraction(0)
-        for x in reversed(forward):
-            rtotal += x
-        if total != rtotal:
-            raise AssertionError("accumulation order changed an exact sum")
-        return total
 
     def _values(self, env):
         # window sized from the outer indices: the corpus supports all sit

@@ -102,6 +102,15 @@ class TestGcd:
             assert divides(c, d * Fraction(1))  # common factor captured
             assert poly_gcd(exact_div(f, d), exact_div(g, d)).is_one()
 
+    def test_leading_coefficients_divisible_by_every_mersenne_prime(self):
+        # P*x + 1 has its leading coefficient divisible by all three fixed
+        # primes, and P does not fit any one of them: the gcd comes from
+        # the later, larger primes, still checked by trial division
+        ring = PolyRing(["x", "y"])
+        x, y = ring.var("x"), ring.var("y")
+        f = (2 ** 61 - 1) * (2 ** 89 - 1) * (2 ** 107 - 1) * x + 1
+        assert poly_gcd(f * (x + y), f * (x - y)) == f.monic()
+
     def test_lcm(self):
         a = (k + 1) * (n - k)
         b = (k + 1) ** 2

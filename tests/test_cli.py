@@ -19,6 +19,15 @@ dim B;
 """
 
 
+NAMED_EXAMPLE = """
+algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
+ideal B = [(k - n - 1)*Sn + n + 1, (k + 1)*Sk + k - n];
+oracle c = binomial(n, k);
+oracle rowsum = pow(2, n);
+telescope B over Sk maxdeg 2 as T;
+"""
+
+
 class TestParse:
     def test_basic_roundtrip_counts(self):
         pf = parse(EXAMPLE)
@@ -58,6 +67,24 @@ class TestParse:
         assert status == 1
         assert "unknown name" in buf.getvalue()
 
+    @pytest.mark.parametrize("task, line, col, what", [
+        ("closure apply Sx B maxdeg 2;", 7, 15, "unknown generator 'Sx'"),
+        ("growth exact B over z;", 7, 21, "unknown variable 'z'"),
+        ("verify T: sum(j, c) == rowsum;", 7, 15,
+         "summation variable 'j' does not occur in 'c'"),
+    ], ids=["closure-gen", "growth-var", "verify-var"])
+    def test_unknown_task_name_is_a_positioned_parse_error(self, task, line, col,
+                                                           what, capsys, monkeypatch):
+        text = NAMED_EXAMPLE + task + "\n"
+        with pytest.raises(UnknownName) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert what in str(exc.value)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["run", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: %d:%d: %s\n" % (line, col, what)
+
     def test_telescope_task_shape(self):
         pf = parse("""
             algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
@@ -94,10 +121,10 @@ class TestRun:
 
     def test_stirling_json_stable(self, capsys):
         path = os.path.join(CORPUS, "stirling.ore")
-        status = main(["run", path, "--format", "json", "--seed", "7"])
+        status = main(["run", path, "--format", "json"])
         out1 = capsys.readouterr().out
         assert status == 0
-        status = main(["run", path, "--format", "json", "--seed", "7"])
+        status = main(["run", path, "--format", "json"])
         out2 = capsys.readouterr().out
         assert out1 == out2
         data = json.loads(out1)
@@ -144,3 +171,17 @@ class TestRun:
         assert status == 2
         assert err.startswith("cannot read ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden")
+
+
+@pytest.mark.parametrize("name", ["stirling", "binomial", "chen_sun_bernoulli",
+                                  "abel", "stirling_eulerian"])
+def test_corpus_json_matches_golden(name):
+    """The --format json report of each lighter corpus file, byte for byte."""
+    with open(os.path.join(CORPUS, name + ".ore")) as fh:
+        pf = parse(fh.read())
+    _, rendered = run(pf, fmt="json", out=io.StringIO())
+    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+        assert rendered == fh.read()

@@ -134,17 +134,21 @@ class TestClosureApply:
 class TestInvariants:
     def test_soundness_zero_coordinates(self):
         # every output generator rewrites to the zero coordinate vector
-        from orecalc.closure import _ProductFrame
+        from functools import partial
+        from orecalc.closure import _product_step
         from orecalc.arith import RatFunc
+        from orecalc.ore import peel_walk
         alg = algebra_nk()
         I = binomial_ideal(alg)
         gb = I.groebner_basis()
         r = closure_product(I, I, 2)
-        frame = _ProductFrame(gb, gb)
+        zero = alg._zero_exp
+        states = {zero: {(zero, zero): RatFunc.one(alg.field)}}
+        step = partial(_product_step, gb, gb)
         for g in r.ideal.generators:
             total = {}
             for e, c in g.terms.items():
-                for coord, u in frame.state(e).items():
+                for coord, u in peel_walk(states, e, step).items():
                     cur = total.get(coord, RatFunc.zero(alg.field))
                     total[coord] = cur + c * u
             assert all(v.is_zero() for v in total.values())

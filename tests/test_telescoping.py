@@ -106,6 +106,40 @@ class TestExtract:
         assert res.membership_checked
 
 
+class TestDeepDegeneracy:
+    """Kernel elements whose direct split and one witness multiplication
+    both leave no telescoper go through `_certificate_by_ansatz`."""
+
+    def test_search_survives_ansatz_failures(self, monkeypatch):
+        alg = algebra_nk()
+        Sn, Sk = alg.gen("Sn"), alg.gen("Sk")
+        I = LeftIdeal(alg, [(Sk - alg.one) ** 2, Sn - alg.one])
+        answers = []
+        ansatz = telescoping._certificate_by_ansatz
+
+        def recorded(*args, **kwargs):
+            answers.append(ansatz(*args, **kwargs))
+            return answers[-1]
+
+        monkeypatch.setattr(telescoping, "_certificate_by_ansatz", recorded)
+        out = fasenmyer_search(I, ["Sk"], max_degree=3, collect_all=True)
+        assert answers == [None] * 4
+        assert [str(r.telescoper) for r in out.results] == [
+            "-Sn + 1", "-Sn^2 + 1", "-Sn^3 + 1"]
+        assert all(r.membership_checked for r in out.results)
+
+    def test_extract_without_certificate_raises(self):
+        from orecalc.errors import NoTelescopableVariable
+        from orecalc.ore import OreAlgebra, OreGenerator
+        alg = OreAlgebra(["n", "k"],
+                         [OreGenerator("Dn", OreKind.DIFFERENCE, "n"),
+                          OreGenerator("Dk", OreKind.DIFFERENCE, "k")])
+        Dk = alg.gen("Dk")
+        I = LeftIdeal(alg, [Dk ** 2, alg.gen("Dn")])
+        with pytest.raises(NoTelescopableVariable):
+            extract_telescoper(Dk ** 2, I, ["Dk"])
+
+
 class TestFasenmyer:
     def test_binomial_row_sum(self):
         alg = algebra_nk()
