@@ -1089,6 +1089,11 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # both factors are normalized, so a unit factor needs no gcd
+        if self.is_one():
+            return other
+        if other.is_one():
+            return self
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -14,9 +14,9 @@ from functools import partial
 
 from .arith import RatFunc, _acc, nullspace
 from .dimension import UNIT_IDEAL, hilbert_dimension
-from .errors import AlgebraMismatch, NonlinearAlgebra
+from .errors import AlgebraMismatch, KindMismatch, NonlinearAlgebra
 from .groebner import GREVLEX, GroebnerBasis, LeftIdeal, MonomialOrder
-from .ore import OrePoly, exponents_up_to, peel_walk
+from .ore import OrePoly, apply_gen, coefficient_rows, exponents_up_to, peel_walk
 
 
 @dataclass
@@ -38,62 +38,60 @@ def _check_linear(alg):
     for i in range(alg.ngens):
         try:
             alg.linearization(i)
-        except Exception:
+        except KindMismatch:
             raise NonlinearAlgebra(
                 "generator %s has no linear extension" % alg.gens[i].name)
 
 
 # Each derived function's expansion of d^alpha . f is a walk from its value
-# at alpha = 0, one generator at a time (`peel_walk`); a step applies d_i to
-# a coordinate dict.
+# at alpha = 0, one generator at a time (`peel_walk`), and each step is
+# `apply_gen` in the module the expansion lives in; the functions below give
+# that module's action on one basis element.
 
 
-def _product_step(gb1: GroebnerBasis, gb2: GroebnerBasis, i, state):
-    """d_i applied to an expansion of f1*f2 over coordinate pairs."""
+def _product_act(gb1: GroebnerBasis, gb2: GroebnerBasis):
+    """d_i . (e_beta (x) e_gamma) in the tensor product of A/I1 and A/I2.
+
+    With the module operators sigma = a_s d + b_s, delta = a_d d + b_d and
+    the action d = lam sigma + delta of `linearization`, d (F G) expands
+    over (dF)(dG), (dF)G, F(dG) and FG."""
     alg = gb1.algebra
-    asig, bsig, adel, bdel, lam = alg.linearization(i)
-    c_dd = lam * asig * asig + asig * adel       # (dF)(dG)
-    c_d0 = lam * asig * bsig + asig * bdel + adel  # (dF)(G)
-    c_0d = lam * bsig * asig + bsig * adel       # (F)(dG)
-    c_00 = lam * bsig * bsig + bsig * bdel + bdel  # (F)(G)
-    out = {}
-    for (beta, gamma), u in state.items():
-        su = alg.sigma(i, u)
-        du = alg.delta(i, u)
-        if not su.is_zero():
-            dF = gb1.table(i, beta) if (not c_dd.is_zero() or not c_d0.is_zero()) else {}
-            dG = gb2.table(i, gamma) if (not c_dd.is_zero() or not c_0d.is_zero()) else {}
-            if not c_dd.is_zero():
-                for b2, vb in dF.items():
-                    svb = su * c_dd * vb
-                    for g2, vg in dG.items():
-                        _acc(out, (b2, g2), svb * vg)
-            if not c_d0.is_zero():
-                for b2, vb in dF.items():
-                    _acc(out, (b2, gamma), su * c_d0 * vb)
-            if not c_0d.is_zero():
+    coeffs = []
+    for i in range(alg.ngens):
+        asig, bsig, adel, bdel, lam = alg.linearization(i)
+        coeffs.append((lam * asig * asig + asig * adel,        # (dF)(dG)
+                       lam * asig * bsig + asig * bdel + adel,  # (dF)(G)
+                       lam * bsig * asig + bsig * adel,        # (F)(dG)
+                       lam * bsig * bsig + bsig * bdel + bdel))  # (F)(G)
+
+    def act(i, pair):
+        beta, gamma = pair
+        c_dd, c_d0, c_0d, c_00 = coeffs[i]
+        dF = gb1.table(i, beta) if c_dd or c_d0 else {}
+        dG = gb2.table(i, gamma) if c_dd or c_0d else {}
+        out = {}
+        if c_dd:
+            for b2, vb in dF.items():
+                cvb = c_dd * vb
                 for g2, vg in dG.items():
-                    _acc(out, (beta, g2), su * c_0d * vg)
-            if not c_00.is_zero():
-                _acc(out, (beta, gamma), su * c_00)
-        if not du.is_zero():
-            _acc(out, (beta, gamma), du)
-    return out
+                    _acc(out, (b2, g2), cvb * vg)
+        if c_d0:
+            for b2, vb in dF.items():
+                _acc(out, (b2, gamma), c_d0 * vb)
+        if c_0d:
+            for g2, vg in dG.items():
+                _acc(out, (beta, g2), c_0d * vg)
+        _acc(out, pair, c_00)
+        return out
+    return act
 
 
-def _sum_step(gbs, i, state):
-    """d_i applied to an expansion of f1+f2: two independent blocks."""
-    alg = gbs[0].algebra
-    out = {}
-    for (side, gamma), u in state.items():
-        su = alg.sigma(i, u)
-        du = alg.delta(i, u)
-        if not su.is_zero():
-            for g2, v in gbs[side].table(i, gamma).items():
-                _acc(out, (side, g2), su * v)
-        if not du.is_zero():
-            _acc(out, (side, gamma), du)
-    return out
+def _sum_act(gbs):
+    """d_i . e_(side, gamma) in the direct sum of A/I1 and A/I2."""
+    def act(i, key):
+        side, gamma = key
+        return {(side, g2): v for g2, v in gbs[side].table(i, gamma).items()}
+    return act
 
 
 def _numeric_dim(d):
@@ -101,17 +99,8 @@ def _numeric_dim(d):
 
 
 def _kernel_relations(states, step, monomials, alg):
-    coords = set()
-    cols = []
-    for m in monomials:
-        st = peel_walk(states, m, step)
-        coords |= set(st)
-        cols.append(st)
-    coord_list = sorted(coords, key=repr)
-    rows = []
-    zero = RatFunc.zero(alg.field)
-    for c in coord_list:
-        rows.append([st.get(c, zero) for st in cols])
+    cols = [peel_walk(states, m, step) for m in monomials]
+    _, rows = coefficient_rows(cols, RatFunc.zero(alg.field), key=repr)
     if not rows:
         # everything annihilates: the derived function is zero
         return [alg.one]
@@ -142,11 +131,12 @@ def _autoreduce(rels, order, alg):
     return out
 
 
-def _closure_run(alg, start, step, bound, max_degree, order):
+def _closure_run(alg, start, act, bound, max_degree, order):
     """Kernels of the expansions d^alpha . f, degree by degree, until the
     relations found meet the dimension bound; `start` is the expansion at
-    alpha = 0 and `step` applies one generator."""
+    alpha = 0 and `act` the module's action on a basis element."""
     states = {alg._zero_exp: start}
+    step = partial(apply_gen, alg, act)
     relations = []
     used = 0
     dim = None
@@ -179,8 +169,8 @@ def closure_product(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,
     bound = None if d1 is None or d2 is None else d1 + d2
     alg = I1.algebra
     zero, one = alg._zero_exp, RatFunc.one(alg.field)
-    step = partial(_product_step, I1.groebner_basis(order), I2.groebner_basis(order))
-    return _closure_run(alg, {(zero, zero): one}, step, bound, max_degree, order)
+    act = _product_act(I1.groebner_basis(order), I2.groebner_basis(order))
+    return _closure_run(alg, {(zero, zero): one}, act, bound, max_degree, order)
 
 
 def closure_sum(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,
@@ -198,8 +188,8 @@ def closure_sum(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,
         bound = max(d1, d2)
     alg = I1.algebra
     zero, one = alg._zero_exp, RatFunc.one(alg.field)
-    step = partial(_sum_step, (I1.groebner_basis(order), I2.groebner_basis(order)))
-    return _closure_run(alg, {(0, zero): one, (1, zero): one}, step, bound,
+    act = _sum_act((I1.groebner_basis(order), I2.groebner_basis(order)))
+    return _closure_run(alg, {(0, zero): one, (1, zero): one}, act, bound,
                         max_degree, order)
 
 
@@ -210,5 +200,5 @@ def closure_apply(gen_name: str, I: LeftIdeal, max_degree: int,
     gb = I.groebner_basis(order)
     e = [0] * I.algebra.ngens
     e[I.algebra.gen_index[gen_name]] = 1
-    return _closure_run(I.algebra, dict(gb.phi(tuple(e))), gb.apply_gen_to_nf,
+    return _closure_run(I.algebra, dict(gb.phi(tuple(e))), gb.table,
                         bound, max_degree, order)

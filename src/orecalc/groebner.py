@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 from .arith import RatFunc, _acc
 from .errors import AlgebraMismatch
-from .ore import OreAlgebra, OrePoly, _lmul_gen, exponents_up_to, peel_walk
+from .ore import (
+    OreAlgebra,
+    OrePoly,
+    _lmul_gen,
+    apply_gen,
+    exponents_up_to,
+    peel_walk,
+)
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,9 @@ class GroebnerBasis:
         zero = algebra._zero_exp
         self._shift_cache = [{zero: g} for g in self.elements]
         self._table_cache = {}
-        self._phi_cache = {zero: {zero: RatFunc.one(algebra.field)}}
+        # the walk's start, NF(1): zero in the unit ideal
+        self._phi_cache = {zero: {zero: RatFunc.one(algebra.field)}
+                           if self.is_reduced_exp(zero) else {}}
 
     def __iter__(self):
         return iter(self.elements)
@@ -137,18 +146,9 @@ class GroebnerBasis:
         return t
 
     def apply_gen_to_nf(self, i, nf: dict) -> dict:
-        """NF of d_i * (a reduced coefficient dict)."""
-        alg = self.algebra
-        out = {}
-        for gamma, c in nf.items():
-            s = alg.sigma(i, c)
-            if not s.is_zero():
-                for e, v in self.table(i, gamma).items():
-                    _acc(out, e, s * v)
-            d = alg.delta(i, c)
-            if not d.is_zero():
-                _acc(out, gamma, d)
-        return out
+        """NF of d_i * (a reduced coefficient dict): the step in A/I, where
+        d_i . d^gamma is `table(i, gamma)`."""
+        return apply_gen(self.algebra, self.table, i, nf)
 
     def phi(self, alpha) -> dict:
         """NF of the monomial d^alpha as a coefficient dict, memoized."""
@@ -182,81 +182,55 @@ def buchberger(generators, order: MonomialOrder = GREVLEX,
             raise ValueError("empty generating set needs an explicit algebra")
         return GroebnerBasis(algebra, order, [])
     algebra = gens[0].algebra
-    basis = []
-    for g in gens:
-        basis.append(_monic(g, order))
+    basis = [_monic(g, order) for g in gens]
+    leads = [order.leading_exp(g) for g in basis]
     pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
 
-    def lcm_exp(a, b):
-        return tuple(max(x, y) for x, y in zip(a, b))
+    def lcm_exp(p):
+        return tuple(max(x, y) for x, y in zip(leads[p[0]], leads[p[1]]))
 
     scratch = GroebnerBasis(algebra, order, basis)  # reduction helper
-
-    def rebuild():
-        nonlocal scratch
-        scratch = GroebnerBasis(algebra, order, basis)
-
-    rebuild()
     while pairs:
-        i, j = min(pairs, key=lambda p: order.key(
-            lcm_exp(scratch.order.leading_exp(basis[p[0]]),
-                    scratch.order.leading_exp(basis[p[1]]))))
+        i, j = min(pairs, key=lambda p: order.key(lcm_exp(p)))
         pairs.discard((i, j))
-        ei = order.leading_exp(basis[i])
-        ej = order.leading_exp(basis[j])
-        g = lcm_exp(ei, ej)
-        si = basis[i].lmul_monomial(tuple(a - b for a, b in zip(g, ei)))
-        sj = basis[j].lmul_monomial(tuple(a - b for a, b in zip(g, ej)))
-        s = si - sj
-        r = scratch.normal_form(s)
+        g = lcm_exp((i, j))
+        si = basis[i].lmul_monomial(tuple(a - b for a, b in zip(g, leads[i])))
+        sj = basis[j].lmul_monomial(tuple(a - b for a, b in zip(g, leads[j])))
+        r = scratch.normal_form(si - sj)
         if r.is_zero():
             continue
-        r = _monic(r, order)
-        basis.append(r)
-        new = len(basis) - 1
-        for t in range(new):
-            pairs.add((new, t))
-        rebuild()
-    reduced = _interreduce(basis, order, algebra)
-    return GroebnerBasis(algebra, order, reduced)
+        basis.append(_monic(r, order))
+        leads.append(order.leading_exp(r))
+        pairs.update((len(basis) - 1, t) for t in range(len(basis) - 1))
+        scratch = GroebnerBasis(algebra, order, basis)
+    return GroebnerBasis(algebra, order, _interreduce(basis, order, algebra))
 
 
 def _interreduce(basis, order, algebra):
-    basis = [g for g in basis if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        # drop elements whose lead is divisible by another element's lead
-        keep = []
-        leads = [order.leading_exp(g) for g in basis]
-        for i, g in enumerate(basis):
-            dominated = any(
-                j != i and _divides_exp(leads[j], leads[i]) and
-                (order.key(leads[j]) != order.key(leads[i]) or j < i)
-                for j in range(len(basis)))
-            if not dominated:
-                keep.append(g)
-        if len(keep) != len(basis):
-            basis = keep
-            changed = True
-            continue
-        # reduce each element by the others
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1:]
-            if not others:
-                continue
-            helper = GroebnerBasis(algebra, order, others)
-            r = helper.normal_form(basis[i])
-            if r.is_zero():
-                basis = others
-                changed = True
-                break
-            r = _monic(r, order)
-            if r != basis[i]:
-                basis[i] = r
-                changed = True
-                break
-    return basis
+    """The reduced basis of the ideal that the Groebner basis `basis`
+    generates, in one pass.
+
+    First drop each element whose lead another lead divides (the later one
+    when two leads are equal).  The survivors' leads still generate every
+    lead, so they are a Groebner basis, and no survivor's lead divides
+    another's.  Then reduce each survivor's tail once modulo the survivors.
+    The lead itself is never reducible, and a tail term is below the lead,
+    so the element's own lead cannot divide it: no lead changes, and no
+    tail term of the result is divisible by a lead.  Monic elements with
+    these leads and irreducible tails form the unique reduced basis."""
+    leads = [order.leading_exp(g) for g in basis]
+    keep = [g for i, g in enumerate(basis)
+            if not any(j != i and _divides_exp(le, leads[i])
+                       and (le != leads[i] or j < i)
+                       for j, le in enumerate(leads))]
+    helper = GroebnerBasis(algebra, order, keep)
+    out = []
+    for g in keep:
+        lead = order.leading_exp(g)
+        tail = helper._normal_form_terms(
+            {e: c for e, c in g.terms.items() if e != lead})
+        out.append(OrePoly(algebra, {lead: g.terms[lead], **tail.terms}))
+    return out
 
 
 class LeftIdeal:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 
 from .arith import MPoly, PolyRing, RatFunc, _acc, _grevlex_key
 from .errors import AlgebraMismatch, KindMismatch, UnknownVariable
@@ -32,12 +33,6 @@ class OreKind(Enum):
     MAHLER = "mahler"
     DIVIDED_DIFFERENCE = "divdiff"
 
-
-# kinds whose action on a function module is sigma itself (lambda = 1);
-# for the others the action is delta (lambda = 0)
-_SIGMA_ACTION_KINDS = frozenset({
-    OreKind.SHIFT, OreKind.Q_DILATION, OreKind.Q_SHIFT, OreKind.MAHLER,
-})
 
 _Q_KINDS = frozenset({
     OreKind.Q_DILATION, OreKind.CONT_Q_DIFFERENCE, OreKind.Q_DIFFERENTIATION,
@@ -70,15 +65,13 @@ class OreGenerator:
 class OreAlgebra:
     """C(x1..xm)<d1..dn> with the declared commutation data.
 
-    `ground_vars` and `params` together span the coefficient field;
-    `telescopers` optionally marks the default candidates for telescoping.
+    `ground_vars` and `params` together span the coefficient field.
     """
 
-    def __init__(self, ground_vars, gens, params=(), telescopers=()):
+    def __init__(self, ground_vars, gens, params=()):
         self.ground_vars = tuple(ground_vars)
         self.params = tuple(params)
         self.gens = tuple(gens)
-        self.telescopers = tuple(telescopers)
         names = self.ground_vars + self.params
         if len(set(names) | {g.name for g in self.gens}) != len(names) + len(self.gens):
             raise AlgebraMismatch("generator, variable, and parameter names must be distinct")
@@ -90,9 +83,6 @@ class OreAlgebra:
                                       % (g.var, g.name))
             if g.param is not None and g.param not in self.field.index:
                 raise UnknownVariable("parameter %r not declared" % g.param)
-        for t in self.telescopers:
-            if t not in self.gen_index:
-                raise UnknownVariable("telescoper %r is not a generator" % t)
         self.ngens = len(self.gens)
         self._zero_exp = (0,) * self.ngens
         self._check_commutation()
@@ -173,12 +163,6 @@ class OreAlgebra:
         if any(v >= len(self.field.names) for v in bad):
             raise UnknownVariable("coefficient uses a foreign variable")
         return self.sigma(i, a), self.delta(i, a)
-
-    def module_action(self, i, a: RatFunc) -> RatFunc:
-        """Action of generator i on the coefficient field as a left module."""
-        if self.gens[i].kind in _SIGMA_ACTION_KINDS:
-            return self.sigma(i, a)
-        return self.delta(i, a)
 
     def linearization(self, i):
         """(a_sigma, b_sigma, a_delta, b_delta, lam): the module operators
@@ -317,19 +301,14 @@ class OrePoly:
         return OrePoly(self.algebra, {e: c * v for e, v in self.terms.items()})
 
     def lmul_gen(self, i) -> "OrePoly":
-        """Left multiplication by generator i via the commutation rule."""
+        """Left multiplication by generator i: the step in the free module,
+        where d_i . d^e = d^(e + e_i)."""
         alg = self.algebra
-        out = {}
-        for e, c in self.terms.items():
-            s = alg.sigma(i, c)
-            if not s.is_zero():
-                ne = list(e)
-                ne[i] += 1
-                _acc(out, tuple(ne), s)
-            d = alg.delta(i, c)
-            if not d.is_zero():
-                _acc(out, e, d)
-        return OrePoly(alg, out)
+        one = RatFunc.one(alg.field)
+
+        def act(i, e):
+            return {e[:i] + (e[i] + 1,) + e[i + 1:]: one}
+        return OrePoly(alg, apply_gen(alg, act, i, self.terms))
 
     def lmul_monomial(self, exp) -> "OrePoly":
         h = self
@@ -382,12 +361,17 @@ class OrePoly:
         return hash(frozenset(self.terms.items()))
 
     def apply_to_ratfunc(self, r: RatFunc) -> RatFunc:
-        """Act on an element of the coefficient field (the natural module)."""
+        """Act on an element of the coefficient field: the field is the
+        rank-1 module whose basis element 1 has d_i . 1 = lambda_i, the last
+        entry of `OreAlgebra.linearization`."""
         alg = self.algebra
-        actions = {alg._zero_exp: r}  # d^e . r, by e
-        total = RatFunc.zero(alg.field)
+        zero = RatFunc.zero(alg.field)
+        lams = [alg.linearization(i)[4] for i in range(alg.ngens)]
+        step = partial(apply_gen, alg, lambda i, c: {c: lams[i]})
+        actions = {alg._zero_exp: {0: r}}  # d^e . r, by e
+        total = zero
         for e, c in self.terms.items():
-            total = total + c * peel_walk(actions, e, alg.module_action)
+            total = total + c * peel_walk(actions, e, step).get(0, zero)
         return total
 
     def __repr__(self):
@@ -422,6 +406,36 @@ def peel_walk(cache, alpha, step):
         prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
         value = cache[alpha] = step(i, peel_walk(cache, prev, step))
     return value
+
+
+def apply_gen(alg: OreAlgebra, act, i, vec: dict) -> dict:
+    """d_i . sum_c u_c e_c = sum_c sigma_i(u_c) (d_i . e_c) + delta_i(u_c) e_c.
+
+    The one sigma/delta step of every module over the algebra: the free
+    module, A/I, its direct sums and tensor products, and the coefficient
+    field.  `vec` maps basis keys c to coefficients u_c, and `act(i, c)`
+    gives d_i . e_c as such a dict."""
+    out = {}
+    for c, u in vec.items():
+        s = alg.sigma(i, u)
+        if s:
+            for e, v in act(i, c).items():
+                _acc(out, e, s * v)
+        d = alg.delta(i, u)
+        if d:
+            _acc(out, c, d)
+    return out
+
+
+def coefficient_rows(columns, zero, key=None, extra=()):
+    """(keys, rows) of the matrix whose columns are the coefficient dicts
+    `columns`: one row per key in the union of their supports and `extra`,
+    sorted by `key` (the order fixes the pivots, hence the output)."""
+    keys = set(extra)
+    for col in columns:
+        keys.update(col)
+    keys = sorted(keys, key=key)
+    return keys, [[col.get(k, zero) for col in columns] for k in keys]
 
 
 def _lmul_gen(i, f: OrePoly) -> OrePoly:
@@ -493,8 +507,7 @@ def _converted_algebra(algebra: OreAlgebra, gen_names, from_kind, to_kind):
                                      g.mahler_base, g.eval_point))
         else:
             gens.append(g)
-    return OreAlgebra(algebra.ground_vars, gens, algebra.params,
-                      algebra.telescopers)
+    return OreAlgebra(algebra.ground_vars, gens, algebra.params)
 
 
 def _transport(f: OrePoly, target: OreAlgebra, gen_idx, offset: int) -> OrePoly:

@@ -30,6 +30,7 @@ from .ore import (
     OreAlgebra,
     OreKind,
     OrePoly,
+    coefficient_rows,
     exponents_up_to,
     shift_to_difference,
     telescopable_witness,
@@ -307,27 +308,20 @@ def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, order):
         for ge in mons:
             for d in range(denom.degree_in(t_var_idx) + 2):
                 unknowns.append((i, ge, d))
-    nf_A = gb.normal_form(A)
-    target = {e: c for e, c in nf_A.terms.items()}
     columns = []
     for (i, ge, d) in unknowns:
         tpow = K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars)))
         coeff = RatFunc(tpow, denom)
-        op = OrePoly(alg, {ge: coeff})
-        contrib = gb.normal_form(alg.gen(alg.gens[i].name) * op)
-        columns.append(dict(contrib.terms))
-    support = set(target)
-    for col in columns:
-        support |= set(col)
-    support = sorted(support)
-    rows = []
-    rhs_col = []
-    for wexp in support:
-        row = [col.get(wexp, RatFunc.zero(K)) for col in columns]
-        row.append(target.get(wexp, RatFunc.zero(K)))
-        rows.append(row)
-    # expand in t-powers and solve the combined homogeneous system where
-    # the last column is forced to 1 (scale-normalized inhomogeneous solve)
+        if gb.is_reduced_exp(ge):
+            columns.append(gb.apply_gen_to_nf(i, {ge: coeff}))
+        else:  # the unit ideal, which has no staircase
+            op = alg.gen(alg.gens[i].name) * OrePoly(alg, {ge: coeff})
+            columns.append(gb.normal_form(op).terms)
+    # the last column is NF(A); expand in t-powers and solve the combined
+    # homogeneous system where that column is forced to 1 (scale-normalized
+    # inhomogeneous solve)
+    columns.append(gb.normal_form(A).terms)
+    _, rows = coefficient_rows(columns, RatFunc.zero(K))
     poly_rows = _t_expanded_rows(rows, K, t_var_idx)
     kernel = nullspace(poly_rows)
     for vec in kernel:
@@ -592,13 +586,7 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
 def _fasenmyer_rows(gb, monomials, K):
     """Rows over C(x, t), one per staircase monomial: the coefficients of
     d^gamma in the normal forms of the candidate monomials."""
-    states = [gb.phi(m) for m in monomials]
-    support = set()
-    for st in states:
-        support |= set(st)
-    support = sorted(support)
-    zero = RatFunc.zero(K)
-    return [[st.get(gamma, zero) for st in states] for gamma in support]
+    return coefficient_rows([gb.phi(m) for m in monomials], RatFunc.zero(K))[1]
 
 
 def _canonical_key(f: OrePoly, order):
@@ -673,25 +661,20 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     unknowns = [("A", e) for e in a_mons] + \
                [("B", ge, d) for ge in b_mons for d in range(degN + 1)]
 
-    # normal-form columns
+    # normal-form columns: NF(d^e) for A, NF(Dt * t^d/D * d^ge) for B
     columns = []
     for u in unknowns:
         if u[0] == "A":
-            op = OrePoly(alg, {u[1]: RatFunc.one(K)})
+            columns.append(gb.phi(u[1]))
         else:
             _, ge, d = u
             tpow = K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars)))
-            op = Dt * OrePoly(alg, {ge: RatFunc(tpow, D)})
-        columns.append(dict(gb.normal_form(op).terms))
-    support = set()
-    for col in columns:
-        support |= set(col)
-    support |= set(gb.reduced_monomials(degB))  # square block counted fully
-    support = sorted(support, key=order.key)
-    zero = RatFunc.zero(K)
+            columns.append(gb.apply_gen_to_nf(ti, {ge: RatFunc(tpow, D)}))
+    # the square block is counted fully
+    support, rows = coefficient_rows(columns, RatFunc.zero(K), key=order.key,
+                                     extra=gb.reduced_monomials(degB))
     square_rows_rat, constraint_rows_rat = [], []
-    for w in support:
-        row = [col.get(w, zero) for col in columns]
+    for w, row in zip(support, rows):
         if sum(w) <= degB:
             square_rows_rat.append(row)
         else:

@@ -8,9 +8,9 @@ from orecalc.groebner import LeftIdeal
 from orecalc.ore import OreAlgebra, OreGenerator, OreKind
 
 
-def shift_algebra(names, telescopers=()):
+def shift_algebra(names):
     gens = [OreGenerator("S" + v, OreKind.SHIFT, v) for v in names]
-    return OreAlgebra(names, gens, telescopers=telescopers)
+    return OreAlgebra(names, gens)
 
 
 def algebra_nk():
@@ -40,8 +40,8 @@ def stirling_ideal(alg=None):
     return LeftIdeal(alg, [Sk * Sl - (l + 1) * Sl - alg.one])
 
 
-def algebra_nmkl(telescopers=()):
-    return shift_algebra(["n", "m", "k", "l"], telescopers=telescopers)
+def algebra_nmkl():
+    return shift_algebra(["n", "m", "k", "l"])
 
 
 def double_stirling_factor_ideals(alg=None):

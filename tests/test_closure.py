@@ -1,9 +1,12 @@
+import random
+import zlib
 from fractions import Fraction
 
 import pytest
 
 from orecalc.closure import closure_apply, closure_product, closure_sum
 from orecalc.dimension import hilbert_dimension
+from orecalc.errors import KindMismatch, NonlinearAlgebra
 from orecalc.groebner import LeftIdeal, is_member, same_ideal
 from orecalc.ore import OreAlgebra, OreGenerator, OreKind
 from orecalc.verify import Builtin, LinExpr, Product, apply_operator_numeric, box_points
@@ -16,6 +19,7 @@ from corpus_objects import (
     double_stirling_ideal,
     stirling_ideal,
 )
+from test_ore import ALL_KINDS, make_algebra, rand_ratfunc
 
 
 def lin(const=0, **kw):
@@ -135,16 +139,16 @@ class TestInvariants:
     def test_soundness_zero_coordinates(self):
         # every output generator rewrites to the zero coordinate vector
         from functools import partial
-        from orecalc.closure import _product_step
+        from orecalc.closure import _product_act
         from orecalc.arith import RatFunc
-        from orecalc.ore import peel_walk
+        from orecalc.ore import apply_gen, peel_walk
         alg = algebra_nk()
         I = binomial_ideal(alg)
         gb = I.groebner_basis()
         r = closure_product(I, I, 2)
         zero = alg._zero_exp
         states = {zero: {(zero, zero): RatFunc.one(alg.field)}}
-        step = partial(_product_step, gb, gb)
+        step = partial(apply_gen, alg, _product_act(gb, gb))
         for g in r.ideal.generators:
             total = {}
             for e, c in g.terms.items():
@@ -174,3 +178,49 @@ class TestInvariants:
                   closure_apply("Sk", J, 3)]:
             if r.bound is not None and isinstance(r.dimension, int):
                 assert r.dimension <= r.bound
+
+
+class TestEveryKind:
+    """The product, sum and apply actions on every catalog kind, checked on
+    rational functions, where each annihilator is known exactly."""
+
+    @staticmethod
+    def annihilator(alg, r):
+        d = alg.gen(alg.gens[0].name)
+        return LeftIdeal(alg, [d - alg.scalar(d.apply_to_ratfunc(r) / r)])
+
+    @pytest.mark.parametrize("kind", [k for k, _ in ALL_KINDS])
+    def test_closures_annihilate(self, kind):
+        alg = make_algebra(kind)
+        rng = random.Random(zlib.crc32(str(kind).encode()))
+        pole = 2 if kind == "divdiff" else None
+        r1 = r2 = None
+        while not r1:
+            r1 = rand_ratfunc(alg.field, rng, avoid_pole_at=pole)
+        while not r2:
+            r2 = rand_ratfunc(alg.field, rng, avoid_pole_at=pole)
+        I1, I2 = self.annihilator(alg, r1), self.annihilator(alg, r2)
+        d = alg.gen(alg.gens[0].name)
+        for res, f in [(closure_product(I1, I2, 2), r1 * r2),
+                       (closure_sum(I1, I2, 3), r1 + r2),
+                       (closure_apply(alg.gens[0].name, I1, 2),
+                        d.apply_to_ratfunc(r1))]:
+            assert res.bound_met
+            for g in res.ideal.generators:
+                assert g.apply_to_ratfunc(f).is_zero(), (kind, str(g))
+
+    def test_only_kind_mismatch_is_nonlinear(self, monkeypatch):
+        alg = make_algebra("shift")
+        I = LeftIdeal(alg, [alg.gen("S") - alg.one])
+
+        def mismatch(i):
+            raise KindMismatch("no linear extension")
+
+        def broken(i):
+            raise RuntimeError("a fault in the action")
+        monkeypatch.setattr(alg, "linearization", mismatch)
+        with pytest.raises(NonlinearAlgebra):
+            closure_product(I, I, 1)
+        monkeypatch.setattr(alg, "linearization", broken)
+        with pytest.raises(RuntimeError):
+            closure_product(I, I, 1)

@@ -252,3 +252,11 @@ class TestStaircase:
             direct = gb.normal_form(OrePoly(alg, {e: RatFunc.one(alg.field)}))
             via_phi = gb.phi(e)
             assert dict(direct.terms) == via_phi
+
+    def test_phi_in_the_unit_ideal(self):
+        # every monomial, d^0 = 1 included, has normal form zero
+        alg = algebra_nk()
+        k = alg.scalar(RatFunc.from_poly(alg.field.var("k")))
+        gb = LeftIdeal(alg, [alg.gen("Sn") - k, alg.gen("Sk") - alg.one]).groebner_basis()
+        for e in [(0, 0), (1, 0), (0, 1), (2, 1)]:
+            assert gb.phi(e) == {}

@@ -21,12 +21,11 @@ def diff_algebra():
     return OreAlgebra(["x"], [OreGenerator("D", OreKind.DIFFERENTIATION, "x")])
 
 
-def shift_algebra_nk(telescopers=()):
+def shift_algebra_nk():
     return OreAlgebra(
         ["n", "k"],
         [OreGenerator("Sn", OreKind.SHIFT, "n"),
          OreGenerator("Sk", OreKind.SHIFT, "k")],
-        telescopers=telescopers,
     )
 
 

@@ -223,6 +223,16 @@ class TestZeilberger:
         got_B = res.certificates["Sk"].scale(scale)
         assert got_B == target_B
 
+    def test_unit_ideal(self):
+        # every column is zero, so the first A-monomial, 1, is a telescoper
+        alg = algebra_nk()
+        k = alg.scalar(RatFunc.from_poly(alg.field.var("k")))
+        I = LeftIdeal(alg, [alg.gen("Sn") - k, alg.gen("Sk") - alg.one])
+        res, system = zeilberger_search(I, "Sk", degA=1, degB=1)
+        assert system.square_shape == (0, 2)
+        assert res.telescoper == res.telescoper.algebra.one
+        assert res.membership_checked
+
     def test_multiple_vars_rejected(self):
         alg = algebra_nmkl()
         I = double_stirling_ideal(alg)
