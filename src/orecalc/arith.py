@@ -466,6 +466,16 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
     return exact_div(a * b, poly_gcd(a, b)).monic()
 
 
+def denominator_lcm(values, ring) -> MPoly:
+    """Monic lcm of the denominators of the RatFunc values (ring.one for
+    none), folded left to right with `poly_lcm`."""
+    den = ring.one
+    for x in values:
+        if not x.den.is_one():
+            den = poly_lcm(den, x.den)
+    return den
+
+
 # -- modular gcd (Brown-style dense interpolation, division-verified) -------------
 
 # Mersenne primes large enough that verified lifts virtually never retry
@@ -1198,32 +1208,18 @@ def nullspace(rows) -> list:
     content-reduced, with a deterministic sign.
     """
     rows = list(rows)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    ring = None
-    for row in rows:
-        for x in row:
-            ring = x.ring if isinstance(x, RatFunc) else x.ring
-            break
-        if ring:
-            break
+    ring = next((x.ring for row in rows for x in row), None)
     if ring is None:
         return []
     poly_rows = [_clear_row(row, ring) for row in rows]
-    return nullspace_poly(poly_rows, ncols, ring)
+    return nullspace_poly(poly_rows, len(rows[0]), ring)
 
 
 def _clear_row(row, ring):
-    den = ring.one
-    vals = []
-    for x in row:
-        if isinstance(x, MPoly):
-            x = RatFunc.from_poly(x)
-        vals.append(x)
-        if not x.den.is_one():
-            den = poly_lcm(den, x.den)
-    out = [v.num * exact_div(den, v.den) if not v.is_zero() else ring.zero for v in vals]
+    """The RatFunc row times the lcm of its denominators, content-free."""
+    den = denominator_lcm(row, ring)
+    out = [x.num * exact_div(den, x.den) if not x.is_zero() else ring.zero
+           for x in row]
     return _strip_row_content(out, ring)
 
 
@@ -1328,13 +1324,7 @@ def _pick_pivot(m, used_rows, used_cols):
 
 
 def _finalize_ratfunc_vector_rat(vec, ring):
-    den = ring.one
-    for x in vec:
-        if not x.is_zero() and not x.den.is_one():
-            den = poly_lcm(den, x.den)
-    polys = [x.num * exact_div(den, x.den) if not x.is_zero() else ring.zero
-             for x in vec]
-    polys = _strip_row_content(polys, ring)
+    polys = _clear_row(vec, ring)
     first = next((p for p in polys if not p.is_zero()), None)
     if first is not None and first.leading_coeff() < 0:
         polys = [-p for p in polys]

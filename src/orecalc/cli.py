@@ -12,13 +12,13 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .arith import RatFunc
+from .arith import PolyRing, RatFunc
 from .closure import closure_apply, closure_product, closure_sum
 from .dimension import hilbert_dimension
 from .errors import KindError, OrecalcError, ProblemSyntaxError, UnknownName
 from .groebner import GREVLEX, GRLEX, LeftIdeal, MonomialOrder
 from .growth import growth_probe, growth_zero_dimensional
-from .ore import OreAlgebra, OreGenerator, OreKind, OrePoly, format_opoly
+from .ore import _Q_KINDS, OreAlgebra, OreGenerator, OreKind, OrePoly, format_opoly
 from .telescoping import fasenmyer_search, restrict_to_x, zeilberger_search
 from .verify import (
     Add,
@@ -583,9 +583,7 @@ def _build(pf: ProblemFile):
         param = None
         mahler_base = None
         eval_point = None
-        if kind in (OreKind.Q_DILATION, OreKind.CONT_Q_DIFFERENCE,
-                    OreKind.Q_DIFFERENTIATION, OreKind.Q_SHIFT,
-                    OreKind.DISCRETE_Q_DIFFERENCE):
+        if kind in _Q_KINDS:
             if len(args) < 2:
                 raise KindError("%s needs (var, q)" % kind_name)
             param = args[1]
@@ -596,7 +594,6 @@ def _build(pf: ProblemFile):
         elif kind is OreKind.DIVIDED_DIFFERENCE:
             if len(args) < 2:
                 raise KindError("divdiff needs (var, point)")
-            from .arith import PolyRing
             ring = PolyRing(ring_names)
             point = args[1]
             eval_point = (RatFunc.from_poly(ring.var(point))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .arith import MPoly, factored_expand, factored_merge, poly_lcm
+from .arith import MPoly, denominator_lcm, factored_expand, factored_merge
 from .dimension import hilbert_dimension
 from .errors import NotDifferenceDifferential, NotZeroDimensional
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder
@@ -109,16 +109,10 @@ def uniform_reduction_data(I: LeftIdeal, t_names,
     gb = I.groebner_basis(order)
     t_idx = _t_indices(algebra, t_names)
     staircase = _finite_staircase(gb)
-    K = algebra.field
-    L = K.one
-    table = {}
-    for i in range(algebra.ngens):
-        for beta in staircase:
-            entries = gb.table(i, beta)
-            table[(i, beta)] = entries
-            for c in entries.values():
-                if not c.den.is_one():
-                    L = poly_lcm(L, c.den)
+    table = {(i, beta): gb.table(i, beta)
+             for i in range(algebra.ngens) for beta in staircase}
+    L = denominator_lcm((c for entries in table.values()
+                         for c in entries.values()), algebra.field)
     m = 0
     for entries in table.values():
         for c in entries.values():

@@ -118,9 +118,7 @@ class OreAlgebra:
             return a
         if kind in (OreKind.SHIFT, OreKind.DIFFERENCE):
             return a.shift_var(v, 1)
-        if kind in (OreKind.Q_DILATION, OreKind.CONT_Q_DIFFERENCE,
-                    OreKind.Q_DIFFERENTIATION, OreKind.Q_SHIFT,
-                    OreKind.DISCRETE_Q_DIFFERENCE):
+        if kind in _Q_KINDS:
             # x -> q*x is not a polynomial-ring automorphism (images can
             # pick up common powers of q), so renormalize fully
             q = self.field.index[g.param]

@@ -14,13 +14,12 @@ from fractions import Fraction
 from .arith import (
     MPoly,
     RatFunc,
+    denominator_lcm,
     exact_div,
     factored_expand,
     factored_merge,
-    nullspace,
     nullspace_selected,
     poly_gcd,
-    poly_lcm,
     squarefree_part,
 )
 from .dimension import UNIT_IDEAL, hilbert_dimension
@@ -78,9 +77,10 @@ class SearchOutcome:
 
 @dataclass
 class CoupledSystem:
-    """First-order coupled system from the Zeilberger ansatz, reported with
+    """First-order coupled system from the Zeilberger ansatz.  The shapes of
     the square part (equations at staircase monomials within the B degree)
-    separated from the extraneous constraint part."""
+    and of the extraneous constraint part are reported apart; the search
+    solves both as one stacked system."""
 
     square_shape: tuple
     constraint_shape: tuple
@@ -273,13 +273,16 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
     return res
 
 
+_MAX_CERT_DEGREE = 4
+
+
 def _certificate_by_ansatz(A: OrePoly, I: LeftIdeal, t_names, order,
-                           provenance, degree, max_cert_degree=4):
+                           provenance, degree):
     """Solve NF(A + sum d_t W_t) = 0 for W with rational t-coefficients."""
     alg = A.algebra
     t_idx, _, t_var_idx = _t_data(alg, t_names)
     gb = I.groebner_basis(order)
-    for cert_deg in range(1, max_cert_degree + 1):
+    for cert_deg in range(1, _MAX_CERT_DEGREE + 1):
         sol = _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, order)
         if sol is not None:
             result = TelescopingResult(
@@ -310,21 +313,17 @@ def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, order):
                 unknowns.append((i, ge, d))
     columns = []
     for (i, ge, d) in unknowns:
-        tpow = K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars)))
-        coeff = RatFunc(tpow, denom)
+        coeff = _ansatz_coeff(K, tv, d, denom)
         if gb.is_reduced_exp(ge):
             columns.append(gb.apply_gen_to_nf(i, {ge: coeff}))
         else:  # the unit ideal, which has no staircase
             op = alg.gen(alg.gens[i].name) * OrePoly(alg, {ge: coeff})
             columns.append(gb.normal_form(op).terms)
-    # the last column is NF(A); expand in t-powers and solve the combined
-    # homogeneous system where that column is forced to 1 (scale-normalized
-    # inhomogeneous solve)
+    # the last column is NF(A); solve the combined homogeneous system where
+    # that column is forced to 1 (scale-normalized inhomogeneous solve)
     columns.append(gb.normal_form(A).terms)
     _, rows = coefficient_rows(columns, RatFunc.zero(K))
-    poly_rows = _t_expanded_rows(rows, K, t_var_idx)
-    kernel = nullspace(poly_rows)
-    for vec in kernel:
+    for vec in _t_free_kernel(rows, len(columns), K, t_var_idx):
         lam = vec[-1]
         if lam.is_zero():
             continue
@@ -333,12 +332,27 @@ def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, order):
             if val.is_zero():
                 continue
             i, ge, d = u
-            tv = t_var_idx[0]
-            tpow = K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars)))
-            coeff = RatFunc(tpow, denom) * (val / lam)
+            coeff = _ansatz_coeff(K, tv, d, denom) * (val / lam)
             out[i] = out[i] + OrePoly(alg, {ge: coeff})
         return {i: -out[i] for i in t_idx}
     return None
+
+
+def _ansatz_coeff(K, tv, d, D) -> RatFunc:
+    """t^d/D, the coefficient an ansatz unknown carries (tv the index of t)."""
+    return RatFunc(K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars))), D)
+
+
+def _t_free_kernel(rows, ncols, K, t_var_idx) -> list:
+    """Basis of the solutions over Q(x) of rows of RatFunc entries over
+    Q(x, t): [] when `_full_rank_mod_p` proves there is none, else the exact
+    kernel of the cleared t-expanded rows."""
+    if rows and _full_rank_mod_p(rows, ncols, K, t_var_idx):
+        return []
+    # rebinding frees the rational rows (if the caller holds no other
+    # reference) before the exact solve
+    rows = _t_expanded_rows(rows, K, t_var_idx)
+    return nullspace_selected(rows, ncols, K)
 
 
 def _t_expanded_rows(rows, K, t_var_idx):
@@ -523,14 +537,13 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     """Search for t-free operators of I by increasing total degree.
 
     At each degree the normal forms of the candidate monomials give rows
-    over C(x, t).  A degree is skipped when `_full_rank_mod_p` proves that
-    the rows have no t-free solution, from one x-point and a few t-samples
-    mod a word-size prime; only the other degrees clear denominators
-    (`_t_expanded_rows`) and solve exactly (`nullspace_selected`), so every
-    kernel, and every result, comes from exact arithmetic.  Each t-free
-    kernel element is decomposed into telescoper plus certificates; the
-    search stops once the telescopers generate an ideal of dimension at
-    most target_dim (when given), else runs the budget."""
+    over C(x, t), and `_t_free_kernel` finds their t-free solutions: a
+    degree whose rows a mod-p rank proof shows to have none is skipped, the
+    other degrees are solved exactly, so every kernel, and every result,
+    comes from exact arithmetic.  Each t-free kernel element is decomposed
+    into telescoper plus certificates; the search stops once the
+    telescopers generate an ideal of dimension at most target_dim (when
+    given), else runs the budget."""
     work, t_names = _difference_form(I, t_names)
     alg = work.algebra
     t_idx, t_vars, t_var_idx = _t_data(alg, t_names)
@@ -548,13 +561,8 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     achieved = None
     for deg in range(1, max_degree + 1):
         monomials = exponents_up_to(alg.ngens, deg)
-        rows = _fasenmyer_rows(gb, monomials, K)
-        ncols = len(monomials)
-        if not rows or _full_rank_mod_p(rows, ncols, K, t_var_idx):
-            continue  # no t-free operator of this degree
-        # rebinding frees the rational rows before the exact solve
-        rows = _t_expanded_rows(rows, K, t_var_idx)
-        kernel = nullspace_selected(rows, ncols, K)
+        kernel = _t_free_kernel(_fasenmyer_rows(gb, monomials, K),
+                                len(monomials), K, t_var_idx)
         for vec in kernel:
             terms = {m: c for m, c in zip(monomials, vec) if not c.is_zero()}
             if not terms:
@@ -604,10 +612,7 @@ def _denominator_ansatz(gb, t_var_idx, denom_bound):
     K = alg.field
     factors = {}
     for g in gb.elements:
-        den = K.one
-        for c in g.terms.values():
-            if not c.den.is_one():
-                den = poly_lcm(den, c.den)
+        den = denominator_lcm(g.terms.values(), K)
         if den.is_constant():
             continue
         sf = squarefree_part(den, t_var_idx)
@@ -636,8 +641,9 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
 
     Returns (TelescopingResult or None, CoupledSystem).  The system rows
     coming from staircase monomials within the B-degree form the square
-    coupled part and are solved first; the higher extraneous rows are
-    intersected afterwards as linear constraints."""
+    coupled part, the higher extraneous rows the constraint part; both are
+    solved at once by `_t_free_kernel`, so the kernel is that of the square
+    part cut down by the constraints."""
     if isinstance(t_name, (list, tuple)):
         if len(t_name) != 1:
             raise MultipleTelescopingVars(
@@ -658,77 +664,30 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     b_mons = [ge for ge in gb.reduced_monomials(degB) if ge[ti] == 0]
     D = _denominator_ansatz(gb, t_var_idx, denom_bound)
     degN = D.degree_in(t_var_idx) + denom_bound
-    unknowns = [("A", e) for e in a_mons] + \
-               [("B", ge, d) for ge in b_mons for d in range(degN + 1)]
+    b_unknowns = [(ge, d) for ge in b_mons for d in range(degN + 1)]
 
-    # normal-form columns: NF(d^e) for A, NF(Dt * t^d/D * d^ge) for B
-    columns = []
-    for u in unknowns:
-        if u[0] == "A":
-            columns.append(gb.phi(u[1]))
-        else:
-            _, ge, d = u
-            tpow = K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars)))
-            columns.append(gb.apply_gen_to_nf(ti, {ge: RatFunc(tpow, D)}))
-    # the square block is counted fully
-    support, rows = coefficient_rows(columns, RatFunc.zero(K), key=order.key,
-                                     extra=gb.reduced_monomials(degB))
-    square_rows_rat, constraint_rows_rat = [], []
-    for w, row in zip(support, rows):
-        if sum(w) <= degB:
-            square_rows_rat.append(row)
-        else:
-            constraint_rows_rat.append(row)
-    system = CoupledSystem(
-        square_shape=(len(square_rows_rat), len(a_mons) + len(b_mons)),
-        constraint_shape=(len(constraint_rows_rat), len(a_mons) + len(b_mons)),
-        a_monomials=a_mons, b_monomials=b_mons, denominator=D)
-
-    square_rows = _t_expanded_rows(square_rows_rat, K, t_var_idx)
-    constraint_rows = _t_expanded_rows(constraint_rows_rat, K, t_var_idx)
-    k1 = nullspace_selected(square_rows, len(unknowns), K)
-    if not k1:
-        return None, system
-    # intersect with the constraint block: second nullspace over the
-    # combination coefficients
-    if constraint_rows:
-        m2 = []
-        for crow in constraint_rows:
-            m2.append([
-                _dot(crow, vec, K) for vec in k1
-            ])
-        lam = nullspace([[x for x in r] for r in m2]) if any(
-            any(not x.is_zero() for x in r) for r in m2) else [
-                [RatFunc.one(K) if i == j else RatFunc.zero(K)
-                 for i in range(len(k1))] for j in range(len(k1))]
-        finals = []
-        for lvec in lam:
-            combo = [RatFunc.zero(K)] * len(unknowns)
-            for lj, vec in zip(lvec, k1):
-                if lj.is_zero():
-                    continue
-                for c in range(len(unknowns)):
-                    if not vec[c].is_zero():
-                        combo[c] = combo[c] + lj * vec[c]
-            finals.append(combo)
-    else:
-        finals = k1
+    system = CoupledSystem(square_shape=(), constraint_shape=(),
+                           a_monomials=a_mons, b_monomials=b_mons,
+                           denominator=D)
+    # normal-form columns NF(d^e) for A and NF(Dt * t^d/D * d^ge) for B; no
+    # name here holds them or their rows, so the exact solve runs without
+    # the rational entries
+    kernel = _t_free_kernel(
+        _coupled_rows(system, [gb.phi(e) for e in a_mons]
+                      + [gb.apply_gen_to_nf(ti, {ge: _ansatz_coeff(K, tv, d, D)})
+                         for ge, d in b_unknowns],
+                      gb.reduced_monomials(degB), degB, order),
+        len(a_mons) + len(b_unknowns), K, t_var_idx)
     candidates = []
-    for vec in finals:
-        a_terms = {}
-        for (u, val) in zip(unknowns, vec):
-            if u[0] == "A" and not val.is_zero():
-                a_terms[u[1]] = val
+    for vec in kernel:
+        a_terms = {e: val for e, val in zip(a_mons, vec) if not val.is_zero()}
         if not a_terms:
             continue
         A = OrePoly(alg, a_terms)
         B = alg.zero
-        for (u, val) in zip(unknowns, vec):
-            if u[0] == "B" and not val.is_zero():
-                _, ge, d = u
-                tpow = K.monomial(tuple(d if j == tv else 0
-                                        for j in range(K.nvars)))
-                B = B + OrePoly(alg, {ge: RatFunc(tpow, D) * val})
+        for (ge, d), val in zip(b_unknowns, vec[len(a_mons):]):
+            if not val.is_zero():
+                B = B + OrePoly(alg, {ge: _ansatz_coeff(K, tv, d, D) * val})
         if not gb.normal_form(A + Dt * B).is_zero():
             continue
         candidates.append((A, B))
@@ -744,12 +703,18 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     return result, system
 
 
-def _dot(row, vec, K):
-    s = RatFunc.zero(K)
-    for x, y in zip((RatFunc.from_poly(p) for p in row), vec):
-        if not y.is_zero() and not x.is_zero():
-            s = s + x * y
-    return s
+def _coupled_rows(system, columns, staircase, degB, order):
+    """Rows over C(x, t) of the coupled system with these columns: the
+    square block (the staircase within the B degree, counted fully) first,
+    then the constraint rows.  Records both shapes in `system`."""
+    support, rows = coefficient_rows(
+        columns, RatFunc.zero(system.denominator.ring),
+        key=lambda w: (sum(w) > degB, order.key(w)), extra=staircase)
+    n_square = sum(sum(w) <= degB for w in support)
+    ncols = len(system.a_monomials) + len(system.b_monomials)
+    system.square_shape = (n_square, ncols)
+    system.constraint_shape = (len(support) - n_square, ncols)
+    return rows
 
 
 def _tiebreak_key(A: OrePoly, order):
@@ -760,11 +725,7 @@ def _tiebreak_key(A: OrePoly, order):
 def _normalize_pair(A, B, order):
     # clear to content-free polynomial coefficients with positive lead
     K = A.algebra.field
-    den = K.one
-    for c in A.terms.values():
-        if not c.den.is_one():
-            den = poly_lcm(den, c.den)
-    scale = RatFunc.from_poly(den)
+    scale = RatFunc.from_poly(denominator_lcm(A.terms.values(), K))
     nums = [(c * scale).num for c in A.terms.values()]
     g = nums[0]
     for p in nums[1:]:

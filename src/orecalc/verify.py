@@ -393,12 +393,12 @@ class IdentityReport:
 
 def check_identity(summand: SequenceOracle, telescoper: OrePoly,
                    closed_form: SequenceOracle, sum_var: str,
-                   outer_ranges: dict, initial_slice: dict = None) -> IdentityReport:
+                   outer_ranges: dict) -> IdentityReport:
     """Verify a definite-sum identity witnessed by a telescoper.
 
     Checks that the telescoper annihilates (i) the brute-force sum and
     (ii) the closed form over the box, and (iii) that the two sides agree
-    on the initial slice (by default the whole box).  Purely finite-box
+    on the whole box.  Purely finite-box
     evidence: for positive-dimensional annihilators the infinite family of
     initial conditions is out of reach, and the report says so.
     """
@@ -417,19 +417,7 @@ def check_identity(summand: SequenceOracle, telescoper: OrePoly,
             report.skipped.append((env, note))
         elif value != 0:
             report.fail(env, "telescoper does not annihilate the closed form")
-    if initial_slice is None:
-        slice_points = points
-    else:
-        slice_points = [dict(env, **initial_slice) for env in points]
-        seen = set()
-        uniq = []
-        for env in slice_points:
-            key = tuple(sorted(env.items()))
-            if key not in seen:
-                seen.add(key)
-                uniq.append(env)
-        slice_points = uniq
-    for env in slice_points:
+    for env in points:
         if lhs.eval(env) != closed_form.eval(env):
             report.fail(env, "initial values differ")
     report.notes.append("verified on a finite box only")

@@ -15,6 +15,7 @@ from orecalc.ore import OreKind, shift_to_difference
 from orecalc.telescoping import (
     _full_rank_mod_p,
     _t_expanded_rows,
+    _t_free_kernel,
     extract_telescoper,
     fasenmyer_search,
     restrict_to_x,
@@ -204,6 +205,17 @@ class TestZeilberger:
         assert res is None
         assert system.square_shape == (5, 14)
 
+    def test_no_solution_proved_before_the_exact_solve(self, monkeypatch):
+        def exact_solve(*args):
+            raise AssertionError("the exact solve ran")
+
+        monkeypatch.setattr(telescoping, "nullspace_selected", exact_solve)
+        alg = algebra_nmkl()
+        I = double_stirling_ideal(alg)
+        res, system = zeilberger_search(I, "Sk", degA=2, degB=1)
+        assert res is None
+        assert system.square_shape == (5, 14)
+
     def test_double_stirling_solution(self):
         alg = algebra_nmkl()
         I = double_stirling_ideal(alg)
@@ -309,6 +321,14 @@ class TestRankCertificate:
                 row[j] = -rest / RatFunc.from_poly(c[j])
                 rows.append(row)
             assert not _full_rank_mod_p(rows, ncols, MK, T_IDX)
+            kernel = _t_free_kernel(rows, ncols, MK, T_IDX)
+            assert kernel
+            for vec in kernel:
+                for row in rows:
+                    total = RatFunc.zero(MK)
+                    for x, v in zip(row, vec):
+                        total = total + x * v
+                    assert total.is_zero()
 
     @pytest.mark.parametrize("ring, t_idx", [(MK, (1,)), (MKL, (1, 2))],
                              ids=["t=k", "t=k,l"])
@@ -325,6 +345,7 @@ class TestRankCertificate:
                                         ncols, ring)
             full = _full_rank_mod_p(rows, ncols, ring, t_idx)
             assert full == (kernel == [])
+            assert _t_free_kernel(rows, ncols, ring, t_idx) == kernel
             proved += full
         assert 10 <= proved < 40
 
