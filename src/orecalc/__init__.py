@@ -16,7 +16,6 @@ from .groebner import (
     MonomialOrder,
     buchberger,
     is_member,
-    normal_form,
     same_ideal,
 )
 from .growth import GrowthCertificate, UniformReduction, growth_probe, growth_zero_dimensional, uniform_reduction_data
@@ -55,7 +54,6 @@ from .verify import (
     box_points,
     check_identity,
     eulerian1,
-    eval_sequence,
     factorial,
     stirling2,
 )

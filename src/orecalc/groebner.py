@@ -161,10 +161,6 @@ class GroebnerBasis:
         return t
 
 
-def normal_form(f: OrePoly, gb: GroebnerBasis) -> OrePoly:
-    return gb.normal_form(f)
-
-
 def buchberger(generators, order: MonomialOrder = GREVLEX,
                algebra: OreAlgebra = None) -> GroebnerBasis:
     """Reduced left Groebner basis by Buchberger's procedure.

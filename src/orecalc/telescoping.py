@@ -14,6 +14,7 @@ from fractions import Fraction
 from .arith import (
     MPoly,
     RatFunc,
+    _finalize_ratfunc_vector_rat,
     denominator_lcm,
     exact_div,
     factored_expand,
@@ -71,7 +72,7 @@ class SearchOutcome:
     budget_exhausted: bool
     target_dim: object
     achieved_dim: object
-    work_ideal: LeftIdeal        # the ideal in difference form the search ran on
+    work_ideal: LeftIdeal        # the ideal in difference form, where results live
     trivial: bool = False        # unit ideal encountered
 
 
@@ -94,19 +95,20 @@ class CoupledSystem:
 
 
 def _difference_form(I: LeftIdeal, t_names):
-    """Convert shift t-generators to difference kind; other telescopable
-    kinds pass through unchanged."""
+    """I with its shift t-generators converted to difference kind, and the
+    names of the converted generators; other telescopable kinds pass
+    through unchanged."""
     alg = I.algebra
     shift_t = [n for n in t_names
                if alg.gens[alg.gen_index[n]].kind is OreKind.SHIFT]
     if not shift_t:
-        return I, t_names
+        return I, shift_t
     gens = [shift_to_difference(g, shift_t) for g in I.generators]
     if gens:
         new_alg = gens[0].algebra
     else:
         new_alg = shift_to_difference(alg.one, shift_t).algebra
-    return LeftIdeal(new_alg, gens), t_names
+    return LeftIdeal(new_alg, gens), shift_t
 
 
 def _t_data(alg: OreAlgebra, t_names):
@@ -543,17 +545,27 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     comes from exact arithmetic.  Each t-free kernel element is decomposed
     into telescoper plus certificates; the search stops once the
     telescopers generate an ideal of dimension at most target_dim (when
-    given), else runs the budget."""
-    work, t_names = _difference_form(I, t_names)
+    given), else runs the budget.
+
+    The rows come from the normal forms in I's own basis, where shift
+    t-generators stay shifts (the walk the growth probe and the closures
+    fill), and each kernel vector is transported to difference form
+    (S_t = Delta_t + 1) for the extraction.  The basis choice cannot change
+    the kernel: rows taken in two bases of A/I over C(x, t) differ by an
+    invertible matrix, so they have the same solutions and the rank proof
+    holds for either; and the monomials S^alpha and Delta^alpha with
+    |alpha| <= deg span the same space through a constant unitriangular
+    matrix, which is the transport."""
+    work, shift_t = _difference_form(I, t_names)
     alg = work.algebra
     t_idx, t_vars, t_var_idx = _t_data(alg, t_names)
-    gb = work.groebner_basis(order)
-    if work.is_unit_ideal(order):
+    if I.is_unit_ideal(order):
         res = TelescopingResult(telescoper=alg.one, certificates={},
                                 provenance="Fasenmyer", degree=0,
                                 t_gens=tuple(t_names), membership_checked=True)
         return SearchOutcome([res], False, target_dim, UNIT_IDEAL,
                              work, trivial=True)
+    gb = I.groebner_basis(order)
     K = alg.field
     results = []
     found_keys = set()
@@ -564,6 +576,7 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
         kernel = _t_free_kernel(_fasenmyer_rows(gb, monomials, K),
                                 len(monomials), K, t_var_idx)
         for vec in kernel:
+            vec = _to_difference_vector(vec, monomials, I.algebra, shift_t, K)
             terms = {m: c for m, c in zip(monomials, vec) if not c.is_zero()}
             if not terms:
                 continue
@@ -595,6 +608,17 @@ def _fasenmyer_rows(gb, monomials, K):
     """Rows over C(x, t), one per staircase monomial: the coefficients of
     d^gamma in the normal forms of the candidate monomials."""
     return coefficient_rows([gb.phi(m) for m in monomials], RatFunc.zero(K))[1]
+
+
+def _to_difference_vector(vec, monomials, alg, shift_t, K):
+    """A kernel vector over the shift monomials of `alg`, rewritten over the
+    same monomials in difference form and normalised as `nullspace_poly`
+    normalises its vectors."""
+    Q = shift_to_difference(
+        OrePoly(alg, {m: c for m, c in zip(monomials, vec) if not c.is_zero()}),
+        shift_t)
+    zero = RatFunc.zero(K)
+    return _finalize_ratfunc_vector_rat([Q.terms.get(m, zero) for m in monomials], K)
 
 
 def _canonical_key(f: OrePoly, order):

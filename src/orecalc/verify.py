@@ -303,11 +303,6 @@ class DefiniteSum(SequenceOracle):
         return "sum(%s, %s)" % (self.var, self.body)
 
 
-def eval_sequence(oracle: SequenceOracle, env) -> Fraction:
-    """Exact value of an oracle expression at an integer point."""
-    return oracle.eval(env)
-
-
 # -- operators acting on sequences -----------------------------------------------
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.closure import closure_product
-from orecalc.groebner import LeftIdeal, is_member, same_ideal
+from orecalc.groebner import LeftIdeal, same_ideal
 from orecalc.growth import growth_probe, growth_zero_dimensional
 from orecalc.ore import shift_to_difference
 from orecalc.telescoping import (
@@ -25,7 +25,6 @@ from orecalc.verify import Builtin, LinExpr, Lin, Pow, Product, DefiniteSum, che
 
 from corpus_objects import (
     abel_ideal,
-    algebra_nk,
     algebra_nmkl,
     binomial_ideal,
     double_stirling_factor_ideals,

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from orecalc.cli import main, parse, print_problem, run
-from orecalc.dimension import hilbert_dimension
 from orecalc.errors import KindError, ProblemSyntaxError, UnknownName
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -180,8 +179,23 @@ GOLDEN = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden
                                   "abel", "stirling_eulerian"])
 def test_corpus_json_matches_golden(name):
     """The --format json report of each lighter corpus file, byte for byte."""
+    _assert_report_matches(name, GOLDEN)
+
+
+HEAVY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name", ["nonproper", "double_stirling"])
+def test_heavy_corpus_json_matches_golden(name):
+    """The --format json report of each heavy corpus file, byte for byte.
+    These goldens cover the whole file, growth probe and full telescope
+    budget included; the benchmark's nonproper golden is of a trimmed copy."""
+    _assert_report_matches(name, HEAVY_GOLDEN)
+
+
+def _assert_report_matches(name, golden_dir):
     with open(os.path.join(CORPUS, name + ".ore")) as fh:
         pf = parse(fh.read())
     _, rendered = run(pf, fmt="json", out=io.StringIO())
-    with open(os.path.join(GOLDEN, name + ".json")) as fh:
+    with open(os.path.join(golden_dir, name + ".json")) as fh:
         assert rendered == fh.read()

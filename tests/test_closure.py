@@ -1,6 +1,5 @@
 import random
 import zlib
-from fractions import Fraction
 
 import pytest
 
@@ -17,7 +16,6 @@ from corpus_objects import (
     binomial_ideal,
     double_stirling_factor_ideals,
     double_stirling_ideal,
-    stirling_ideal,
 )
 from test_ore import ALL_KINDS, make_algebra, rand_ratfunc
 

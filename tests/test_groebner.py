@@ -12,9 +12,7 @@ from orecalc.groebner import (
     GRLEX,
     LeftIdeal,
     MonomialOrder,
-    buchberger,
     is_member,
-    normal_form,
     same_ideal,
 )
 from orecalc.ore import OreAlgebra, OreGenerator, OreKind, OrePoly

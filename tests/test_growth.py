@@ -4,7 +4,6 @@ from orecalc.arith import RatFunc, divides, poly_lcm
 from orecalc.errors import NotDifferenceDifferential, NotZeroDimensional
 from orecalc.groebner import LeftIdeal
 from orecalc.growth import (
-    GrowthCertificate,
     growth_probe,
     growth_zero_dimensional,
     uniform_reduction_data,
@@ -13,7 +12,6 @@ from orecalc.ore import OreAlgebra, OreGenerator, OreKind, shift_to_difference
 
 from corpus_objects import (
     algebra_nk,
-    algebra_nmkl,
     binomial_ideal,
     double_stirling_ideal,
     nonproper_ideal,

@@ -12,7 +12,6 @@ import pytest
 
 from orecalc.arith import MPoly, PolyRing, RatFunc, divides, nullspace
 from orecalc.closure import closure_apply, closure_product, closure_sum
-from orecalc.dimension import hilbert_dimension
 from orecalc.groebner import GREVLEX, LeftIdeal, buchberger
 from orecalc.growth import growth_zero_dimensional
 from orecalc.ore import OreAlgebra, OreGenerator, OreKind, OrePoly

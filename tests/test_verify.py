@@ -9,7 +9,6 @@ from orecalc.verify import (
     Builtin,
     Const,
     DefiniteSum,
-    Lin,
     LinExpr,
     Pow,
     Product,
@@ -19,7 +18,6 @@ from orecalc.verify import (
     box_points,
     check_identity,
     eulerian1,
-    eval_sequence,
     factorial,
     stirling2,
 )
