@@ -440,9 +440,10 @@ def _rref(vectors):
     return rows[:rank]
 
 
-def _kernels_both_ways(I, t_names, deg):
-    """The t-free kernel at degree `deg` from the rows of the difference-form
-    basis, and from the rows of I's own shift basis after transport."""
+def _assert_same_kernel(I, t_names, deg):
+    """The t-free kernels at degree `deg` from the rows of the
+    difference-form basis and, after transport, from the rows of I's own
+    shift basis span the same space; returns its dimension."""
     work, shift_t = telescoping._difference_form(I, t_names)
     alg = work.algebra
     K = alg.field
@@ -455,7 +456,10 @@ def _kernels_both_ways(I, t_names, deg):
     new = [telescoping._to_difference_vector(v, monomials, I.algebra,
                                              shift_t, K)
            for v in _t_free_kernel(rows, len(monomials), K, t_var_idx)]
-    return old, new
+    echelon = _rref(new)
+    assert len(echelon) == len(new) == len(old)
+    assert _rref(old) == echelon
+    return len(new)
 
 
 def _factorial_shift(ring, lin, s):
@@ -515,8 +519,8 @@ def _random_second_order_ideal(rng):
 class TestShiftRowsMatchDifferenceRows:
     """Fasenmyer takes its rows from the shift basis and transports each
     kernel vector to difference form.  The rows of the difference-form
-    basis, which the search used before, are kept here as an oracle: the two
-    t-free kernels must span the same space over Q(x) at every degree."""
+    basis are the oracle: the two t-free kernels must span the same space
+    over Q(x) at every degree."""
 
     @pytest.mark.parametrize("make", [_random_hypergeometric_ideal,
                                       _random_second_order_ideal],
@@ -529,21 +533,16 @@ class TestShiftRowsMatchDifferenceRows:
             if I.is_unit_ideal():
                 continue
             for deg in (1, 2, 3):
-                old, new = _kernels_both_ways(I, ["Sk"], deg)
-                assert len(_rref(new)) == len(new) == len(old)
-                assert _rref(old) == _rref(new)
-                nonempty += bool(new)
+                nonempty += bool(_assert_same_kernel(I, ["Sk"], deg))
         assert nonempty
 
-    @pytest.mark.parametrize("make, t_name, max_deg", [
-        (binomial_ideal, "Sk", 3),
-        (stirling_ideal, "Sk", 3),
-        (stirling_ideal, "Sl", 3),
-        (nonproper_ideal, "Sk", 3),
+    @pytest.mark.parametrize("make, t_name", [
+        (binomial_ideal, "Sk"),
+        (stirling_ideal, "Sk"),
+        (stirling_ideal, "Sl"),
+        (nonproper_ideal, "Sk"),
     ], ids=["binomial", "stirling-Sk", "stirling-Sl", "nonproper"])
-    def test_corpus_ideals(self, make, t_name, max_deg):
+    def test_corpus_ideals(self, make, t_name):
         I = make()
-        for deg in range(1, max_deg + 1):
-            old, new = _kernels_both_ways(I, [t_name], deg)
-            assert len(_rref(new)) == len(new) == len(old)
-            assert _rref(old) == _rref(new)
+        for deg in (1, 2, 3):
+            _assert_same_kernel(I, [t_name], deg)
