@@ -453,6 +453,23 @@ class Parser:
 
     # tasks
 
+    def search_options(self, data, int_key):
+        """The clauses that may end a telescope or zeilberger task, up to the
+        `;`: `int_key N`, `as NAME` and `expect none|found`."""
+        while self.peek().text in (int_key, "as", "expect"):
+            key = self.next().text
+            if key == int_key:
+                data[key] = self.expect_int()
+            elif key == "as":
+                data[key] = self.expect_name().text
+            else:
+                t = self.expect_name()
+                if t.text not in ("none", "found"):
+                    raise ProblemSyntaxError(
+                        "expect must be none or found, got %r" % t.text, t.line, t.col)
+                data[key] = t.text
+        self.expect(";")
+
     def parse_task(self) -> Task:
         t = self.expect_name()
         kind = t.text
@@ -512,15 +529,7 @@ class Parser:
             self.expect("maxdeg")
             maxdeg = self.expect_int()
             data = {"ideal": name, "tgens": tgens, "maxdeg": maxdeg}
-            while self.peek().text in ("target", "as", "expect"):
-                key = self.next().text
-                if key == "target":
-                    data["target"] = self.expect_int()
-                elif key == "as":
-                    data["as"] = self.expect_name().text
-                else:
-                    data["expect"] = self.expect_name().text
-            self.expect(";")
+            self.search_options(data, "target")
             return Task("telescope", data, pos)
         if kind == "zeilberger":
             name = self.expect_name().text
@@ -531,15 +540,7 @@ class Parser:
             self.expect("degb")
             degb = self.expect_int()
             data = {"ideal": name, "tgen": tgen, "dega": dega, "degb": degb}
-            while self.peek().text in ("denoms", "as", "expect"):
-                key = self.next().text
-                if key == "denoms":
-                    data["denoms"] = self.expect_int()
-                elif key == "as":
-                    data["as"] = self.expect_name().text
-                else:
-                    data["expect"] = self.expect_name().text
-            self.expect(";")
+            self.search_options(data, "denoms")
             return Task("zeilberger", data, pos)
         if kind == "verify":
             result = self.expect_name().text
@@ -694,6 +695,10 @@ def print_problem(pf: ProblemFile) -> str:
     return "\n".join(out) + "\n"
 
 
+def _print_options(d, keys) -> str:
+    return "".join(" %s %s" % (k, d[k]) for k in keys if k in d)
+
+
 def _print_task(task: Task) -> str:
     d = task.data
     if task.kind == "gb":
@@ -705,32 +710,18 @@ def _print_task(task: Task) -> str:
             body = "closure apply %s %s maxdeg %d" % (d["gen"], d["ideal"], d["maxdeg"])
         else:
             body = "closure %s %s %s maxdeg %d" % (d["op"], d["left"], d["right"], d["maxdeg"])
-        if "as" in d:
-            body += " as %s" % d["as"]
-        return body + ";"
+        return body + _print_options(d, ("as",)) + ";"
     if task.kind == "growth":
         return "growth %s %s over %s window %d;" % (
             d["method"], d["ideal"], ", ".join(d["tvars"]), d["window"])
     if task.kind == "telescope":
-        body = "telescope %s over %s maxdeg %d" % (
-            d["ideal"], ", ".join(d["tgens"]), d["maxdeg"])
-        if "target" in d:
-            body += " target %d" % d["target"]
-        if "as" in d:
-            body += " as %s" % d["as"]
-        if "expect" in d:
-            body += " expect %s" % d["expect"]
-        return body + ";"
+        return "telescope %s over %s maxdeg %d%s;" % (
+            d["ideal"], ", ".join(d["tgens"]), d["maxdeg"],
+            _print_options(d, ("target", "as", "expect")))
     if task.kind == "zeilberger":
-        body = "zeilberger %s over %s dega %d degb %d" % (
-            d["ideal"], d["tgen"], d["dega"], d["degb"])
-        if "denoms" in d:
-            body += " denoms %d" % d["denoms"]
-        if "as" in d:
-            body += " as %s" % d["as"]
-        if "expect" in d:
-            body += " expect %s" % d["expect"]
-        return body + ";"
+        return "zeilberger %s over %s dega %d degb %d%s;" % (
+            d["ideal"], d["tgen"], d["dega"], d["degb"],
+            _print_options(d, ("denoms", "as", "expect")))
     if task.kind == "verify":
         body = "verify %s: sum(%s, %s) == %s" % (
             d["result"], d["var"], d["summand"], d["closed"])
@@ -833,10 +824,7 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
                          "membership checked: %s)" % r.membership_checked)
                 if "as" in d and outcome.results:
                     named_results[d["as"]] = outcome.results
-                expect = d.get("expect")
-                if expect == "none" and outcome.results:
-                    status = 1
-                if expect == "found" and not outcome.results:
+                if d.get("expect") == ("none" if outcome.results else "found"):
                     status = 1
             elif task.kind == "zeilberger":
                 I = _get(ideals, d["ideal"])
@@ -859,10 +847,7 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
                     emit("  B = %s" % format_opoly(res.certificates[tgen]))
                     if "as" in d:
                         named_results[d["as"]] = [res]
-                expect = d.get("expect")
-                if expect == "none" and res is not None:
-                    status = 1
-                if expect == "found" and res is None:
+                if d.get("expect") == ("none" if res is not None else "found"):
                     status = 1
             elif task.kind == "verify":
                 results = named_results.get(d["result"])

@@ -168,7 +168,7 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
     algebra = I.algebra
     diff_gens = [g.name for g in algebra.gens if g.kind is OreKind.DIFFERENCE]
     if diff_gens:
-        I = LeftIdeal(difference_to_shift(I.generators[0], diff_gens).algebra,
+        I = LeftIdeal(difference_to_shift(algebra.one, diff_gens).algebra,
                       [difference_to_shift(g, diff_gens) for g in I.generators])
         algebra = I.algebra
     if window < 8:

@@ -4,6 +4,11 @@ Searches run over the user's (shift) algebra; the decomposition targets
 difference operators, where the telescoped identity sums naturally.  Every
 returned result carries an exact membership witness: the combination
 A + sum d_{t_i} Q_i reduces to zero modulo the ideal.
+
+Difference form is a change of coordinates on A/I, not a second ideal: every
+normal form is taken in I's own basis and carried over by T: S_t = Delta_t + 1.
+For a graded order T keeps every leading exponent, so T maps the reduced
+shift basis onto the reduced difference-form basis and NF_Delta(T f) = T(NF_S f).
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from fractions import Fraction
 from .arith import (
     MPoly,
     RatFunc,
+    _acc,
     _finalize_ratfunc_vector_rat,
     denominator_lcm,
     exact_div,
@@ -21,6 +27,7 @@ from .arith import (
     factored_merge,
     nullspace_selected,
     poly_gcd,
+    poly_lcm,
     squarefree_part,
 )
 from .dimension import UNIT_IDEAL, hilbert_dimension
@@ -31,6 +38,7 @@ from .ore import (
     OreKind,
     OrePoly,
     coefficient_rows,
+    difference_to_shift,
     exponents_up_to,
     shift_to_difference,
     telescopable_witness,
@@ -46,7 +54,7 @@ def telescoping_bound(d: int, p: int, t_count: int, x_count: int):
 
 @dataclass
 class TelescopingResult:
-    telescoper: OrePoly          # in C(x)<d_x>, embedded in the work algebra
+    telescoper: OrePoly          # in C(x)<d_x>, embedded in the difference form
     certificates: dict           # t-generator name -> OrePoly
     provenance: str              # "Fasenmyer" | "Zeilberger"
     degree: int
@@ -54,7 +62,7 @@ class TelescopingResult:
     membership_checked: bool = False
 
     def witness(self) -> OrePoly:
-        """A + sum d_t . Q_t in the work algebra."""
+        """A + sum d_t . Q_t in the difference form."""
         alg = self.telescoper.algebra
         total = self.telescoper
         for name, cert in self.certificates.items():
@@ -72,7 +80,6 @@ class SearchOutcome:
     budget_exhausted: bool
     target_dim: object
     achieved_dim: object
-    work_ideal: LeftIdeal        # the ideal in difference form, where results live
     trivial: bool = False        # unit ideal encountered
 
 
@@ -91,24 +98,37 @@ class CoupledSystem:
     solved: bool = False
 
 
-# -- working form -------------------------------------------------------------
+# -- difference form over the shift basis ---------------------------------------
 
 
-def _difference_form(I: LeftIdeal, t_names):
-    """I with its shift t-generators converted to difference kind, and the
-    names of the converted generators; other telescopable kinds pass
-    through unchanged."""
-    alg = I.algebra
+def _difference_algebra(alg: OreAlgebra, t_names):
+    """(alg with its shift t-generators made differences, their names): the
+    algebra results are reported in, and the generators carried over."""
     shift_t = [n for n in t_names
                if alg.gens[alg.gen_index[n]].kind is OreKind.SHIFT]
-    if not shift_t:
-        return I, shift_t
-    gens = [shift_to_difference(g, shift_t) for g in I.generators]
-    if gens:
-        new_alg = gens[0].algebra
-    else:
-        new_alg = shift_to_difference(alg.one, shift_t).algebra
-    return LeftIdeal(new_alg, gens), shift_t
+    return shift_to_difference(alg.one, shift_t).algebra, shift_t
+
+
+def _carried_names(I: LeftIdeal, alg: OreAlgebra, t_names):
+    """The t-generators that are shifts in I and differences in `alg`."""
+    return [] if I.algebra == alg else _difference_algebra(I.algebra, t_names)[1]
+
+
+def _to_difference(alg: OreAlgebra, vec: dict, shift_t) -> dict:
+    """A coefficient dict over the monomials of `alg`, in difference form."""
+    return shift_to_difference(OrePoly(alg, vec), shift_t).terms
+
+
+def _gen_times(gb, alg: OreAlgebra, i, vec: dict, shift_t) -> dict:
+    """NF of d_i * vec in difference form `alg`, vec a difference-form dict
+    over the staircase, from gb's shared walk: in gb's coordinates a
+    carried d_i is S_i - 1."""
+    vec = difference_to_shift(OrePoly(alg, vec), shift_t).terms
+    out = gb.apply_gen_to_nf(i, vec)
+    if alg.gens[i].name in shift_t:
+        for e, c in vec.items():
+            _acc(out, e, -c)
+    return _to_difference(gb.algebra, out, shift_t)
 
 
 def _t_data(alg: OreAlgebra, t_names):
@@ -204,8 +224,11 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
     sigma(a) for the least nonzero certificate (a the telescopable
     witness) recovers a nonzero telescoper, exactly as in the dimension
     bound's proof; deeper degeneracies go through a bounded certificate
-    ansatz instead."""
+    ansatz instead.  Q is in difference form; I may be too, or have the
+    t-generators as shifts, and then each check carries the witness back to
+    I's own basis (Delta_t = S_t - 1)."""
     alg = Q.algebra
+    shift_t = _carried_names(I, alg, t_names)
     t_idx, t_vars, t_var_idx = _t_data(alg, t_names)
     for e, c in Q.terms.items():
         if not _is_t_free(c, t_var_idx):
@@ -219,7 +242,8 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
             certificates={alg.gens[i].name: certs[i] for i in t_idx},
             provenance=provenance, degree=degree,
             t_gens=tuple(t_names))
-        result.membership_checked = is_member(result.witness(), I, order)
+        result.membership_checked = is_member(
+            difference_to_shift(result.witness(), shift_t), I, order)
         return result
     live = [i for i in t_idx if not certs[i].is_zero()]
     if not live:
@@ -251,7 +275,8 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
             certificates=new_certs,
             provenance=provenance, degree=degree,
             t_gens=tuple(t_names))
-        result.membership_checked = is_member(result.witness(), I, order)
+        result.membership_checked = is_member(
+            difference_to_shift(result.witness(), shift_t), I, order)
         return result
     # deeper degeneracy: chase the t-free core chain for a candidate A,
     # then solve for a certificate by bounded ansatz
@@ -282,48 +307,40 @@ def _certificate_by_ansatz(A: OrePoly, I: LeftIdeal, t_names, order,
                            provenance, degree):
     """Solve NF(A + sum d_t W_t) = 0 for W with rational t-coefficients."""
     alg = A.algebra
+    shift_t = _carried_names(I, alg, t_names)
     t_idx, _, t_var_idx = _t_data(alg, t_names)
     gb = I.groebner_basis(order)
     for cert_deg in range(1, _MAX_CERT_DEGREE + 1):
-        sol = _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, order)
+        sol = _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t)
         if sol is not None:
             result = TelescopingResult(
                 telescoper=A, certificates={alg.gens[i].name: sol[i] for i in t_idx},
                 provenance=provenance, degree=degree, t_gens=tuple(t_names))
-            result.membership_checked = is_member(result.witness(), I, order)
+            result.membership_checked = is_member(
+                difference_to_shift(result.witness(), shift_t), I, order)
             if result.membership_checked:
                 return result
     return None
 
 
-def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, order):
+def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t):
     """Inhomogeneous bounded solve for certificates of a fixed candidate;
-    implemented for a single telescoping variable."""
+    implemented for a single telescoping variable.  The columns are normal
+    forms in gb carried over to difference form."""
     if len(t_var_idx) != 1:
         return None
     alg = A.algebra
     K = alg.field
     tv = t_var_idx[0]
     denom = _denominator_ansatz(gb, t_var_idx, 1)
-    mons = [e for e in gb.reduced_monomials(cert_deg)]
-    if not mons:
-        mons = [(0,) * alg.ngens]
-    unknowns = []
-    for i in t_idx:
-        for ge in mons:
-            for d in range(denom.degree_in(t_var_idx) + 2):
-                unknowns.append((i, ge, d))
-    columns = []
-    for (i, ge, d) in unknowns:
-        coeff = _ansatz_coeff(K, tv, d, denom)
-        if gb.is_reduced_exp(ge):
-            columns.append(gb.apply_gen_to_nf(i, {ge: coeff}))
-        else:  # the unit ideal, which has no staircase
-            op = alg.gen(alg.gens[i].name) * OrePoly(alg, {ge: coeff})
-            columns.append(gb.normal_form(op).terms)
+    unknowns = [(i, ge, d) for i in t_idx for ge in gb.reduced_monomials(cert_deg)
+                for d in range(denom.degree_in(t_var_idx) + 2)]
+    columns = [_gen_times(gb, alg, i, {ge: _ansatz_coeff(K, tv, d, denom)}, shift_t)
+               for i, ge, d in unknowns]
     # the last column is NF(A); solve the combined homogeneous system where
     # that column is forced to 1 (scale-normalized inhomogeneous solve)
-    columns.append(gb.normal_form(A).terms)
+    columns.append(_to_difference(
+        gb.algebra, gb.normal_form(difference_to_shift(A, shift_t)).terms, shift_t))
     _, rows = coefficient_rows(columns, RatFunc.zero(K))
     for vec in _t_free_kernel(rows, len(columns), K, t_var_idx):
         lam = vec[-1]
@@ -550,21 +567,19 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     The rows come from the normal forms in I's own basis, where shift
     t-generators stay shifts (the walk the growth probe and the closures
     fill), and each kernel vector is transported to difference form
-    (S_t = Delta_t + 1) for the extraction.  The basis choice cannot change
-    the kernel: rows taken in two bases of A/I over C(x, t) differ by an
-    invertible matrix, so they have the same solutions and the rank proof
-    holds for either; and the monomials S^alpha and Delta^alpha with
-    |alpha| <= deg span the same space through a constant unitriangular
-    matrix, which is the transport."""
-    work, shift_t = _difference_form(I, t_names)
-    alg = work.algebra
+    (S_t = Delta_t + 1) for the extraction, which checks membership in the
+    same basis.  The basis choice cannot change the kernel: rows taken in
+    two bases of A/I over C(x, t) differ by an invertible matrix, so they
+    have the same solutions and the rank proof holds for either; and the
+    monomials S^alpha and Delta^alpha with |alpha| <= deg span the same
+    space through a constant unitriangular matrix, which is the transport."""
+    alg, shift_t = _difference_algebra(I.algebra, t_names)
     t_idx, t_vars, t_var_idx = _t_data(alg, t_names)
     if I.is_unit_ideal(order):
         res = TelescopingResult(telescoper=alg.one, certificates={},
                                 provenance="Fasenmyer", degree=0,
                                 t_gens=tuple(t_names), membership_checked=True)
-        return SearchOutcome([res], False, target_dim, UNIT_IDEAL,
-                             work, trivial=True)
+        return SearchOutcome([res], False, target_dim, UNIT_IDEAL, trivial=True)
     gb = I.groebner_basis(order)
     K = alg.field
     results = []
@@ -582,7 +597,7 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
                 continue
             Q = OrePoly(alg, terms)
             try:
-                res = extract_telescoper(Q, work, t_names, order,
+                res = extract_telescoper(Q, I, t_names, order,
                                          provenance="Fasenmyer", degree=deg)
             except NoTelescopableVariable:
                 continue
@@ -597,11 +612,11 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
             xgens = [restrict_to_x(r.telescoper, t_names) for r in results]
             achieved = hilbert_dimension(LeftIdeal(xalg, xgens), order)
             if target_dim is None and not collect_all:
-                return SearchOutcome(results, False, target_dim, achieved, work)
+                return SearchOutcome(results, False, target_dim, achieved)
             if target_dim is not None and (
                     achieved is UNIT_IDEAL or achieved <= target_dim):
-                return SearchOutcome(results, False, target_dim, achieved, work)
-    return SearchOutcome(results, True, target_dim, achieved, work)
+                return SearchOutcome(results, False, target_dim, achieved)
+    return SearchOutcome(results, True, target_dim, achieved)
 
 
 def _fasenmyer_rows(gb, monomials, K):
@@ -614,11 +629,10 @@ def _to_difference_vector(vec, monomials, alg, shift_t, K):
     """A kernel vector over the shift monomials of `alg`, rewritten over the
     same monomials in difference form and normalised as `nullspace_poly`
     normalises its vectors."""
-    Q = shift_to_difference(
-        OrePoly(alg, {m: c for m, c in zip(monomials, vec) if not c.is_zero()}),
-        shift_t)
+    terms = _to_difference(
+        alg, {m: c for m, c in zip(monomials, vec) if not c.is_zero()}, shift_t)
     zero = RatFunc.zero(K)
-    return _finalize_ratfunc_vector_rat([Q.terms.get(m, zero) for m in monomials], K)
+    return _finalize_ratfunc_vector_rat([terms.get(m, zero) for m in monomials], K)
 
 
 def _canonical_key(f: OrePoly, order):
@@ -630,10 +644,10 @@ def _canonical_key(f: OrePoly, order):
 
 
 def _denominator_ansatz(gb, t_var_idx, denom_bound):
-    """Product over t-shifts of the squarefree t-parts of the cleared
-    leading coefficients of the basis."""
-    alg = gb.algebra
-    K = alg.field
+    """Lcm over t-shifts of the squarefree t-parts of the cleared
+    coefficients of the basis elements (the same in shift and in difference
+    form: the transport is unitriangular over Z both ways)."""
+    K = gb.algebra.field
     factors = {}
     for g in gb.elements:
         den = denominator_lcm(g.terms.values(), K)
@@ -644,19 +658,13 @@ def _denominator_ansatz(gb, t_var_idx, denom_bound):
             continue
         factors[frozenset(sf.terms.items())] = sf
     D = K.one
-    shifts = {}
     for sf in factors.values():
         for j in range(-denom_bound, denom_bound + 1):
             img = sf
             for tv in t_var_idx:
                 img = img.shift_var(tv, j)
-            img = img.monic()
-            shifts[frozenset(img.terms.items())] = img
-    for img in shifts.values():
-        g = poly_gcd(D, img)
-        extra = img if g.is_one() else exact_div(img, g)
-        D = D * extra
-    return D.monic()
+            D = poly_lcm(D, img)
+    return D
 
 
 def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
@@ -667,17 +675,18 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     coming from staircase monomials within the B-degree form the square
     coupled part, the higher extraneous rows the constraint part; both are
     solved at once by `_t_free_kernel`, so the kernel is that of the square
-    part cut down by the constraints."""
+    part cut down by the constraints.  The rows are in difference form, read
+    off I's own basis (Delta_t*u = S_t*u - u); rows in shift coordinates
+    give the same kernel, but their exact solve is several times slower."""
     if isinstance(t_name, (list, tuple)):
         if len(t_name) != 1:
             raise MultipleTelescopingVars(
                 "the fast algorithm handles a single telescoping variable")
         t_name = t_name[0]
-    work, _ = _difference_form(I, [t_name])
-    alg = work.algebra
+    alg, shift_t = _difference_algebra(I.algebra, [t_name])
     (ti,), (tv_name,), t_var_idx = _t_data(alg, [t_name])
     tv = t_var_idx[0]
-    gb = work.groebner_basis(order)
+    gb = I.groebner_basis(order)
     K = alg.field
     Dt = alg.gen(t_name)
 
@@ -697,9 +706,10 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     # name here holds them or their rows, so the exact solve runs without
     # the rational entries
     kernel = _t_free_kernel(
-        _coupled_rows(system, [gb.phi(e) for e in a_mons]
-                      + [gb.apply_gen_to_nf(ti, {ge: _ansatz_coeff(K, tv, d, D)})
-                         for ge, d in b_unknowns],
+        _coupled_rows(system, [_to_difference(gb.algebra, gb.phi(e), shift_t)
+                               for e in a_mons]
+                      + [_gen_times(gb, alg, ti, {ge: _ansatz_coeff(K, tv, d, D)},
+                                    shift_t) for ge, d in b_unknowns],
                       gb.reduced_monomials(degB), degB, order),
         len(a_mons) + len(b_unknowns), K, t_var_idx)
     candidates = []
@@ -712,7 +722,7 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
         for (ge, d), val in zip(b_unknowns, vec[len(a_mons):]):
             if not val.is_zero():
                 B = B + OrePoly(alg, {ge: _ansatz_coeff(K, tv, d, D) * val})
-        if not gb.normal_form(A + Dt * B).is_zero():
+        if not gb.normal_form(difference_to_shift(A + Dt * B, shift_t)).is_zero():
             continue
         candidates.append((A, B))
     if not candidates:
@@ -722,7 +732,8 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     result = TelescopingResult(
         telescoper=A, certificates={t_name: B}, provenance="Zeilberger",
         degree=degA, t_gens=(t_name,))
-    result.membership_checked = is_member(result.witness(), work, order)
+    result.membership_checked = is_member(
+        difference_to_shift(result.witness(), shift_t), I, order)
     system.solved = True
     return result, system
 

@@ -84,6 +84,22 @@ class TestParse:
         err = capsys.readouterr().err
         assert err == "parse error: %d:%d: %s\n" % (line, col, what)
 
+    @pytest.mark.parametrize("task, line, col, word", [
+        ("telescope B over Sk maxdeg 2 expect fonud;", 7, 37, "fonud"),
+        ("zeilberger B over Sk dega 1 degb 0 expect nope;", 7, 43, "nope"),
+    ], ids=["telescope", "zeilberger"])
+    def test_unknown_expect_word_is_a_positioned_parse_error(
+            self, task, line, col, word, capsys, monkeypatch):
+        text = NAMED_EXAMPLE + task + "\n"
+        with pytest.raises(ProblemSyntaxError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["run", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("parse error: %d:%d: expect must be none or found, got %r\n"
+                       % (line, col, word))
+
     def test_telescope_task_shape(self):
         pf = parse("""
             algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
@@ -154,6 +170,33 @@ class TestRun:
         status, text = run(pf, out=buf)
         assert status == 0
         assert "dim I = empty" in text
+
+    @pytest.mark.parametrize("algebra", [
+        "<Dn: difference(n), Dk: difference(k)>",
+        "<Sn: shift(n), Sk: shift(k)>",
+    ], ids=["difference", "shift"])
+    def test_growth_exact_on_the_zero_ideal(self, algebra, capsys, monkeypatch):
+        text = "algebra Q(n, k) %s; ideal Z = [0]; growth exact Z over k;" % algebra
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["run", "-"]) == 1
+        captured = capsys.readouterr()
+        out = captured.out + captured.err
+        assert out.startswith("growth: error: ")
+        assert out.count("\n") == 1 and "Traceback" not in out
+
+    @pytest.mark.parametrize("task, status", [
+        ("telescope B over Sk maxdeg 2 expect found;", 0),
+        ("telescope B over Sk maxdeg 2 expect none;", 1),
+        ("telescope B over Sk maxdeg 1 expect none;", 0),
+        ("telescope B over Sk maxdeg 1 expect found;", 1),
+        ("zeilberger B over Sk dega 1 degb 0 expect found;", 0),
+        ("zeilberger B over Sk dega 1 degb 0 expect none;", 1),
+        ("zeilberger B over Sk dega 0 degb 0 expect none;", 0),
+        ("zeilberger B over Sk dega 0 degb 0 expect found;", 1),
+    ])
+    def test_expect_sets_the_exit_status(self, task, status):
+        pf = parse(NAMED_EXAMPLE + task)
+        assert run(pf, out=io.StringIO())[0] == status
 
     def test_parse_error_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("algebra Q(n <"))

@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from orecalc import telescoping
+from orecalc import groebner, telescoping
 from orecalc.arith import MPoly, PolyRing, RatFunc, nullspace_selected
 from orecalc.cli import parse
 from orecalc.closure import closure_product
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.errors import MultipleTelescopingVars
-from orecalc.groebner import LeftIdeal, is_member
+from orecalc.groebner import GREVLEX, GRLEX, LeftIdeal, is_member
 from orecalc.ore import (
     OreKind,
+    OrePoly,
     coefficient_rows,
+    difference_to_shift,
     exponents_up_to,
     shift_to_difference,
 )
@@ -88,6 +90,20 @@ class TestExtract:
         assert _monic_like(res.certificates["Sk"]) == _monic_like(
             shift_to_difference(B8, ["Sk"]))
 
+    def test_shift_ideal_gives_the_same_split(self):
+        # the difference-form Q against I itself, in shift form
+        alg = algebra_nmkl()
+        I = double_stirling_ideal(alg)
+        A = double_stirling_telescoper(alg)
+        m = alg.var("m")
+        Sn, Sm, Sl, Sk = (alg.gen(g) for g in ("Sn", "Sm", "Sl", "Sk"))
+        Q = A + (Sk - alg.one) * ((m + 1) * Sm * Sl - Sm * Sn * Sl + Sl)
+        Qd = shift_to_difference(Q, ["Sk"])
+        Id = LeftIdeal(Qd.algebra, [shift_to_difference(g, ["Sk"])
+                                    for g in I.generators])
+        got, want = (extract_telescoper(Qd, J, ["Sk"]) for J in (I, Id))
+        assert got == want and got.membership_checked
+
     def test_pure_delta_multiple_recovery(self):
         # Q = Dt in <Dt>: remainder zero, one witness multiplication
         # recovers a constant telescoper
@@ -135,6 +151,20 @@ class TestDeepDegeneracy:
         assert [str(r.telescoper) for r in out.results] == [
             "-Sn + 1", "-Sn^2 + 1", "-Sn^3 + 1"]
         assert all(r.membership_checked for r in out.results)
+
+    def test_ansatz_in_the_unit_ideal(self):
+        # Dk^2 splits down to the candidate 1, which is in the unit ideal
+        # with zero certificates; the ideal is given in shift form
+        from orecalc.ore import OreAlgebra, OreGenerator
+        alg = OreAlgebra(["n", "k"],
+                         [OreGenerator("Sn", OreKind.SHIFT, "n"),
+                          OreGenerator("Sk", OreKind.SHIFT, "k")])
+        I = LeftIdeal(alg, [alg.gen("Sk") - alg.scalar(2), alg.gen("Sk")])
+        Dk = shift_to_difference(alg.gen("Sk"), ["Sk"]) - 1
+        res = extract_telescoper(Dk ** 2, I, ["Sk"])
+        assert res.telescoper == Dk.algebra.one
+        assert all(c.is_zero() for c in res.certificates.values())
+        assert res.membership_checked
 
     def test_extract_without_certificate_raises(self):
         from orecalc.errors import NoTelescopableVariable
@@ -440,11 +470,18 @@ def _rref(vectors):
     return rows[:rank]
 
 
+def _difference_ideal(I, t_names):
+    """I with the shift generators `t_names` rewritten as differences, as a
+    new ideal whose basis is computed from scratch."""
+    return LeftIdeal(shift_to_difference(I.algebra.one, t_names).algebra,
+                     [shift_to_difference(g, t_names) for g in I.generators])
+
+
 def _assert_same_kernel(I, t_names, deg):
     """The t-free kernels at degree `deg` from the rows of the
     difference-form basis and, after transport, from the rows of I's own
     shift basis span the same space; returns its dimension."""
-    work, shift_t = telescoping._difference_form(I, t_names)
+    work = _difference_ideal(I, t_names)
     alg = work.algebra
     K = alg.field
     _, _, t_var_idx = telescoping._t_data(alg, t_names)
@@ -454,7 +491,7 @@ def _assert_same_kernel(I, t_names, deg):
     old = _t_free_kernel(rows, len(monomials), K, t_var_idx)
     rows = telescoping._fasenmyer_rows(I.groebner_basis(), monomials, K)
     new = [telescoping._to_difference_vector(v, monomials, I.algebra,
-                                             shift_t, K)
+                                             t_names, K)
            for v in _t_free_kernel(rows, len(monomials), K, t_var_idx)]
     echelon = _rref(new)
     assert len(echelon) == len(new) == len(old)
@@ -546,3 +583,73 @@ class TestShiftRowsMatchDifferenceRows:
         I = make()
         for deg in (1, 2, 3):
             _assert_same_kernel(I, [t_name], deg)
+
+
+# -- one basis per ideal: the transport of bases and normal forms ----------------
+
+
+def _assert_transport_commutes(I, t_names, order):
+    """For T: S = Delta + 1, the difference-form Buchberger basis is T of
+    the shift basis, element by element, and NF_Delta(T f) = T(NF_S f) on
+    every monomial of degree <= 2, taken from either side."""
+    Id = _difference_ideal(I, t_names)
+    gb, gbd = I.groebner_basis(order), Id.groebner_basis(order)
+    assert [shift_to_difference(g, t_names) for g in gb] == list(gbd)
+    one = RatFunc.one(I.algebra.field)
+    for e in exponents_up_to(I.algebra.ngens, 2):
+        shift_mono = OrePoly(I.algebra, {e: one})
+        assert gbd.normal_form(shift_to_difference(shift_mono, t_names)) == \
+            shift_to_difference(OrePoly(I.algebra, gb.phi(e)), t_names)
+        diff_mono = OrePoly(Id.algebra, {e: one})
+        assert gbd.normal_form(diff_mono) == shift_to_difference(
+            gb.normal_form(difference_to_shift(diff_mono, t_names)), t_names)
+
+
+class TestTransportOfBases:
+    """Telescoping reads every difference-form normal form off the shift
+    basis.  The oracle is a difference-form ideal built here, with its own
+    Buchberger run."""
+
+    @pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=["grevlex", "grlex"])
+    @pytest.mark.parametrize("make", [_random_hypergeometric_ideal,
+                                      _random_second_order_ideal],
+                             ids=["hypergeometric", "second_order"])
+    def test_random_shift_ideals(self, make, order):
+        rng = random.Random(0xD5)
+        for _ in range(10):
+            _assert_transport_commutes(make(rng), ["Sk"], order)
+
+    @pytest.mark.parametrize("order", [GREVLEX, GRLEX], ids=["grevlex", "grlex"])
+    @pytest.mark.parametrize("make, t_names", [
+        (binomial_ideal, ["Sk"]),
+        (stirling_ideal, ["Sk"]),
+        (stirling_ideal, ["Sl"]),
+        (nonproper_ideal, ["Sk"]),
+        (abel_ideal, ["Sk"]),
+        (double_stirling_ideal, ["Sk"]),
+        (double_stirling_ideal, ["Sk", "Sl"]),
+    ], ids=["binomial", "stirling-Sk", "stirling-Sl", "nonproper", "abel",
+            "double_stirling-Sk", "double_stirling-Sk,Sl"])
+    def test_corpus_ideals(self, make, t_names, order):
+        _assert_transport_commutes(make(), t_names, order)
+
+
+def test_one_basis_per_ideal(monkeypatch):
+    """Fasenmyer and then Zeilberger on one ideal run Buchberger once for
+    it, and never for a difference form of it.  The only other basis is
+    that of Fasenmyer's telescopers in the x-subalgebra, whose dimension
+    the search reports."""
+    built = []
+    real = groebner.buchberger
+
+    def recorded(generators, order=GREVLEX, algebra=None):
+        built.append(algebra)
+        return real(generators, order, algebra)
+
+    monkeypatch.setattr(groebner, "buchberger", recorded)
+    I = binomial_ideal()
+    assert fasenmyer_search(I, ["Sk"], 2).results
+    res, _ = zeilberger_search(I, "Sk", 1, 0)
+    assert res is not None and res.membership_checked
+    xalg = telescoping.x_subalgebra(I.algebra, ["Sk"])
+    assert [a for a in built if a != xalg] == [I.algebra]
