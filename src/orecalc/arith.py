@@ -898,13 +898,15 @@ def _modp_lift(f, ring, p):
 # products this engine generates, where the expanded forms explode
 
 
-def _mult_of(b: MPoly, f: MPoly) -> int:
-    """Multiplicity of b in f (b from a coprime base: divides or is coprime)."""
-    count = 0
-    while divides(b, f):
-        f = exact_div(f, b)
-        count += 1
-    return count
+def _divide_out(b: MPoly, f: MPoly):
+    """(k, f / b^k) for the largest k with b^k dividing f (b non-constant)."""
+    k = 0
+    while True:
+        try:
+            f = exact_div(f, b)
+        except ValueError:
+            return k, f
+        k += 1
 
 
 def _coprime_insert(base: list, q: MPoly) -> None:
@@ -931,34 +933,36 @@ def _coprime_insert(base: list, q: MPoly) -> None:
         if g == f:
             if g == x:
                 continue  # fully covered
-            xr = x
-            while divides(g, xr):
-                xr = exact_div(xr, g)
-            stack.append(xr.monic() if not xr.is_constant() else xr)
+            stack.append(_divide_out(g, x)[1].monic())
             continue
         del base[i]
         stack.append(g)
-        fr = f
-        while divides(g, fr):
-            fr = exact_div(fr, g)
-        if not fr.is_constant():
-            stack.append(fr.monic())
-        xr = x
-        while divides(g, xr):
-            xr = exact_div(xr, g)
-        if not xr.is_constant():
-            stack.append(xr.monic())
+        stack.append(_divide_out(g, f)[1].monic())
+        stack.append(_divide_out(g, x)[1].monic())
 
 
 def factored_merge(A: dict, q: MPoly, m: int, combine) -> None:
     """A := A (combine) q^m in place; combine is max (lcm) or add (product).
 
-    Keys stay pairwise coprime: the base refines itself against q and the
-    old entries are re-expressed over the refined base when needed."""
+    Keys stay pairwise coprime.  When trial division by the keys already in
+    A takes q down to a constant, q is a product of keys and only their
+    multiplicities change; otherwise the base refines itself against q and
+    the old entries are re-expressed over the refined base when needed."""
     if m <= 0:
         return
     q = q.monic()
     if q.is_constant():
+        return
+    rest, mults = q, {}
+    for b in A:
+        if rest.is_constant():
+            break
+        j, rest = _divide_out(b, rest)
+        if j:
+            mults[b] = j
+    if rest.is_constant():
+        for b, j in mults.items():
+            A[b] = combine(A[b], m * j)
         return
     base = list(A.keys())
     _coprime_insert(base, q)
@@ -971,11 +975,11 @@ def factored_merge(A: dict, q: MPoly, m: int, combine) -> None:
                 if f is b or f == b:
                     s += mf
                 else:
-                    s += mf * _mult_of(b, f)
+                    s += mf * _divide_out(b, f)[0]
             if s:
                 A[b] = s
     for b in base:
-        j = _mult_of(b, q)
+        j = _divide_out(b, q)[0]
         if j:
             A[b] = combine(A.get(b, 0), m * j)
 
@@ -1009,7 +1013,23 @@ def squarefree_part(a: MPoly, var_indices) -> MPoly:
 
 
 class RatFunc:
-    """Normalized fraction of two MPoly: gcd(num, den) = 1 and den monic."""
+    """Normalized fraction of two MPoly: gcd(num, den) = 1 and den monic.
+
+    `__init__` is the one normalising constructor.  The field operations
+    build their results with `_raw`, taking gcds only where a common factor
+    can survive (Henrici's rules; Knuth, TAOCP 2, 4.5.1):
+
+    - a/b + c/d with g = gcd(b, d): if g = 1 the sum is (ad + cb)/(bd).
+      Otherwise t = a(d/g) + c(b/g) over b(d/g), and only h = gcd(t, g)
+      can cancel: a prime dividing b/g divides c(b/g) but neither a nor
+      d/g, so it does not divide t, and likewise for d/g.  A polynomial
+      operand (b or d = 1) needs no gcd at all.
+    - (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
+      g2 = gcd(c, b), since a, b and c, d are coprime already.
+
+    Both results are coprime, and their denominators are products and
+    quotients of monic polynomials, so monic: the same pair `__init__`
+    would build from the unreduced fraction."""
 
     __slots__ = ("num", "den")
 
@@ -1077,9 +1097,29 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == other.den.terms:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.terms:
+            return other
+        if not c.terms:
+            return self
+        if b.is_one():
+            return RatFunc._raw(a * d + c, d)
+        if d.is_one():
+            return RatFunc._raw(a + c * b, b)
+        if b.terms == d.terms:
+            g, num, dg = b, a + c, None
+        else:
+            g = poly_gcd(b, d)
+            if g.is_one():
+                return RatFunc._raw(a * d + c * b, b * d)
+            dg = exact_div(d, g)
+            num = a * dg + c * exact_div(b, g)
+        if not num.terms:
+            return RatFunc.zero(num.ring)
+        h = poly_gcd(num, g)
+        if not h.is_one():
+            num, b = exact_div(num, h), exact_div(b, h)
+        return RatFunc._raw(num, b if dg is None else b * dg)
 
     __radd__ = __add__
 
@@ -1104,7 +1144,18 @@ class RatFunc:
             return other
         if other.is_one():
             return self
-        return RatFunc(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not a.terms or not c.terms:
+            return RatFunc.zero(a.ring)
+        if not (d.is_one() or a.is_constant()):
+            g1 = poly_gcd(a, d)
+            if not g1.is_one():
+                a, d = exact_div(a, g1), exact_div(d, g1)
+        if not (b.is_one() or c.is_constant()):
+            g2 = poly_gcd(c, b)
+            if not g2.is_one():
+                c, b = exact_div(c, g2), exact_div(b, g2)
+        return RatFunc._raw(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -1112,9 +1163,7 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -1122,15 +1171,18 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        lc = self.num.leading_coeff()
+        if lc == 1:
+            return RatFunc._raw(self.den, self.num)
+        return RatFunc._raw(self.den * (1 / lc), self.num * (1 / lc))
 
     def __pow__(self, n):
         if n == 0:
             return RatFunc.one(self.ring)
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc._raw(self.num ** n, self.den ** n) if self.den.is_one() \
-            else RatFunc(self.num ** n, self.den ** n)
+        # powers of coprime polynomials stay coprime, of monic ones monic
+        return RatFunc._raw(self.num ** n, self.den ** n)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):

@@ -483,10 +483,11 @@ class Parser:
             self.expect(";")
             return Task("dim", {"ideal": name})
         if kind == "closure":
-            sub = self.expect_name().text
+            w = self.expect_name()
+            sub = w.text
             if sub not in ("product", "sum", "apply"):
                 raise ProblemSyntaxError("closure kind must be product, sum, or apply",
-                                         t.line, t.col)
+                                         w.line, w.col)
             data = {"op": sub}
             if sub == "apply":
                 data["gen"] = self.expect_name_at(pos)
@@ -502,10 +503,11 @@ class Parser:
             self.expect(";")
             return Task("closure", data, pos)
         if kind == "growth":
-            method = self.expect_name().text
+            w = self.expect_name()
+            method = w.text
             if method not in ("exact", "probe"):
                 raise ProblemSyntaxError("growth method must be exact or probe",
-                                         t.line, t.col)
+                                         w.line, w.col)
             name = self.expect_name().text
             self.expect("over")
             tvars = [self.expect_name_at(pos)]

@@ -97,7 +97,7 @@ def _zero_dimensional_dd(I: LeftIdeal, order):
     ideal in a difference-differential algebra; raises otherwise."""
     kinds = _classify(I.algebra)
     if hilbert_dimension(I, order) != 0:
-        raise NotZeroDimensional("uniform reduction needs a 0-dimensional ideal")
+        raise NotZeroDimensional("ideal is not 0-dimensional")
     return kinds
 
 
