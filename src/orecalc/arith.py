@@ -168,10 +168,22 @@ class MPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, MPoly):
+        # a constant factor scales the other operand's terms and keeps its
+        # exponent keys; a unit factor returns it, as MPoly is never mutated
+        if isinstance(other, MPoly):
+            if other.is_constant():
+                c = other.constant_value()
+            elif self.is_constant():
+                self, c = other, self.constant_value()
+            else:
+                c = None
+        else:
             c = Fraction(other)
+        if c is not None:
             if c == 0:
                 return self.ring.zero
+            if c == 1:
+                return self
             return MPoly(self.ring, {e: v * c for e, v in self.terms.items()})
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -449,21 +461,42 @@ def divides(g: MPoly, f: MPoly) -> bool:
 
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """Monic gcd; poly_gcd(0, b) is the monic normalization of b."""
+    return poly_cofactors(a, b)[0]
+
+
+def poly_cofactors(a: MPoly, b: MPoly):
+    """(g, a/g, b/g) with g = poly_gcd(a, b), the quotients exact.
+
+    They are the quotients the gcd's verifying division computed, so no
+    caller divides twice.  A trivial gcd returns a and b themselves; for
+    a = b = 0 all three are 0."""
+    ring = a.ring
     if a.is_zero():
-        return b.monic()
+        return b.monic(), a, ring.const(b.leading_coeff()) if b else b
     if b.is_zero():
-        return a.monic()
+        return a.monic(), ring.const(a.leading_coeff()), b
     if a.is_constant() or b.is_constant():
-        return a.ring.one
+        return ring.one, a, b
     if a.terms == b.terms:
-        return a.monic()
-    return _modular_gcd(a.primitive(), b.primitive()).monic()
+        lc = ring.const(a.leading_coeff())
+        return a.monic(), lc, lc
+    ca, cb = a.rational_content(), b.rational_content()
+    g, qa, qb = _modular_gcd(_scaled(a, 1 / ca), _scaled(b, 1 / cb))
+    if g.is_one():
+        return g, a, b
+    lc = g.leading_coeff()
+    return g.monic(), _scaled(qa, ca * lc), _scaled(qb, cb * lc)
+
+
+def _scaled(f: MPoly, c: Fraction) -> MPoly:
+    # f * c, with no call (and no traced product) when c is 1
+    return f if c == 1 else f * c
 
 
 def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
     if a.is_zero() or b.is_zero():
         return a.ring.zero
-    return exact_div(a * b, poly_gcd(a, b)).monic()
+    return (a * poly_cofactors(a, b)[2]).monic()
 
 
 def denominator_lcm(values, ring) -> MPoly:
@@ -513,15 +546,41 @@ def _proth_prime(n) -> bool:
     return False
 
 
-def _modular_gcd(a: MPoly, b: MPoly) -> MPoly:
-    """Gcd of integer-primitive a, b via gcd mod p plus interpolation.
+def _modular_gcd(a: MPoly, b: MPoly):
+    """(h, a/h, b/h) for integer-primitive a, b and h their primitive gcd.
 
-    A nontrivial candidate is accepted only after exact trial division, so
-    the only soundness obligation kept internally is the "gcd is 1" path,
-    which the leading-coefficient checks certify.  A prime that divides a
-    leading coefficient, meets persistent bad luck or gives a lift that
-    fails trial division is passed over for the next one.
+    First, image bounds (Brown 1971).  For each variable v both operands
+    contain, a and b are taken mod `_IMAGE_PRIME` at `_IMAGE_POINT` in every
+    variable but v.  By Gauss's lemma h divides a over Z, so lc_v(h)
+    divides lc_v(a); where lc_v(a) does not vanish at the point, the image
+    of h keeps its degree in v and divides the image of a.  So the degree
+    of the univariate gcd of the images bounds deg_v(h) whenever neither
+    leading coefficient vanishes; a variable only one operand contains has
+    bound 0.  All bounds 0 means h = 1.  An operand whose degrees meet
+    every bound is the only candidate, accepted once it divides the other
+    operand exactly.
+
+    Otherwise, or when a leading coefficient vanishes at the point, the
+    gcd comes from gcds mod p plus dense interpolation.  A nontrivial
+    candidate is accepted only after exact trial division, and those
+    divisions give the quotients, so the only soundness obligation kept
+    internally is the "gcd is 1" path, which the leading-coefficient
+    checks certify.  A prime that divides a leading coefficient, meets
+    persistent bad luck or gives a lift that fails trial division is
+    passed over for the next one.
     """
+    one = a.ring.one
+    bounds = _image_bounds(a, b)
+    if bounds is not None:
+        if not any(bounds):
+            return one, a, b
+        for f, other in ((a, b), (b, a)):
+            if _degrees(f) == bounds:
+                try:
+                    q = exact_div(other, f)
+                except ValueError:
+                    continue
+                return (f, one, q) if f is a else (f, q, one)
     active = sorted(a.variables() | b.variables())
     la = a.leading_coeff().numerator
     lb = b.leading_coeff().numerator
@@ -537,12 +596,84 @@ def _modular_gcd(a: MPoly, b: MPoly) -> MPoly:
         if res is None:
             continue
         if _modp_is_constant(res):
-            return a.ring.one
+            return one, a, b
         lead = max(res, key=_grevlex_key)
         res = _modp_scale(res, gamma % p * pow(res[lead], -1, p) % p, p)
         cand = _modp_lift(res, a.ring, p).primitive()
-        if divides(cand, a) and divides(cand, b):
-            return cand
+        try:
+            return cand, exact_div(a, cand), exact_div(b, cand)
+        except ValueError:
+            continue
+
+
+# The module's mod-p decisions (gcd image bounds, row selection) are made at
+# this point mod this prime, variable i taking _IMAGE_POINT[i % 16].  Both
+# are fixed, so a result depends on no hidden state; an unlucky point only
+# sends a gcd down the interpolating path or a solve into more verifying
+# rounds.
+_IMAGE_PRIME = 2 ** 61 - 1
+_IMAGE_POINT = tuple(random.Random(0x6CD).sample(range(2, _IMAGE_PRIME), 16))
+
+
+def _image_point(nvars) -> list:
+    return [_IMAGE_POINT[i % len(_IMAGE_POINT)] for i in range(nvars)]
+
+
+def _degrees(f: MPoly) -> list:
+    """deg_v(f) for every variable v of the ring (f nonzero)."""
+    return [max(col) for col in zip(*f.terms)]
+
+
+def _image_bounds(a: MPoly, b: MPoly):
+    """Per variable v, deg_v of the gcd of the images of the
+    integer-coefficient a and b mod `_IMAGE_PRIME` with every other
+    variable at `_IMAGE_POINT`, and 0 where one of them lacks v; None when
+    lc_v(a) or lc_v(b) vanishes there."""
+    p = _IMAGE_PRIME
+    point = _image_point(a.ring.nvars)
+    da, db = _degrees(a), _degrees(b)
+    wa, wb = _term_values_mod_p(a, point, p), _term_values_mod_p(b, point, p)
+    bounds = [0] * len(point)
+    for v, x in enumerate(point):
+        if not (da[v] and db[v]):
+            continue
+        inv = pow(x, -1, p)
+        ia = _image_in(wa, v, da[v], inv, p)
+        ib = _image_in(wb, v, db[v], inv, p)
+        if not (ia[-1] and ib[-1]):
+            return None
+        bounds[v] = len(_modp_univ_gcd(ia, ib, p)) - 1
+    return bounds
+
+
+def _term_values_mod_p(f: MPoly, point, p):
+    """(exponent, value mod p at the point) per term of f; None when p
+    divides a coefficient denominator."""
+    out = []
+    for e, c in f.terms.items():
+        den = c.denominator
+        if den == 1:
+            w = c.numerator % p
+        elif den % p:
+            w = c.numerator * pow(den, -1, p) % p
+        else:
+            return None
+        for x, d in zip(point, e):
+            if d:
+                w = w * pow(x, d, p) % p
+        out.append((e, w))
+    return out
+
+
+def _image_in(values, v, deg, inv, p):
+    """Dense coefficients in x_v of the image whose term values are
+    `values`, inv being the inverse of x_v's point value: each term's x_v
+    factor is divided back out."""
+    coeffs = [0] * (deg + 1)
+    for e, w in values:
+        d = e[v]
+        coeffs[d] += w * pow(inv, d, p) if d else w
+    return [c % p for c in coeffs]
 
 
 def _modp_is_constant(f):
@@ -1045,10 +1176,7 @@ class RatFunc:
                 num = num * (1 / den.constant_value())
                 den = den.ring.one
             else:
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = exact_div(num, g)
-                    den = exact_div(den, g)
+                _, num, den = poly_cofactors(num, den)
                 lc = den.leading_coeff()
                 if lc != 1:
                     num = num * (1 / lc)
@@ -1107,18 +1235,18 @@ class RatFunc:
         if d.is_one():
             return RatFunc._raw(a + c * b, b)
         if b.terms == d.terms:
-            g, num, dg = b, a + c, None
+            g, num, bg, dg = b, a + c, None, None
         else:
-            g = poly_gcd(b, d)
+            g, bg, dg = poly_cofactors(b, d)
             if g.is_one():
                 return RatFunc._raw(a * d + c * b, b * d)
-            dg = exact_div(d, g)
-            num = a * dg + c * exact_div(b, g)
+            num = a * dg + c * bg
         if not num.terms:
             return RatFunc.zero(num.ring)
-        h = poly_gcd(num, g)
+        h, num_h, g_h = poly_cofactors(num, g)
         if not h.is_one():
-            num, b = exact_div(num, h), exact_div(b, h)
+            # b/h = (g/h)(b/g)
+            num, b = num_h, g_h if bg is None else g_h * bg
         return RatFunc._raw(num, b if dg is None else b * dg)
 
     __radd__ = __add__
@@ -1148,13 +1276,9 @@ class RatFunc:
         if not a.terms or not c.terms:
             return RatFunc.zero(a.ring)
         if not (d.is_one() or a.is_constant()):
-            g1 = poly_gcd(a, d)
-            if not g1.is_one():
-                a, d = exact_div(a, g1), exact_div(d, g1)
+            _, a, d = poly_cofactors(a, d)
         if not (b.is_one() or c.is_constant()):
-            g2 = poly_gcd(c, b)
-            if not g2.is_one():
-                c, b = exact_div(c, g2), exact_div(b, g2)
+            _, c, b = poly_cofactors(c, b)
         return RatFunc._raw(a * c, b * d)
 
     __rmul__ = __mul__
@@ -1384,22 +1508,23 @@ def _finalize_ratfunc_vector_rat(vec, ring):
 
 
 def nullspace_selected(rows, ncols, ring) -> list:
-    """Nullspace of an MPoly matrix using a specialized row preselection.
+    """Nullspace of an MPoly matrix, solved exactly on a selection of rows.
 
-    A random integer specialization identifies a maximal independent row
-    set; the exact kernel of those rows is computed and then verified
-    against every remaining row, pulling in violated rows and repeating.
-    Sound: specialization rank is a lower bound on generic rank, and the
-    final kernel is checked exactly.
+    Each row is reduced at `_IMAGE_POINT` mod `_IMAGE_PRIME` into one
+    echelon (`_echelon_insert_mod_p`), and the rows that add rank are
+    selected.  A row with a coefficient denominator p divides is skipped,
+    so the selection's rank is at most the generic rank over Q(x): rank
+    ncols proves the kernel is {0}.  Otherwise the exact kernel of the
+    selected rows is computed and then verified against every remaining
+    row, pulling in violated rows and repeating, so the kernel returned is
+    checked exactly against the whole matrix.
     """
-    rng = random.Random(0x9A7)
     rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
     if not rows:
         return [[RatFunc.one(ring) if i == j else RatFunc.zero(ring)
                  for i in range(ncols)] for j in range(ncols)]
-    point = [Fraction(rng.randint(11, 10 ** 6)) for _ in ring.names]
-    rank, selected = _row_basis_at_point(rows, ncols, point)
-    if rank == ncols:
+    selected = _row_basis_mod_p(rows, ncols, _image_point(ring.nvars), _IMAGE_PRIME)
+    if len(selected) == ncols:
         return []
     sub = [rows[i] for i in selected]
     rest = [rows[i] for i in range(len(rows)) if i not in set(selected)]
@@ -1425,29 +1550,46 @@ def nullspace_selected(rows, ncols, ring) -> list:
         rest = [r for r in rest if r is not bad]
 
 
-def _row_basis_at_point(rows, ncols, point):
-    spec = [[x.eval_point(point) for x in row] for row in rows]
-    rank = 0
+def _row_basis_mod_p(rows, ncols, point, p) -> list:
+    """Indices of the MPoly rows that add rank to one echelon of their
+    images at the point mod p; a row with a coefficient denominator p
+    divides is skipped."""
+    pivots = {}
     selected = []
-    cols_used = set()
-    rows_left = list(range(len(spec)))
-    for c in range(ncols):
-        pr = next((r for r in rows_left if spec[r][c] != 0), None)
-        if pr is None:
+    for i, row in enumerate(rows):
+        vec = []
+        for x in row:
+            values = _term_values_mod_p(x, point, p)
+            if values is None:
+                break
+            vec.append(sum(w for _, w in values) % p)
+        else:
+            if _echelon_insert_mod_p(pivots, vec, p):
+                selected.append(i)
+                if len(selected) == ncols:
+                    break
+    return selected
+
+
+def _echelon_insert_mod_p(pivots, vec, p) -> bool:
+    """Reduce vec by the echelon rows {col: row with 1 at col and zeros
+    before it}; keep it and return True when it adds rank."""
+    for c in range(len(vec)):
+        a = vec[c]
+        if not a:
             continue
-        rows_left.remove(pr)
-        selected.append(pr)
-        cols_used.add(c)
-        rank += 1
-        pv = spec[pr][c]
-        for r in rows_left:
-            f = spec[r][c]
-            if f:
-                spec[r] = [a - f / pv * b for a, b in zip(spec[r], spec[pr])]
-    return rank, selected
+        piv = pivots.get(c)
+        if piv is None:
+            inv = pow(a, -1, p)
+            pivots[c] = [v * inv % p for v in vec]
+            return True
+        vec = [(v - a * w) % p for v, w in zip(vec, piv)]
+    return False
 
 
 def matrix_rank_at_point(rows, ncols, point) -> int:
-    """Rank of an MPoly matrix specialized at an integer point (may be a
-    lower bound on the generic rank; equality holds generically)."""
-    return _row_basis_at_point(rows, ncols, point)[0]
+    """Rank mod `_IMAGE_PRIME` of an MPoly matrix at an integer point, rows
+    with a coefficient denominator the prime divides left out: a lower
+    bound on the generic rank, equal to it generically."""
+    p = _IMAGE_PRIME
+    return len(_row_basis_mod_p(rows, ncols, [int(x) % p for x in point], p))

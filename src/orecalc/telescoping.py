@@ -20,6 +20,7 @@ from .arith import (
     MPoly,
     RatFunc,
     _acc,
+    _echelon_insert_mod_p,
     _finalize_ratfunc_vector_rat,
     denominator_lcm,
     exact_div,
@@ -529,22 +530,6 @@ def _sample_row_mod_p(images, ts, p):
             return None
         vec.append(_eval_t_mod_p(im[0], ts, p) * pow(den, -1, p) % p)
     return vec
-
-
-def _echelon_insert_mod_p(pivots, vec, p) -> bool:
-    """Reduce vec by the echelon rows {col: row with 1 at col and zeros
-    before it}; keep it and return True when it adds rank."""
-    for c in range(len(vec)):
-        a = vec[c]
-        if not a:
-            continue
-        piv = pivots.get(c)
-        if piv is None:
-            inv = pow(a, -1, p)
-            pivots[c] = [v * inv % p for v in vec]
-            return True
-        vec = [(v - a * w) % p for v, w in zip(vec, piv)]
-    return False
 
 
 # -- Fasenmyer-style search -----------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from orecalc import arith
 from orecalc.arith import (
     MPoly,
     PolyRing,
@@ -10,6 +11,7 @@ from orecalc.arith import (
     divides,
     exact_div,
     nullspace,
+    poly_cofactors,
     poly_gcd,
     poly_lcm,
     squarefree_part,
@@ -62,6 +64,15 @@ class TestMPoly:
         p = n * k + 2
         assert p.eval_point([3, 4]) == 14
 
+    def test_constant_factor_scales_and_keeps_keys(self):
+        p = n * n + 2 * k
+        assert p * R2.one is p and R2.one * p is p and p * 1 is p
+        q = p * R2.const(3)
+        assert q == 3 * p and (R2.const(3) * p).terms == q.terms
+        assert all(a is b for a, b in zip(q.terms, p.terms))
+        assert (p * R2.zero).is_zero() and (R2.zero * p).is_zero()
+        assert (p * 0).is_zero()
+
 
 class TestGcd:
     def test_factor_divides(self):
@@ -110,6 +121,47 @@ class TestGcd:
         x, y = ring.var("x"), ring.var("y")
         f = (2 ** 61 - 1) * (2 ** 89 - 1) * (2 ** 107 - 1) * x + 1
         assert poly_gcd(f * (x + y), f * (x - y)) == f.monic()
+
+    def test_cofactors_of_zero_and_constants(self):
+        a = 3 * k + 6
+        assert poly_cofactors(R2.zero, a) == (k + 2, R2.zero, R2.const(3))
+        assert poly_cofactors(a, R2.zero) == (k + 2, R2.const(3), R2.zero)
+        assert poly_cofactors(R2.zero, R2.zero) == (R2.zero,) * 3
+        g, qa, qb = poly_cofactors(a, R2.const(5))
+        assert g.is_one() and qa is a and qb == 5
+        assert poly_cofactors(a, a) == (k + 2, R2.const(3), R2.const(3))
+
+    def test_coprime_and_divisor_pairs_skip_interpolation(self, monkeypatch):
+        # products of three shifted linear factors, the inputs of the
+        # normal-form walks: their image bounds settle the gcd, so the
+        # interpolating gcd mod p is never reached
+        calls = []
+        real = arith._modp_gcd
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(arith, "_modp_gcd", counted)
+        ring = PolyRing(["n", "k", "l", "m"])
+        v = [ring.var(x) for x in ring.names]
+        pool = [v[0] - v[1] + i for i in range(1, 4)] + \
+            [v[1] + v[2] + i for i in range(3)] + \
+            [v[0] + v[3] + i for i in range(2)] + [v[2] - v[3] + 1]
+        rng = random.Random(0x3F)
+        for _ in range(30):
+            picks = rng.sample(range(len(pool)), 6)
+            a = pool[picks[0]] * pool[picks[1]] * pool[picks[2]]
+            b = pool[picks[3]] * pool[picks[4]] * pool[picks[5]]
+            assert poly_gcd(a, b * Fraction(-2, 3)).is_one()
+            c = a * pool[rng.randrange(len(pool))] * Fraction(5, 7)
+            for f, h in ((a, c), (c, a)):
+                g, qf, qh = poly_cofactors(f, h)
+                assert g == a.monic() and g * qf == f and g * qh == h
+        assert calls == []
+        # a proper common factor still goes through the interpolation
+        assert poly_gcd(pool[0] * pool[3], pool[0] * pool[4]) == pool[0]
+        assert calls
 
     def test_lcm(self):
         a = (k + 1) * (n - k)
