@@ -8,6 +8,7 @@ built on these coefficients.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -899,7 +900,8 @@ def _modp_gcd(f, g, active, p):
         if cf is None or cg is None:
             return None
         return _modp_gcd(cf, cg, rest, p)
-    # split off factors living purely in Zp[xe]; the monic normalization of
+    # split off factors living purely in Zp[xe], the content over Zp[xe]
+    # that Brown's interpolation needs removed; the monic normalization of
     # the interpolation images would silently drop them otherwise
     wf = _modp_univ_content(f, xe, p)
     if len(wf) > 1:
@@ -908,19 +910,6 @@ def _modp_gcd(f, g, active, p):
     if len(wg) > 1:
         g = _modp_exact_div(g, _modp_univ_to_dict(wg, xe, nvars), p)
     w = _modp_univ_gcd(wf, wg, p)
-    cf = _modp_content_wrt(f, xe, rest, p)
-    cg = _modp_content_wrt(g, xe, rest, p)
-    if cf is None or cg is None:
-        return None
-    if not _modp_is_constant(cf):
-        f = _modp_exact_div(f, cf, p)
-    if not _modp_is_constant(cg):
-        g = _modp_exact_div(g, cg, p)
-    cont = _modp_gcd(cf, cg, rest, p)
-    if cont is None:
-        return None
-    if len(w) > 1:
-        cont = _modp_mul(cont, _modp_univ_to_dict(w, xe, nvars), p)
     lead_f = _modp_rest_lead(f, rest)
     lead_g = _modp_rest_lead(g, rest)
     lcf = _modp_lc_univ(f, rest, lead_f, xe)
@@ -1003,7 +992,9 @@ def _modp_gcd(f, g, active, p):
     icont = _modp_univ_content(interp, xe, p)
     if len(icont) > 1:
         interp = _modp_exact_div(interp, _modp_univ_to_dict(icont, xe, nvars), p)
-    return _modp_mul(cont, interp, p) if not _modp_is_constant(cont) else interp
+    if len(w) > 1:
+        interp = _modp_mul(interp, _modp_univ_to_dict(w, xe, nvars), p)
+    return interp
 
 
 def _univ_eval(coeffs, alpha, p):
@@ -1393,27 +1384,51 @@ def nullspace(rows) -> list:
 
 def _clear_row(row, ring):
     """The RatFunc row times the lcm of its denominators, content-free."""
+    return _strip_row_content(_cleared(row, ring), ring)
+
+
+def _cleared(row, ring):
+    """The RatFunc row times `denominator_lcm` of its entries, as MPolys;
+    each distinct denominator's quotient is computed once."""
     den = denominator_lcm(row, ring)
-    out = [x.num * exact_div(den, x.den) if not x.is_zero() else ring.zero
-           for x in row]
-    return _strip_row_content(out, ring)
+    quotients = {}
+    out = []
+    for x in row:
+        if x.is_zero():
+            out.append(ring.zero)
+            continue
+        q = quotients.get(x.den)
+        if q is None:
+            q = quotients[x.den] = exact_div(den, x.den)
+        out.append(x.num * q)
+    return out
 
 
 def _strip_row_content(row, ring):
+    """The MPoly row over the monic gcd g of its entries, or over its
+    rational content when g is 1.  g is folded with `poly_cofactors`, and
+    each entry keeps its quotient: when g shrinks to g', the earlier
+    quotients are multiplied by g/g', so no entry is divided twice."""
     g = ring.zero
-    for x in row:
+    out = list(row)
+    done = []
+    for i, x in enumerate(row):
         if x.is_zero():
             continue
-        g = poly_gcd(g, x)
+        g, shrink, out[i] = poly_cofactors(g, x)
         if g.is_one():
             break
-    if g.is_zero() or g.is_one():
-        # still strip the rational content for compactness
-        c = _rows_rational_content(row)
-        if c not in (0, 1):
-            row = [x * (1 / c) for x in row]
-        return row
-    return [exact_div(x, g) if not x.is_zero() else x for x in row]
+        if not shrink.is_one():
+            for j in done:
+                out[j] = out[j] * shrink
+        done.append(i)
+    if done and not g.is_one():
+        return out
+    # still strip the rational content for compactness
+    c = _rows_rational_content(row)
+    if c not in (0, 1):
+        row = [x * (1 / c) for x in row]
+    return row
 
 
 def _rows_rational_content(row):
@@ -1507,23 +1522,55 @@ def _finalize_ratfunc_vector_rat(vec, ring):
     return [RatFunc.from_poly(p) for p in polys]
 
 
+def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
+    """Basis of the solutions over Q(x) of rows of RatFunc entries over
+    Q(x, t), t the variables t_var_idx: [] when the rows reach rank ncols
+    mod p (`_pivot_rows_mod_p`, which proves there is none), else the
+    exact kernel of their cleared t-expanded rows (`nullspace_selected`).
+    The Fasenmyer search, the Zeilberger search and the certificate ansatz
+    all solve here."""
+    if len(_pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars),
+                             t_var_idx)) == ncols:
+        return []
+    # rebinding frees the rational rows (if the caller holds no other
+    # reference) before the exact solve
+    rows = _t_expanded_rows(rows, ring, t_var_idx)
+    return nullspace_selected(rows, ncols, ring)
+
+
+def _t_expanded_rows(rows, ring, t_var_idx):
+    """Each RatFunc row cleared of its denominators (`_cleared`) and split
+    by powers of t: one MPoly row over Q[x] per t-exponent that occurs.  A
+    vector over Q(x) solves the row exactly when it solves all of them."""
+    out = []
+    tset = set(t_var_idx)
+    for row in rows:
+        groups = {}
+        for ci, f in enumerate(_cleared(row, ring)):
+            for e, c in f.terms.items():
+                te = tuple(e[j] for j in t_var_idx)
+                xe = tuple(0 if j in tset else d for j, d in enumerate(e))
+                _acc(groups.setdefault(te, [{} for _ in row])[ci], xe, c)
+        for _, polys in sorted(groups.items()):
+            out.append([MPoly(ring, terms) for terms in polys])
+    return out
+
+
 def nullspace_selected(rows, ncols, ring) -> list:
     """Nullspace of an MPoly matrix, solved exactly on a selection of rows.
 
-    Each row is reduced at `_IMAGE_POINT` mod `_IMAGE_PRIME` into one
-    echelon (`_echelon_insert_mod_p`), and the rows that add rank are
-    selected.  A row with a coefficient denominator p divides is skipped,
-    so the selection's rank is at most the generic rank over Q(x): rank
-    ncols proves the kernel is {0}.  Otherwise the exact kernel of the
-    selected rows is computed and then verified against every remaining
-    row, pulling in violated rows and repeating, so the kernel returned is
-    checked exactly against the whole matrix.
+    The rows that add rank to one echelon of their images mod p
+    (`_pivot_rows_mod_p`) are selected: rank ncols proves the kernel is
+    {0}.  Otherwise the exact kernel of the selected rows is computed and
+    then verified against every remaining row, pulling in violated rows
+    and repeating, so the kernel returned is checked exactly against the
+    whole matrix.
     """
     rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
     if not rows:
         return [[RatFunc.one(ring) if i == j else RatFunc.zero(ring)
                  for i in range(ncols)] for j in range(ncols)]
-    selected = _row_basis_mod_p(rows, ncols, _image_point(ring.nvars), _IMAGE_PRIME)
+    selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars))
     if len(selected) == ncols:
         return []
     sub = [rows[i] for i in selected]
@@ -1550,25 +1597,106 @@ def nullspace_selected(rows, ncols, ring) -> list:
         rest = [r for r in rest if r is not bad]
 
 
-def _row_basis_mod_p(rows, ncols, point, p) -> list:
-    """Indices of the MPoly rows that add rank to one echelon of their
-    images at the point mod p; a row with a coefficient denominator p
-    divides is skipped."""
-    pivots = {}
-    selected = []
-    for i, row in enumerate(rows):
-        vec = []
+def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
+    """The rows that add rank to one echelon mod `_IMAGE_PRIME`: for each
+    pivot, in order, the index of the row it came from, so the length of
+    the list is the rank found (it stops at ncols).  This is the one mod-p
+    rank: the t-free proof, the row selection and `matrix_rank_at_point`.
+
+    The entries are MPoly or RatFunc over Q(x, t), t the variables
+    t_var_idx (none for a matrix over Q(x)).  Each entry is taken at the
+    point mod p in the x-variables only, as a polynomial in t; the row is
+    then sampled at t_j = point[t_j]^s for s = 1, 2, ..., each sample
+    reduced into the echelon, until two samples in a row add no rank.  A
+    row with a coefficient denominator p divides is skipped, and so is a
+    sample where a denominator vanishes.  Then the rank found is at most
+    the rank over Q(x) of the cleared t-expanded rows (`_t_expanded_rows`),
+    whose kernel is the t-free solutions of the rows:
+
+    - a sample equals a combination, with coefficients t_s^j/D(x, t_s), of
+      the row's cleared t-expanded rows taken at the point;
+    - reducing mod p and setting x to the point is a ring homomorphism on
+      the rational functions whose coefficient denominators are prime to p
+      and whose denominator does not vanish there, and only such entries
+      are sampled;
+    - so a nonzero minor of the samples mod p is the image of a nonzero
+      minor over Q(x).
+
+    Rank ncols therefore proves that no nonzero t-free solution exists; a
+    short rank only costs an exact solve.  The samples need no seed.  For
+    one t the values point[t]^s stay distinct below the order of point[t]
+    mod p, and a nonzero denominator vanishes at no more of them than its
+    t-degree.  A monomial t^a takes the values (point^a)^s, so where the
+    point^a of a row's J monomials are distinct and nonzero, its first J
+    samples are an invertible Vandermonde combination of its t-expanded
+    rows at the point and span what they span, for several t as for one.
+    """
+    p = _IMAGE_PRIME
+    tset = set(t_var_idx)
+    xs = [(i, x) for i, x in enumerate(point) if i not in tset]
+    pivots, out = {}, []
+    for r, row in enumerate(rows):
+        images = []
         for x in row:
-            values = _term_values_mod_p(x, point, p)
-            if values is None:
+            num, den = (x.num, x.den) if isinstance(x, RatFunc) else (x, x.ring.one)
+            pair = (_image_mod_p(num, xs, t_var_idx, p),
+                    _image_mod_p(den, xs, t_var_idx, p))
+            if None in pair:
                 break
-            vec.append(sum(w for _, w in values) % p)
+            images.append(pair)
         else:
-            if _echelon_insert_mod_p(pivots, vec, p):
-                selected.append(i)
-                if len(selected) == ncols:
-                    break
-    return selected
+            misses = 0
+            for s in itertools.count(1) if t_var_idx else (0,):
+                vec = _sample_mod_p(images, [pow(point[j], s, p) for j in t_var_idx], p)
+                if vec is None or not _echelon_insert_mod_p(pivots, vec, p):
+                    misses += 1
+                    if misses == 2:
+                        break
+                    continue
+                out.append(r)
+                if len(out) == ncols:
+                    return out
+                misses = 0
+    return out
+
+
+def _image_mod_p(f: MPoly, xs, t_var_idx, p):
+    """f mod p with each x-variable i set to x for (i, x) in xs, as a dict
+    {t-exponent: value}; None when p divides a coefficient denominator."""
+    out = {}
+    for e, c in f.terms.items():
+        if c.denominator % p == 0:
+            return None
+        v = c.numerator * pow(c.denominator, -1, p) % p
+        for i, x in xs:
+            if e[i]:
+                v = v * pow(x, e[i], p) % p
+        te = tuple(e[j] for j in t_var_idx)
+        out[te] = (out.get(te, 0) + v) % p
+    return out
+
+
+def _sample_mod_p(images, ts, p):
+    """The row of (num, den) images at t = ts mod p, or None where a
+    denominator vanishes."""
+    powers = {}  # t^te at ts, shared by the row's entries
+
+    def at(image):
+        s = 0
+        for te, c in image.items():
+            m = powers.get(te)
+            if m is None:
+                m = powers[te] = math.prod(pow(t, d, p) for t, d in zip(ts, te)) % p
+            s += c * m
+        return s % p
+
+    vec = []
+    for num, den in images:
+        d = at(den)
+        if not d:
+            return None
+        vec.append(at(num) * pow(d, -1, p) % p)
+    return vec
 
 
 def _echelon_insert_mod_p(pivots, vec, p) -> bool:
@@ -1591,5 +1719,4 @@ def matrix_rank_at_point(rows, ncols, point) -> int:
     """Rank mod `_IMAGE_PRIME` of an MPoly matrix at an integer point, rows
     with a coefficient denominator the prime divides left out: a lower
     bound on the generic rank, equal to it generically."""
-    p = _IMAGE_PRIME
-    return len(_row_basis_mod_p(rows, ncols, [int(x) % p for x in point], p))
+    return len(_pivot_rows_mod_p(rows, ncols, [int(x) for x in point]))

@@ -12,21 +12,16 @@ shift basis onto the reduced difference-form basis and NF_Delta(T f) = T(NF_S f)
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import (
     MPoly,
     RatFunc,
     _acc,
-    _echelon_insert_mod_p,
     _finalize_ratfunc_vector_rat,
+    _t_free_kernel,
     denominator_lcm,
-    exact_div,
-    factored_expand,
-    factored_merge,
-    nullspace_selected,
+    exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
     poly_gcd,
     poly_lcm,
     squarefree_part,
@@ -363,175 +358,6 @@ def _ansatz_coeff(K, tv, d, D) -> RatFunc:
     return RatFunc(K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars))), D)
 
 
-def _t_free_kernel(rows, ncols, K, t_var_idx) -> list:
-    """Basis of the solutions over Q(x) of rows of RatFunc entries over
-    Q(x, t): [] when `_full_rank_mod_p` proves there is none, else the exact
-    kernel of the cleared t-expanded rows."""
-    if rows and _full_rank_mod_p(rows, ncols, K, t_var_idx):
-        return []
-    # rebinding frees the rational rows (if the caller holds no other
-    # reference) before the exact solve
-    rows = _t_expanded_rows(rows, K, t_var_idx)
-    return nullspace_selected(rows, ncols, K)
-
-
-def _t_expanded_rows(rows, K, t_var_idx):
-    """Clear each row's denominators and compare t-coefficients.
-
-    The row lcm is accumulated in factored form: denominators here are
-    products of shifted factors whose expanded lcm chains would otherwise
-    dominate the runtime."""
-    out = []
-    tset = set(t_var_idx)
-    for row in rows:
-        fact = {}
-        seen = set()
-        for x in row:
-            if not x.is_zero() and not x.den.is_one():
-                key = frozenset(x.den.terms.items())
-                if key not in seen:
-                    seen.add(key)
-                    factored_merge(fact, x.den, 1, max)
-        den = factored_expand(fact, K)
-        quotients = {}
-        cleared = []
-        for x in row:
-            if x.is_zero():
-                cleared.append(K.zero)
-            elif x.den.is_one():
-                cleared.append(x.num * den if not den.is_one() else x.num)
-            else:
-                key = frozenset(x.den.terms.items())
-                q = quotients.get(key)
-                if q is None:
-                    q = exact_div(den, x.den)
-                    quotients[key] = q
-                cleared.append(x.num * q)
-        groups = {}
-        for ci, p in enumerate(cleared):
-            for e, c in p.terms.items():
-                tkey = tuple(e[j] for j in t_var_idx)
-                xe = tuple(0 if j in tset else d for j, d in enumerate(e))
-                g = groups.setdefault(tkey, [dict() for _ in row])
-                cur = g[ci]
-                cur[xe] = cur.get(xe, Fraction(0)) + c
-        for tkey, polys in sorted(groups.items()):
-            out.append([MPoly(K, {e: c for e, c in p.items() if c})
-                        for p in polys])
-    return out
-
-
-# The certificate's modulus and the seed of its sample points.  Both are fixed,
-# so a run depends on no hidden state; an unlucky draw only sends a degree
-# down the exact path, it never changes a result.
-_CERT_PRIME = 2 ** 61 - 1
-_CERT_SEED = 0xFA5E
-
-
-def _full_rank_mod_p(rows, ncols, K, t_var_idx) -> bool:
-    """True only if the rows admit no nonzero t-free solution.
-
-    The rows hold RatFunc entries over Q(x, t); a solution is a vector c
-    over Q(x) with row . c = 0 for every row, i.e. a kernel vector of the
-    cleared t-expanded rows of `_t_expanded_rows`.  The x-variables are set
-    to one random point x0 mod p, and each row is sampled at random
-    t-values t_s into an incremental row echelon mod p; a row is dropped
-    after two samples in a row that add no rank.  Reaching rank ncols
-    proves the kernel empty:
-
-    - each sampled row r(x, t_s) equals 1/D(x, t_s) times a combination,
-      with coefficients t_s^j, of the row's cleared t-expanded rows, so a
-      solution c satisfies r(x, t_s) . c = 0 as well;
-    - reducing mod p and setting x = x0 is a ring homomorphism on the
-      rational functions whose coefficient denominators are prime to p and
-      whose denominator does not vanish at x0 mod p, and every sampled
-      entry is one of them (entries that are not are never sampled);
-    - so a nonzero ncols-minor of the sampled vectors mod p is the image of
-      a nonzero minor over Q(x): the sampled rows have full rank ncols over
-      Q(x), and only c = 0 solves them.
-
-    False means "not proven", never "a solution exists".  That is the
-    answer when p divides a coefficient denominator (the row is skipped)
-    or a denominator vanishes at every sample, so an unlucky prime or
-    point costs time, never correctness.
-    """
-    p = _CERT_PRIME
-    rng = random.Random(_CERT_SEED)
-    tset = set(t_var_idx)
-    point = {i: rng.randrange(p) for i in range(K.nvars) if i not in tset}
-    pivots = {}
-    for row in rows:
-        images = _row_images_mod_p(row, point, t_var_idx, p)
-        if images is None:
-            continue
-        misses = 0
-        while misses < 2:
-            ts = [rng.randrange(p) for _ in t_var_idx]
-            vec = _sample_row_mod_p(images, ts, p)
-            if vec is None or not _echelon_insert_mod_p(pivots, vec, p):
-                misses += 1
-                continue
-            if len(pivots) == ncols:
-                return True
-            misses = 0
-    return False
-
-
-def _row_images_mod_p(row, point, t_var_idx, p):
-    """Per entry, None for zero or the (num, den) images at the x-point mod
-    p as dicts over t-exponents; None for the row when p divides a
-    coefficient denominator."""
-    images = []
-    for x in row:
-        if x.is_zero():
-            images.append(None)
-            continue
-        num = _t_image_mod_p(x.num, point, t_var_idx, p)
-        den = _t_image_mod_p(x.den, point, t_var_idx, p)
-        if num is None or den is None:
-            return None
-        images.append((num, den))
-    return images
-
-
-def _t_image_mod_p(f: MPoly, point, t_var_idx, p):
-    out = {}
-    for e, c in f.terms.items():
-        if c.denominator % p == 0:
-            return None
-        v = c.numerator % p * pow(c.denominator, -1, p) % p
-        for i, xv in point.items():
-            if e[i]:
-                v = v * pow(xv, e[i], p) % p
-        te = tuple(e[j] for j in t_var_idx)
-        out[te] = (out.get(te, 0) + v) % p
-    return out
-
-
-def _eval_t_mod_p(image, ts, p):
-    s = 0
-    for te, c in image.items():
-        for t, d in zip(ts, te):
-            if d:
-                c = c * pow(t, d, p) % p
-        s += c
-    return s % p
-
-
-def _sample_row_mod_p(images, ts, p):
-    """The row at t = ts mod p, or None where a denominator vanishes."""
-    vec = []
-    for im in images:
-        if im is None:
-            vec.append(0)
-            continue
-        den = _eval_t_mod_p(im[1], ts, p)
-        if not den:
-            return None
-        vec.append(_eval_t_mod_p(im[0], ts, p) * pow(den, -1, p) % p)
-    return vec
-
-
 # -- Fasenmyer-style search -----------------------------------------------------
 
 
@@ -541,10 +367,11 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     """Search for t-free operators of I by increasing total degree.
 
     At each degree the normal forms of the candidate monomials give rows
-    over C(x, t), and `_t_free_kernel` finds their t-free solutions: a
-    degree whose rows a mod-p rank proof shows to have none is skipped, the
-    other degrees are solved exactly, so every kernel, and every result,
-    comes from exact arithmetic.  Each t-free kernel element is decomposed
+    over C(x, t), and `arith._t_free_kernel` finds their t-free solutions:
+    a degree whose rows reach full rank mod p (the one mod-p rank,
+    `arith._pivot_rows_mod_p`) has none and is skipped, the other degrees
+    are solved exactly, so every kernel, and every result, comes from
+    exact arithmetic.  Each t-free kernel element is decomposed
     into telescoper plus certificates; the search stops once the
     telescopers generate an ideal of dimension at most target_dim (when
     given), else runs the budget.
@@ -659,8 +486,9 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     Returns (TelescopingResult or None, CoupledSystem).  The system rows
     coming from staircase monomials within the B-degree form the square
     coupled part, the higher extraneous rows the constraint part; both are
-    solved at once by `_t_free_kernel`, so the kernel is that of the square
-    part cut down by the constraints.  The rows are in difference form, read
+    solved at once by `arith._t_free_kernel` (a mod-p rank proof first,
+    then the exact solve), so the kernel is that of the square part cut
+    down by the constraints.  The rows are in difference form, read
     off I's own basis (Delta_t*u = S_t*u - u); rows in shift coordinates
     give the same kernel, but their exact solve is several times slower."""
     if isinstance(t_name, (list, tuple)):

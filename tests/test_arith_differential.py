@@ -1,8 +1,9 @@
 """The arithmetic checked against independent oracles: sympy's `cancel`
 for the four RatFunc field operations, the normalising constructor for
 the canonical pair, `poly_lcm` or the plain product for `factored_merge`,
-`sympy.Poly.cofactors` for `poly_gcd` and `poly_cofactors`, and
-`sympy.Matrix.nullspace` for `nullspace_selected`."""
+`sympy.Poly.cofactors` for `poly_gcd` and `poly_cofactors`,
+`sympy.Matrix.nullspace` for `nullspace_selected`, and sympy's own
+t-expansion and nullspace over Q(n) for `_t_free_kernel`."""
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -12,6 +13,8 @@ import pytest
 sympy = pytest.importorskip("sympy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
+
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from orecalc import arith  # noqa: E402
 from orecalc.arith import (  # noqa: E402
@@ -341,7 +344,7 @@ def test_nullspace_selected_skips_a_row_the_prime_divides():
     # out, and the exact verification pulls it back in
     p = arith._IMAGE_PRIME
     rows = [[n * Fraction(1, p), k + 1]]
-    assert arith._row_basis_mod_p(rows, 2, arith._image_point(2), p) == []
+    assert arith._pivot_rows_mod_p(rows, 2, arith._image_point(2)) == []
     assert len(check_kernel(rows, 2)) == 1
 
 
@@ -370,3 +373,112 @@ def test_nullspace_selected_of_a_full_rank_matrix_is_empty(monkeypatch):
     solves = _count_solves(monkeypatch)
     assert check_kernel(rows, 3) == []
     assert solves == []
+
+
+# -- the t-free solve against sympy.Matrix.nullspace ---------------------------------
+
+P = arith._IMAGE_PRIME
+
+
+def _is_zero(x):
+    return sympy.cancel(x) == 0
+
+
+def _over_q_n(rows):
+    """The sympy matrix over Q(n) as a DomainMatrix, whose nullspace and rank
+    are much faster than Matrix's on rational-function entries."""
+    return DomainMatrix.from_Matrix(sympy.Matrix(rows)).to_field()
+
+
+def sympy_t_expanded(rows):
+    """The rows over Q(n)(k) cleared and split by powers of k, by sympy
+    alone: each row over the lcm of its denominators (`together`), then one
+    row of Q[n] coefficients per power of k."""
+    out = []
+    for row in rows:
+        entries = [sympy.fraction(sympy.together(as_sympy(x))) for x in row]
+        den = reduce(sympy.lcm, (q for _, q in entries))
+        cleared = [sympy.Poly(p * sympy.quo(den, q, SN, SK), SK) for p, q in entries]
+        powers = sorted({m for f in cleared for (m,) in f.monoms()})
+        out.extend([f.coeff_monomial(SK ** j) for f in cleared] for j in powers)
+    return out
+
+
+def check_t_free_kernel(rows, ncols):
+    """`_t_free_kernel` with t = k spans the same space over Q(n) as sympy's
+    nullspace of the t-expanded matrix, and its vectors are free of k and
+    solve every row."""
+    kernel = arith._t_free_kernel(rows, ncols, R, (1,))
+    expected = _over_q_n(sympy_t_expanded(rows)).nullspace().to_Matrix().tolist()
+    assert len(kernel) == len(expected)
+    mine = [[as_sympy(v) for v in vec] for vec in kernel]
+    for vec in kernel:
+        assert all(1 not in v.num.variables() | v.den.variables() for v in vec)
+    for vec in mine:
+        for row in rows:
+            assert _is_zero(sum(as_sympy(x) * v for x, v in zip(row, vec)))
+    if kernel:
+        assert _over_q_n(expected + mine).rank() == len(expected)
+    return kernel
+
+
+n_polys = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), min_size=1,
+                   max_size=2).map(lambda ts: reduce(
+                       add, (R.monomial((a, 0), c) for a, c in ts), R.zero))
+
+
+@st.composite
+def t_planted(draw):
+    """(rows, ncols): rows over Q(n)(k), every one orthogonal to d planted
+    vectors over Q[n], e_j + (polynomials in n on the last ncols - d
+    columns), j < d."""
+    ncols = draw(st.integers(2, 4))
+    d = draw(st.integers(0, ncols - 1))
+    free = range(d, ncols)
+    plants = [{f: RatFunc.from_poly(draw(n_polys)) for f in free} for _ in range(d)]
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = [RatFunc.zero(R)] * ncols
+        for f in free:
+            row[f] = draw(ratfuncs())
+        for j, c in enumerate(plants):
+            row[j] = -reduce(add, (row[f] * c[f] for f in free))
+        rows.append(row)
+    return rows, ncols
+
+
+def _count_exact_solves(monkeypatch):
+    solves = []
+    real = arith.nullspace_selected
+    monkeypatch.setattr(arith, "nullspace_selected",
+                        lambda *args: solves.append(args) or real(*args))
+    return solves
+
+
+@hypothesis.settings(SETTINGS, max_examples=25)
+@hypothesis.given(t_planted())
+def test_t_free_kernel_on_planted_kernels(case):
+    check_t_free_kernel(*case)
+
+
+def test_t_free_kernel_of_full_rank_rows_is_proven(monkeypatch):
+    # the samples of these rows at k = point^s reach rank 3 mod p, so the
+    # result is [] and no exact solve runs
+    rows = [[RatFunc.from_poly(n), RatFunc.from_poly(k), RatFunc(ONE, k + 1)],
+            [RatFunc(ONE, n - k), RatFunc.from_poly(n), RatFunc.one(R)]]
+    solves = _count_exact_solves(monkeypatch)
+    assert check_t_free_kernel(rows, 3) == []
+    assert solves == []
+
+
+def test_t_free_kernel_with_a_row_the_prime_divides(monkeypatch):
+    # the first row has coefficient denominators p, so the proof leaves it
+    # out; the second alone has rank 2 < 3, and the exact solve finds the
+    # planted vector (1, n, 0)
+    rows = [[RatFunc(n * k * Fraction(1, P), ONE), RatFunc(k * Fraction(-1, P), ONE),
+             RatFunc.zero(R)],
+            [RatFunc(ONE, k + 1), RatFunc(ONE * -1, n * (k + 1)), RatFunc.from_poly(k)]]
+    solves = _count_exact_solves(monkeypatch)
+    (vec,) = check_t_free_kernel(rows, 3)
+    assert len(solves) == 1
+    assert [x.num for x in vec] == [ONE, n, R.zero]

@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from orecalc import groebner, telescoping
-from orecalc.arith import MPoly, PolyRing, RatFunc, nullspace_selected
+from orecalc import arith, groebner, telescoping
+from orecalc.arith import (
+    MPoly,
+    PolyRing,
+    RatFunc,
+    _t_expanded_rows,
+    _t_free_kernel,
+    nullspace_selected,
+)
 from orecalc.cli import parse
 from orecalc.closure import closure_product
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
@@ -20,9 +27,6 @@ from orecalc.ore import (
     shift_to_difference,
 )
 from orecalc.telescoping import (
-    _full_rank_mod_p,
-    _t_expanded_rows,
-    _t_free_kernel,
     extract_telescoper,
     fasenmyer_search,
     restrict_to_x,
@@ -217,7 +221,12 @@ class TestFasenmyer:
         assert out.trivial
         assert out.results[0].telescoper.total_degree() == 0
 
-    def test_negative_control_nonproper(self):
+    def test_negative_control_nonproper(self, monkeypatch):
+        # every degree is proven full rank mod p: no exact solve runs
+        def exact_solve(*args):
+            raise AssertionError("the exact solve ran")
+
+        monkeypatch.setattr(arith, "nullspace_selected", exact_solve)
         I = nonproper_ideal()
         out = fasenmyer_search(I, ["Sk"], max_degree=6)
         assert out.results == []
@@ -246,7 +255,7 @@ class TestZeilberger:
         def exact_solve(*args):
             raise AssertionError("the exact solve ran")
 
-        monkeypatch.setattr(telescoping, "nullspace_selected", exact_solve)
+        monkeypatch.setattr(arith, "nullspace_selected", exact_solve)
         alg = algebra_nmkl()
         I = double_stirling_ideal(alg)
         res, system = zeilberger_search(I, "Sk", degA=2, degB=1)
@@ -319,6 +328,12 @@ MKL = PolyRing(["m", "k", "l"])
 T_IDX = (1,)  # k is the telescoping variable
 
 
+def _proven_full_rank(rows, ncols, ring, t_idx):
+    """The t-free proof: the rows reach rank ncols mod p."""
+    point = arith._image_point(ring.nvars)
+    return len(arith._pivot_rows_mod_p(rows, ncols, point, t_idx)) == ncols
+
+
 def _rand_poly(rng, ring, variables, max_deg=2):
     terms = {}
     for _ in range(rng.randint(1, 3)):
@@ -357,7 +372,7 @@ class TestRankCertificate:
                         rest = rest + row[i] * RatFunc.from_poly(c[i])
                 row[j] = -rest / RatFunc.from_poly(c[j])
                 rows.append(row)
-            assert not _full_rank_mod_p(rows, ncols, MK, T_IDX)
+            assert not _proven_full_rank(rows, ncols, MK, T_IDX)
             kernel = _t_free_kernel(rows, ncols, MK, T_IDX)
             assert kernel
             for vec in kernel:
@@ -380,29 +395,43 @@ class TestRankCertificate:
                     for _ in range(rng.randint(1, 3))]
             kernel = nullspace_selected(_t_expanded_rows(rows, ring, t_idx),
                                         ncols, ring)
-            full = _full_rank_mod_p(rows, ncols, ring, t_idx)
+            full = _proven_full_rank(rows, ncols, ring, t_idx)
             assert full == (kernel == [])
             assert _t_free_kernel(rows, ncols, ring, t_idx) == kernel
             proved += full
         assert 10 <= proved < 40
 
     def test_prime_dividing_a_coefficient_denominator(self):
-        p = telescoping._CERT_PRIME
-        assert _full_rank_mod_p([[RatFunc.const(MK, 3)]], 1, MK, T_IDX)
-        assert not _full_rank_mod_p([[RatFunc.const(MK, Fraction(3, p))]],
-                                    1, MK, T_IDX)
+        p = arith._IMAGE_PRIME
+        assert _proven_full_rank([[RatFunc.const(MK, 3)]], 1, MK, T_IDX)
+        assert not _proven_full_rank([[RatFunc.const(MK, Fraction(3, p))]],
+                                     1, MK, T_IDX)
+        # both rows vanish on (p, 1); the first row's image without its
+        # terms over p would be (0, -1), and with (1, 0) prove a false rank 2
+        one, over_p = RatFunc.one(MK), RatFunc.const(MK, Fraction(1, p))
+        rows = [[over_p, -one], [one, RatFunc.const(MK, -p)]]
+        assert not _proven_full_rank(rows, 2, MK, T_IDX)
+        (vec,) = _t_free_kernel(rows, 2, MK, T_IDX)
+        assert vec == [RatFunc.const(MK, p), one]
 
     def test_denominator_vanishing_at_every_sample(self, monkeypatch):
         # m^7 - m is 0 mod 7 at every point; m^7 - m + 1 never is
-        monkeypatch.setattr(telescoping, "_CERT_PRIME", 7)
+        monkeypatch.setattr(arith, "_IMAGE_PRIME", 7)
         m = MK.var("m")
-        assert _full_rank_mod_p([[RatFunc(MK.one, m ** 7 - m + 1)]],
-                                1, MK, T_IDX)
-        assert not _full_rank_mod_p([[RatFunc(MK.one, m ** 7 - m)]],
-                                    1, MK, T_IDX)
+        assert _proven_full_rank([[RatFunc(MK.one, m ** 7 - m + 1)]],
+                                 1, MK, T_IDX)
+        assert not _proven_full_rank([[RatFunc(MK.one, m ** 7 - m)]],
+                                     1, MK, T_IDX)
+
+    def test_several_t_sampled_off_a_line(self):
+        # [1, k, l] has t-expanded rank 3; samples on a line through the
+        # point, (k, l) = point + (s, s), would span only rank 2
+        k, l = MKL.var("k"), MKL.var("l")
+        row = [RatFunc.one(MKL), RatFunc.from_poly(k), RatFunc.from_poly(l)]
+        assert _proven_full_rank([row], 3, MKL, (1, 2))
 
     def test_zero_rows_are_not_full_rank(self):
-        assert not _full_rank_mod_p([[RatFunc.zero(MK)] * 2], 2, MK, T_IDX)
+        assert not _proven_full_rank([[RatFunc.zero(MK)] * 2], 2, MK, T_IDX)
 
 
 def _stirling_eulerian_ideal():
@@ -432,16 +461,21 @@ def test_certificate_skips_change_no_result(monkeypatch, make_ideal, maxdeg,
                                             target):
     I = make_ideal()
     answers = []
-    real = telescoping._full_rank_mod_p
+    real = arith._pivot_rows_mod_p
 
-    def recorded(*args):
-        answers.append(real(*args))
-        return answers[-1]
+    def recorded(rows, ncols, point, t_var_idx=()):
+        pivot_rows = real(rows, ncols, point, t_var_idx)
+        if t_var_idx:
+            answers.append(len(pivot_rows) == ncols)
+        return pivot_rows
 
-    monkeypatch.setattr(telescoping, "_full_rank_mod_p", recorded)
+    def never_proven(rows, ncols, point, t_var_idx=()):
+        return [] if t_var_idx else real(rows, ncols, point)
+
+    monkeypatch.setattr(arith, "_pivot_rows_mod_p", recorded)
     with_skips = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
     assert any(answers)  # some degree was skipped
-    monkeypatch.setattr(telescoping, "_full_rank_mod_p", lambda *args: False)
+    monkeypatch.setattr(arith, "_pivot_rows_mod_p", never_proven)
     exact_only = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
     assert with_skips.results
     assert _summary(with_skips) == _summary(exact_only)
