@@ -1,6 +1,8 @@
 """Exact arithmetic: sparse multivariate polynomials over arbitrary-precision
 rationals, normalized rational functions, gcd/squarefree machinery, and
-fraction-free linear algebra over the rational-function field.
+linear algebra over the rational-function field: kernels rebuilt from
+point solves mod p (with `modp`) or found by fraction-free elimination,
+and checked exactly either way.
 
 Everything here is immutable and pure; all the operator algebra upstairs is
 built on these coefficients.
@@ -14,6 +16,15 @@ import random
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
+from .modp import (
+    _echelon_insert_mod_p,
+    _interpolate_lines,
+    _line_numerators,
+    _modp_univ_gcd,
+    _point_solver,
+    _rational_lift,
+    _univ_eval,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -502,10 +513,13 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
 
 def denominator_lcm(values, ring) -> MPoly:
     """Monic lcm of the denominators of the RatFunc values (ring.one for
-    none), folded left to right with `poly_lcm`."""
+    none), folded left to right with `poly_lcm` over the distinct ones (a
+    repeat divides the lcm already)."""
     den = ring.one
+    seen = set()
     for x in values:
-        if not x.den.is_one():
+        if not x.den.is_one() and x.den not in seen:
+            seen.add(x.den)
             den = poly_lcm(den, x.den)
     return den
 
@@ -766,24 +780,6 @@ def _modp_exact_div(f, g, p):
     return quo
 
 
-def _modp_univ_gcd(a, b, p):
-    """Monic gcd of two dense int coefficient lists over GF(p)."""
-    while b:
-        r = a[:]
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        while r and len(r) - 1 >= db:
-            q = r[-1] * inv % p
-            shift = len(r) - 1 - db
-            for i, c in enumerate(b):
-                r[shift + i] = (r[shift + i] - q * c) % p
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, r
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _modp_dense_in(f, v, p):
     coeffs = [0] * (_modp_deg(f, v) + 1)
     for e, c in f.items():
@@ -995,13 +991,6 @@ def _modp_gcd(f, g, active, p):
     if len(w) > 1:
         interp = _modp_mul(interp, _modp_univ_to_dict(w, xe, nvars), p)
     return interp
-
-
-def _univ_eval(coeffs, alpha, p):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * alpha + c) % p
-    return acc
 
 
 def _modp_lift(f, ring, p):
@@ -1515,7 +1504,17 @@ def _pick_pivot(m, used_rows, used_cols):
 
 
 def _finalize_ratfunc_vector_rat(vec, ring):
+    """The one primitive polynomial vector on the line of vec over Q(x):
+    cleared of denominators (`_clear_row`), over the monic gcd of its
+    entries and over their rational content, with the first nonzero
+    entry's leading coefficient positive.  Every nonzero multiple of vec
+    gives the same vector: the cleared vector is h*u for u primitive and h
+    a polynomial, the gcd leaves a rational multiple of u, and the content
+    and the sign fix it."""
     polys = _clear_row(vec, ring)
+    c = _rows_rational_content(polys)
+    if c != 1:
+        polys = [x * (1 / c) for x in polys]
     first = next((p for p in polys if not p.is_zero()), None)
     if first is not None and first.leading_coeff() < 0:
         polys = [-p for p in polys]
@@ -1524,11 +1523,22 @@ def _finalize_ratfunc_vector_rat(vec, ring):
 
 def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
     """Basis of the solutions over Q(x) of rows of RatFunc entries over
-    Q(x, t), t the variables t_var_idx: [] when the rows reach rank ncols
-    mod p (`_pivot_rows_mod_p`, which proves there is none), else the
-    exact kernel of their cleared t-expanded rows (`nullspace_selected`).
-    The Fasenmyer search, the Zeilberger search and the certificate ansatz
-    all solve here."""
+    Q(x, t), t the variables t_var_idx.  The Fasenmyer search, the
+    Zeilberger search and the certificate ansatz all solve here.
+
+    - Full rank: when the rows reach rank ncols mod p at the image point
+      and sampled t (`_pivot_rows_mod_p`), that proves there is no
+      solution, and the result is [].
+    - Otherwise the rows are cleared and split by powers of t
+      (`_t_expanded_rows`), and `nullspace_selected` solves them exactly.
+      At corank 1 at the image point, the usual case, it rebuilds the
+      kernel vector from point solves mod p and checks it exactly against
+      every t-expanded row: sound because of that check, complete because
+      the rank at a point is at most the rank over Q(x).  Elimination runs
+      only when that rebuild gives up or fails the check, or at corank 2
+      or more.
+
+    Every vector returned solves every row exactly."""
     if len(_pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars),
                              t_var_idx)) == ncols:
         return []
@@ -1559,42 +1569,146 @@ def _t_expanded_rows(rows, ring, t_var_idx):
 def nullspace_selected(rows, ncols, ring) -> list:
     """Nullspace of an MPoly matrix, solved exactly on a selection of rows.
 
-    The rows that add rank to one echelon of their images mod p
-    (`_pivot_rows_mod_p`) are selected: rank ncols proves the kernel is
-    {0}.  Otherwise the exact kernel of the selected rows is computed and
-    then verified against every remaining row, pulling in violated rows
-    and repeating, so the kernel returned is checked exactly against the
-    whole matrix.
+    The rows that add rank to one echelon of their images mod p at the
+    point a = `_image_point` (`_pivot_rows_mod_p`) are selected: rank ncols
+    proves the kernel is {0}.  Rank ncols - 1 means corank 1 at a, and
+    then the kernel vector of the selected rows is rebuilt from kernels at
+    points mod p (`_kernel_by_points`) and checked exactly against every
+    row.  It is the answer:
+
+    - it is exact, because it solves every row over Q(x);
+    - it is complete: the rank at a is at most the rank over Q(x), so the
+      kernel over Q(x) has dimension at most 1, and the vector is nonzero;
+    - at dimension 1 the kernel is one line, and
+      `_finalize_ratfunc_vector_rat` gives every nonzero vector on a line
+      the same bytes, whatever free column the point solves used.
+
+    Otherwise (corank 2 or more at a, or a rebuild that gives up or fails
+    the check) the exact kernel of the selected rows is computed by
+    elimination (`nullspace_poly`) and then verified against every
+    remaining row, pulling in violated rows and repeating, so the kernel
+    returned is checked exactly against the whole matrix.  The basis that
+    elimination prints at corank 2 or more is kept that way.
     """
     rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
     if not rows:
         return [[RatFunc.one(ring) if i == j else RatFunc.zero(ring)
                  for i in range(ncols)] for j in range(ncols)]
-    selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars))
+    point = _image_point(ring.nvars)
+    selected = _pivot_rows_mod_p(rows, ncols, point)
     if len(selected) == ncols:
         return []
     sub = [rows[i] for i in selected]
+    if len(selected) == ncols - 1:
+        vec = _kernel_by_points(sub, ncols, ring, point)
+        if vec is not None and all(_solves(row, vec) for row in rows):
+            return [_finalize_ratfunc_vector_rat([RatFunc.from_poly(x) for x in vec],
+                                                 ring)]
     rest = [rows[i] for i in range(len(rows)) if i not in set(selected)]
     while True:
         kernel = nullspace_poly(sub, ncols, ring)
         if not kernel:
             return []
-        bad = None
-        for row in rest:
-            for vec in kernel:
-                s = ring.zero
-                for x, v in zip(row, vec):
-                    if not x.is_zero() and not v.is_zero():
-                        s = s + x * v.num
-                if not s.is_zero():
-                    bad = row
-                    break
-            if bad is not None:
-                break
+        bad = next((row for row in rest
+                    if not all(_solves(row, [v.num for v in vec]) for vec in kernel)),
+                   None)
         if bad is None:
             return kernel
         sub.append(bad)
         rest = [r for r in rest if r is not bad]
+
+
+def _solves(row, vec) -> bool:
+    """Whether the MPoly vector vec solves the MPoly row exactly."""
+    terms = {}
+    for x, v in zip(row, vec):
+        if x.terms and v.terms:
+            for e, c in (x * v).terms.items():
+                _acc(terms, e, c)
+    return not terms
+
+
+# -- kernels rebuilt from point solves mod p --------------------------------------
+
+
+def _kernel_by_points(rows, ncols, ring, point):
+    """A polynomial vector spanning the kernel over Q(x) of the ncols - 1
+    MPoly rows, which are independent mod `_IMAGE_PRIME` at the point a,
+    rebuilt from their kernels at points mod p; None when the rebuild
+    gives up.  The vector is not checked over Q here.
+
+    Let w be the primitive polynomial kernel vector, over the variables
+    x that occur in the rows, and v = w/w_c its normalisation to 1 at some
+    column c.  The point solves (`modp._point_solver`) give v at points mod
+    p.
+
+    - Along a line x = a + s*y, each v_j is a rational function of s.
+      Over its common denominator, normalised to 1 at s = 0, the numerators
+      are w_j(a + s*y)/w_c(a): the same scale on every line
+      (`modp._line_numerators`, which takes each v_j by rational
+      reconstruction).
+    - The coefficient of s^k there is H_jk(y)/w_c(a), H_jk the degree-k
+      homogeneous part of w_j(a + y), so it is fixed by its values at
+      y = (1, y') on the lower set |y'| <= k
+      (`modp._lower_set_interpolant`).
+    - Shifting y back to x - a (`modp._interpolate_lines`), and lifting
+      each coefficient over one common scale by rational reconstruction
+      (`modp._rational_lift`), gives w up to a rational factor.
+
+    The rebuild gives up when a point solve loses rank, when the degree
+    would pass the largest total degree of an entry of the rows (the cap:
+    elimination is left the kernels of higher degree), or when a
+    coefficient does not lift.  None of these steps
+    needs to be right for the result to be: the caller checks the vector
+    exactly.
+    """
+    p = _IMAGE_PRIME
+    active = sorted({i for row in rows for f in row for e in f.terms
+                     for i, d in enumerate(e) if d})
+    cap = max((f.total_degree() for row in rows for f in row), default=0)
+    solve = _point_solver(rows, ncols, active, p)
+    a = tuple(point[i] % p for i in active)
+    base = solve(a)
+    if base is None:
+        return None
+    free = base[0]
+    kernels = {a: base[1]}
+
+    def kernel(x):
+        # the kernel at x, up to scale (each line renormalises it, so the
+        # free column may move); None where the rank drops
+        if x not in kernels:
+            res = solve(x)
+            kernels[x] = None if res is None else res[1]
+        return kernels[x]
+
+    def line(y, c, cols):
+        return _line_numerators(kernel, a, y, c, cols, 2 * cap + 2, p)
+
+    if active:
+        generic = (1,) + tuple(_IMAGE_POINT[-1 - i % len(_IMAGE_POINT)]
+                               for i in range(len(active) - 1))
+        polys = _interpolate_lines(line, a, generic, free, ncols, cap, p)
+        if polys is None:
+            return None
+    else:
+        polys = {j: {(): x} for j, x in base[1].items() if x}
+    # one common scale: the leading coefficient of the first entry is 1
+    lead = next(f for f in polys.values() if f)
+    inv = pow(lead[max(lead, key=_grevlex_key)], -1, p)
+    vec = [ring.zero] * ncols
+    for j, f in polys.items():
+        terms = {}
+        for e, v in f.items():
+            q = _rational_lift(v * inv % p, p)
+            if q is None:
+                return None
+            full = [0] * ring.nvars
+            for i, d in zip(active, e):
+                full[i] = d
+            terms[tuple(full)] = q
+        vec[j] = MPoly(ring, terms)
+    return vec
 
 
 def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
@@ -1634,6 +1748,7 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
     p = _IMAGE_PRIME
     tset = set(t_var_idx)
     xs = [(i, x) for i, x in enumerate(point) if i not in tset]
+    columns = range(ncols)
     pivots, out = {}, []
     for r, row in enumerate(rows):
         images = []
@@ -1648,7 +1763,7 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
             misses = 0
             for s in itertools.count(1) if t_var_idx else (0,):
                 vec = _sample_mod_p(images, [pow(point[j], s, p) for j in t_var_idx], p)
-                if vec is None or not _echelon_insert_mod_p(pivots, vec, p):
+                if vec is None or not _echelon_insert_mod_p(pivots, vec, columns, p):
                     misses += 1
                     if misses == 2:
                         break
@@ -1677,8 +1792,8 @@ def _image_mod_p(f: MPoly, xs, t_var_idx, p):
 
 
 def _sample_mod_p(images, ts, p):
-    """The row of (num, den) images at t = ts mod p, or None where a
-    denominator vanishes."""
+    """The row of (num, den) images at t = ts mod p, as a sparse row
+    {col: value}, or None where a denominator vanishes."""
     powers = {}  # t^te at ts, shared by the row's entries
 
     def at(image):
@@ -1690,29 +1805,15 @@ def _sample_mod_p(images, ts, p):
             s += c * m
         return s % p
 
-    vec = []
-    for num, den in images:
+    vec = {}
+    for col, (num, den) in enumerate(images):
         d = at(den)
         if not d:
             return None
-        vec.append(at(num) * pow(d, -1, p) % p)
+        v = at(num)
+        if v:
+            vec[col] = v * pow(d, -1, p) % p
     return vec
-
-
-def _echelon_insert_mod_p(pivots, vec, p) -> bool:
-    """Reduce vec by the echelon rows {col: row with 1 at col and zeros
-    before it}; keep it and return True when it adds rank."""
-    for c in range(len(vec)):
-        a = vec[c]
-        if not a:
-            continue
-        piv = pivots.get(c)
-        if piv is None:
-            inv = pow(a, -1, p)
-            pivots[c] = [v * inv % p for v in vec]
-            return True
-        vec = [(v - a * w) % p for v, w in zip(vec, piv)]
-    return False
 
 
 def matrix_rank_at_point(rows, ncols, point) -> int:

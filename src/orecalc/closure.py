@@ -16,7 +16,8 @@ from .arith import RatFunc, _acc, nullspace
 from .dimension import UNIT_IDEAL, hilbert_dimension
 from .errors import AlgebraMismatch, KindMismatch, NonlinearAlgebra
 from .groebner import GREVLEX, GroebnerBasis, LeftIdeal, MonomialOrder
-from .ore import OrePoly, apply_gen, coefficient_rows, exponents_up_to, peel_walk
+from .modp import exponents_up_to
+from .ore import OrePoly, apply_gen, coefficient_rows, peel_walk
 
 
 @dataclass

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 from .arith import RatFunc, _acc
 from .errors import AlgebraMismatch
+from .modp import exponents_up_to
 from .ore import (
     OreAlgebra,
     OrePoly,
     _lmul_gen,
     apply_gen,
-    exponents_up_to,
     peel_walk,
 )
 

@@ -15,7 +15,8 @@ from .arith import MPoly, denominator_lcm, factored_expand, factored_merge
 from .dimension import hilbert_dimension
 from .errors import NotDifferenceDifferential, NotZeroDimensional
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder
-from .ore import OreKind, difference_to_shift, exponents_up_to
+from .modp import exponents_up_to
+from .ore import OreKind, difference_to_shift
 
 # generator kinds admissible in a difference-differential algebra
 _SUBSTITUTION_KINDS = frozenset({OreKind.SHIFT, OreKind.Q_DILATION,

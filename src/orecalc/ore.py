@@ -382,16 +382,6 @@ class OrePoly:
 # -- walks over generator exponents ------------------------------------------------
 
 
-def exponents_up_to(n, s):
-    """All exponent vectors in n generators of total degree <= s, by degree
-    and then in ascending lexicographic order."""
-    out = [()]
-    for _ in range(n):
-        out = [e + (d,) for e in out for d in range(s - sum(e) + 1)]
-    out.sort(key=lambda e: (sum(e), e))
-    return out
-
-
 def peel_walk(cache, alpha, step):
     """cache[alpha], filled in on a miss by cache[a] = step(i, cache[a - e_i])
     with i the last generator that a involves.

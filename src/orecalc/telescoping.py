@@ -29,13 +29,13 @@ from .arith import (
 from .dimension import UNIT_IDEAL, hilbert_dimension
 from .errors import MultipleTelescopingVars, NoTelescopableVariable
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder, is_member
+from .modp import exponents_up_to
 from .ore import (
     OreAlgebra,
     OreKind,
     OrePoly,
     coefficient_rows,
     difference_to_shift,
-    exponents_up_to,
     shift_to_difference,
     telescopable_witness,
 )
@@ -486,11 +486,17 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     Returns (TelescopingResult or None, CoupledSystem).  The system rows
     coming from staircase monomials within the B-degree form the square
     coupled part, the higher extraneous rows the constraint part; both are
-    solved at once by `arith._t_free_kernel` (a mod-p rank proof first,
-    then the exact solve), so the kernel is that of the square part cut
-    down by the constraints.  The rows are in difference form, read
-    off I's own basis (Delta_t*u = S_t*u - u); rows in shift coordinates
-    give the same kernel, but their exact solve is several times slower."""
+    solved at once by `arith._t_free_kernel`, so the kernel is that of the
+    square part cut down by the constraints.  That solve is a mod-p rank
+    proof first; then, at corank 1 at the image point, the kernel vector
+    is rebuilt from point solves mod p and checked exactly against every
+    t-expanded row (sound by that check, complete because a rank mod p at
+    a point is at most the rank over C(x)), with elimination only as the
+    fallback.  The rows are in difference form, read off I's own basis
+    (Delta_t*u = S_t*u - u).  Rows in shift coordinates give the same
+    kernel of the same degree; on the double-Stirling ideal (dega 3,
+    degb 2) their rebuild took about 1.5 times as long, and their
+    elimination about 7 times as long, as in difference form."""
     if isinstance(t_name, (list, tuple)):
         if len(t_name) != 1:
             raise MultipleTelescopingVars(

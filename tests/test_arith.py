@@ -290,6 +290,15 @@ class TestNullspace:
                         s = s + x * y
                     assert s.is_zero()
 
+    def test_finalized_vector_does_not_depend_on_scale(self):
+        # [2k, 4k] and [2, 4] span one line over Q(n, k): both finalise to
+        # [1, 2], the first by its gcd k and then by its content 2
+        for scale in (R2.const(2) * k, R2.const(2)):
+            vec = [RatFunc.from_poly(scale), RatFunc.from_poly(scale * 2)]
+            out = arith._finalize_ratfunc_vector_rat(vec, R2)
+            assert [x.num for x in out] == [R2.one, R2.const(2)]
+            assert all(x.den.is_one() for x in out)
+
     def test_vectors_cleared_and_content_reduced(self):
         one = RatFunc.one(R2)
         half = RatFunc.const(R2, Fraction(1, 2))

@@ -4,6 +4,7 @@ the canonical pair, `poly_lcm` or the plain product for `factored_merge`,
 `sympy.Poly.cofactors` for `poly_gcd` and `poly_cofactors`,
 `sympy.Matrix.nullspace` for `nullspace_selected`, and sympy's own
 t-expansion and nullspace over Q(n) for `_t_free_kernel`."""
+import itertools
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -16,7 +17,7 @@ st = hypothesis.strategies
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from orecalc import arith  # noqa: E402
+from orecalc import arith, modp  # noqa: E402
 from orecalc.arith import (  # noqa: E402
     MPoly,
     PolyRing,
@@ -482,3 +483,151 @@ def test_t_free_kernel_with_a_row_the_prime_divides(monkeypatch):
     (vec,) = check_t_free_kernel(rows, 3)
     assert len(solves) == 1
     assert [x.num for x in vec] == [ONE, n, R.zero]
+
+
+# -- corank-1 kernels rebuilt from point solves, against sympy and elimination -------
+
+RX = PolyRing(["n", "m", "l"])
+XN, XM, XL = (RX.var(v) for v in RX.names)
+EXPONENTS3 = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+
+xpolys = st.lists(st.tuples(st.sampled_from(EXPONENTS3),
+                            st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+                  min_size=1, max_size=3).map(lambda ts: reduce(
+                      add, (RX.monomial(e, c) for e, c in ts), RX.zero))
+multipliers = st.sampled_from([RX.one, -RX.one, RX.const(2), RX.zero, XN, XM - XL,
+                               XL + 1])
+
+
+@st.composite
+def corank_one(draw):
+    """(rows, ncols): rows over Q[n, m, l] orthogonal to a planted vector u
+    of total degree at most 3, each a combination sum_j c_j*(u_j e_i -
+    u_i e_j) over the columns j other than one i with u_i nonzero; ncols -
+    1 rows or more, so the kernel is the line of u unless the c_j are
+    degenerate."""
+    ncols = draw(st.integers(2, 5))
+    u = [draw(xpolys) for _ in range(ncols)]
+    i = draw(st.integers(0, ncols - 1))
+    if u[i].is_zero():
+        u[i] = XN + 1
+    rows = []
+    for _ in range(ncols - 1 + draw(st.integers(0, 2))):
+        row = [RX.zero] * ncols
+        for j in range(ncols):
+            if j != i:
+                c = draw(multipliers)
+                row[i] = row[i] + c * u[j]
+                row[j] = row[j] - c * u[i]
+        rows.append(row)
+    return rows, ncols
+
+
+def _sympy_kernel(rows):
+    return _over_q_n([[to_sympy(x) for x in row] for row in rows]).nullspace() \
+        .to_Matrix().tolist()
+
+
+def check_rebuilt_kernel(rows, ncols):
+    """nullspace_selected spans sympy's kernel over Q(n, m, l), solves every
+    row, gives elimination's bytes at dimension 1, and where the corank at
+    the image point is 1 and the degree is within the cap, came from point
+    solves alone."""
+    kernel = nullspace_selected(rows, ncols, RX)
+    expected = _sympy_kernel(rows)
+    assert len(kernel) == len(expected)
+    for vec in kernel:
+        assert all(_dot(row, vec).is_zero() for row in rows)
+    if kernel:
+        mine = [[as_sympy(x) for x in vec] for vec in kernel]
+        assert _over_q_n(expected + mine).rank() == len(expected)
+    if len(kernel) == 1:
+        assert kernel == arith.nullspace_poly(rows, ncols, RX)
+        point = arith._image_point(RX.nvars)
+        selected = arith._pivot_rows_mod_p(rows, ncols, point)
+        cap = max(x.total_degree() for i in selected for x in rows[i])
+        if len(selected) == ncols - 1 and max(
+                x.num.total_degree() for x in kernel[0]) <= cap:
+            vec = arith._kernel_by_points([rows[i] for i in selected], ncols, RX, point)
+            assert vec is not None
+            assert arith._finalize_ratfunc_vector_rat(
+                [RatFunc.from_poly(x) for x in vec], RX) == kernel[0]
+    return kernel
+
+
+@hypothesis.settings(SETTINGS, max_examples=25)
+@hypothesis.given(corank_one())
+def test_rebuilt_kernel_on_planted_corank_one(case):
+    check_rebuilt_kernel(*case)
+
+
+def test_rebuilt_kernel_of_degree_three():
+    # a kernel of total degree 3 in all three variables, with a
+    # denominator along every line at every free column
+    u = [XN * XM * XL + 1, XN ** 2 - XL, XM + Fraction(1, 2), RX.zero, XL ** 3 - XN]
+    rows = [[u[j] if c == i else -u[i] if c == j else RX.zero for c in range(5)]
+            for i, j in ((0, 1), (1, 2), (2, 4), (0, 4))] + [[RX.zero] * 3 + [RX.one, RX.zero]]
+    (vec,) = check_rebuilt_kernel(rows, 5)
+    assert [x.num for x in vec] == [x * 2 for x in u]
+
+
+def test_rebuild_lift_past_one_prime_fails_the_check(monkeypatch):
+    # the kernel (1, c*n) with c = 2^40/3: mod p = 2^61 - 1, 2^40 = 2^-21,
+    # so c lifts to the smaller 1/(3*2^21); the exact check rejects that
+    # vector and elimination finds the right one
+    c = Fraction(2 ** 40, 3)
+    rows = [[n * c, -R.one]]
+    point = arith._image_point(R.nvars)
+    wrong = arith._kernel_by_points(rows, 2, R, point)
+    assert wrong == [R.one, n * Fraction(1, 3 * 2 ** 21)]
+    assert not arith._solves(rows[0], wrong)
+    solves = _count_solves(monkeypatch)
+    (vec,) = check_kernel(rows, 2)
+    assert len(solves) == 1
+    assert [x.num for x in vec] == [R.const(3), n * 2 ** 40]
+
+
+def test_rebuild_of_an_unlucky_selection_fails_the_check(monkeypatch):
+    # the first row vanishes at the image point, so the selection there has
+    # corank 1 where the kernel over Q(n, k) is {0}: the rebuilt vector of
+    # the second row fails the exact check, and elimination pulls the
+    # first row back in
+    x0 = arith._image_point(R.nvars)[0]
+    rows = [[n - x0, (n - x0) * k], [R.one, R.one]]
+    assert arith._pivot_rows_mod_p(rows, 2, arith._image_point(2)) == [1]
+    solves = _count_solves(monkeypatch)
+    assert check_kernel(rows, 2) == []
+    assert len(solves) == 2
+    # with one column and that row alone, no row is selected at all: the
+    # rebuild solves none, and its vector (1) fails the check the same way
+    assert check_kernel([[n - x0]], 1) == []
+
+
+@pytest.mark.parametrize("rows, kernel", [
+    # rational along every line: a line gives up at 2*cap + 2 points
+    ([[n, -k, R.zero], [R.zero, n, -k]], [k ** 2, n * k, n ** 2]),
+    # polynomial at its constant entry: the lines fit, the degree 2 passes
+    ([[n, -R.one, R.zero], [R.zero, n, -R.one]], [R.one, n, n ** 2]),
+], ids=["rational", "polynomial"])
+def test_rebuild_gives_up_past_the_degree_cap(monkeypatch, rows, kernel):
+    # entries of degree 1 and a kernel of degree 2: the cap is the rows'
+    # largest entry degree, so elimination solves it
+    point = arith._image_point(R.nvars)
+    assert arith._kernel_by_points(rows, 3, R, point) is None
+    solves = _count_solves(monkeypatch)
+    (vec,) = check_kernel(rows, 3)
+    assert len(solves) == 1
+    assert [x.num for x in vec] == kernel
+
+
+def test_rational_lift_takes_only_a_clear_quotient():
+    # small fractions come back; a residue whose preimage is too large for
+    # one prime shows no quotient above 2^20 and gives None
+    p = arith._IMAGE_PRIME
+
+    def residue(q):
+        return q.numerator * pow(q.denominator, -1, p) % p
+
+    for q in (Fraction(3, 7), Fraction(-5, 12), Fraction(2 ** 18, 3), Fraction(0)):
+        assert modp._rational_lift(residue(q), p) == q
+    assert modp._rational_lift(residue(Fraction(12345678901, 98765432107)), p) is None

@@ -18,12 +18,12 @@ from orecalc.closure import closure_product
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.errors import MultipleTelescopingVars
 from orecalc.groebner import GREVLEX, GRLEX, LeftIdeal, is_member
+from orecalc.modp import exponents_up_to
 from orecalc.ore import (
     OreKind,
     OrePoly,
     coefficient_rows,
     difference_to_shift,
-    exponents_up_to,
     shift_to_difference,
 )
 from orecalc.telescoping import (
@@ -231,6 +231,20 @@ class TestFasenmyer:
         out = fasenmyer_search(I, ["Sk"], max_degree=6)
         assert out.results == []
         assert out.budget_exhausted
+
+    def test_flagship_solves_need_no_elimination(self, monkeypatch):
+        # both t-free solves of the double-Stirling ideal have corank 1 at
+        # the image point, and their kernels are rebuilt from point solves
+        # mod p: a silent fall back to elimination fails here
+        def eliminate(*args):
+            raise AssertionError("elimination ran")
+
+        monkeypatch.setattr(arith, "nullspace_poly", eliminate)
+        I = double_stirling_ideal(algebra_nmkl())
+        res, _ = zeilberger_search(I, "Sk", degA=3, degB=2)
+        assert res is not None and res.membership_checked
+        out = fasenmyer_search(I, ["Sk"], max_degree=4, target_dim=2)
+        assert out.results and all(r.membership_checked for r in out.results)
 
 
 class TestZeilberger:
