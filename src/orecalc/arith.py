@@ -18,12 +18,12 @@ from fractions import Fraction
 from .errors import ZeroPolynomial
 from .modp import (
     _echelon_insert_mod_p,
+    _gcd_mod_p,
     _interpolate_lines,
     _line_numerators,
     _modp_univ_gcd,
     _point_solver,
     _rational_lift,
-    _univ_eval,
 )
 
 _ZERO = Fraction(0)
@@ -524,7 +524,7 @@ def denominator_lcm(values, ring) -> MPoly:
     return den
 
 
-# -- modular gcd (Brown-style dense interpolation, division-verified) -------------
+# -- modular gcd (rebuilt along lines mod p, division-verified) --------------------
 
 # Mersenne primes large enough that verified lifts virtually never retry
 _GCD_PRIMES = (2 ** 61 - 1, 2 ** 89 - 1, 2 ** 107 - 1)
@@ -536,8 +536,9 @@ def _gcd_primes():
     After the Mersenne primes come, for m = 128, 256, 512, ..., the least
     prime k*2^m + 1 with k odd that Proth's theorem proves prime: such an n
     is prime as soon as a^((n-1)/2) = -1 (mod n) for some a.  The primes
-    grow without bound, so every lift eventually fits, and only finitely
-    many of them can be unlucky for a given input."""
+    grow without bound, so every lift eventually fits, and each prime
+    brings its own point and directions, so an input meets no unlucky
+    choice that repeats from prime to prime."""
     yield from _GCD_PRIMES
     m = 128
     while True:
@@ -575,14 +576,28 @@ def _modular_gcd(a: MPoly, b: MPoly):
     every bound is the only candidate, accepted once it divides the other
     operand exactly.
 
-    Otherwise, or when a leading coefficient vanishes at the point, the
-    gcd comes from gcds mod p plus dense interpolation.  A nontrivial
-    candidate is accepted only after exact trial division, and those
-    divisions give the quotients, so the only soundness obligation kept
-    internally is the "gcd is 1" path, which the leading-coefficient
-    checks certify.  A prime that divides a leading coefficient, meets
-    persistent bad luck or gives a lift that fails trial division is
-    passed over for the next one.
+    Otherwise h is rebuilt mod p along lines (`modp._gcd_mod_p`, after
+    Kaltofen 1988), for each p of `_gcd_primes` that does not divide
+    gamma = gcd(lc(a), lc(b)).  Only the live variables are rebuilt: those
+    of positive bound, or every variable when a leading coefficient
+    vanished.  h lives in them, and the others take values drawn for this
+    p, so the images of h divide the images of a and b.  lc(h) divides
+    gamma, so h mod p keeps its leading term, and gamma/lc(h)*h has integer
+    coefficients: the rebuild, scaled to gamma at its leading term and
+    lifted symmetrically, is that polynomial once p is large enough.
+
+    Soundness.  On a certified line (see `modp._gcd_mod_p`) the gcd of the
+    images has a degree deg G at least the total degree of h.  "h = 1" is
+    returned only from all-zero bounds or from a certified deg G = 0.  A
+    candidate is returned only when it divides a and b exactly and has
+    total degree deg G: it divides h and its degree is at least that of h,
+    so it is h.  The exact divisions give the quotients.
+
+    Termination.  A prime fails when the image of an operand vanishes,
+    when the line proves nothing, or when the candidate fails a check, and
+    the next prime comes with a fresh point.  The primes grow without
+    bound, so the lift fits from some prime on, and only an unlucky draw,
+    of vanishing chance at primes this large, fails there.
     """
     one = a.ring.one
     bounds = _image_bounds(a, b)
@@ -596,25 +611,37 @@ def _modular_gcd(a: MPoly, b: MPoly):
                 except ValueError:
                     continue
                 return (f, one, q) if f is a else (f, q, one)
-    active = sorted(a.variables() | b.variables())
-    la = a.leading_coeff().numerator
-    lb = b.leading_coeff().numerator
-    # rescale so the lift carries integer coefficients: lc(gcd) divides
-    # gcd of the integer leading coefficients
-    gamma = math.gcd(la, lb)
+        live = [v for v, d in enumerate(bounds) if d]
+    else:
+        live = sorted(a.variables() | b.variables())
+    gamma = math.gcd(a.leading_coeff().numerator, b.leading_coeff().numerator)
+    nvars = a.ring.nvars
     for p in _gcd_primes():
-        if la % p == 0 or lb % p == 0:
+        if gamma % p == 0:
             continue
-        fp = {e: c.numerator % p for e, c in a.terms.items() if c.numerator % p}
-        gp = {e: c.numerator % p for e, c in b.terms.items() if c.numerator % p}
-        res = _modp_gcd(fp, gp, active, p)
+        rng = random.Random(p ^ 0xB0B)
+        dead = [(i, rng.randrange(p)) for i in range(nvars) if i not in live]
+        images = [{e: v for e, v in _image_mod_p(f, dead, live, p).items() if v}
+                  for f in (a, b)]
+        if not all(images):
+            continue
+        x0 = tuple(rng.randrange(p) for _ in live)
+        generic = (1,) + tuple(rng.randrange(p) for _ in live[1:])
+        res = _gcd_mod_p(*images, x0, generic, p)
         if res is None:
             continue
-        if _modp_is_constant(res):
-            return one, a, b
-        lead = max(res, key=_grevlex_key)
-        res = _modp_scale(res, gamma % p * pow(res[lead], -1, p) % p, p)
-        cand = _modp_lift(res, a.ring, p).primitive()
+        half = p // 2
+        terms = {}
+        for e, v in res.items():
+            full = [0] * nvars
+            for i, d in zip(live, e):
+                full[i] = d
+            terms[tuple(full)] = v
+        scale = gamma * pow(terms[max(terms, key=_grevlex_key)], -1, p)
+        for e, v in terms.items():
+            v = v * scale % p
+            terms[e] = Fraction(v - p if v > half else v)
+        cand = MPoly(a.ring, terms).primitive()
         try:
             return cand, exact_div(a, cand), exact_div(b, cand)
         except ValueError:
@@ -691,322 +718,9 @@ def _image_in(values, v, deg, inv, p):
     return [c % p for c in coeffs]
 
 
-def _modp_is_constant(f):
-    return len(f) == 1 and not any(next(iter(f)))
-
-
-def _modp_deg(f, v):
-    return max((e[v] for e in f), default=-1)
-
-
-def _modp_eval(f, v, alpha, p):
-    out = {}
-    for e, c in f.items():
-        if e[v]:
-            c = c * pow(alpha, e[v], p) % p
-            ne = list(e)
-            ne[v] = 0
-            e = tuple(ne)
-        cur = out.get(e, 0)
-        cur = (cur + c) % p
-        if cur:
-            out[e] = cur
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _modp_mul(f, g, p):
-    out = {}
-    for ea, ca in f.items():
-        for eb, cb in g.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            cur = (out.get(e, 0) + ca * cb) % p
-            if cur:
-                out[e] = cur
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _modp_sub(f, g, p):
-    out = dict(f)
-    for e, c in g.items():
-        cur = (out.get(e, 0) - c) % p
-        if cur:
-            out[e] = cur
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _modp_scale(f, c, p):
-    return {e: v * c % p for e, v in f.items()}
-
-
-def _modp_exact_div(f, g, p):
-    """Division of modp term dicts; assumes exactness (used for contents)."""
-    if _modp_is_constant(g):
-        inv = pow(next(iter(g.values())), -1, p)
-        return _modp_scale(f, inv, p)
-    ge = max(g, key=_grevlex_key)
-    ginv = pow(g[ge], -1, p)
-    rem = dict(f)
-    heap = [(_heap_key(e), e) for e in rem]
-    heapq.heapify(heap)
-    quo = {}
-    gitems = [(e, c) for e, c in g.items() if e != ge]
-    while heap:
-        _, fe = heapq.heappop(heap)
-        fc = rem.get(fe)
-        if fc is None:
-            continue
-        del rem[fe]
-        qe = tuple(x - y for x, y in zip(fe, ge))
-        if any(x < 0 for x in qe):
-            raise ValueError("modp division not exact")
-        qc = fc * ginv % p
-        quo[qe] = qc
-        for e, c in gitems:
-            te = tuple(x + y for x, y in zip(qe, e))
-            fresh = te not in rem
-            cur = (rem.get(te, 0) - qc * c) % p
-            if cur:
-                rem[te] = cur
-                if fresh:
-                    heapq.heappush(heap, (_heap_key(te), te))
-            elif te in rem:
-                del rem[te]
-    return quo
-
-
-def _modp_dense_in(f, v, p):
-    coeffs = [0] * (_modp_deg(f, v) + 1)
-    for e, c in f.items():
-        coeffs[e[v]] = (coeffs[e[v]] + c) % p
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _modp_rest_lead(f, rest):
-    """Grevlex-leading monomial of f projected to the rest variables."""
-    return max((tuple(e[i] for i in rest) for e in f),
-               key=_grevlex_key)
-
-
-def _modp_lc_univ(f, rest, lead, xe):
-    """Coefficient (as dense list in xe) of the rest-leading monomial."""
-    coeffs = {}
-    for e, c in f.items():
-        if tuple(e[i] for i in rest) == lead:
-            coeffs[e[xe]] = (coeffs.get(e[xe], 0) + c)
-    out = [0] * (max(coeffs) + 1)
-    for d, c in coeffs.items():
-        out[d] = c
-    return out
-
-
-def _modp_univ_content(f, xe, p):
-    """Gcd over Zp[xe] of the xe-coefficient lists grouped by the other
-    variables' monomials; a dense list in xe."""
-    groups = {}
-    for e, c in f.items():
-        ne = list(e)
-        d = ne[xe]
-        ne[xe] = 0
-        groups.setdefault(tuple(ne), {})[d] = c
-    cont = None
-    for part in groups.values():
-        dense = [0] * (max(part) + 1)
-        for d, c in part.items():
-            dense[d] = c
-        cont = dense if cont is None else _modp_univ_gcd(cont, dense, p)
-        if len(cont) == 1:
-            break
-    return cont
-
-
-def _modp_univ_to_dict(coeffs, xe, nvars):
-    out = {}
-    for d, c in enumerate(coeffs):
-        if c:
-            e = [0] * nvars
-            e[xe] = d
-            out[tuple(e)] = c
-    return out
-
-
-def _modp_content_wrt(f, xe, rest, p):
-    """Content of f as a polynomial in xe: gcd of the xe-coefficients."""
-    groups = {}
-    for e, c in f.items():
-        ne = list(e)
-        d = ne[xe]
-        ne[xe] = 0
-        g = groups.setdefault(d, {})
-        te = tuple(ne)
-        cur = (g.get(te, 0) + c) % p
-        if cur:
-            g[te] = cur
-        elif te in g:
-            del g[te]
-    cont = None
-    for part in groups.values():
-        if not part:
-            continue
-        cont = part if cont is None else _modp_gcd(cont, part, rest, p)
-        if cont is None:
-            return None
-        if _modp_is_constant(cont):
-            break
-    return cont
-
-
-def _modp_gcd(f, g, active, p):
-    """Gcd over GF(p) by dense interpolation in the last active variable.
-
-    Result is normalized only up to a unit; may return None on persistent
-    bad luck (the caller moves on to the next prime)."""
-    if not f or not g:
-        return f or g or None
-    active = [v for v in active if _modp_deg(f, v) > 0 or _modp_deg(g, v) > 0]
-    if not active:
-        return {(0,) * len(next(iter(f))): 1}
-    nvars = len(next(iter(f)))
-    if len(active) == 1:
-        v = active[0]
-        da, db = _modp_dense_in(f, v, p), _modp_dense_in(g, v, p)
-        if not da or not db:
-            return None
-        u = _modp_univ_gcd(da, db, p)
-        out = {}
-        for d, c in enumerate(u):
-            if c:
-                e = [0] * nvars
-                e[v] = d
-                out[tuple(e)] = c
-        return out
-    xe = active[-1]
-    rest = active[:-1]
-    if _modp_deg(f, xe) == 0 or _modp_deg(g, xe) == 0:
-        # gcd cannot involve xe: strip it from whichever side has it
-        cf = _modp_content_wrt(f, xe, rest, p) if _modp_deg(f, xe) else f
-        cg = _modp_content_wrt(g, xe, rest, p) if _modp_deg(g, xe) else g
-        if cf is None or cg is None:
-            return None
-        return _modp_gcd(cf, cg, rest, p)
-    # split off factors living purely in Zp[xe], the content over Zp[xe]
-    # that Brown's interpolation needs removed; the monic normalization of
-    # the interpolation images would silently drop them otherwise
-    wf = _modp_univ_content(f, xe, p)
-    if len(wf) > 1:
-        f = _modp_exact_div(f, _modp_univ_to_dict(wf, xe, nvars), p)
-    wg = _modp_univ_content(g, xe, p)
-    if len(wg) > 1:
-        g = _modp_exact_div(g, _modp_univ_to_dict(wg, xe, nvars), p)
-    w = _modp_univ_gcd(wf, wg, p)
-    lead_f = _modp_rest_lead(f, rest)
-    lead_g = _modp_rest_lead(g, rest)
-    lcf = _modp_lc_univ(f, rest, lead_f, xe)
-    lcg = _modp_lc_univ(g, rest, lead_g, xe)
-    gamma = _modp_univ_gcd(lcf, lcg, p)
-    bound = min(_modp_deg(f, xe), _modp_deg(g, xe)) + len(gamma) - 1
-    rng = random.Random(p ^ 0xB0B)
-    interp = None     # accumulating interpolant
-    basis = None      # prod (xe - alpha_j), dense list in xe
-    best_lead = None
-    npoints = 0
-    attempts = 0
-    seen = set()
-    while npoints <= bound:
-        attempts += 1
-        if attempts > 8 * (bound + 3):
-            return None
-        alpha = rng.randrange(1, p - 1)
-        if alpha in seen:
-            continue
-        seen.add(alpha)
-        if _univ_eval(lcf, alpha, p) == 0 or _univ_eval(lcg, alpha, p) == 0:
-            continue
-        fa = _modp_eval(f, xe, alpha, p)
-        ga = _modp_eval(g, xe, alpha, p)
-        img = _modp_gcd(fa, ga, rest, p)
-        if img is None:
-            continue
-        ilead = _modp_rest_lead(img, rest)
-        if best_lead is None or _grevlex_key(ilead) < _grevlex_key(best_lead):
-            # everything collected so far was unlucky (too large): restart
-            best_lead = ilead
-            interp = None
-            basis = [1]
-            npoints = 0
-        elif _grevlex_key(ilead) > _grevlex_key(best_lead):
-            continue
-        full_lead = next(e for e in img
-                         if tuple(e[i] for i in rest) == ilead and e[xe] == 0)
-        scale = _univ_eval(gamma, alpha, p) * pow(img[full_lead], -1, p) % p
-        img = _modp_scale(img, scale, p)
-        if interp is None:
-            interp = img
-            basis = [(-alpha) % p, 1]
-            npoints = 1
-            continue
-        cur = _modp_eval(interp, xe, alpha, p)
-        diff = _modp_sub(img, cur, p)
-        if diff:
-            binv = pow(_univ_eval(basis, alpha, p), -1, p)
-            add = {}
-            for e, c in diff.items():
-                c = c * binv % p
-                for d, bc in enumerate(basis):
-                    if bc:
-                        ne = list(e)
-                        ne[xe] = d
-                        te = tuple(ne)
-                        cur2 = (add.get(te, 0) + c * bc) % p
-                        if cur2:
-                            add[te] = cur2
-                        elif te in add:
-                            del add[te]
-            for e, c in add.items():
-                cur2 = (interp.get(e, 0) + c) % p
-                if cur2:
-                    interp[e] = cur2
-                elif e in interp:
-                    del interp[e]
-        # basis *= (xe - alpha)
-        nb = [0] * (len(basis) + 1)
-        for d, bc in enumerate(basis):
-            nb[d + 1] = (nb[d + 1] + bc) % p
-            nb[d] = (nb[d] - bc * alpha) % p
-        basis = nb
-        npoints += 1
-    if not interp:
-        return None
-    # remove the gamma/lc(G) residue, a factor purely in Zp[xe]
-    icont = _modp_univ_content(interp, xe, p)
-    if len(icont) > 1:
-        interp = _modp_exact_div(interp, _modp_univ_to_dict(icont, xe, nvars), p)
-    if len(w) > 1:
-        interp = _modp_mul(interp, _modp_univ_to_dict(w, xe, nvars), p)
-    return interp
-
-
-def _modp_lift(f, ring, p):
-    """Symmetric lift of a modp dict to an integer-coefficient MPoly."""
-    half = p // 2
-    terms = {}
-    for e, c in f.items():
-        v = c - p if c > half else c
-        if v:
-            terms[e] = Fraction(v)
-    return MPoly(ring, terms)
-
-
 # factored polynomials: {monic factor: multiplicity} with pairwise-coprime
-# factors; products, lcms, and degree reads stay cheap on the shifted-factor
-# products this engine generates, where the expanded forms explode
+# factors; lcms and degree reads stay cheap on the shifted-factor products
+# this engine generates, where the expanded forms explode
 
 
 def _divide_out(b: MPoly, f: MPoly):
@@ -1052,15 +766,13 @@ def _coprime_insert(base: list, q: MPoly) -> None:
         stack.append(_divide_out(g, x)[1].monic())
 
 
-def factored_merge(A: dict, q: MPoly, m: int, combine) -> None:
-    """A := A (combine) q^m in place; combine is max (lcm) or add (product).
+def factored_merge(A: dict, q: MPoly) -> None:
+    """A := lcm(A, q) in place.
 
     Keys stay pairwise coprime.  When trial division by the keys already in
     A takes q down to a constant, q is a product of keys and only their
     multiplicities change; otherwise the base refines itself against q and
     the old entries are re-expressed over the refined base when needed."""
-    if m <= 0:
-        return
     q = q.monic()
     if q.is_constant():
         return
@@ -1073,7 +785,7 @@ def factored_merge(A: dict, q: MPoly, m: int, combine) -> None:
             mults[b] = j
     if rest.is_constant():
         for b, j in mults.items():
-            A[b] = combine(A[b], m * j)
+            A[b] = max(A[b], j)
         return
     base = list(A.keys())
     _coprime_insert(base, q)
@@ -1092,7 +804,7 @@ def factored_merge(A: dict, q: MPoly, m: int, combine) -> None:
     for b in base:
         j = _divide_out(b, q)[0]
         if j:
-            A[b] = combine(A.get(b, 0), m * j)
+            A[b] = max(A.get(b, 0), j)
 
 
 def factored_expand(A: dict, ring) -> MPoly:
@@ -1780,9 +1492,10 @@ def _image_mod_p(f: MPoly, xs, t_var_idx, p):
     {t-exponent: value}; None when p divides a coefficient denominator."""
     out = {}
     for e, c in f.terms.items():
-        if c.denominator % p == 0:
+        den = c.denominator
+        if den % p == 0:
             return None
-        v = c.numerator * pow(c.denominator, -1, p) % p
+        v = c.numerator % p if den == 1 else c.numerator * pow(den, -1, p) % p
         for i, x in xs:
             if e[i]:
                 v = v * pow(x, e[i], p) % p

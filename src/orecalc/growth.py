@@ -147,7 +147,7 @@ def _clearing_lcms(gb, t_idx, window):
                     key = frozenset(c.den.terms.items())
                     if key not in seen:
                         seen.add(key)
-                        factored_merge(lcm, c.den, 1, max)
+                        factored_merge(lcm, c.den)
                 top = max(top, _deg_t(c.num, t_idx))
         yield dict(lcm), top
 

@@ -1,7 +1,8 @@
 """Integer routines under `arith`: exponent vectors, and arithmetic over
 GF(p) for the engine's mod-p decisions (dense univariate polynomials, a
 sparse row echelon, rational reconstruction, interpolation on lower sets,
-and the rebuild of a kernel vector from kernels at points).
+and one interpolation along lines through a point, which rebuilds both a
+kernel vector from kernels at points and a gcd from univariate gcds).
 
 Nothing here is trusted on its own: `arith` checks over Q what these
 routines find.  The module imports no other part of the engine, so every
@@ -216,9 +217,11 @@ def _line_numerators(kernel, a, y, c, cols, npoints, p):
 
 
 def _interpolate_lines(line, a, generic, free, ncols, cap, p):
-    """{column: term dict mod p over the active variables} of the kernel
-    vector w/w_c(a), from the numerators that line(y, c, cols) gives along
-    x = a + s*y; None when a line fails or the degree passes the cap.
+    """{column: term dict mod p over the active variables} of the vector
+    w/w_c(a) of polynomials, from the numerators that line(y, c, cols)
+    gives along x = a + s*y; None when a line fails or the degree passes
+    the cap.  w is a kernel vector (`arith._kernel_by_points`) or, with
+    one column, a gcd (`_gcd_mod_p`).
 
     The first line, in the direction generic = (1, b') with b'
     pseudo-random, gives the entries that vanish (taken as zero), c, the
@@ -349,10 +352,75 @@ def _lower_set_interpolant(values, m, d, p):
 
 def _modp_shift(f, v, c, p):
     """The term dict f with x_v replaced by x_v + c, over GF(p)."""
+    if not c:
+        return f
+    # row d: the coefficients of (x_v + c)^d
+    rows = [[math.comb(d, j) * pow(c, d - j, p) % p for j in range(d + 1)]
+            for d in range(max((e[v] for e in f), default=0) + 1)]
     out = {}
     for e, x in f.items():
-        d = e[v]
-        for j in range(d + 1):
-            key = e[:v] + (j,) + e[v + 1:]
-            out[key] = (out.get(key, 0) + x * math.comb(d, j) * pow(c, d - j, p)) % p
+        head, tail = e[:v], e[v + 1:]
+        for j, r in enumerate(rows[e[v]]):
+            key = head + (j,) + tail
+            out[key] = (out.get(key, 0) + x * r) % p
     return {e: x for e, x in out.items() if x}
+
+
+def _along(f, deg, y, p):
+    """Dense coefficients in s of f(s*y), f a term dict of total degree
+    deg: the coefficient of s^k is the degree-k part of f at y."""
+    powers = [[pow(v, d, p) for d in range(deg + 1)] for v in y]
+    out = [0] * (deg + 1)
+    for e, x in f.items():
+        out[sum(e)] += x * math.prod(map(list.__getitem__, powers, e))
+    return _univ_trim([x % p for x in out])
+
+
+# -- gcds rebuilt along lines ------------------------------------------------------
+
+def _gcd_mod_p(f, g, x0, generic, p):
+    """The gcd h of the nonzero term dicts f and g over GF(p), as h/h(x0),
+    rebuilt along lines through x0 (`_interpolate_lines`); None when this
+    point and direction prove nothing.
+
+    Along x0 + s*y the images of f and g are read off their shifts to x0
+    (`_along`), and their univariate gcd, normalised to 1 at s = 0, is
+    h(x0 + s*y)/h(x0) on every lucky line.  The first line, in the
+    direction generic, is certified when f or g keeps its total degree
+    there: then the top form of h does not vanish at generic, so the degree
+    of the gcd there, deg G, bounds the total degree of h.  A certified
+    deg G = 0 gives h = 1.  Otherwise the rebuild must have total degree
+    deg G; a divisor of h of that degree is h, which the caller's exact
+    divisions decide.  None when the first line is not certified, when a
+    gcd vanishes at x0, or when the degree differs."""
+    df, dg = max(map(sum, f)), max(map(sum, g))
+    for i, x in enumerate(x0):
+        f, g = _modp_shift(f, i, x, p), _modp_shift(g, i, x, p)
+
+    def normalised_gcd(u, w):
+        h = _modp_univ_gcd(u, w, p) if u and w else [0]
+        if not h[0]:
+            return None
+        inv = pow(h[0], -1, p)
+        return {0: [x * inv % p for x in h]}
+
+    def line(y, c, cols):
+        # the gcd is the one column, c = 0
+        if y not in gcds:
+            gcds[y] = normalised_gcd(_along(f, df, y, p), _along(g, dg, y, p))
+        return gcds[y]
+
+    u, w = _along(f, df, generic, p), _along(g, dg, generic, p)
+    if len(u) <= df and len(w) <= dg:
+        return None
+    first = normalised_gcd(u, w)
+    if first is None:
+        return None
+    gcds = {generic: first}
+    delta = len(first[0]) - 1
+    if not delta:
+        return {(0,) * len(x0): 1}
+    h = _interpolate_lines(line, x0, generic, 0, 1, delta, p)
+    if h is None or max(map(sum, h[0])) != delta:
+        return None
+    return h[0]

@@ -1,9 +1,10 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
-from orecalc import arith
+from orecalc import arith, modp
 from orecalc.arith import (
     MPoly,
     PolyRing,
@@ -16,6 +17,7 @@ from orecalc.arith import (
     poly_lcm,
     squarefree_part,
 )
+from orecalc.cli import main
 from orecalc.errors import ZeroPolynomial
 
 
@@ -72,6 +74,27 @@ class TestMPoly:
         assert all(a is b for a, b in zip(q.terms, p.terms))
         assert (p * R2.zero).is_zero() and (R2.zero * p).is_zero()
         assert (p * 0).is_zero()
+
+
+P1 = arith._GCD_PRIMES[0]
+H = 2 * n - k + 1
+# (f, g, x0, generic direction, the gcd normalised to 1 at x0 or None when
+# the point and direction prove nothing)
+LINE_GCDS = {
+    "coprime": (n, k, (1, 2), (1, 3), R2.one),
+    "proper": (H * (n + 1), H * (k + 2), (3, 5), (1, 3), H * Fraction(1, 2)),
+    # both top forms vanish at (1, 2): no bound on the degree of the gcd
+    "uncertified": (H * (n + 1), H * (k + 2), (3, 5), (1, 2), None),
+    # n and k meet on the first line, at s = -1: the gcd rebuilt from the
+    # other lines is 1, short of the degree the first line bounds
+    "unlucky-first-line": (n, k, (1, 2), (1, 2), None),
+    # the gcd n vanishes at x0, where every line is normalised
+    "gcd-vanishes-at-the-point": (n * (k + 1), n * (k + 2), (0, 5), (1, 3), None),
+}
+
+
+def _mod_p1(f):
+    return {e: c.numerator * pow(c.denominator, -1, P1) % P1 for e, c in f.terms.items()}
 
 
 class TestGcd:
@@ -134,15 +157,15 @@ class TestGcd:
     def test_coprime_and_divisor_pairs_skip_interpolation(self, monkeypatch):
         # products of three shifted linear factors, the inputs of the
         # normal-form walks: their image bounds settle the gcd, so the
-        # interpolating gcd mod p is never reached
+        # gcd rebuilt along lines mod p is never reached
         calls = []
-        real = arith._modp_gcd
+        real = arith._gcd_mod_p
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(arith, "_modp_gcd", counted)
+        monkeypatch.setattr(arith, "_gcd_mod_p", counted)
         ring = PolyRing(["n", "k", "l", "m"])
         v = [ring.var(x) for x in ring.names]
         pool = [v[0] - v[1] + i for i in range(1, 4)] + \
@@ -159,9 +182,72 @@ class TestGcd:
                 g, qf, qh = poly_cofactors(f, h)
                 assert g == a.monic() and g * qf == f and g * qh == h
         assert calls == []
-        # a proper common factor still goes through the interpolation
+        # a proper common factor still goes through the rebuild
         assert poly_gcd(pool[0] * pool[3], pool[0] * pool[4]) == pool[0]
         assert calls
+
+    def test_uncertified_first_line_moves_to_the_next_prime(self, monkeypatch):
+        # h = 2n - k + 1 divides both operands, and its top form 2n - k
+        # vanishes at the direction (1, 2), so both operands lose degree
+        # along it and the gcd there, of degree 0, proves nothing: the first
+        # prime, forced to that direction, must give way to the next
+        p1, p2 = arith._GCD_PRIMES[:2]
+        a, b = H * (n + 1), H * (k + 2)
+        calls = []
+        real = arith._gcd_mod_p
+
+        def forced(f, g, x0, generic, p):
+            out = real(f, g, x0, (1, 2) if p == p1 else generic, p)
+            calls.append((p, out))
+            return out
+
+        monkeypatch.setattr(arith, "_gcd_mod_p", forced)
+        g, qa, qb = poly_cofactors(a, b)
+        assert g == H.monic() and g * qa == a and g * qb == b
+        assert [p for p, _ in calls] == [p1, p2] and calls[0][1] is None
+
+    def test_proper_gcds_of_a_corpus_run_need_one_prime(self, monkeypatch, capsys):
+        # every gcd with a proper common factor on the Stirling/Eulerian
+        # file (33 of them) is rebuilt at the first prime: a silent fall
+        # onto the larger primes, each a second full rebuild, fails here
+        primes, proper = [], []
+        real_line, real_gcd = arith._gcd_mod_p, arith._modular_gcd
+
+        def line(*args):
+            primes.append(args[-1])
+            return real_line(*args)
+
+        def gcd(a, b):
+            out = real_gcd(a, b)
+            if not (out[0].is_one() or out[1].is_one() or out[2].is_one()):
+                proper.append(out[0])
+            return out
+
+        monkeypatch.setattr(arith, "_gcd_mod_p", line)
+        monkeypatch.setattr(arith, "_modular_gcd", gcd)
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "corpus",
+                            "stirling_eulerian.ore")
+        assert main(["run", path, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert proper
+        assert set(primes) == {arith._GCD_PRIMES[0]}
+
+    @pytest.mark.parametrize("case", sorted(LINE_GCDS))
+    def test_gcd_along_lines_mod_p(self, case):
+        f, g, x0, generic, expected = LINE_GCDS[case]
+        assert modp._gcd_mod_p(_mod_p1(f), _mod_p1(g), x0, generic, P1) == (
+            None if expected is None else _mod_p1(expected))
+
+    def test_shifted_operand_read_along_a_line(self):
+        f = _mod_p1(H * (n + 1) * k)
+        x0, y = (3, 5), (1, 7)
+        shifted = modp._modp_shift(modp._modp_shift(f, 0, x0[0], P1), 1, x0[1], P1)
+        along = modp._along(shifted, 3, y, P1)
+        for s in range(5):
+            point = [x + s * d for x, d in zip(x0, y)]
+            direct = sum(c * point[0] ** e[0] * point[1] ** e[1] for e, c in f.items())
+            assert modp._univ_eval(along, s, P1) == direct % P1
+        assert modp._modp_shift(f, 0, 0, P1) is f
 
     def test_lcm(self):
         a = (k + 1) * (n - k)

@@ -1,6 +1,6 @@
 """The arithmetic checked against independent oracles: sympy's `cancel`
 for the four RatFunc field operations, the normalising constructor for
-the canonical pair, `poly_lcm` or the plain product for `factored_merge`,
+the canonical pair, `poly_lcm` for `factored_merge`,
 `sympy.Poly.cofactors` for `poly_gcd` and `poly_cofactors`,
 `sympy.Matrix.nullspace` for `nullspace_selected`, and sympy's own
 t-expansion and nullspace over Q(n) for `_t_free_kernel`."""
@@ -152,16 +152,15 @@ def test_inverse_is_monic_and_reduced():
         x / RatFunc.zero(R)
 
 
-def _check_merged(A, qs, combine):
+def _check_merged(A, qs):
     """A's keys are monic, non-constant and pairwise coprime, and A expands
-    to the lcm (combine max) or the product (combine add) of qs."""
+    to the lcm of qs."""
     keys = list(A)
     for i, f in enumerate(keys):
         assert f == f.monic() and not f.is_constant()
         for g in keys[i + 1:]:
             assert poly_gcd(f, g).is_one()
-    fold = poly_lcm if combine is max else (lambda a, b: (a * b).monic())
-    assert factored_expand(A, R) == reduce(fold, qs, R.one).monic()
+    assert factored_expand(A, R) == reduce(poly_lcm, qs, R.one).monic()
 
 
 MERGES = {
@@ -174,47 +173,44 @@ MERGES = {
 }
 
 
-@pytest.mark.parametrize("m", [1, 2])
-@pytest.mark.parametrize("combine", [max, add], ids=["max", "add"])
+# the lcm of the q^m, for m = 1 and 2
+@pytest.mark.parametrize("m", [1, 2], ids=["max-1", "max-2"])
 @pytest.mark.parametrize("name", sorted(MERGES))
-def test_factored_merge_matches_lcm_and_product(name, combine, m):
-    qs = MERGES[name]
+def test_factored_merge_matches_lcm_and_product(name, m):
+    qs = [q ** m for q in MERGES[name]]
     A = {}
     for q in qs:
-        factored_merge(A, q * Fraction(-3, 2), m, combine)
-    _check_merged(A, [q ** m for q in qs], combine)
+        factored_merge(A, q * Fraction(-3, 2))
+    _check_merged(A, qs)
 
 
 def test_composite_key_is_split_by_refinement():
     A = {((k + 1) * (k + 2)).monic(): 1}
-    factored_merge(A, (k + 1) * (k + 3), 1, max)
+    factored_merge(A, (k + 1) * (k + 3))
     assert A == {k + 1: 1, k + 2: 1, k + 3: 1}
 
 
 @SETTINGS
 @hypothesis.given(st.lists(st.lists(st.integers(0, len(FACTORS) - 1), min_size=1,
-                                    max_size=4), min_size=1, max_size=5),
-                  st.booleans(), st.integers(1, 2))
-def test_factored_merge_random(factor_lists, use_max, m):
+                                    max_size=4), min_size=1, max_size=5))
+def test_factored_merge_random(factor_lists):
     qs = [_prod(FACTORS[i] for i in fs) for fs in factor_lists]
-    combine = max if use_max else add
     A = {}
     for q in qs:
-        factored_merge(A, q, m, combine)
-    _check_merged(A, [q ** m for q in qs], combine)
+        factored_merge(A, q)
+    _check_merged(A, qs)
 
 
 # -- poly_gcd and poly_cofactors against sympy.Poly.cofactors ----------------------
 
 R3 = PolyRing(["n", "k", "m"])
 n3, k3, m3 = R3.var("n"), R3.var("k"), R3.var("m")
-SYMS3 = sympy.symbols(R3.names)
 SHIFTED = [n3 - k3 + i for i in range(3)] + [k3 + i for i in range(1, 3)] + \
     [n3 + m3 + 1, k3 + m3, m3 - 2]
 
 
 def to_sympy_poly(p: MPoly):
-    return sympy.Poly(to_sympy(p), *SYMS3, domain="QQ")
+    return sympy.Poly(to_sympy(p), *sympy.symbols(p.ring.names), domain="QQ")
 
 
 def check_cofactors(a, b):
@@ -286,6 +282,41 @@ def test_gcd_where_a_leading_coefficient_vanishes_at_the_image_point(ig, q1, q2)
     b = g * q2
     assert arith._image_bounds(a.primitive(), b.primitive()) is None
     check_cofactors(a, b)
+
+
+R4 = PolyRing(["n", "k", "m", "l"])
+
+
+@st.composite
+def gcds4(draw):
+    """(g, a, b): g of total degree up to 6 in a strict subset of n, k, m,
+    l, and a = g*q1, b = g*q2 with q1, q2 in all four variables."""
+    live = draw(st.sets(st.integers(0, 3), min_size=1, max_size=3))
+
+    def poly(variables, max_terms):
+        exps = st.tuples(*[st.integers(0, 2) if i in variables else st.just(0)
+                           for i in range(4)]).filter(lambda e: sum(e) <= 2)
+        terms = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool),
+                                     min_size=1, max_size=max_terms))
+        return MPoly(R4, {e: Fraction(c) for e, c in terms.items()})
+
+    g = reduce(lambda f, _: f * poly(live, 3), range(draw(st.integers(1, 3))), R4.one)
+    everything = range(4)
+    q1 = poly(everything, 3) + R4.var("l") * R4.var("m") + R4.var("n") * R4.var("k")
+    q2 = poly(everything, 3) + R4.var("l") * R4.var("n") + R4.var("m") * R4.var("k")
+    return g, g * q1, g * q2
+
+
+@SETTINGS
+@hypothesis.given(gcds4())
+def test_gcd_in_four_variables_living_in_a_strict_subset(case):
+    # the gcd is rebuilt over its own variables only; the others, shared
+    # by both operands, take values drawn per prime
+    g, a, b = case
+    shared = a.variables() & b.variables()
+    hypothesis.assume(g.variables() < shared)
+    h = check_cofactors(a, b)
+    assert arith.divides(g, h)
 
 
 # -- nullspace_selected against sympy.Matrix.nullspace ------------------------------
