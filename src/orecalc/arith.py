@@ -4,6 +4,15 @@ linear algebra over the rational-function field: kernels rebuilt from
 point solves mod p (with `modp`) or found by fraction-free elimination,
 and checked exactly either way.
 
+Coefficients are stored as a Python `int` whenever they are integral and as
+a `Fraction` only when they are not (`_coef` is the one normaliser; it
+rejects floats).  Most coefficients the engine meets are integers, and int
+arithmetic is several times cheaper than Fraction arithmetic.  An integral
+`Fraction` built by hand is still a legal coefficient, since it compares
+and hashes equal to its int.  Every coefficient division goes through the
+exact quotient `_qdiv` (or `_inv`): in Python `int / int` is a float, so a
+bare `/` between coefficients would silently leave exact arithmetic.
+
 Everything here is immutable and pure; all the operator algebra upstairs is
 built on these coefficients.
 """
@@ -12,6 +21,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
+import operator
 import random
 from fractions import Fraction
 
@@ -26,8 +37,47 @@ from .modp import (
     _rational_lift,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coef(c):
+    """c as a stored coefficient: an int when c is integral, else a
+    Fraction; a float (or any other non-rational) raises TypeError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, numbers.Rational):
+        return _coef(Fraction(c))
+    raise TypeError("coefficient must be an int or a Fraction, not %s"
+                    % type(c).__name__)
+
+
+def _qdiv(a, b):
+    """The exact quotient a/b of two coefficients, as a coefficient: by
+    divmod when both are ints and b divides a, else through Fraction
+    (never `/`, which gives a float on two ints)."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coef(Fraction(a, b))
+
+
+def _inv(c):
+    """1/c as a coefficient."""
+    return _qdiv(1, c)
+
+
+def _fix(terms: dict) -> dict:
+    """terms with each integral Fraction value replaced by its int, in
+    place; for results of arithmetic that may involve a Fraction."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _all_int(terms: dict) -> bool:
+    return all(type(c) is int for c in terms.values())
 
 
 class PolyRing:
@@ -62,11 +112,11 @@ class PolyRing:
     @property
     def one(self) -> "MPoly":
         if self._one is None:
-            self._one = MPoly(self, {self._zero_exp: _ONE})
+            self._one = MPoly(self, {self._zero_exp: 1})
         return self._one
 
     def const(self, c) -> "MPoly":
-        c = Fraction(c)
+        c = _coef(c)
         if c == 0:
             return self.zero
         return MPoly(self, {self._zero_exp: c})
@@ -75,10 +125,10 @@ class PolyRing:
         i = self.index[name]
         exp = [0] * self.nvars
         exp[i] = 1
-        return MPoly(self, {tuple(exp): _ONE})
+        return MPoly(self, {tuple(exp): 1})
 
-    def monomial(self, exp, coeff=_ONE) -> "MPoly":
-        coeff = Fraction(coeff)
+    def monomial(self, exp, coeff=1) -> "MPoly":
+        coeff = _coef(coeff)
         if coeff == 0:
             return self.zero
         return MPoly(self, {tuple(exp): coeff})
@@ -86,14 +136,16 @@ class PolyRing:
 
 def _grevlex_key(exp):
     # graded reverse lexicographic; max() of keys picks the leading exponent
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp),) + tuple(map(operator.neg, exp[::-1]))
 
 
 class MPoly:
-    """Sparse multivariate polynomial: map exponent vector -> Fraction.
+    """Sparse multivariate polynomial: map exponent vector -> coefficient.
 
     Invariants: no zero coefficients are stored, and all exponent vectors
     have the ring's arity, so equal polynomials have identical term maps.
+    A coefficient is an int when it is integral and a Fraction only when it
+    is not (see the module docstring); the operations keep it so.
     """
 
     __slots__ = ("ring", "terms")
@@ -110,10 +162,10 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.ring._zero_exp in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self):
         if not self.terms:
-            return _ZERO
-        return self.terms.get(self.ring._zero_exp, _ZERO)
+            return 0
+        return self.terms.get(self.ring._zero_exp, 0)
 
     def is_one(self) -> bool:
         return self.terms.get(self.ring._zero_exp) == 1 and len(self.terms) == 1
@@ -145,7 +197,7 @@ class MPoly:
         exp = max(self.terms, key=_grevlex_key)
         return exp, self.terms[exp]
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self):
         return self.leading()[1]
 
     # -- ring operations -------------------------------------------------------
@@ -161,7 +213,7 @@ class MPoly:
             else:
                 cur = cur + c
                 if cur:
-                    terms[e] = cur
+                    terms[e] = cur if type(cur) is int else _coef(cur)
                 else:
                     del terms[e]
         return MPoly(self.ring, terms)
@@ -190,30 +242,27 @@ class MPoly:
             else:
                 c = None
         else:
-            c = Fraction(other)
+            c = _coef(other)
         if c is not None:
             if c == 0:
                 return self.ring.zero
             if c == 1:
                 return self
-            return MPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+            out = {e: v * c for e, v in self.terms.items()}
+            return MPoly(self.ring, out if type(c) is int and _all_int(self.terms)
+                         else _fix(out))
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out = {}
+        get = out.get
+        add = operator.add
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                cur = out.get(e)
-                if cur is None:
-                    out[e] = ca * cb
-                else:
-                    cur = cur + ca * cb
-                    if cur:
-                        out[e] = cur
-                    else:
-                        del out[e]
-        return MPoly(self.ring, out)
+                e = tuple(map(add, ea, eb))
+                out[e] = get(e, 0) + ca * cb
+        out = {e: c for e, c in out.items() if c}
+        return MPoly(self.ring, out if _all_int(a) and _all_int(b) else _fix(out))
 
     __rmul__ = __mul__
 
@@ -255,13 +304,13 @@ class MPoly:
                 ne = list(e)
                 ne[i] -= 1
                 out[tuple(ne)] = c * e[i]
-        return MPoly(self.ring, out)
+        return MPoly(self.ring, _fix(out))
 
     def shift_var(self, i, offset) -> "MPoly":
         """Substitute x_i -> x_i + offset (offset a rational constant)."""
         if offset == 0:
             return self
-        offset = Fraction(offset)
+        offset = _coef(offset)
         out = {}
         for e, c in self.terms.items():
             d = e[i]
@@ -286,7 +335,7 @@ class MPoly:
                 ne[factor_index] += d
                 e = tuple(ne)
             if factor is not None and d:
-                c = c * Fraction(factor) ** d
+                c = c * _coef(factor) ** d
             _acc(out, e, c)
         return MPoly(self.ring, out)
 
@@ -321,44 +370,35 @@ class MPoly:
             result = result * value ** prev
         return result
 
-    def eval_point(self, values) -> Fraction:
-        """Evaluate at a full rational point (sequence indexed like the ring)."""
-        total = _ZERO
+    def eval_point(self, values):
+        """Evaluate at a full rational point (sequence indexed like the
+        ring): exact, an int when the point and the coefficients are."""
+        values = [_coef(x) for x in values]
+        total = 0
         for e, c in self.terms.items():
             v = c
-            for i, p in enumerate(e):
+            for x, p in zip(values, e):
                 if p:
-                    v *= Fraction(values[i]) ** p
+                    v *= x ** p
             total += v
         return total
 
     # -- normalization ----------------------------------------------------------
 
-    def rational_content(self) -> Fraction:
+    def rational_content(self):
         """Positive rational c with self/c integer-coefficient and primitive."""
-        if not self.terms:
-            return _ONE
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        if _all_int(self.terms):
+            return math.gcd(*self.terms.values()) or 1
+        return _rows_rational_content([self])
 
     def primitive(self) -> "MPoly":
-        c = self.rational_content()
-        if c == 1:
-            return self
-        return self * (1 / c)
+        return _divided(self, self.rational_content())
 
     def monic(self) -> "MPoly":
         """Divide by the grevlex leading coefficient."""
         if not self.terms:
             return self
-        lc = self.leading_coeff()
-        if lc == 1:
-            return self
-        return self * (1 / lc)
+        return _divided(self, self.leading_coeff())
 
     def __repr__(self):
         return "MPoly(%s)" % format_poly(self)
@@ -367,19 +407,29 @@ class MPoly:
         return format_poly(self)
 
 
+def _divided(f: MPoly, c) -> MPoly:
+    """f with every coefficient divided exactly by the nonzero constant c
+    (by one inverse when c is not an int)."""
+    if c == 1:
+        return f
+    if c == -1:
+        return -f
+    if type(c) is not int:
+        return f * _inv(c)
+    return MPoly(f.ring, {e: _qdiv(v, c) for e, v in f.terms.items()})
+
+
 def _acc(d, e, c):
-    """d[e] += c, storing no zero: the one sparse accumulator, for Fraction
-    and RatFunc values alike (both are false exactly when zero)."""
+    """d[e] += c, storing no zero: the one sparse accumulator, for
+    coefficient and RatFunc values alike (both are false exactly when
+    zero).  An integral Fraction is stored as its int."""
     cur = d.get(e)
-    if cur is None:
-        if c:
-            d[e] = c
-    else:
-        cur = cur + c
-        if cur:
-            d[e] = cur
-        else:
-            del d[e]
+    if cur is not None:
+        c = cur + c
+    if c:
+        d[e] = c.numerator if type(c) is Fraction and c.denominator == 1 else c
+    elif cur is not None:
+        del d[e]
 
 
 # -- pretty printing -----------------------------------------------------------
@@ -411,7 +461,7 @@ def format_poly(p: MPoly) -> str:
     return out
 
 
-def _fmt_coeff(c: Fraction) -> str:
+def _fmt_coeff(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
@@ -420,8 +470,10 @@ def _fmt_coeff(c: Fraction) -> str:
 # -- exact division and gcd ------------------------------------------------------
 
 def _heap_key(exp):
-    # negated grevlex key: heapq pops the order-largest exponent first
-    return (-sum(exp), tuple(x for x in reversed(exp)))
+    # negated grevlex key, flat: heapq pops the order-largest exponent
+    # first, the key of a product of monomials is the sum of their keys,
+    # and key[:0:-1] is the exponent again
+    return (-sum(exp),) + exp[::-1]
 
 
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
@@ -433,34 +485,41 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     if g.is_one():
         return f
     if g.is_constant():
-        return f * (1 / g.constant_value())
-    ring = f.ring
+        return _divided(f, g.constant_value())
     ge, gc = g.leading()
-    rem = dict(f.terms)
-    heap = [(_heap_key(e), e) for e in rem]
+    gk = _heap_key(ge)
+    # the remainder and the heap are keyed by `_heap_key`, so each step
+    # adds keys and never builds an exponent it does not store
+    rem = {_heap_key(e): c for e, c in f.terms.items()}
+    heap = list(rem)
     heapq.heapify(heap)
     quo = {}
-    gitems = [(e, c) for e, c in g.terms.items() if e != ge]
+    gitems = [(_heap_key(e), c) for e, c in g.terms.items() if e != ge]
     while heap:
-        _, fe = heapq.heappop(heap)
-        fc = rem.get(fe)
+        fk = heapq.heappop(heap)
+        fc = rem.pop(fk, None)
         if fc is None:
-            continue
-        del rem[fe]
-        qe = tuple(a - b for a, b in zip(fe, ge))
-        if any(x < 0 for x in qe):
+            continue  # cancelled, or a repeat of a key pushed again
+        qk = tuple(map(operator.sub, fk, gk))
+        if any(x < 0 for x in qk[1:]):
             raise ValueError("not divisible")
-        qc = fc / gc
-        quo[qe] = qc
-        for e, c in gitems:
-            te = tuple(a + b for a, b in zip(qe, e))
-            fresh = te not in rem
-            _acc(rem, te, -qc * c)
-            if fresh and te in rem:
-                heapq.heappush(heap, (_heap_key(te), te))
+        qc = _qdiv(fc, gc)
+        quo[qk[:0:-1]] = qc
+        for ek, c in gitems:
+            tk = tuple(map(operator.add, qk, ek))
+            cur = rem.get(tk)
+            if cur is None:
+                rem[tk] = -qc * c
+                heapq.heappush(heap, tk)
+            else:
+                cur -= qc * c
+                if cur:
+                    rem[tk] = cur
+                else:
+                    del rem[tk]
     if rem:
         raise ValueError("not divisible")
-    return MPoly(ring, quo)
+    return MPoly(f.ring, quo)
 
 
 def divides(g: MPoly, f: MPoly) -> bool:
@@ -493,14 +552,14 @@ def poly_cofactors(a: MPoly, b: MPoly):
         lc = ring.const(a.leading_coeff())
         return a.monic(), lc, lc
     ca, cb = a.rational_content(), b.rational_content()
-    g, qa, qb = _modular_gcd(_scaled(a, 1 / ca), _scaled(b, 1 / cb))
+    g, qa, qb = _modular_gcd(_divided(a, ca), _divided(b, cb))
     if g.is_one():
         return g, a, b
     lc = g.leading_coeff()
     return g.monic(), _scaled(qa, ca * lc), _scaled(qb, cb * lc)
 
 
-def _scaled(f: MPoly, c: Fraction) -> MPoly:
+def _scaled(f: MPoly, c) -> MPoly:
     # f * c, with no call (and no traced product) when c is 1
     return f if c == 1 else f * c
 
@@ -513,15 +572,43 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
 
 def denominator_lcm(values, ring) -> MPoly:
     """Monic lcm of the denominators of the RatFunc values (ring.one for
-    none), folded left to right with `poly_lcm` over the distinct ones (a
-    repeat divides the lcm already)."""
+    none)."""
+    return _lcm_fold(values, ring)[0]
+
+
+def _lcm_fold(values, ring):
+    """(L, steps): L the monic lcm of the denominators of the RatFunc
+    values, folded left to right over the distinct ones (a repeat divides
+    the lcm already), and steps the fold's (d, L'/g, d/g) per distinct
+    denominator d, L' the lcm before d and g = gcd(L', d).  These are
+    `poly_cofactors`' quotients, so L/d is L'/g times the factors d/g of
+    every later step (`_lcm_quotients`), with no division."""
     den = ring.one
+    steps = []
     seen = set()
     for x in values:
-        if not x.den.is_one() and x.den not in seen:
-            seen.add(x.den)
-            den = poly_lcm(den, x.den)
-    return den
+        d = x.den
+        if not d.is_one() and d not in seen:
+            seen.add(d)
+            # L' and d are monic, so d/g is monic and L'*(d/g) is the lcm
+            _, den_g, d_g = poly_cofactors(den, d)
+            den = den * d_g
+            steps.append((d, den_g, d_g))
+    return den, steps
+
+
+def _lcm_quotients(den, steps, ring) -> dict:
+    """{d: L/d} for the lcm L = den of `_lcm_fold` and its distinct
+    denominators d, and {1: L}: products of the fold's cofactors, taken
+    from the last step back."""
+    out = {ring.one: den}
+    later = ring.one  # the product of d/g over the steps after step i
+    for i in range(len(steps) - 1, -1, -1):
+        d, den_g, d_g = steps[i]
+        out[d] = den_g * later
+        if i:
+            later = later * d_g
+    return out
 
 
 # -- modular gcd (rebuilt along lines mod p, division-verified) --------------------
@@ -640,7 +727,7 @@ def _modular_gcd(a: MPoly, b: MPoly):
         scale = gamma * pow(terms[max(terms, key=_grevlex_key)], -1, p)
         for e, v in terms.items():
             v = v * scale % p
-            terms[e] = Fraction(v - p if v > half else v)
+            terms[e] = v - p if v > half else v
         cand = MPoly(a.ring, terms).primitive()
         try:
             return cand, exact_div(a, cand), exact_div(b, cand)
@@ -693,11 +780,10 @@ def _term_values_mod_p(f: MPoly, point, p):
     divides a coefficient denominator."""
     out = []
     for e, c in f.terms.items():
-        den = c.denominator
-        if den == 1:
-            w = c.numerator % p
-        elif den % p:
-            w = c.numerator * pow(den, -1, p) % p
+        if type(c) is int:
+            w = c % p
+        elif c.denominator % p:
+            w = c.numerator * pow(c.denominator, -1, p) % p
         else:
             return None
         for x, d in zip(point, e):
@@ -865,14 +951,13 @@ class RatFunc:
             return
         if not den.is_one():
             if den.is_constant():
-                num = num * (1 / den.constant_value())
+                num = _divided(num, den.constant_value())
                 den = den.ring.one
             else:
                 _, num, den = poly_cofactors(num, den)
                 lc = den.leading_coeff()
-                if lc != 1:
-                    num = num * (1 / lc)
-                    den = den * (1 / lc)
+                num = _divided(num, lc)
+                den = _divided(den, lc)
         self.num = num
         self.den = den
 
@@ -988,9 +1073,7 @@ class RatFunc:
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero")
         lc = self.num.leading_coeff()
-        if lc == 1:
-            return RatFunc._raw(self.den, self.num)
-        return RatFunc._raw(self.den * (1 / lc), self.num * (1 / lc))
+        return RatFunc._raw(_divided(self.den, lc), _divided(self.num, lc))
 
     def __pow__(self, n):
         if n == 0:
@@ -1036,19 +1119,18 @@ class RatFunc:
         num = self.num.shift_var(i, offset)
         den = self.den.shift_var(i, offset)
         lc = den.leading_coeff()
-        if lc != 1:
-            num = num * (1 / lc)
-            den = den * (1 / lc)
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(_divided(num, lc), _divided(den, lc))
 
     def eval_var(self, i, value: "RatFunc") -> "RatFunc":
         return self.num.eval_var(i, value) / self.den.eval_var(i, value)
 
     def eval_point(self, values) -> Fraction:
+        """The exact value at a full rational point, always a Fraction (the
+        parts may be ints, and `/` on two ints would give a float)."""
         d = self.den.eval_point(values)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at sample point")
-        return self.num.eval_point(values) / d
+        return Fraction(self.num.eval_point(values), d)
 
     def __repr__(self):
         return "RatFunc(%s)" % self.__str__()
@@ -1090,19 +1172,9 @@ def _clear_row(row, ring):
 
 def _cleared(row, ring):
     """The RatFunc row times `denominator_lcm` of its entries, as MPolys;
-    each distinct denominator's quotient is computed once."""
-    den = denominator_lcm(row, ring)
-    quotients = {}
-    out = []
-    for x in row:
-        if x.is_zero():
-            out.append(ring.zero)
-            continue
-        q = quotients.get(x.den)
-        if q is None:
-            q = quotients[x.den] = exact_div(den, x.den)
-        out.append(x.num * q)
-    return out
+    each distinct denominator's quotient comes from the lcm fold."""
+    quotients = _lcm_quotients(*_lcm_fold(row, ring), ring)
+    return [x.num * quotients[x.den] if x.num.terms else ring.zero for x in row]
 
 
 def _strip_row_content(row, ring):
@@ -1127,18 +1199,23 @@ def _strip_row_content(row, ring):
         return out
     # still strip the rational content for compactness
     c = _rows_rational_content(row)
-    if c not in (0, 1):
-        row = [x * (1 / c) for x in row]
-    return row
+    return row if c == 1 else [_divided(x, c) for x in row]
 
 
 def _rows_rational_content(row):
+    """The positive rational c with every MPoly of the row over c integral
+    and their coefficients coprime; 1 for an all-zero row."""
     num, den = 0, 1
     for x in row:
         for c in x.terms.values():
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return Fraction(num, den) if num else _ONE
+            if type(c) is int:
+                num = math.gcd(num, c)
+            else:
+                num = math.gcd(num, c.numerator)
+                den = den * c.denominator // math.gcd(den, c.denominator)
+    if not num:
+        return 1
+    return num if den == 1 else Fraction(num, den)
 
 
 def nullspace_poly(rows, ncols, ring) -> list:
@@ -1226,7 +1303,7 @@ def _finalize_ratfunc_vector_rat(vec, ring):
     polys = _clear_row(vec, ring)
     c = _rows_rational_content(polys)
     if c != 1:
-        polys = [x * (1 / c) for x in polys]
+        polys = [_divided(x, c) for x in polys]
     first = next((p for p in polys if not p.is_zero()), None)
     if first is not None and first.leading_coeff() < 0:
         polys = [-p for p in polys]
@@ -1492,10 +1569,12 @@ def _image_mod_p(f: MPoly, xs, t_var_idx, p):
     {t-exponent: value}; None when p divides a coefficient denominator."""
     out = {}
     for e, c in f.terms.items():
-        den = c.denominator
-        if den % p == 0:
+        if type(c) is int:
+            v = c % p
+        elif c.denominator % p:
+            v = c.numerator * pow(c.denominator, -1, p) % p
+        else:
             return None
-        v = c.numerator % p if den == 1 else c.numerator * pow(den, -1, p) % p
         for i, x in xs:
             if e[i]:
                 v = v * pow(x, e[i], p) % p

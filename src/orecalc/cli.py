@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .arith import PolyRing, RatFunc
+from .arith import PolyRing, RatFunc, _coef
 from .closure import closure_apply, closure_product, closure_sum
 from .dimension import hilbert_dimension
 from .errors import KindError, OrecalcError, ProblemSyntaxError, UnknownName
@@ -144,7 +144,7 @@ class ProblemFile:
 
 
 # operator expression AST: tuples
-#   ("num", Fraction) | ("sym", name) | ("add", l, r) | ("sub", l, r)
+#   ("num", int) | ("sym", name) | ("add", l, r) | ("sub", l, r)
 #   ("mul", l, r) | ("div", l, r) | ("pow", base, int) | ("neg", x)
 
 
@@ -303,7 +303,7 @@ class Parser:
     def parse_opatom(self):
         t = self.next()
         if t.kind == "int":
-            return ("num", Fraction(t.text))
+            return ("num", int(t.text))
         if t.kind == "name":
             return ("sym", t.text)
         if t.text == "(":
@@ -329,7 +329,7 @@ class Parser:
             neg = self.next().text == "-"
             term = self.parse_oracle_term()
             if neg:
-                term = Product((Const(Fraction(-1)), term))
+                term = Product((Const(-1), term))
             terms.append(term)
         if len(terms) == 1:
             return terms[0]
@@ -349,14 +349,14 @@ class Parser:
         if t.text == "-":
             self.next()
             inner = self.parse_oracle_factor()
-            return Product((Const(Fraction(-1)), inner))
+            return Product((Const(-1), inner))
         if t.kind == "int":
             self.next()
             if self.peek().text == "/":
                 self.next()
                 den = self.expect_int()
-                return Const(Fraction(int(t.text), den))
-            return Const(Fraction(t.text))
+                return Const(_coef(Fraction(int(t.text), den)))
+            return Const(int(t.text))
         if t.kind == "name":
             name = self.next().text
             if self.peek().text != "(":

@@ -138,7 +138,7 @@ def _point_solver(rows, ncols, active, p):
                 entries.append((col, tuple(
                     monomials.setdefault(tuple(e[i] for i in active), len(monomials))
                     for e in f.terms), tuple(
-                    c.numerator if c.denominator == 1
+                    c if type(c) is int
                     else c.numerator * pow(c.denominator, -1, p) % p
                     for c in f.terms.values())))
         compiled.append(entries)
@@ -295,13 +295,14 @@ def _rational_fit(values, p):
 
 
 def _rational_lift(c, p):
-    """The Fraction a/b with a = b*c mod p, by maximal quotient rational
-    reconstruction (Monagan 2004): the Euclidean pair (r_i, t_i) with
-    t_i*c = r_i mod p before the largest quotient, which must exceed
-    2^_LIFT_MARGIN; None otherwise.  A small a/b gives a quotient of about
-    p/|ab|, a residue with no small preimage almost never a large one."""
+    """The coefficient a/b (an int when b = 1) with a = b*c mod p, by
+    maximal quotient rational reconstruction (Monagan 2004): the Euclidean
+    pair (r_i, t_i) with t_i*c = r_i mod p before the largest quotient,
+    which must exceed 2^_LIFT_MARGIN; None otherwise.  A small a/b gives a
+    quotient of about p/|ab|, a residue with no small preimage almost never
+    a large one."""
     if not c:
-        return Fraction(0)
+        return 0
     r0, r1, t0, t1 = p, c, 0, 1
     best, top = None, 1 << _LIFT_MARGIN
     while r1:
@@ -311,7 +312,10 @@ def _rational_lift(c, p):
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
     if best is None or math.gcd(*best) != 1:
         return None
-    return Fraction(*best)
+    a, b = best
+    if b < 0:
+        a, b = -a, -b
+    return a if b == 1 else Fraction(a, b)
 
 
 def _lower_set_interpolant(values, m, d, p):

@@ -502,7 +502,7 @@ def _transport(f: OrePoly, target: OreAlgebra, gen_idx, offset: int) -> OrePoly:
     """Left-linear substitution d_i -> d_i + offset for i in gen_idx."""
     out = {}
     for e, c in f.terms.items():
-        parts = [(e, Fraction(1))]
+        parts = [(e, 1)]
         for i in gen_idx:
             d = e[i]
             if d == 0:
@@ -513,7 +513,7 @@ def _transport(f: OrePoly, target: OreAlgebra, gen_idx, offset: int) -> OrePoly:
                     ne = list(pe)
                     ne[i] = j
                     new_parts.append((tuple(ne),
-                                      pc * math.comb(d, j) * Fraction(offset) ** (d - j)))
+                                      pc * math.comb(d, j) * offset ** (d - j)))
             parts = new_parts
         for pe, pc in parts:
             _acc(out, pe, c * pc)

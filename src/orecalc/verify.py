@@ -2,8 +2,12 @@
 shift operators to tabulated data, and end-to-end identity checks of
 telescopers against brute-force definite sums.
 
-All arithmetic is Fraction-exact; failures are report entries rather than
-exceptions so a whole box can be swept in one call.
+All arithmetic is exact.  A value is an int when it is an integer (the
+builtin integer sequences, linear factors, products and sums of them,
+nonnegative powers) and a Fraction otherwise (Bernoulli numbers, negative
+powers, values of rational-function coefficients); no `/` is taken
+between two ints, which would give a float.  Failures are report entries
+rather than exceptions so a whole box can be swept in one call.
 """
 from __future__ import annotations
 
@@ -16,21 +20,21 @@ from .ore import OreKind, OrePoly, difference_to_shift
 
 # -- builtin sequences --------------------------------------------------------
 
-_stirling2_memo = {(0, 0): Fraction(1)}
-_eulerian1_memo = {(0, 0): Fraction(1)}
+_stirling2_memo = {(0, 0): 1}
+_eulerian1_memo = {(0, 0): 1}
 _bernoulli_memo = {0: Fraction(1), 1: Fraction(-1, 2)}
 
 
-def binomial(n, k) -> Fraction:
+def binomial(n, k) -> int:
     if k < 0 or k > n:
-        return Fraction(0)
-    return Fraction(math.comb(n, k))
+        return 0
+    return math.comb(n, k)
 
 
-def stirling2(n, k) -> Fraction:
+def stirling2(n, k) -> int:
     """Stirling numbers of the second kind, S2(n,k) = S2(n-1,k-1) + k*S2(n-1,k)."""
     if k < 0 or k > n or n < 0:
-        return Fraction(0)
+        return 0
     v = _stirling2_memo.get((n, k))
     if v is None:
         v = stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
@@ -38,10 +42,10 @@ def stirling2(n, k) -> Fraction:
     return v
 
 
-def eulerian1(n, m) -> Fraction:
+def eulerian1(n, m) -> int:
     """Eulerian numbers of the first kind (ascent counts of permutations)."""
     if m < 0 or n < 0 or (n == 0 and m > 0) or (n > 0 and m >= n):
-        return Fraction(0)
+        return 0
     v = _eulerian1_memo.get((n, m))
     if v is None:
         v = (m + 1) * eulerian1(n - 1, m) + (n - m) * eulerian1(n - 1, m - 1)
@@ -63,10 +67,10 @@ def bernoulli(n) -> Fraction:
     return v
 
 
-def factorial(n) -> Fraction:
+def factorial(n) -> int:
     if n < 0:
         raise OutOfDomain("factorial of negative integer")
-    return Fraction(math.factorial(n))
+    return math.factorial(n)
 
 
 # -- oracle expressions ---------------------------------------------------------
@@ -119,9 +123,9 @@ _BUILTINS = {
 
 
 class SequenceOracle:
-    """Base for exact sequence expressions; eval(env) -> Fraction."""
+    """Base for exact sequence expressions; eval(env) -> int or Fraction."""
 
-    def eval(self, env) -> Fraction:
+    def eval(self, env):
         raise NotImplementedError
 
     def variables(self):
@@ -184,11 +188,11 @@ class Pow(SequenceOracle):
         e = self.exp.eval(env)
         if b == 0:
             if e == 0:
-                return Fraction(1)
+                return 1
             if e < 0:
                 raise OutOfDomain("0 raised to a negative power")
-            return Fraction(0)
-        return Fraction(b) ** e
+            return 0
+        return b ** e if e >= 0 else Fraction(b) ** e
 
     def variables(self):
         return self.base.variables() | self.exp.variables()
@@ -202,7 +206,7 @@ class Lin(SequenceOracle):
     expr: LinExpr
 
     def eval(self, env):
-        return Fraction(self.expr.eval(env))
+        return self.expr.eval(env)
 
     def variables(self):
         return self.expr.variables()
@@ -223,11 +227,11 @@ class Product(SequenceOracle):
         # that would be out of domain outside the window (e.g. Bernoulli)
         ordered = sorted(self.factors,
                          key=lambda f: not f.has_finite_support())
-        total = Fraction(1)
+        total = 1
         for f in ordered:
             v = f.eval(env)
             if v == 0:
-                return Fraction(0)
+                return 0
             total *= v
         return total
 
@@ -249,7 +253,7 @@ class Add(SequenceOracle):
     terms: tuple
 
     def eval(self, env):
-        return sum((t.eval(env) for t in self.terms), Fraction(0))
+        return sum(t.eval(env) for t in self.terms)
 
     def variables(self):
         out = set()
@@ -278,7 +282,7 @@ class DefiniteSum(SequenceOracle):
         key = tuple(sorted((v, env[v]) for v in self.variables()))
         v = self._memo.get(key)
         if v is None:
-            v = sum(self._values(dict(env)), Fraction(0))
+            v = sum(self._values(dict(env)))
             self._memo[key] = v
         return v
 
@@ -343,8 +347,8 @@ def apply_operator_numeric(L: OrePoly, oracle: SequenceOracle, points):
         if missing:
             raise KeyError("operator involves %s but the sample point does not"
                            % ", ".join(sorted(missing)))
-        point = [Fraction(env.get(v, 0)) for v in names]
-        total = Fraction(0)
+        point = [env.get(v, 0) for v in names]
+        total = 0
         skipped = None
         for exp, coeff in L.terms.items():
             if coeff.den.eval_point(point) == 0:

@@ -396,3 +396,12 @@ class TestNullspace:
         for p in nums[1:]:
             g = poly_gcd(g, p)
         assert g.is_one()
+
+    def test_cleared_row_takes_its_multipliers_from_the_lcm_fold(self):
+        # repeated, nested and coprime denominators, a zero and a polynomial:
+        # each entry is multiplied by L/d, the quotient exact division gives
+        dens = [k * (k + 1), (k + 1) * (n - k), k, (2 * n + 1) * k, R2.one, k * (k + 1)]
+        row = [RatFunc(n + i, d) for i, d in enumerate(dens)] + [RatFunc.zero(R2)]
+        den = arith.denominator_lcm(row, R2)
+        assert den == poly_lcm(poly_lcm(poly_lcm(dens[0], dens[1]), dens[2]), dens[3])
+        assert arith._cleared(row, R2) == [x.num * exact_div(den, x.den) for x in row]

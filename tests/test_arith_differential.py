@@ -72,6 +72,28 @@ def as_sympy(r: RatFunc):
     return to_sympy(r.num) / to_sympy(r.den)
 
 
+# Coefficients are ints when integral and Fractions otherwise, but an
+# integral Fraction built through the raw constructor is legal too; the
+# strategies below feed all three forms to the arithmetic.
+FORMS = st.sampled_from(["int", "integral Fraction", "Fraction"])
+
+
+def coefficient(draw, c):
+    """The nonzero int c drawn as itself, as Fraction(c), or as the
+    non-integral Fraction (2c + 1)/2."""
+    form = draw(FORMS)
+    if form == "int":
+        return c
+    return Fraction(c) if form == "integral Fraction" else Fraction(2 * c + 1, 2)
+
+
+def mixed(draw, p: MPoly) -> MPoly:
+    """p through the raw constructor, each integral coefficient drawn as
+    an int or as an integral Fraction."""
+    return MPoly(p.ring, {e: Fraction(c) if c.denominator == 1 and draw(st.booleans())
+                          else c for e, c in p.terms.items()})
+
+
 indices = st.lists(st.integers(0, len(FACTORS) - 1), max_size=3)
 coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -86,7 +108,7 @@ def ratfuncs(draw):
     p2 = _prod(FACTORS[i] for i in draw(indices))
     den = _prod(FACTORS[i] for i in draw(indices))
     num = p1 * c1 + p2 * c2
-    return RatFunc(num, den)
+    return RatFunc(mixed(draw, num), mixed(draw, den))
 
 
 def check_ops(x, y):
@@ -234,7 +256,7 @@ def polys3(draw, coeff=st.integers(-5, 5), max_terms=3, max_exp=2):
     terms = draw(st.dictionaries(
         st.tuples(*[st.integers(0, max_exp)] * 3), coeff.filter(bool),
         min_size=1, max_size=max_terms))
-    return MPoly(R3, {e: Fraction(c) for e, c in terms.items()})
+    return MPoly(R3, {e: coefficient(draw, c) for e, c in terms.items()})
 
 
 wide = st.integers(2 ** 107, 2 ** 130) | st.integers(-2 ** 130, -2 ** 107)
@@ -298,7 +320,7 @@ def gcds4(draw):
                            for i in range(4)]).filter(lambda e: sum(e) <= 2)
         terms = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool),
                                      min_size=1, max_size=max_terms))
-        return MPoly(R4, {e: Fraction(c) for e, c in terms.items()})
+        return MPoly(R4, {e: coefficient(draw, c) for e, c in terms.items()})
 
     g = reduce(lambda f, _: f * poly(live, 3), range(draw(st.integers(1, 3))), R4.one)
     everything = range(4)
@@ -349,7 +371,8 @@ small = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-3,
 @st.composite
 def planted(draw):
     """(rows, ncols): every row is orthogonal to d planted vectors e_j +
-    (polynomials on the last ncols - d columns), j < d."""
+    (polynomials on the last ncols - d columns), j < d.  Each row is
+    scaled by an int or a Fraction and rebuilt with `mixed`."""
     ncols = draw(st.integers(2, 4))
     d = draw(st.integers(0, ncols - 1))
     free = range(d, ncols)
@@ -361,7 +384,8 @@ def planted(draw):
             row[f] = draw(small)
         for j, c in enumerate(plants):
             row[j] = -reduce(add, (row[f] * c[f] for f in free), R.zero)
-        rows.append(row)
+        scale = draw(st.sampled_from([1, -2, Fraction(1, 2), Fraction(-2, 3)]))
+        rows.append([mixed(draw, x * scale) for x in row])
     return rows, ncols
 
 

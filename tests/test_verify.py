@@ -73,6 +73,20 @@ class TestBuiltins:
         assert sum(eulerian1(4, m) for m in range(4)) == factorial(4)
         assert eulerian1(2, 5) == 0
 
+    def test_integer_values_are_ints(self):
+        # exact without Fraction: integer sequences, products, nonnegative
+        # powers and definite sums of them are ints; Bernoulli numbers and
+        # negative powers stay Fractions
+        env = {"n": 6, "k": 2}
+        term = Product((Builtin("binomial", (lin(n=1), lin(k=1))),
+                        Pow(lin(2), lin(k=1)), Const(-1)))
+        for v in (binomial(6, 2), stirling2(6, 3), eulerian1(5, 2), factorial(5),
+                  term.eval(env), DefiniteSum("k", term).eval(env)):
+            assert type(v) is int
+        assert DefiniteSum("k", term).eval(env) == -(3 ** 6)
+        assert type(bernoulli(0)) is Fraction
+        assert Pow(lin(2), lin(-1, k=1)).eval({"k": -1}) == Fraction(1, 4)
+
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             bernoulli(-1)
