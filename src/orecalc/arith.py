@@ -820,45 +820,22 @@ def _divide_out(b: MPoly, f: MPoly):
         k += 1
 
 
-def _coprime_insert(base: list, q: MPoly) -> None:
-    """Refine a pairwise-coprime list of monic polys so it also covers q.
-
-    Splitting pieces re-enter the worklist, so partial overlaps between a
-    gcd and its cofactors resolve fully; total degree strictly drops at
-    every split, which bounds the loop."""
-    stack = [q.monic()]
-    while stack:
-        x = stack.pop()
-        if x.is_constant():
-            continue
-        hit = None
-        for i, f in enumerate(base):
-            g = poly_gcd(f, x)
-            if not g.is_constant():
-                hit = (i, f, g)
-                break
-        if hit is None:
-            base.append(x)
-            continue
-        i, f, g = hit
-        if g == f:
-            if g == x:
-                continue  # fully covered
-            stack.append(_divide_out(g, x)[1].monic())
-            continue
-        del base[i]
-        stack.append(g)
-        stack.append(_divide_out(g, f)[1].monic())
-        stack.append(_divide_out(g, x)[1].monic())
-
-
 def factored_merge(A: dict, q: MPoly) -> None:
     """A := lcm(A, q) in place.
 
-    Keys stay pairwise coprime.  When trial division by the keys already in
-    A takes q down to a constant, q is a product of keys and only their
-    multiplicities change; otherwise the base refines itself against q and
-    the old entries are re-expressed over the refined base when needed."""
+    Keys stay monic and pairwise coprime.  When trial division by the keys
+    already in A takes q down to a constant, q is a product of keys and only
+    their multiplicities change.  Otherwise the pieces are refined as
+    triples (f, a, b) whose f^a multiply to A's product and whose f^b
+    multiply to q: A's keys, each with the multiplicity the trial division
+    found in q, and the leftover r as (r, 0, 1).  A piece x that meets a
+    piece f in a nontrivial g = gcd(f, x) is replaced, with f, by
+    (f/g, a_f, b_f), (g, a_f + a_x, b_f + b_x) and (x/g, a_x, b_x), which
+    keeps both products, as f^a x^b = (f/g)^a g^(a+b) (x/g)^b for either
+    pair of exponents.  Every split lowers the total degree of the pieces,
+    so the loop ends, with pairwise-coprime pieces, and then the lcm is the
+    product of the f^max(a, b) (Bach, Driscoll and Shallit, "Factor
+    refinement", 1993)."""
     q = q.monic()
     if q.is_constant():
         return
@@ -873,24 +850,26 @@ def factored_merge(A: dict, q: MPoly) -> None:
         for b, j in mults.items():
             A[b] = max(A[b], j)
         return
-    base = list(A.keys())
-    _coprime_insert(base, q)
-    if set(base) != set(A.keys()):
-        old = dict(A)
-        A.clear()
-        for b in base:
-            s = 0
-            for f, mf in old.items():
-                if f is b or f == b:
-                    s += mf
-                else:
-                    s += mf * _divide_out(b, f)[0]
-            if s:
-                A[b] = s
-    for b in base:
-        j = _divide_out(b, q)[0]
-        if j:
-            A[b] = max(A.get(b, 0), j)
+    pieces = [(f, a, mults.get(f, 0)) for f, a in A.items()]
+    # q and the pieces are monic, so are the exact quotients rest, f/g, x/g
+    stack = [(rest, 0, 1)]
+    while stack:
+        x, ax, bx = stack.pop()
+        for i, (f, af, bf) in enumerate(pieces):
+            g, f_g, x_g = poly_cofactors(f, x)
+            if not g.is_constant():
+                break
+        else:
+            pieces.append((x, ax, bx))
+            continue
+        del pieces[i]
+        stack.append((g, af + ax, bf + bx))
+        for y, a, b in ((f_g, af, bf), (x_g, ax, bx)):
+            if not y.is_constant():
+                stack.append((y, a, b))
+    A.clear()
+    for f, a, b in pieces:
+        A[f] = max(a, b)
 
 
 def factored_expand(A: dict, ring) -> MPoly:

@@ -143,11 +143,9 @@ def _clearing_lcms(gb, t_idx, window):
             if sum(alpha) != s:
                 continue
             for c in gb.phi(alpha).values():
-                if not c.den.is_one():
-                    key = frozenset(c.den.terms.items())
-                    if key not in seen:
-                        seen.add(key)
-                        factored_merge(lcm, c.den)
+                if not c.den.is_one() and c.den not in seen:
+                    seen.add(c.den)
+                    factored_merge(lcm, c.den)
                 top = max(top, _deg_t(c.num, t_idx))
         yield dict(lcm), top
 

@@ -192,6 +192,13 @@ MERGES = {
     "composite-key": [(k + 1) * (k + 2), (k + 1) * (k + 3), k + 2],
     "new-coprime-factor": [k + 1, n - k, (n - k) * (k + 1) ** 3],
     "mixed": [(k + 1) * (n + 1), (n + 1) ** 2, (k + 1) * (k + 2) * (n + 1), k + 2],
+    # a non-squarefree key that a later q splits
+    "split-square-key": [(k + 1) ** 2, k + 1, (k + 1) * (k + 2)],
+    # a gcd that shares a factor with its own cofactors
+    "gcd-meets-cofactor": [(k + 1) ** 3 * (k + 2), (k + 1) * (k + 2) ** 2 * (k + 3)],
+    # a leftover of q that overlaps two keys
+    "leftover-overlaps-two-keys": [(k + 1) * (n - k), (k + 2) * (n - k + 1),
+                                   (k + 1) * (k + 2) * (n - k) * (n - k + 1) ** 2],
 }
 
 
@@ -210,6 +217,24 @@ def test_composite_key_is_split_by_refinement():
     A = {((k + 1) * (k + 2)).monic(): 1}
     factored_merge(A, (k + 1) * (k + 3))
     assert A == {k + 1: 1, k + 2: 1, k + 3: 1}
+
+
+def test_refining_merge_divides_each_old_key_once(monkeypatch):
+    # the refinement carries both multiplicities through its splits, so the
+    # only trial divisions are the first pass of q by the keys already held
+    A = {((k + 1) * (k + 2)).monic(): 1, n - k: 2, n + 1: 1}
+    old_keys = len(A)
+    calls = []
+    divide_out = arith._divide_out
+
+    def counted(b, f):
+        calls.append(b)
+        return divide_out(b, f)
+
+    monkeypatch.setattr(arith, "_divide_out", counted)
+    factored_merge(A, (k + 1) * (k + 3) * (n - k) ** 3)
+    assert len(calls) <= old_keys
+    assert A == {k + 1: 1, k + 2: 1, k + 3: 1, n - k: 3, n + 1: 1}
 
 
 @SETTINGS
