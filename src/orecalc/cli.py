@@ -738,10 +738,57 @@ def _print_task(task: Task) -> str:
 # -- runner ----------------------------------------------------------------------
 
 
+def _growth(ideals, d, order, entry):
+    """One growth task; returns (report entry, text line, exit status)."""
+    try:
+        fn = growth_zero_dimensional if d["method"] == "exact" else growth_probe
+        cert = fn(_get(ideals, d["ideal"]), d["tvars"], window=d["window"], order=order)
+    except OrecalcError as exc:
+        return _failed(entry, "growth", exc)
+    entry.update(p=cert.p, degrees=cert.degrees, method=cert.method,
+                 degenerate=cert.degenerate, heuristic=cert.heuristic)
+    return entry, "growth %s %s: p = %s  degrees %s%s" % (
+        d["method"], d["ideal"], cert.p, cert.degrees,
+        " (degenerate)" if cert.degenerate else ""), 0
+
+
+def _failed(entry, kind, exc):
+    entry.update(ok=False, error=str(exc))
+    return entry, "%s: error: %s" % (kind, exc), 1
+
+
 def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
         verify_box=8, out=None):
-    """Execute the task list; returns (exit_status, rendered_text)."""
+    """Execute the task list; returns (exit_status, rendered_text).
+
+    A growth task binds no name and no task reads its result, so when a
+    spare CPU is usable it runs in a forked helper process (`helper.Helper`)
+    while the tasks after it go on here.  Its entry, text line and status
+    are put back at its place, so the output is the same either way; a
+    helper that gives no valid result has its task run here instead.
+    Every helper is reaped before `run` returns or raises."""
     out = out if out is not None else sys.stdout
+    helpers = []   # (entry index, line index, helper, growth arguments)
+    try:
+        status, report, lines = _run_tasks(pf, order, verify_box, helpers)
+        for i, j, helper, args in helpers:
+            report["tasks"][i], lines[j], failed = helper.result() or _growth(*args)
+            status |= failed
+    finally:
+        for _, _, helper, _ in helpers:
+            helper.stop()
+    if fmt == "json":
+        rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    else:
+        rendered = "\n".join(lines) + ("\n" if lines else "")
+    out.write(rendered)
+    return status, rendered
+
+
+def _run_tasks(pf, order, verify_box, helpers):
+    """The tasks in order; (exit status, report, text lines).  Each growth
+    task started in a helper is added to `helpers`, and its report entry
+    and text line are None until the caller puts its result there."""
     report = {"schema_version": 1, "tasks": []}
     lines = []
     status = 0
@@ -753,7 +800,7 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
 
     for task in pf.tasks:
         d = task.data
-        entry = {"task": task.kind}
+        entry = {"task": task.kind, "ok": True}
         entry.update({k: v for k, v in d.items() if isinstance(v, (str, int, list))})
         try:
             if task.kind == "gb":
@@ -793,18 +840,18 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
                 if not res.bound_met:
                     status = 1
             elif task.kind == "growth":
-                I = _get(ideals, d["ideal"])
-                tvars = d["tvars"]
-                fn = growth_zero_dimensional if d["method"] == "exact" else growth_probe
-                cert = fn(I, tvars, window=d["window"], order=order)
-                entry["p"] = cert.p
-                entry["degrees"] = cert.degrees
-                entry["method"] = cert.method
-                entry["degenerate"] = cert.degenerate
-                entry["heuristic"] = cert.heuristic
-                emit("growth %s %s: p = %s  degrees %s%s" % (
-                    d["method"], d["ideal"], cert.p, cert.degrees,
-                    " (degenerate)" if cert.degenerate else ""))
+                from .helper import Helper  # only files with a growth task import it
+                # the names as bound here: a task whose helper gives no
+                # result runs again after the later tasks have bound theirs
+                args = (dict(ideals), d, order, entry)
+                helper = Helper.start(_growth, args, len(helpers))
+                if helper is None:
+                    entry, line, failed = _growth(*args)
+                    status |= failed
+                else:  # placeholders until the helper's result is in
+                    helpers.append((len(report["tasks"]), len(lines), helper, args))
+                    entry = line = None
+                emit(line)
             elif task.kind == "telescope":
                 I = _get(ideals, d["ideal"])
                 tgens = [_resolve_gen(pf.algebra, t) for t in d["tgens"]]
@@ -874,19 +921,11 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
                     ", %d skipped" % len(rep.skipped) if rep.skipped else ""))
                 if not rep.passed:
                     status = 1
-            entry["ok"] = True
         except OrecalcError as exc:
-            entry["ok"] = False
-            entry["error"] = str(exc)
-            emit("%s: error: %s" % (task.kind, exc))
-            status = 1
+            _, line, status = _failed(entry, task.kind, exc)
+            emit(line)
         report["tasks"].append(entry)
-    if fmt == "json":
-        rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        rendered = "\n".join(lines) + ("\n" if lines else "")
-    out.write(rendered)
-    return status, rendered
+    return status, report, lines
 
 
 def _resolve_gen(algebra, name, line=None, col=None):

@@ -2,13 +2,38 @@ import glob
 import io
 import json
 import os
+import signal
 
 import pytest
 
+import orecalc.cli as cli
 from orecalc.cli import main, parse, print_problem, run
 from orecalc.errors import KindError, ProblemSyntaxError, UnknownName
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+
+
+def _choose_growth_path(monkeypatch, path):
+    """Run growth tasks in forked helpers ("helper", as with two usable
+    CPUs) or in process ("inline", as without os.fork); returns the list
+    that collects the pid of each helper started."""
+    pids = []
+    if path == "inline":
+        monkeypatch.delattr(os, "fork", raising=False)
+        return pids
+    if not hasattr(os, "fork"):
+        pytest.skip("os.fork is not available")
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
 
 
 EXAMPLE = """
@@ -191,11 +216,15 @@ class TestRun:
     ], ids=["difference", "shift"])
     def test_growth_exact_on_the_zero_ideal(self, algebra, capsys, monkeypatch):
         text = "algebra Q(n, k) %s; ideal Z = [0]; growth exact Z over k;" % algebra
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert main(["run", "-"]) == 1
-        captured = capsys.readouterr()
-        out = captured.out + captured.err
-        assert out == "growth: error: ideal is not 0-dimensional\n"
+        for path in ("helper", "inline"):
+            with monkeypatch.context() as patch:
+                forks = _choose_growth_path(patch, path)
+                patch.setattr("sys.stdin", io.StringIO(text))
+                assert main(["run", "-"]) == 1
+                captured = capsys.readouterr()
+                out = captured.out + captured.err
+                assert out == "growth: error: ideal is not 0-dimensional\n"
+                assert len(forks) == (path == "helper")
 
     @pytest.mark.parametrize("task, status", [
         ("telescope B over Sk maxdeg 2 expect found;", 0),
@@ -250,8 +279,71 @@ def test_heavy_corpus_json_matches_golden(name):
 
 
 def _assert_report_matches(name, golden_dir):
-    with open(os.path.join(CORPUS, name + ".ore")) as fh:
-        pf = parse(fh.read())
-    _, rendered = run(pf, fmt="json", out=io.StringIO())
+    _, rendered = run(parse(_corpus_text(name)), fmt="json", out=io.StringIO())
     with open(os.path.join(golden_dir, name + ".json")) as fh:
         assert rendered == fh.read()
+
+
+def _corpus_text(name):
+    with open(os.path.join(CORPUS, name + ".ore")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name, golden_dir", [("binomial", GOLDEN),
+                                              ("double_stirling", HEAVY_GOLDEN)],
+                         ids=["binomial", "double_stirling"])
+def test_growth_helper_and_inline_reports_agree(name, golden_dir, monkeypatch):
+    """Both growth paths give the golden JSON report and the same text."""
+    def reports():
+        return [run(parse(_corpus_text(name)), fmt=fmt, out=io.StringIO())
+                for fmt in ("json", "text")]
+
+    forks = _choose_growth_path(monkeypatch, "helper")
+    by_helper = reports()
+    assert len(forks) == 2
+    _choose_growth_path(monkeypatch, "inline")
+    assert reports() == by_helper
+    with open(os.path.join(golden_dir, name + ".json")) as fh:
+        assert by_helper[0][1] == fh.read()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_no_helper_outlives_a_failing_run(exc, monkeypatch):
+    """A task after the growth task raises while its helper may still run."""
+    def fails(*args, **kwargs):
+        raise exc("task failed")
+
+    forks = _choose_growth_path(monkeypatch, "helper")
+    monkeypatch.setattr(cli, "fasenmyer_search", fails)
+    with pytest.raises(exc):
+        run(parse(_corpus_text("binomial")), out=io.StringIO())
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("death", ["exit", "kill", "raise"])
+def test_a_helper_without_a_result_has_its_task_run_inline(death, monkeypatch, capfd):
+    """A helper that exits, is killed or raises sends no result; the task
+    is run in process instead, with the golden entry and no traceback."""
+    parent = os.getpid()
+    exact = cli.growth_zero_dimensional
+
+    def dies_in_the_helper(*args, **kwargs):
+        if os.getpid() != parent:
+            if death == "exit":
+                os._exit(1)
+            if death == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("helper failed")
+        return exact(*args, **kwargs)
+
+    forks = _choose_growth_path(monkeypatch, "helper")
+    monkeypatch.setattr(cli, "growth_zero_dimensional", dies_in_the_helper)
+    status, rendered = run(parse(_corpus_text("binomial")), fmt="json",
+                           out=io.StringIO())
+    assert len(forks) == 1
+    assert status == 0
+    with open(os.path.join(GOLDEN, "binomial.json")) as fh:
+        assert rendered == fh.read()
+    assert capfd.readouterr().err == ""
