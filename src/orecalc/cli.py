@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .arith import PolyRing, RatFunc, _coef
 from .closure import closure_apply, closure_product, closure_sum
 from .dimension import hilbert_dimension
-from .errors import KindError, OrecalcError, ProblemSyntaxError, UnknownName
+from .errors import KindError, OrecalcError, OutOfDomain, ProblemSyntaxError, UnknownName
 from .groebner import GREVLEX, GRLEX, LeftIdeal, MonomialOrder
 from .growth import growth_probe, growth_zero_dimensional
 from .ore import _Q_KINDS, OreAlgebra, OreGenerator, OreKind, OrePoly, format_opoly
@@ -45,13 +47,67 @@ _KIND_NAMES = {
     "mahler": OreKind.MAHLER,
     "divdiff": OreKind.DIVIDED_DIFFERENCE,
 }
-_KIND_TO_NAME = {v: k for k, v in _KIND_NAMES.items()}
+
+
+# -- task syntax -----------------------------------------------------------------
+#
+# Each task is its word, its fields in order, optional clauses, then `;`.
+# A field is a literal word or (key, type); `clauses` maps each clause's
+# word, under which its value is stored, to a type.  Types: _INT, _NAME,
+# the names `_check_names` resolves (_GEN, _TGEN, _VAR, _SUMVAR), [type]
+# for a comma list, and (message, {word: fields}) for a word from a fixed
+# set, whose own fields follow it.  A clause of type None is a flag, stored
+# as 1.  The parser, `_print_task` and `_check_names` all read this table.
+
+_INT, _NAME, _GEN, _TGEN, _VAR, _SUMVAR = "int", "name", "gen", "tgen", "var", "sumvar"
+_PAIR = (("left", _NAME), ("right", _NAME))
+_EXPECT = ("expect must be none or found, got {!r}", {"none": (), "found": ()})
+
+# any_order: clauses may come in any order and repeat, the last value
+# winning; otherwise each comes at most once, in the table's order
+_Syntax = namedtuple("_Syntax", "fields clauses any_order defaults",
+                     defaults=({}, False, {}))
+
+_TASKS = {
+    "gb": _Syntax((("ideal", _NAME),)),
+    "dim": _Syntax((("ideal", _NAME),)),
+    "closure": _Syntax(
+        (("op", ("closure kind must be product, sum, or apply",
+                 {"product": _PAIR, "sum": _PAIR,
+                  "apply": (("gen", _GEN), ("ideal", _NAME))})),
+         "maxdeg", ("maxdeg", _INT)),
+        {"as": _NAME}),
+    "growth": _Syntax(
+        (("method", ("growth method must be exact or probe", {"exact": (), "probe": ()})),
+         ("ideal", _NAME), "over", ("tvars", [_VAR])),
+        {"window": _INT}, defaults={"window": 10}),
+    "telescope": _Syntax(
+        (("ideal", _NAME), "over", ("tgens", [_TGEN]), "maxdeg", ("maxdeg", _INT)),
+        {"target": _INT, "as": _NAME, "expect": _EXPECT}, any_order=True),
+    "zeilberger": _Syntax(
+        (("ideal", _NAME), "over", ("tgen", _TGEN), "dega", ("dega", _INT),
+         "degb", ("degb", _INT)),
+        {"denoms": _INT, "as": _NAME, "expect": _EXPECT}, any_order=True),
+    "verify": _Syntax(
+        (("result", _NAME), ":", "sum", "(", ("var", _SUMVAR), ",",
+         ("summand", _NAME), ")", "==", ("closed", _NAME)),
+        {"box": _INT, "positive": None}),
+}
+
+
+def _fields(fields, data):
+    """The fields in order, each chosen word followed by its own fields.
+    Lazy: the parser stores a chosen word in `data` before asking for more."""
+    for f in fields:
+        yield f
+        if isinstance(f, tuple) and isinstance(f[1], tuple):
+            yield from _fields(f[1][1][data[f[0]]], data)
 
 
 # -- tokens ---------------------------------------------------------------------
 
-_PUNCT = ("==", "<", ">", "(", ")", "[", "]", ",", ";", ":", "=", "+", "-",
-          "*", "/", "^")
+_TOKEN = re.compile(r"(?P<skip>[ \t\r]+|#[^\n]*)|(?P<nl>\n)|(?P<int>\d+)|(?P<name>\w+)"
+                    r"|(?P<punct>==|[<>()\[\],;:=+\-*/^])")
 
 
 @dataclass
@@ -63,54 +119,21 @@ class Token:
 
 
 def _tokenize(text):
+    """A name starts with a letter or `_`; an int is a run of the decimal
+    digits `int` reads.  Columns count characters from 1."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two == "==":
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "<>()[],;:=+-*/^":
-            tokens.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ProblemSyntaxError("unexpected character %r" % c, line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, start, i = 1, 0, 0   # start: offset of the current line
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None or m.lastgroup == "name" and not (text[i].isalpha() or text[i] == "_"):
+            raise ProblemSyntaxError("unexpected character %r" % text[i], line, i - start + 1)
+        if m.lastgroup == "nl":
+            line, start = line + 1, m.end()
+        elif m.lastgroup != "skip":
+            tokens.append(Token(m.lastgroup, m.group(), line, i - start + 1))
+        i = m.end()
+    # a comment on the last line ends the text at its `#`
+    tokens.append(Token("eof", "", line, len(text[start:].partition("#")[0]) + 1))
     return tokens
 
 
@@ -135,12 +158,11 @@ class Task:
 @dataclass
 class ProblemFile:
     algebra_decl: AlgebraDecl
-    ideals: dict       # name -> list of operator ASTs (for printing)
+    ideals: dict       # name -> list of operator ASTs, as parsed
     oracles: dict      # name -> oracle AST
     tasks: list
     algebra: OreAlgebra = None
     built_ideals: dict = dataclass_field(default_factory=dict)
-    built_oracles: dict = dataclass_field(default_factory=dict)
 
 
 # operator expression AST: tuples
@@ -174,12 +196,6 @@ class Parser:
             raise ProblemSyntaxError("expected a name, got %r" % (t.text or "eof"),
                                      t.line, t.col)
         return t
-
-    def expect_name_at(self, pos):
-        """A name, with its position recorded in `pos` for `_check_names`."""
-        t = self.expect_name()
-        pos.setdefault(t.text, (t.line, t.col))
-        return t.text
 
     def expect_int(self):
         t = self.next()
@@ -265,11 +281,8 @@ class Parser:
         while self.peek().text == ",":
             self.next()
             gens.append(self.parse_opexpr())
-        tok = self.peek()
         self.expect("]")
         self.expect(";")
-        if not gens:
-            raise ProblemSyntaxError("empty ideal", tok.line, tok.col)
         return name, gens
 
     # operator expressions
@@ -354,13 +367,15 @@ class Parser:
             self.next()
             if self.peek().text == "/":
                 self.next()
-                den = self.expect_int()
-                return Const(_coef(Fraction(int(t.text), den)))
+                den = self.peek()
+                if self.expect_int() == 0:
+                    raise ProblemSyntaxError("division by zero", den.line, den.col)
+                return Const(_coef(Fraction(int(t.text), int(den.text))))
             return Const(int(t.text))
         if t.kind == "name":
             name = self.next().text
             if self.peek().text != "(":
-                return Lin(self.parse_linexpr_cont(first_name=name))
+                return Lin(self.parse_linexpr(first=name))
             self.expect("(")
             if name == "sum":
                 var = self.expect_name().text
@@ -384,6 +399,8 @@ class Parser:
                 return Builtin(name, tuple(args))
             except KeyError:
                 raise UnknownName("unknown oracle %r" % name, tok.line, tok.col)
+            except OutOfDomain as exc:
+                raise ProblemSyntaxError(str(exc), t.line, t.col)
         if t.text == "(":
             self.next()
             node = self.parse_linexpr()
@@ -392,180 +409,80 @@ class Parser:
         raise ProblemSyntaxError("unexpected token %r in oracle" % t.text,
                                  t.line, t.col)
 
-    def parse_linexpr(self) -> LinExpr:
-        coeffs = {}
+    def parse_linexpr(self, first=None) -> LinExpr:
+        """Terms `N`, `N*name` and `name` joined by signs.  In parentheses
+        (no `first`) a term may carry several signs, the first term too, and
+        signs with no term after them end the expression.  After an oracle's
+        bare name `first`, one sign and then a term must follow."""
+        coeffs = {first: 1} if first else {}
         const = 0
-        sign = 1
-        first = True
-        while True:
-            t = self.peek()
-            if t.text == "-":
-                self.next()
-                sign = -sign
-                continue
-            if t.text == "+":
-                self.next()
-                continue
-            if t.kind == "int":
-                self.next()
-                value = int(t.text)
-                if self.peek().text == "*":
-                    self.next()
-                    var = self.expect_name().text
-                    coeffs[var] = coeffs.get(var, 0) + sign * value
-                else:
-                    const += sign * value
-            elif t.kind == "name":
-                self.next()
-                coeffs[t.text] = coeffs.get(t.text, 0) + sign
-            else:
-                if first:
-                    raise ProblemSyntaxError("expected an index expression",
-                                             t.line, t.col)
-                break
+        terms = bool(first)
+        while not terms or self.peek().text in ("+", "-"):
             sign = 1
-            first = False
-            if self.peek().text not in ("+", "-"):
-                break
-        return LinExpr(tuple(sorted((v, c) for v, c in coeffs.items() if c)),
-                       const)
-
-    def parse_linexpr_cont(self, first_name) -> LinExpr:
-        coeffs = {first_name: 1}
-        const = 0
-        while self.peek().text in ("+", "-"):
-            sign = 1 if self.next().text == "+" else -1
-            t = self.next()
-            if t.kind == "int":
-                value = int(t.text)
-                if self.peek().text == "*":
-                    self.next()
-                    var = self.expect_name().text
-                    coeffs[var] = coeffs.get(var, 0) + sign * value
-                else:
-                    const += sign * value
-            elif t.kind == "name":
+            while self.peek().text in ("+", "-"):
+                sign = -sign if self.next().text == "-" else sign
+                if first:
+                    break
+            t = self.peek()
+            if t.kind not in ("int", "name"):
+                if terms and not first:
+                    break
+                raise ProblemSyntaxError("bad index expression" if first else
+                                         "expected an index expression", t.line, t.col)
+            self.next()
+            if t.kind == "name":
                 coeffs[t.text] = coeffs.get(t.text, 0) + sign
+            elif self.peek().text == "*":
+                self.next()
+                var = self.expect_name().text
+                coeffs[var] = coeffs.get(var, 0) + sign * int(t.text)
             else:
-                raise ProblemSyntaxError("bad index expression", t.line, t.col)
+                const += sign * int(t.text)
+            terms = True
         return LinExpr(tuple(sorted((v, c) for v, c in coeffs.items() if c)),
                        const)
 
     # tasks
 
-    def search_options(self, data, int_key):
-        """The clauses that may end a telescope or zeilberger task, up to the
-        `;`: `int_key N`, `as NAME` and `expect none|found`."""
-        while self.peek().text in (int_key, "as", "expect"):
-            key = self.next().text
-            if key == int_key:
-                data[key] = self.expect_int()
-            elif key == "as":
-                data[key] = self.expect_name().text
-            else:
-                t = self.expect_name()
-                if t.text not in ("none", "found"):
-                    raise ProblemSyntaxError(
-                        "expect must be none or found, got %r" % t.text, t.line, t.col)
-                data[key] = t.text
-        self.expect(";")
-
     def parse_task(self) -> Task:
         t = self.expect_name()
-        kind = t.text
-        pos = {}
-        if kind == "gb":
-            name = self.expect_name().text
-            self.expect(";")
-            return Task("gb", {"ideal": name})
-        if kind == "dim":
-            name = self.expect_name().text
-            self.expect(";")
-            return Task("dim", {"ideal": name})
-        if kind == "closure":
-            w = self.expect_name()
-            sub = w.text
-            if sub not in ("product", "sum", "apply"):
-                raise ProblemSyntaxError("closure kind must be product, sum, or apply",
-                                         w.line, w.col)
-            data = {"op": sub}
-            if sub == "apply":
-                data["gen"] = self.expect_name_at(pos)
-                data["ideal"] = self.expect_name().text
+        syntax = _TASKS.get(t.text)
+        if syntax is None:
+            raise ProblemSyntaxError("unknown task %r" % t.text, t.line, t.col)
+        task = Task(t.text)
+        for f in _fields(syntax.fields, task.data):
+            if isinstance(f, str):
+                self.expect(f)
             else:
-                data["left"] = self.expect_name().text
-                data["right"] = self.expect_name().text
-            self.expect("maxdeg")
-            data["maxdeg"] = self.expect_int()
-            if self.peek().text == "as":
-                self.next()
-                data["as"] = self.expect_name().text
-            self.expect(";")
-            return Task("closure", data, pos)
-        if kind == "growth":
-            w = self.expect_name()
-            method = w.text
-            if method not in ("exact", "probe"):
-                raise ProblemSyntaxError("growth method must be exact or probe",
-                                         w.line, w.col)
-            name = self.expect_name().text
-            self.expect("over")
-            tvars = [self.expect_name_at(pos)]
+                task.data[f[0]] = self.parse_field(f[1], task.pos)
+        words = list(syntax.clauses)
+        while self.peek().text in words:
+            word = self.next().text
+            if not syntax.any_order:
+                words = words[words.index(word) + 1:]
+            kind = syntax.clauses[word]
+            task.data[word] = 1 if kind is None else self.parse_field(kind, task.pos)
+        for key, value in syntax.defaults.items():
+            task.data.setdefault(key, value)
+        self.expect(";")
+        return task
+
+    def parse_field(self, kind, pos):
+        """One field's value; a checked name's position goes into `pos`."""
+        if kind == _INT:
+            return self.expect_int()
+        if isinstance(kind, list):
+            values = [self.parse_field(kind[0], pos)]
             while self.peek().text == ",":
                 self.next()
-                tvars.append(self.expect_name_at(pos))
-            window = 10
-            if self.peek().text == "window":
-                self.next()
-                window = self.expect_int()
-            self.expect(";")
-            return Task("growth", {"method": method, "ideal": name,
-                                   "tvars": tvars, "window": window}, pos)
-        if kind == "telescope":
-            name = self.expect_name().text
-            self.expect("over")
-            tgens = [self.expect_name_at(pos)]
-            while self.peek().text == ",":
-                self.next()
-                tgens.append(self.expect_name_at(pos))
-            self.expect("maxdeg")
-            maxdeg = self.expect_int()
-            data = {"ideal": name, "tgens": tgens, "maxdeg": maxdeg}
-            self.search_options(data, "target")
-            return Task("telescope", data, pos)
-        if kind == "zeilberger":
-            name = self.expect_name().text
-            self.expect("over")
-            tgen = self.expect_name_at(pos)
-            self.expect("dega")
-            dega = self.expect_int()
-            self.expect("degb")
-            degb = self.expect_int()
-            data = {"ideal": name, "tgen": tgen, "dega": dega, "degb": degb}
-            self.search_options(data, "denoms")
-            return Task("zeilberger", data, pos)
-        if kind == "verify":
-            result = self.expect_name().text
-            self.expect(":")
-            self.expect("sum")
-            self.expect("(")
-            var = self.expect_name_at(pos)
-            self.expect(",")
-            summand = self.expect_name().text
-            self.expect(")")
-            self.expect("==")
-            closed = self.expect_name().text
-            data = {"result": result, "var": var, "summand": summand,
-                    "closed": closed}
-            if self.peek().text == "box":
-                self.next()
-                data["box"] = self.expect_int()
-            if self.peek().text == "positive":
-                self.next()
-                data["positive"] = 1
-            self.expect(";")
-            return Task("verify", data, pos)
-        raise ProblemSyntaxError("unknown task %r" % kind, t.line, t.col)
+                values.append(self.parse_field(kind[0], pos))
+            return values
+        t = self.expect_name()
+        if isinstance(kind, tuple) and t.text not in kind[1]:
+            raise ProblemSyntaxError(kind[0].format(t.text), t.line, t.col)
+        if kind in (_GEN, _TGEN, _VAR, _SUMVAR):
+            pos.setdefault(t.text, (t.line, t.col))
+        return t.text
 
 
 def parse(text: str) -> ProblemFile:
@@ -599,15 +516,15 @@ def _build(pf: ProblemFile):
                 raise KindError("divdiff needs (var, point)")
             ring = PolyRing(ring_names)
             point = args[1]
-            eval_point = (RatFunc.from_poly(ring.var(point))
-                          if isinstance(point, str) and point in ring.index
-                          else RatFunc.const(ring, Fraction(point)))
+            if isinstance(point, str) and point not in ring.index:
+                raise UnknownName("divdiff point %r not declared" % point)
+            eval_point = (RatFunc.const(ring, point) if isinstance(point, int)
+                          else RatFunc.from_poly(ring.var(point)))
         gens.append(OreGenerator(name, kind, var, param, mahler_base, eval_point))
     pf.algebra = OreAlgebra(ground, gens, decl.params)
     for name, exprs in pf.ideals.items():
         ops = [_eval_opexpr(e, pf.algebra) for e in exprs]
         pf.built_ideals[name] = LeftIdeal(pf.algebra, ops)
-    pf.built_oracles = dict(pf.oracles)
     _check_names(pf)
 
 
@@ -619,26 +536,25 @@ def _check_names(pf: ProblemFile):
     alg = pf.algebra
     for task in pf.tasks:
         d = task.data
-        if task.kind == "closure":
-            if d["op"] == "apply" and d["gen"] not in alg.gen_index:
-                raise UnknownName("unknown generator %r" % d["gen"],
-                                  *_at(task, d["gen"]))
-        elif task.kind == "growth":
-            for v in d["tvars"]:
-                if v not in alg.field.index:
-                    raise UnknownName("unknown variable %r" % v, *_at(task, v))
-        elif task.kind in ("telescope", "zeilberger"):
-            for g in d["tgens"] if task.kind == "telescope" else [d["tgen"]]:
-                _resolve_gen(alg, g, *_at(task, g))
-        elif task.kind == "verify":
-            summand = pf.oracles.get(d["summand"])
-            if summand is not None and d["var"] not in summand.variables():
-                raise UnknownName("summation variable %r does not occur in %r"
-                                  % (d["var"], d["summand"]), *_at(task, d["var"]))
-
-
-def _at(task, name):
-    return task.pos.get(name, (None, None))
+        for f in _fields(_TASKS[task.kind].fields, d):
+            if isinstance(f, str):
+                continue
+            key, kind = f
+            names = d[key] if isinstance(kind, list) else [d[key]]
+            kind = kind[0] if isinstance(kind, list) else kind
+            for name in names:
+                at = task.pos.get(name, (None, None))
+                if kind == _GEN and name not in alg.gen_index:
+                    raise UnknownName("unknown generator %r" % name, *at)
+                if kind == _TGEN:
+                    _resolve_gen(alg, name, *at)
+                if kind == _VAR and name not in alg.field.index:
+                    raise UnknownName("unknown variable %r" % name, *at)
+                if kind == _SUMVAR:
+                    summand = pf.oracles.get(d["summand"])
+                    if summand is not None and name not in summand.variables():
+                        raise UnknownName("summation variable %r does not occur in %r"
+                                          % (name, d["summand"]), *at)
 
 
 def _eval_opexpr(node, alg: OreAlgebra) -> OrePoly:
@@ -697,43 +613,18 @@ def print_problem(pf: ProblemFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def _print_options(d, keys) -> str:
-    return "".join(" %s %s" % (k, d[k]) for k in keys if k in d)
-
-
 def _print_task(task: Task) -> str:
-    d = task.data
-    if task.kind == "gb":
-        return "gb %s;" % d["ideal"]
-    if task.kind == "dim":
-        return "dim %s;" % d["ideal"]
-    if task.kind == "closure":
-        if d["op"] == "apply":
-            body = "closure apply %s %s maxdeg %d" % (d["gen"], d["ideal"], d["maxdeg"])
-        else:
-            body = "closure %s %s %s maxdeg %d" % (d["op"], d["left"], d["right"], d["maxdeg"])
-        return body + _print_options(d, ("as",)) + ";"
-    if task.kind == "growth":
-        return "growth %s %s over %s window %d;" % (
-            d["method"], d["ideal"], ", ".join(d["tvars"]), d["window"])
-    if task.kind == "telescope":
-        return "telescope %s over %s maxdeg %d%s;" % (
-            d["ideal"], ", ".join(d["tgens"]), d["maxdeg"],
-            _print_options(d, ("target", "as", "expect")))
-    if task.kind == "zeilberger":
-        return "zeilberger %s over %s dega %d degb %d%s;" % (
-            d["ideal"], d["tgen"], d["dega"], d["degb"],
-            _print_options(d, ("denoms", "as", "expect")))
-    if task.kind == "verify":
-        body = "verify %s: sum(%s, %s) == %s" % (
-            d["result"], d["var"], d["summand"], d["closed"])
-        if "box" in d:
-            body += " box %d" % d["box"]
-        if d.get("positive"):
-            body += " positive"
-        return body + ";"
-    raise ValueError("unknown task kind %r" % task.kind)
+    syntax, d = _TASKS[task.kind], task.data
+    words = [task.kind] + [f if isinstance(f, str) else _text(d[f[0]])
+                           for f in _fields(syntax.fields, d)]
+    words += [w if kind is None else "%s %s" % (w, _text(d[w]))
+              for w, kind in syntax.clauses.items() if w in d]
+    # no space before : , ( ) ; and none after (
+    return re.sub(r" (?=[:,();])|(?<=\() ", "", " ".join(words) + " ;")
 
+
+def _text(value):
+    return ", ".join(value) if isinstance(value, list) else str(value)
 
 # -- runner ----------------------------------------------------------------------
 
@@ -902,8 +793,8 @@ def _run_tasks(pf, order, verify_box, helpers):
                 results = named_results.get(d["result"])
                 if not results:
                     raise UnknownName("no stored telescoping result %r" % d["result"])
-                summand = _get(pf.built_oracles, d["summand"])
-                closed = _get(pf.built_oracles, d["closed"])
+                summand = _get(pf.oracles, d["summand"])
+                closed = _get(pf.oracles, d["closed"])
                 box = d.get("box", verify_box)
                 lo = 1 if d.get("positive") else 0
                 telescoper = restrict_to_x(results[0].telescoper,
@@ -972,7 +863,7 @@ def main(argv=None):
         return 2
     try:
         pf = parse(text)
-    except ProblemSyntaxError as exc:
+    except OrecalcError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
     if args.command == "check":

@@ -37,10 +37,6 @@ class MultipleTelescopingVars(OrecalcError):
     """This search handles a single telescoping variable only."""
 
 
-class AnsatzInsufficient(OrecalcError):
-    """The ansatz degrees admit no solution."""
-
-
 class NoTelescopableVariable(OrecalcError):
     """No designated generator admits a telescoping witness."""
 

@@ -2,6 +2,7 @@ import glob
 import io
 import json
 import os
+import re
 import signal
 
 import pytest
@@ -347,3 +348,254 @@ def test_a_helper_without_a_result_has_its_task_run_inline(death, monkeypatch, c
     with open(os.path.join(GOLDEN, "binomial.json")) as fh:
         assert rendered == fh.read()
     assert capfd.readouterr().err == ""
+
+
+# -- the task language, pinned -------------------------------------------------
+
+FORMS = """algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
+ideal B = [(k - n - 1)*Sn + n + 1, (k + 1)*Sk + k - n];
+oracle c = binomial(n, k);
+oracle rowsum = pow(2, n);
+gb B;
+dim B;
+closure product B B maxdeg 2;
+closure sum B B maxdeg 1 as P;
+closure apply Sn B maxdeg 1;
+closure apply Sk B maxdeg 2 as Q;
+growth exact B over k;
+growth probe B over n,k window 5;
+telescope B over Sk maxdeg 2 target 1 as T expect found;
+telescope B over k, Sn maxdeg 3 expect none as W target 2 as U;
+zeilberger B over Sk dega 1 degb 0 denoms 2 as Z expect found;
+zeilberger B over k dega 1 degb 0 expect none as Y denoms 1;
+verify T: sum(k, c) == rowsum;
+verify T: sum(k, c) == rowsum box 10;
+verify T : sum ( k , c ) == rowsum positive;
+verify T: sum(k, c) == rowsum box 4 positive;
+"""
+
+CANONICAL_FORMS = """algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
+ideal B = [(-n + k - 1)*Sn + n + 1, (k + 1)*Sk - n + k];
+oracle c = binomial(n, k);
+oracle rowsum = pow(2, n);
+gb B;
+dim B;
+closure product B B maxdeg 2;
+closure sum B B maxdeg 1 as P;
+closure apply Sn B maxdeg 1;
+closure apply Sk B maxdeg 2 as Q;
+growth exact B over k window 10;
+growth probe B over n, k window 5;
+telescope B over Sk maxdeg 2 target 1 as T expect found;
+telescope B over k, Sn maxdeg 3 target 2 as U expect none;
+zeilberger B over Sk dega 1 degb 0 denoms 2 as Z expect found;
+zeilberger B over k dega 1 degb 0 denoms 1 as Y expect none;
+verify T: sum(k, c) == rowsum;
+verify T: sum(k, c) == rowsum box 10;
+verify T: sum(k, c) == rowsum positive;
+verify T: sum(k, c) == rowsum box 4 positive;
+"""
+
+FORMS_TASKS = [
+    ("gb", {"ideal": "B"}, {}),
+    ("dim", {"ideal": "B"}, {}),
+    ("closure", {"op": "product", "left": "B", "right": "B", "maxdeg": 2}, {}),
+    ("closure", {"op": "sum", "left": "B", "right": "B", "maxdeg": 1, "as": "P"}, {}),
+    ("closure", {"op": "apply", "gen": "Sn", "ideal": "B", "maxdeg": 1},
+     {"Sn": (9, 15)}),
+    ("closure", {"op": "apply", "gen": "Sk", "ideal": "B", "maxdeg": 2, "as": "Q"},
+     {"Sk": (10, 15)}),
+    ("growth", {"method": "exact", "ideal": "B", "tvars": ["k"], "window": 10},
+     {"k": (11, 21)}),
+    ("growth", {"method": "probe", "ideal": "B", "tvars": ["n", "k"], "window": 5},
+     {"n": (12, 21), "k": (12, 23)}),
+    ("telescope", {"ideal": "B", "tgens": ["Sk"], "maxdeg": 2, "target": 1,
+                   "as": "T", "expect": "found"}, {"Sk": (13, 18)}),
+    ("telescope", {"ideal": "B", "tgens": ["k", "Sn"], "maxdeg": 3, "target": 2,
+                   "as": "U", "expect": "none"}, {"k": (14, 18), "Sn": (14, 21)}),
+    ("zeilberger", {"ideal": "B", "tgen": "Sk", "dega": 1, "degb": 0, "denoms": 2,
+                    "as": "Z", "expect": "found"}, {"Sk": (15, 19)}),
+    ("zeilberger", {"ideal": "B", "tgen": "k", "dega": 1, "degb": 0, "denoms": 1,
+                    "as": "Y", "expect": "none"}, {"k": (16, 19)}),
+    ("verify", {"result": "T", "var": "k", "summand": "c", "closed": "rowsum"},
+     {"k": (17, 15)}),
+    ("verify", {"result": "T", "var": "k", "summand": "c", "closed": "rowsum",
+                "box": 10}, {"k": (18, 15)}),
+    ("verify", {"result": "T", "var": "k", "summand": "c", "closed": "rowsum",
+                "positive": 1}, {"k": (19, 18)}),
+    ("verify", {"result": "T", "var": "k", "summand": "c", "closed": "rowsum",
+                "box": 4, "positive": 1}, {"k": (20, 15)}),
+]
+
+
+def test_every_task_form_prints_canonically():
+    assert print_problem(parse(FORMS)) == CANONICAL_FORMS
+    assert print_problem(parse(CANONICAL_FORMS)) == CANONICAL_FORMS
+
+
+def test_every_task_form_gives_its_data_and_positions():
+    tasks = parse(FORMS).tasks
+    assert [(t.kind, t.data, t.pos) for t in tasks] == FORMS_TASKS
+
+
+@pytest.mark.parametrize("task, error, message, col", [
+    ("frobnicate B;", ProblemSyntaxError, "unknown task 'frobnicate'", 1),
+    ("gb;", ProblemSyntaxError, "expected a name, got ';'", 3),
+    ("dim B", ProblemSyntaxError, "expected ';', got 'eof'", 6),
+    ("3 B;", ProblemSyntaxError, "expected a statement, got '3'", 1),
+    ("closure foo B B maxdeg 2;", ProblemSyntaxError,
+     "closure kind must be product, sum, or apply", 9),
+    ("closure product B maxdeg 2;", ProblemSyntaxError, "expected 'maxdeg', got '2'", 26),
+    ("closure product B B 2;", ProblemSyntaxError, "expected 'maxdeg', got '2'", 21),
+    ("closure product B B maxdeg 2 as P as Q;", ProblemSyntaxError,
+     "expected ';', got 'as'", 35),
+    ("closure apply Sn B maxdeg 2 expect found;", ProblemSyntaxError,
+     "expected ';', got 'expect'", 29),
+    ("closure product B B maxdeg x;", ProblemSyntaxError,
+     "expected an integer, got 'x'", 28),
+    ("growth wrong B over k;", ProblemSyntaxError, "growth method must be exact or probe", 8),
+    ("growth 3 B over k;", ProblemSyntaxError, "expected a name, got '3'", 8),
+    ("growth exact B k;", ProblemSyntaxError, "expected 'over', got 'k'", 16),
+    ("growth probe B over k, ;", ProblemSyntaxError, "expected a name, got ';'", 24),
+    ("growth exact B over k window 3 window 4;", ProblemSyntaxError,
+     "expected ';', got 'window'", 32),
+    ("telescope B over Sk;", ProblemSyntaxError, "expected 'maxdeg', got ';'", 20),
+    ("telescope B over Sk maxdeg 2 denoms 1;", ProblemSyntaxError,
+     "expected ';', got 'denoms'", 30),
+    ("telescope B over Sk maxdeg 2 target x;", ProblemSyntaxError,
+     "expected an integer, got 'x'", 37),
+    ("telescope B over Sk maxdeg 2 expect 1;", ProblemSyntaxError,
+     "expected a name, got '1'", 37),
+    ("telescope B over Sk maxdeg 2 expect maybe;", ProblemSyntaxError,
+     "expect must be none or found, got 'maybe'", 37),
+    ("telescope B over Sx maxdeg 2;", UnknownName,
+     "no generator named or attached to 'Sx'", 18),
+    ("zeilberger B over Sk, Sn dega 1 degb 0;", ProblemSyntaxError,
+     "expected 'dega', got ','", 21),
+    ("zeilberger B over Sk dega 1;", ProblemSyntaxError, "expected 'degb', got ';'", 28),
+    ("zeilberger B over Sk dega 1 degb 0 target 1;", ProblemSyntaxError,
+     "expected ';', got 'target'", 36),
+    ("zeilberger B over x dega 1 degb 0;", UnknownName,
+     "no generator named or attached to 'x'", 19),
+    ("verify T sum(k, c) == rowsum;", ProblemSyntaxError, "expected ':', got 'sum'", 10),
+    ("verify T: prod(k, c) == rowsum;", ProblemSyntaxError,
+     "expected 'sum', got 'prod'", 11),
+    ("verify T: sum(k c) == rowsum;", ProblemSyntaxError, "expected ',', got 'c'", 17),
+    ("verify T: sum(k, c) = rowsum;", ProblemSyntaxError, "expected '==', got '='", 21),
+    ("verify T: sum(k, c) == rowsum box;", ProblemSyntaxError,
+     "expected an integer, got ';'", 34),
+    ("verify T: sum(k, c) == rowsum positive box 3;", ProblemSyntaxError,
+     "expected ';', got 'box'", 40),
+    ("verify T: sum(k, c) == rowsum box 3 box 4;", ProblemSyntaxError,
+     "expected ';', got 'box'", 37),
+])
+def test_malformed_task_is_rejected_at_its_fault(task, error, message, col):
+    with pytest.raises(error) as exc:
+        parse(NAMED_EXAMPLE + task)
+    assert type(exc.value) is error
+    assert str(exc.value) == "7:%d: %s" % (col, message)
+    assert (exc.value.line, exc.value.col) == (7, col)
+
+
+@pytest.mark.parametrize("oracle, printed", [
+    ("n + 2*k - 1", "(2*k + n - 1)"),
+    ("binomial(n - , k)", "binomial(n, k)"),
+    ("pow(2, --n + 3*k - -1)", "pow(2, 3*k + n + 1)"),
+    ("binomial(+n, k) * n - k", "binomial(n, k) * (-k + n)"),
+    ("(n - k)", "(-k + n)"),
+])
+def test_index_expression_forms(oracle, printed):
+    pf = parse("algebra Q(n, k) <Sn: shift(n)>;\noracle d = %s;" % oracle)
+    assert str(pf.oracles["d"]) == printed
+
+
+@pytest.mark.parametrize("oracle, message, col", [
+    ("n + -1", "bad index expression", 16),
+    ("n + ", "bad index expression", 16),
+    ("n - 2*", "expected a name, got ';'", 18),
+    ("binomial(n, 2*)", "expected a name, got ')'", 26),
+    ("binomial(, k)", "expected an index expression", 21),
+    ("()", "expected an index expression", 13),
+])
+def test_malformed_index_expression(oracle, message, col):
+    with pytest.raises(ProblemSyntaxError) as exc:
+        parse("algebra Q(n, k) <Sn: shift(n)>;\noracle d = %s;" % oracle)
+    assert str(exc.value) == "2:%d: %s" % (col, message)
+
+
+@pytest.mark.parametrize("text, tokens", [
+    ("a²b_3 \t# c\n  x1 == 2\r\n(<)>",
+     [("name", "a²b_3", 1, 1), ("name", "x1", 2, 3), ("punct", "==", 2, 6),
+      ("int", "2", 2, 9), ("punct", "(", 3, 1), ("punct", "<", 3, 2),
+      ("punct", ")", 3, 3), ("punct", ">", 3, 4), ("eof", "", 3, 5)]),
+    ("dim B # tail", [("name", "dim", 1, 1), ("name", "B", 1, 5), ("eof", "", 1, 7)]),
+    ("nα ٣٤", [("name", "nα", 1, 1), ("int", "٣٤", 1, 4),
+                              ("eof", "", 1, 6)]),
+], ids=["mixed", "trailing-comment", "non-ascii"])
+def test_tokens_and_positions(text, tokens):
+    assert [(t.kind, t.text, t.line, t.col) for t in cli._tokenize(text)] == tokens
+
+
+def test_task_entry_points_are_looked_up_when_the_task_runs(monkeypatch):
+    """The benchmark records each search by rebinding these names on the
+    module; a task that held its own reference would escape the record."""
+    _choose_growth_path(monkeypatch, "inline")
+    called = []
+    for name in ("fasenmyer_search", "zeilberger_search", "growth_probe",
+                 "growth_zero_dimensional"):
+        def recorder(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+            called.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, recorder)
+    pf = parse(NAMED_EXAMPLE + """growth exact B over k;
+growth probe B over k window 3;
+zeilberger B over Sk dega 1 degb 0;
+""")
+    status, _ = run(pf, out=io.StringIO())
+    assert status == 0
+    assert sorted(called) == ["fasenmyer_search", "growth_probe",
+                              "growth_zero_dimensional", "zeilberger_search"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("algebra Q(n) <Sn: shift(n)>; ideal I = [Sn - 1]; closure apply Sn I maxdeg ²;",
+     "1:76: unexpected character '²'"),
+    ("algebra Q(n) <Sn: shift(n)>; oracle c = 1/0;", "1:43: division by zero"),
+    ("algebra Q(n, k) <Sn: shift(n)>; oracle c = binomial(n);",
+     "1:44: binomial takes 2 arguments"),
+    ("algebra Q(n) <Sn: shift(m)>;",
+     "ground variable 'm' of generator 'Sn' not declared"),
+    ("algebra Q(n) <Sn: qshift(n, q)>;", "parameter 'q' not declared"),
+    ("algebra Q(n) <Sn: mahler(n, 1)>;", "Mahler generator needs integer base >= 2"),
+    ("algebra Q(n) <Sn: divdiff(n, z)>;", "divdiff point 'z' not declared"),
+], ids=["superscript-digit", "zero-denominator", "arity", "undeclared-variable",
+        "undeclared-parameter", "mahler-base", "divdiff-point"])
+def test_malformed_file_is_a_parse_error_not_a_traceback(text, message, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["check", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "parse error: %s\n" % message
+    assert captured.out == ""
+
+
+def test_readme_states_every_task_word():
+    """The README's "Tasks:" paragraph names every task, literal word,
+    chosen word and clause word of the task syntax table."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    stated = set(re.findall(r"\w+", readme[readme.index("\nTasks:"):].split("\n\n")[0]))
+
+    def words(fields):
+        for f in fields:
+            if isinstance(f, str):
+                yield f
+            elif isinstance(f[1], tuple):
+                for word, own in f[1][1].items():
+                    yield word
+                    yield from words(own)
+
+    for kind, syntax in cli._TASKS.items():
+        table = {kind, *syntax.clauses,
+                 *words(syntax.fields + tuple(syntax.clauses.items()))}
+        assert {w for w in table if w.isidentifier()} <= stated, kind
