@@ -20,7 +20,7 @@ from .dimension import hilbert_dimension
 from .errors import KindError, OrecalcError, OutOfDomain, ProblemSyntaxError, UnknownName
 from .groebner import GREVLEX, GRLEX, LeftIdeal, MonomialOrder
 from .growth import growth_probe, growth_zero_dimensional
-from .ore import _Q_KINDS, OreAlgebra, OreGenerator, OreKind, OrePoly, format_opoly
+from .ore import CATALOG, OreAlgebra, OreGenerator, OreKind, OrePoly, format_opoly
 from .telescoping import fasenmyer_search, restrict_to_x, zeilberger_search
 from .verify import (
     Add,
@@ -33,21 +33,6 @@ from .verify import (
     Product,
     check_identity,
 )
-
-_KIND_NAMES = {
-    "shift": OreKind.SHIFT,
-    "diff": OreKind.DIFFERENTIATION,
-    "difference": OreKind.DIFFERENCE,
-    "qdilation": OreKind.Q_DILATION,
-    "cqdifference": OreKind.CONT_Q_DIFFERENCE,
-    "qdiff": OreKind.Q_DIFFERENTIATION,
-    "qshift": OreKind.Q_SHIFT,
-    "dqdifference": OreKind.DISCRETE_Q_DIFFERENCE,
-    "euler": OreKind.EULER,
-    "mahler": OreKind.MAHLER,
-    "divdiff": OreKind.DIVIDED_DIFFERENCE,
-}
-
 
 # -- task syntax -----------------------------------------------------------------
 #
@@ -141,13 +126,6 @@ def _tokenize(text):
 
 
 @dataclass
-class AlgebraDecl:
-    ground_vars: list
-    params: list
-    gens: list  # (name, kind_name, args)
-
-
-@dataclass
 class Task:
     kind: str
     data: dict = dataclass_field(default_factory=dict)
@@ -157,11 +135,10 @@ class Task:
 
 @dataclass
 class ProblemFile:
-    algebra_decl: AlgebraDecl
+    algebra: OreAlgebra
     ideals: dict       # name -> list of operator ASTs, as parsed
     oracles: dict      # name -> oracle AST
     tasks: list
-    algebra: OreAlgebra = None
     built_ideals: dict = dataclass_field(default_factory=dict)
 
 
@@ -232,8 +209,12 @@ class Parser:
             raise ProblemSyntaxError("missing algebra declaration", t.line, t.col)
         return ProblemFile(algebra, ideals, oracles, tasks)
 
-    def parse_algebra(self) -> AlgebraDecl:
-        self.expect("algebra")
+    def parse_algebra(self) -> OreAlgebra:
+        """The declared algebra, each generator built as it is read: its kind
+        takes the variable and exactly the argument its catalog row names.
+        An error in building a generator or the algebra is reported at the
+        generator's name (at `algebra` when no generator is at fault)."""
+        start = self.expect("algebra")
         self.expect("Q")
         self.expect("(")
         ground = [self.expect_name().text]
@@ -245,32 +226,52 @@ class Parser:
             target.append(self.expect_name().text)
         self.expect(")")
         self.expect("<")
-        gens = []
+        gens, at = [], []
         while True:
-            gname = self.expect_name().text
+            name = self.expect_name()
             self.expect(":")
             kind_tok = self.expect_name()
-            if kind_tok.text not in _KIND_NAMES:
+            try:
+                kind = OreKind(kind_tok.text)
+            except ValueError:
                 raise KindError("unknown generator kind %r" % kind_tok.text,
                                 kind_tok.line, kind_tok.col)
             self.expect("(")
-            args = [self.expect_name().text]
-            while self.peek().text == ",":
-                self.next()
-                t = self.peek()
-                if t.kind == "int":
-                    args.append(self.expect_int())
-                else:
-                    args.append(self.expect_name().text)
+            var = self.expect_name().text
+            field = CATALOG[kind].arg
+            args = {field: self.parse_argument(field, ground + params)} if field else {}
             self.expect(")")
-            gens.append((gname, kind_tok.text, args))
-            if self.peek().text == ",":
-                self.next()
-                continue
-            break
+            at.append(name)
+            try:
+                gens.append(OreGenerator(name.text, kind, var, **args))
+            except OrecalcError as exc:
+                raise ProblemSyntaxError(str(exc), name.line, name.col)
+            if self.peek().text != ",":
+                break
+            self.next()
         self.expect(">")
         self.expect(";")
-        return AlgebraDecl(ground, params, gens)
+        try:
+            return OreAlgebra(ground, gens, params)
+        except OrecalcError as exc:
+            t = at[exc.gen] if hasattr(exc, "gen") else start
+            raise ProblemSyntaxError(str(exc), t.line, t.col)
+
+    def parse_argument(self, field, names):
+        """The `,` and the argument after a generator's variable: the
+        parameter q's name, the Mahler base, or the divided-difference point
+        (a declared name or an integer)."""
+        self.expect(",")
+        if field == "param":
+            return self.expect_name().text
+        if field == "mahler_base":
+            return self.expect_int()
+        ring, t = PolyRing(names), self.peek()
+        if t.kind == "int":
+            return RatFunc.const(ring, self.expect_int())
+        if self.expect_name().text not in ring.index:
+            raise UnknownName("divdiff point %r not declared" % t.text, t.line, t.col)
+        return RatFunc.from_poly(ring.var(t.text))
 
     def parse_ideal(self):
         self.expect("ideal")
@@ -411,9 +412,9 @@ class Parser:
 
     def parse_linexpr(self, first=None) -> LinExpr:
         """Terms `N`, `N*name` and `name` joined by signs.  In parentheses
-        (no `first`) a term may carry several signs, the first term too, and
-        signs with no term after them end the expression.  After an oracle's
-        bare name `first`, one sign and then a term must follow."""
+        (no `first`) a term may carry several signs, the first term too.
+        After an oracle's bare name `first`, one sign and then a term must
+        follow.  Every sign needs a term after it."""
         coeffs = {first: 1} if first else {}
         const = 0
         terms = bool(first)
@@ -425,8 +426,6 @@ class Parser:
                     break
             t = self.peek()
             if t.kind not in ("int", "name"):
-                if terms and not first:
-                    break
                 raise ProblemSyntaxError("bad index expression" if first else
                                          "expected an index expression", t.line, t.col)
             self.next()
@@ -488,44 +487,11 @@ class Parser:
 def parse(text: str) -> ProblemFile:
     """Parse and build a problem file (algebra, ideals, oracles resolved)."""
     pf = Parser(text).parse_file()
-    _build(pf)
-    return pf
-
-
-def _build(pf: ProblemFile):
-    decl = pf.algebra_decl
-    gens = []
-    ground = decl.ground_vars
-    ring_names = tuple(ground) + tuple(decl.params)
-    for (name, kind_name, args) in decl.gens:
-        kind = _KIND_NAMES[kind_name]
-        var = args[0]
-        param = None
-        mahler_base = None
-        eval_point = None
-        if kind in _Q_KINDS:
-            if len(args) < 2:
-                raise KindError("%s needs (var, q)" % kind_name)
-            param = args[1]
-        elif kind is OreKind.MAHLER:
-            if len(args) < 2 or not isinstance(args[1], int):
-                raise KindError("mahler needs (var, base)")
-            mahler_base = args[1]
-        elif kind is OreKind.DIVIDED_DIFFERENCE:
-            if len(args) < 2:
-                raise KindError("divdiff needs (var, point)")
-            ring = PolyRing(ring_names)
-            point = args[1]
-            if isinstance(point, str) and point not in ring.index:
-                raise UnknownName("divdiff point %r not declared" % point)
-            eval_point = (RatFunc.const(ring, point) if isinstance(point, int)
-                          else RatFunc.from_poly(ring.var(point)))
-        gens.append(OreGenerator(name, kind, var, param, mahler_base, eval_point))
-    pf.algebra = OreAlgebra(ground, gens, decl.params)
     for name, exprs in pf.ideals.items():
         ops = [_eval_opexpr(e, pf.algebra) for e in exprs]
         pf.built_ideals[name] = LeftIdeal(pf.algebra, ops)
     _check_names(pf)
+    return pf
 
 
 def _check_names(pf: ProblemFile):
@@ -595,14 +561,11 @@ def _eval_opexpr(node, alg: OreAlgebra) -> OrePoly:
 
 def print_problem(pf: ProblemFile) -> str:
     out = []
-    decl = pf.algebra_decl
-    head = ", ".join(decl.ground_vars)
-    if decl.params:
-        head += "; " + ", ".join(decl.params)
-    gens = ", ".join(
-        "%s: %s(%s)" % (n, k, ", ".join(str(a) for a in args))
-        for (n, k, args) in decl.gens)
-    out.append("algebra Q(%s) <%s>;" % (head, gens))
+    alg = pf.algebra
+    head = ", ".join(alg.ground_vars)
+    if alg.params:
+        head += "; " + ", ".join(alg.params)
+    out.append("algebra Q(%s) <%s>;" % (head, ", ".join(map(str, alg.gens))))
     for name, ideal in pf.built_ideals.items():
         gens_text = ", ".join(format_opoly(g) for g in ideal.generators)
         out.append("ideal %s = [%s];" % (name, gens_text))

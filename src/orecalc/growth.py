@@ -16,12 +16,7 @@ from .dimension import hilbert_dimension
 from .errors import NotDifferenceDifferential, NotZeroDimensional
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder
 from .modp import exponents_up_to
-from .ore import OreKind, difference_to_shift
-
-# generator kinds admissible in a difference-differential algebra
-_SUBSTITUTION_KINDS = frozenset({OreKind.SHIFT, OreKind.Q_DILATION,
-                                 OreKind.Q_SHIFT})
-_DERIVATION_KINDS = frozenset({OreKind.DIFFERENTIATION, OreKind.EULER})
+from .ore import CATALOG, OreKind, as_shifts
 
 
 @dataclass
@@ -80,11 +75,14 @@ def _finite_staircase(gb):
 
 
 def _classify(algebra):
+    """Difference-differential generators: substitutions x -> x + 1 or
+    q*x, and derivations (sigma = 1)."""
     subs, ders = [], []
     for i, g in enumerate(algebra.gens):
-        if g.kind in _SUBSTITUTION_KINDS:
+        row = CATALOG[g.kind]
+        if row.delta == "0" and row.sigma in ("x + 1", "q*x"):
             subs.append(i)
-        elif g.kind in _DERIVATION_KINDS:
+        elif row.sigma == "x":
             ders.append(i)
         else:
             raise NotDifferenceDifferential(
@@ -164,12 +162,9 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
     Shift algebras are difference-differential as they stand; ideals
     presented with difference generators are transported to shift form
     first (the two have the same polynomial growth)."""
-    algebra = I.algebra
-    diff_gens = [g.name for g in algebra.gens if g.kind is OreKind.DIFFERENCE]
-    if diff_gens:
-        I = LeftIdeal(difference_to_shift(algebra.one, diff_gens).algebra,
-                      [difference_to_shift(g, diff_gens) for g in I.generators])
-        algebra = I.algebra
+    algebra, gens = as_shifts(I.algebra, I.generators)
+    if algebra is not I.algebra:
+        I = LeftIdeal(algebra, gens)
     if window < 8:
         window = 8
     subs, ders = _zero_dimensional_dd(I, order)

@@ -11,6 +11,7 @@ Skew polynomials (OrePoly) multiply by repeated application of that rule.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,38 +35,67 @@ class OreKind(Enum):
     DIVIDED_DIFFERENCE = "divdiff"
 
 
-_Q_KINDS = frozenset({
-    OreKind.Q_DILATION, OreKind.CONT_Q_DIFFERENCE, OreKind.Q_DIFFERENTIATION,
-    OreKind.Q_SHIFT, OreKind.DISCRETE_Q_DIFFERENCE,
-})
+# The operator catalog (Chyzak & Salvy 1998), one row per kind: what sigma
+# does to the kind's variable x, the OreGenerator field of the argument that
+# names (q, the base b or the point c), and delta: 0, a derivation, or the
+# sigma-derivation (sigma - 1)/h (Bronstein & Petkovsek 1996) with its h:
+# 1, or sigma(x) - x, which is (q - 1)*x for q*x and c - x for x -> c.
+CatalogRow = namedtuple("CatalogRow", "sigma arg delta h", defaults=(None,))
+
+CATALOG = {
+    OreKind.DIFFERENTIATION:       CatalogRow("x", None, "d/dx"),
+    OreKind.SHIFT:                 CatalogRow("x + 1", None, "0"),
+    OreKind.DIFFERENCE:            CatalogRow("x + 1", None, "(sigma - 1)/h", "1"),
+    OreKind.Q_DILATION:            CatalogRow("q*x", "param", "0"),
+    OreKind.CONT_Q_DIFFERENCE:     CatalogRow("q*x", "param", "(sigma - 1)/h", "1"),
+    OreKind.Q_DIFFERENTIATION:     CatalogRow("q*x", "param", "(sigma - 1)/h", "sigma(x) - x"),
+    OreKind.Q_SHIFT:               CatalogRow("q*x", "param", "0"),
+    OreKind.DISCRETE_Q_DIFFERENCE: CatalogRow("q*x", "param", "(sigma - 1)/h", "1"),
+    OreKind.EULER:                 CatalogRow("x", None, "x*d/dx"),
+    OreKind.MAHLER:                CatalogRow("x^b", "mahler_base", "0"),
+    OreKind.DIVIDED_DIFFERENCE:    CatalogRow("c", "eval_point", "(sigma - 1)/h", "sigma(x) - x"),
+}
 
 
 @dataclass(frozen=True)
 class OreGenerator:
-    """One catalog generator attached to a single ground variable."""
+    """One catalog generator attached to a single ground variable; it takes
+    exactly the argument its catalog row names."""
 
     name: str
     kind: OreKind
     var: str
     param: str = None            # q, for the q-kinds
     mahler_base: int = None      # b >= 2
-    eval_point: object = None    # RatFunc, for divided differences
+    eval_point: object = None    # RatFunc c, for divided differences
+
+    def __str__(self):
+        """The generator as a problem file declares it."""
+        arg = CATALOG[self.kind].arg
+        args = self.var if arg is None else "%s, %s" % (self.var, getattr(self, arg))
+        return "%s: %s(%s)" % (self.name, self.kind.value, args)
 
     def __post_init__(self):
-        if self.kind in _Q_KINDS and self.param is None:
-            raise KindMismatch("%s generator %r needs a parameter"
-                               % (self.kind.value, self.name))
-        if self.kind is OreKind.MAHLER:
-            if self.mahler_base is None or self.mahler_base < 2:
-                raise KindMismatch("Mahler generator needs integer base >= 2")
-        if self.kind is OreKind.DIVIDED_DIFFERENCE and self.eval_point is None:
-            raise KindMismatch("divided difference needs an evaluation point")
+        arg = CATALOG[self.kind].arg
+        for field in ("param", "mahler_base", "eval_point"):
+            if (getattr(self, field) is None) == (field == arg):
+                raise KindMismatch("%s generator %r %s %s" % (
+                    self.kind.value, self.name, "needs" if field == arg else "takes no", field))
+        if arg == "mahler_base" and not (isinstance(self.mahler_base, int)
+                                         and self.mahler_base >= 2):
+            raise KindMismatch("Mahler generator needs integer base >= 2")
+
+
+def _at_gen(i, exc):
+    exc.gen = i   # the parser reports exc at generator i
+    return exc
 
 
 class OreAlgebra:
     """C(x1..xm)<d1..dn> with the declared commutation data.
 
-    `ground_vars` and `params` together span the coefficient field.
+    `ground_vars` and `params` together span the coefficient field.  An
+    error about one generator carries its index as `gen`.
     """
 
     def __init__(self, ground_vars, gens, params=()):
@@ -77,12 +107,12 @@ class OreAlgebra:
             raise AlgebraMismatch("generator, variable, and parameter names must be distinct")
         self.field = PolyRing(names)
         self.gen_index = {g.name: i for i, g in enumerate(self.gens)}
-        for g in self.gens:
+        for i, g in enumerate(self.gens):
             if g.var not in self.field.index:
-                raise UnknownVariable("ground variable %r of generator %r not declared"
-                                      % (g.var, g.name))
+                raise _at_gen(i, UnknownVariable(
+                    "ground variable %r of generator %r not declared" % (g.var, g.name)))
             if g.param is not None and g.param not in self.field.index:
-                raise UnknownVariable("parameter %r not declared" % g.param)
+                raise _at_gen(i, UnknownVariable("parameter %r not declared" % g.param))
         self.ngens = len(self.gens)
         self._zero_exp = (0,) * self.ngens
         self._check_commutation()
@@ -105,54 +135,44 @@ class OreAlgebra:
         gens = ", ".join("%s:%s(%s)" % (g.name, g.kind.value, g.var) for g in self.gens)
         return "OreAlgebra(Q(%s)<%s>)" % (", ".join(self.ground_vars), gens)
 
-    # -- sigma / delta ----------------------------------------------------------
-
-    def _var_index(self, g: OreGenerator) -> int:
-        return self.field.index[g.var]
+    # -- sigma / delta, read from the catalog --------------------------------------
 
     def sigma(self, i, a: RatFunc) -> RatFunc:
         g = self.gens[i]
-        v = self._var_index(g)
-        kind = g.kind
-        if kind in (OreKind.DIFFERENTIATION, OreKind.EULER):
+        v = self.field.index[g.var]
+        image = CATALOG[g.kind].sigma
+        if image == "x":
             return a
-        if kind in (OreKind.SHIFT, OreKind.DIFFERENCE):
+        if image == "x + 1":
             return a.shift_var(v, 1)
-        if kind in _Q_KINDS:
+        if image == "q*x":
             # x -> q*x is not a polynomial-ring automorphism (images can
             # pick up common powers of q), so renormalize fully
             q = self.field.index[g.param]
             return RatFunc(a.num.scale_var(v, factor_index=q),
                            a.den.scale_var(v, factor_index=q))
-        if kind is OreKind.MAHLER:
+        if image == "x^b":
             return RatFunc(a.num.power_var(v, g.mahler_base),
                            a.den.power_var(v, g.mahler_base))
-        if kind is OreKind.DIVIDED_DIFFERENCE:
-            return a.eval_var(v, g.eval_point)
-        raise KindMismatch("unknown kind %r" % kind)
+        return a.eval_var(v, g.eval_point)  # x -> c
+
+    def _h(self, i):
+        """The h of a sigma-derivation (sigma - 1)/h: 1 or sigma(x) - x."""
+        if CATALOG[self.gens[i].kind].h == "1":
+            return RatFunc.one(self.field)
+        x = RatFunc.from_poly(self.field.var(self.gens[i].var))
+        return self.sigma(i, x) - x
 
     def delta(self, i, a: RatFunc) -> RatFunc:
         g = self.gens[i]
-        v = self._var_index(g)
-        kind = g.kind
-        if kind in (OreKind.SHIFT, OreKind.Q_DILATION, OreKind.Q_SHIFT,
-                    OreKind.MAHLER):
+        row = CATALOG[g.kind]
+        if row.delta == "0":
             return RatFunc.zero(self.field)
-        if kind is OreKind.DIFFERENTIATION:
-            return a.derivative(v)
-        if kind is OreKind.EULER:
-            return a.derivative(v) * RatFunc.from_poly(self.field.var(g.var))
-        if kind in (OreKind.DIFFERENCE, OreKind.CONT_Q_DIFFERENCE,
-                    OreKind.DISCRETE_Q_DIFFERENCE):
-            return self.sigma(i, a) - a
-        if kind is OreKind.Q_DIFFERENTIATION:
-            q = RatFunc.from_poly(self.field.var(g.param))
-            x = RatFunc.from_poly(self.field.var(g.var))
-            return (self.sigma(i, a) - a) / ((q - 1) * x)
-        if kind is OreKind.DIVIDED_DIFFERENCE:
-            x = RatFunc.from_poly(self.field.var(g.var))
-            return (a - self.sigma(i, a)) / (x - g.eval_point)
-        raise KindMismatch("unknown kind %r" % kind)
+        if row.h is not None:
+            d = self.sigma(i, a) - a
+            return d if row.h == "1" else d / self._h(i)
+        d = a.derivative(self.field.index[g.var])
+        return d if row.delta == "d/dx" else d * RatFunc.from_poly(self.field.var(g.var))
 
     def apply_sigma_delta(self, gen_name, a: RatFunc):
         """(sigma(a), delta(a)) for the named generator."""
@@ -165,27 +185,15 @@ class OreAlgebra:
     def linearization(self, i):
         """(a_sigma, b_sigma, a_delta, b_delta, lam): the module operators
         sigma = a_sigma*d + b_sigma, delta = a_delta*d + b_delta, and the
-        action d = lam*sigma + delta; every catalog kind is linear."""
-        g = self.gens[i]
+        action d = lam*sigma + delta; every catalog kind is linear.  With
+        delta = 0, d acts as sigma; otherwise d acts as delta and
+        sigma = 1 + h*delta, h = 0 for the derivations."""
         K = self.field
         zero, one = RatFunc.zero(K), RatFunc.one(K)
-        kind = g.kind
-        if kind in (OreKind.DIFFERENTIATION, OreKind.EULER):
-            return zero, one, one, zero, zero
-        if kind in (OreKind.SHIFT, OreKind.Q_DILATION, OreKind.Q_SHIFT,
-                    OreKind.MAHLER):
+        row = CATALOG[self.gens[i].kind]
+        if row.delta == "0":
             return one, zero, zero, zero, one
-        if kind in (OreKind.DIFFERENCE, OreKind.CONT_Q_DIFFERENCE,
-                    OreKind.DISCRETE_Q_DIFFERENCE):
-            return one, one, one, zero, zero
-        if kind is OreKind.Q_DIFFERENTIATION:
-            q = RatFunc.from_poly(K.var(g.param))
-            x = RatFunc.from_poly(K.var(g.var))
-            return (q - 1) * x, one, one, zero, zero
-        if kind is OreKind.DIVIDED_DIFFERENCE:
-            x = RatFunc.from_poly(K.var(g.var))
-            return -(x - g.eval_point), one, one, zero, zero
-        raise KindMismatch("unknown kind %r" % kind)
+        return zero if row.h is None else self._h(i), one, one, zero, zero
 
     def _check_commutation(self):
         """Generators on distinct variables commute structurally; pairs that
@@ -211,9 +219,9 @@ class OreAlgebra:
                               and self.delta(i, self.sigma(j, r)) == self.sigma(j, self.delta(i, r))
                               and self.delta(j, self.sigma(i, r)) == self.sigma(i, self.delta(j, r)))
                         if not ok:
-                            raise AlgebraMismatch(
+                            raise _at_gen(j, AlgebraMismatch(
                                 "generators %s and %s on %s do not commute"
-                                % (self.gens[i].name, self.gens[j].name, var))
+                                % (self.gens[i].name, self.gens[j].name, var)))
 
     # -- element constructors -----------------------------------------------------
 
@@ -387,12 +395,17 @@ def peel_walk(cache, alpha, step):
     with i the last generator that a involves.
 
     The cache holds the walk's start (the value at the zero exponent) and
-    every value found since; `step(i, v)` applies generator i to v."""
+    every value found since; `step(i, v)` applies generator i to v.  The
+    walk is a loop, so its length is not bounded by the recursion limit."""
+    path = []   # (exponent, generator) of each miss, outermost first
     value = cache.get(alpha)
-    if value is None:
+    while value is None:
         i = max(j for j, x in enumerate(alpha) if x)
-        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        value = cache[alpha] = step(i, peel_walk(cache, prev, step))
+        path.append((alpha, i))
+        alpha = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        value = cache.get(alpha)
+    for a, i in reversed(path):
+        value = cache[a] = step(i, value)
     return value
 
 
@@ -484,20 +497,6 @@ def telescopable_witness(algebra: OreAlgebra, gen_name: str):
 # -- the shift <-> difference transport ---------------------------------------------
 
 
-def _converted_algebra(algebra: OreAlgebra, gen_names, from_kind, to_kind):
-    gens = []
-    for g in algebra.gens:
-        if g.name in gen_names:
-            if g.kind is not from_kind:
-                raise KindMismatch("generator %s has kind %s, expected %s"
-                                   % (g.name, g.kind.value, from_kind.value))
-            gens.append(OreGenerator(g.name, to_kind, g.var, g.param,
-                                     g.mahler_base, g.eval_point))
-        else:
-            gens.append(g)
-    return OreAlgebra(algebra.ground_vars, gens, algebra.params)
-
-
 def _transport(f: OrePoly, target: OreAlgebra, gen_idx, offset: int) -> OrePoly:
     """Left-linear substitution d_i -> d_i + offset for i in gen_idx."""
     out = {}
@@ -520,17 +519,33 @@ def _transport(f: OrePoly, target: OreAlgebra, gen_idx, offset: int) -> OrePoly:
     return OrePoly(target, out)
 
 
+def _converted(algebra: OreAlgebra, ops, gen_names, from_kind, to_kind, offset):
+    """(algebra with the named generators, of kind from_kind, made to_kind;
+    ops transported by d -> d + offset)."""
+    gens = []
+    for g in algebra.gens:
+        if g.name in gen_names and g.kind is not from_kind:
+            raise KindMismatch("generator %s has kind %s, expected %s"
+                               % (g.name, g.kind.value, from_kind.value))
+        gens.append(OreGenerator(g.name, to_kind, g.var) if g.name in gen_names else g)
+    target = OreAlgebra(algebra.ground_vars, gens, algebra.params)
+    idx = [algebra.gen_index[n] for n in gen_names]
+    return target, [_transport(f, target, idx, offset) for f in ops]
+
+
 def shift_to_difference(f: OrePoly, gen_names) -> OrePoly:
     """Rewrite shift generators as difference generators: S = Delta + 1."""
-    target = _converted_algebra(f.algebra, set(gen_names), OreKind.SHIFT,
-                                OreKind.DIFFERENCE)
-    idx = [f.algebra.gen_index[n] for n in gen_names]
-    return _transport(f, target, idx, 1)
+    return _converted(f.algebra, [f], gen_names, OreKind.SHIFT, OreKind.DIFFERENCE, 1)[1][0]
 
 
 def difference_to_shift(f: OrePoly, gen_names) -> OrePoly:
     """Inverse of shift_to_difference: Delta = S - 1."""
-    target = _converted_algebra(f.algebra, set(gen_names), OreKind.DIFFERENCE,
-                                OreKind.SHIFT)
-    idx = [f.algebra.gen_index[n] for n in gen_names]
-    return _transport(f, target, idx, -1)
+    return _converted(f.algebra, [f], gen_names, OreKind.DIFFERENCE, OreKind.SHIFT, -1)[1][0]
+
+
+def as_shifts(algebra: OreAlgebra, ops):
+    """(algebra, ops) with every difference generator made a shift by
+    Delta = S - 1; the arguments themselves when there is none."""
+    names = [g.name for g in algebra.gens if g.kind is OreKind.DIFFERENCE]
+    return (_converted(algebra, ops, names, OreKind.DIFFERENCE, OreKind.SHIFT, -1)
+            if names else (algebra, ops))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .errors import NonDiscreteAlgebra, OutOfDomain
-from .ore import OreKind, OrePoly, difference_to_shift
+from .ore import OreKind, OrePoly, as_shifts
 
 # -- builtin sequences --------------------------------------------------------
 
@@ -311,11 +311,7 @@ class DefiniteSum(SequenceOracle):
 
 
 def _as_shift_form(L: OrePoly) -> OrePoly:
-    alg = L.algebra
-    diff_gens = [g.name for g in alg.gens if g.kind is OreKind.DIFFERENCE]
-    if diff_gens:
-        L = difference_to_shift(L, diff_gens)
-        alg = L.algebra
+    alg, (L,) = as_shifts(L.algebra, [L])
     for g in alg.gens:
         if g.kind is not OreKind.SHIFT:
             raise NonDiscreteAlgebra(

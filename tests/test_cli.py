@@ -10,6 +10,9 @@ import pytest
 import orecalc.cli as cli
 from orecalc.cli import main, parse, print_problem, run
 from orecalc.errors import KindError, ProblemSyntaxError, UnknownName
+from orecalc.ore import CATALOG, OreKind
+
+from test_ore import make_algebra
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
@@ -499,7 +502,6 @@ def test_malformed_task_is_rejected_at_its_fault(task, error, message, col):
 
 @pytest.mark.parametrize("oracle, printed", [
     ("n + 2*k - 1", "(2*k + n - 1)"),
-    ("binomial(n - , k)", "binomial(n, k)"),
     ("pow(2, --n + 3*k - -1)", "pow(2, 3*k + n + 1)"),
     ("binomial(+n, k) * n - k", "binomial(n, k) * (-k + n)"),
     ("(n - k)", "(-k + n)"),
@@ -515,6 +517,8 @@ def test_index_expression_forms(oracle, printed):
     ("n - 2*", "expected a name, got ';'", 18),
     ("binomial(n, 2*)", "expected a name, got ')'", 26),
     ("binomial(, k)", "expected an index expression", 21),
+    ("binomial(n - , k)", "expected an index expression", 25),
+    ("pow(2, n +)", "expected an index expression", 22),
     ("()", "expected an index expression", 13),
 ])
 def test_malformed_index_expression(oracle, message, col):
@@ -564,12 +568,22 @@ zeilberger B over Sk dega 1 degb 0;
     ("algebra Q(n, k) <Sn: shift(n)>; oracle c = binomial(n);",
      "1:44: binomial takes 2 arguments"),
     ("algebra Q(n) <Sn: shift(m)>;",
-     "ground variable 'm' of generator 'Sn' not declared"),
-    ("algebra Q(n) <Sn: qshift(n, q)>;", "parameter 'q' not declared"),
-    ("algebra Q(n) <Sn: mahler(n, 1)>;", "Mahler generator needs integer base >= 2"),
-    ("algebra Q(n) <Sn: divdiff(n, z)>;", "divdiff point 'z' not declared"),
+     "1:15: ground variable 'm' of generator 'Sn' not declared"),
+    ("algebra Q(n) <Sn: qshift(n, q)>;", "1:15: parameter 'q' not declared"),
+    ("algebra Q(n) <Sn: mahler(n, 1)>;",
+     "1:15: Mahler generator needs integer base >= 2"),
+    ("algebra Q(n) <Sn: divdiff(n, z)>;", "1:30: divdiff point 'z' not declared"),
+    ("algebra Q(n) <Sn: shift(n, 3)>;", "1:26: expected ')', got ','"),
+    ("algebra Q(n; q) <Sn: qshift(n)>;", "1:30: expected ',', got ')'"),
+    ("algebra Q(n; q) <Sn: mahler(n, q)>;", "1:32: expected an integer, got 'q'"),
+    ("algebra Q(n) <Sn: shift(n), Tn: euler(n)>;",
+     "1:29: generators Sn and Tn on n do not commute"),
+    ("algebra Q(n, n) <Sn: shift(n)>;",
+     "1:1: generator, variable, and parameter names must be distinct"),
 ], ids=["superscript-digit", "zero-denominator", "arity", "undeclared-variable",
-        "undeclared-parameter", "mahler-base", "divdiff-point"])
+        "undeclared-parameter", "mahler-base", "divdiff-point", "extra-argument",
+        "missing-argument", "ill-typed-argument", "noncommuting-generators",
+        "repeated-variable"])
 def test_malformed_file_is_a_parse_error_not_a_traceback(text, message, capsys,
                                                          monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -577,6 +591,60 @@ def test_malformed_file_is_a_parse_error_not_a_traceback(text, message, capsys,
     captured = capsys.readouterr()
     assert captured.err == "parse error: %s\n" % message
     assert captured.out == ""
+
+
+# each kind declared as `tests/test_ore.py::make_algebra` builds it directly
+DECLARATIONS = {
+    "diff": "algebra Q(x) <D: diff(x)>;",
+    "shift": "algebra Q(x) <S: shift(x)>;",
+    "difference": "algebra Q(x) <Dx: difference(x)>;",
+    "qdilation": "algebra Q(x; q) <Q: qdilation(x, q)>;",
+    "cqdifference": "algebra Q(x; q) <Q: cqdifference(x, q)>;",
+    "qdiff": "algebra Q(x; q) <Q: qdiff(x, q)>;",
+    "qshift": "algebra Q(X; q) <S: qshift(X, q)>;",
+    "dqdifference": "algebra Q(X; q) <Dq: dqdifference(X, q)>;",
+    "euler": "algebra Q(x) <T: euler(x)>;",
+    "mahler": "algebra Q(x) <M: mahler(x, 2)>;",
+    "divdiff": "algebra Q(x) <V: divdiff(x, 2)>;",
+}
+
+
+@pytest.mark.parametrize("kind", list(OreKind), ids=lambda k: k.value)
+def test_every_kind_declared_in_a_file_builds_prints_and_runs(kind):
+    """The parser builds the algebra the catalog describes, the printer
+    gives the file back, and gb and dim run on a one-generator ideal."""
+    direct = make_algebra(kind.value)
+    (g,) = direct.gens
+    text = "%s\nideal I = [%s - %s];\ngb I;\ndim I;\n" % (
+        DECLARATIONS[kind.value], g.name, g.var)
+    pf = parse(text)
+    assert pf.algebra._key() == direct._key()
+    assert print_problem(pf) == text
+    status, _ = run(pf, out=io.StringIO())
+    assert status == 0
+
+
+def test_a_long_power_is_checked_and_its_ideal_runs(capsys, monkeypatch):
+    """Operator products walk exponents in a loop: `Sn^1500` once hit the
+    recursion limit while the ideal was built."""
+    text = "algebra Q(n) <Sn: shift(n)>;\nideal I = [Sn^1500 - 1];\ndim I;\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["check", "-"]) == 0
+    assert capsys.readouterr().out == "ok: 1 ideal(s), 0 oracle(s), 1 task(s)\n"
+    status, rendered = run(parse(text), out=io.StringIO())
+    assert (status, rendered) == (0, "dim I = 0\n")
+
+
+def test_readme_states_every_generator_kind():
+    """The README's "Generator kinds" paragraph states every kind word
+    with its arguments, named as in the catalog's sigma images."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    stated = readme[readme.index("\nGenerator kinds"):].split("\n\n")[0]
+    letter = {"param": "q", "mahler_base": "b", "eval_point": "c"}
+    for kind, row in CATALOG.items():
+        args = "x" if row.arg is None else "x, " + letter[row.arg]
+        assert "`%s(%s)`" % (kind.value, args) in " ".join(stated.split()), kind
 
 
 def test_readme_states_every_task_word():

@@ -7,6 +7,7 @@ import pytest
 from orecalc.arith import MPoly, PolyRing, RatFunc
 from orecalc.errors import AlgebraMismatch, KindMismatch
 from orecalc.ore import (
+    CATALOG,
     OreAlgebra,
     OreGenerator,
     OreKind,
@@ -72,6 +73,43 @@ def make_algebra(name):
         a = RatFunc.const(ring, 2)
         return OreAlgebra(["x"], [OreGenerator("V", OreKind.DIVIDED_DIFFERENCE, "x", eval_point=a)])
     raise KeyError(name)
+
+
+def test_catalog_has_one_row_per_kind():
+    assert list(CATALOG) == list(OreKind)
+    for row in CATALOG.values():
+        assert row.sigma in ("x", "x + 1", "q*x", "x^b", "c")
+        assert row.delta in ("0", "d/dx", "x*d/dx", "(sigma - 1)/h")
+        assert row.h in ((None,) if row.delta != "(sigma - 1)/h"
+                         else ("1", "sigma(x) - x"))
+
+
+@pytest.mark.parametrize("kind", [k for k, _ in ALL_KINDS])
+def test_linearization_agrees_with_sigma_and_delta(kind):
+    """sigma = a_sigma*delta + 1 wherever delta is not 0, and both module
+    operators give sigma and delta on the coefficient field."""
+    alg = make_algebra(kind)
+    asig, bsig, adel, bdel, lam = alg.linearization(0)
+    rng = random.Random(zlib.crc32(kind.encode()))
+    pole = 2 if kind == "divdiff" else None
+    for _ in range(20):
+        a = rand_ratfunc(alg.field, rng, avoid_pole_at=pole)
+        act = alg.gen(alg.gens[0].name).apply_to_ratfunc(a)  # d . a
+        assert alg.sigma(0, a) == asig * act + bsig * a
+        assert alg.delta(0, a) == adel * act + bdel * a
+
+
+@pytest.mark.parametrize("kind, args, message", [
+    (OreKind.SHIFT, {"param": "q"}, "shift generator 'G' takes no param"),
+    (OreKind.Q_SHIFT, {}, "qshift generator 'G' needs param"),
+    (OreKind.MAHLER, {"mahler_base": 1}, "Mahler generator needs integer base >= 2"),
+    (OreKind.DIVIDED_DIFFERENCE, {"mahler_base": 2},
+     "divdiff generator 'G' takes no mahler_base"),
+])
+def test_generator_takes_exactly_its_catalog_argument(kind, args, message):
+    with pytest.raises(KindMismatch) as exc:
+        OreGenerator("G", kind, "x", **args)
+    assert str(exc.value) == message
 
 
 class TestSigmaDelta:
