@@ -136,15 +136,9 @@ class Task:
 @dataclass
 class ProblemFile:
     algebra: OreAlgebra
-    ideals: dict       # name -> list of operator ASTs, as parsed
-    oracles: dict      # name -> oracle AST
+    built_ideals: dict   # name -> LeftIdeal, built as it was read
+    oracles: dict        # name -> oracle AST
     tasks: list
-    built_ideals: dict = dataclass_field(default_factory=dict)
-
-
-# operator expression AST: tuples
-#   ("num", int) | ("sym", name) | ("add", l, r) | ("sub", l, r)
-#   ("mul", l, r) | ("div", l, r) | ("pow", base, int) | ("neg", x)
 
 
 class Parser:
@@ -196,12 +190,20 @@ class Parser:
                     raise ProblemSyntaxError("duplicate algebra declaration",
                                              t.line, t.col)
                 algebra = self.parse_algebra()
-            elif t.text == "ideal":
-                name, gens = self.parse_ideal()
-                ideals[name] = gens
-            elif t.text == "oracle":
-                name, node = self.parse_oracle()
-                oracles[name] = node
+            elif t.text in ("ideal", "oracle"):
+                if algebra is None and t.text == "ideal":
+                    raise ProblemSyntaxError("ideal before the algebra declaration",
+                                             t.line, t.col)
+                self.next()
+                table = ideals if t.text == "ideal" else oracles
+                name = self.expect_name()
+                if name.text in table:
+                    raise ProblemSyntaxError("duplicate %s %r" % (t.text, name.text),
+                                             name.line, name.col)
+                self.expect("=")
+                table[name.text] = (self.parse_ideal(algebra) if t.text == "ideal"
+                                    else self.parse_oracle_expr())
+                self.expect(";")
             else:
                 tasks.append(self.parse_task())
         if algebra is None:
@@ -273,69 +275,72 @@ class Parser:
             raise UnknownName("divdiff point %r not declared" % t.text, t.line, t.col)
         return RatFunc.from_poly(ring.var(t.text))
 
-    def parse_ideal(self):
-        self.expect("ideal")
-        name = self.expect_name().text
-        self.expect("=")
+    def parse_ideal(self, alg) -> LeftIdeal:
+        """`[op, ...]`, each operator built in `alg` as it is read: a name is
+        a generator or a variable, an int a scalar."""
         self.expect("[")
-        gens = [self.parse_opexpr()]
+        ops = [self.parse_opexpr(alg)]
         while self.peek().text == ",":
             self.next()
-            gens.append(self.parse_opexpr())
+            ops.append(self.parse_opexpr(alg))
         self.expect("]")
-        self.expect(";")
-        return name, gens
+        return LeftIdeal(alg, ops)
 
-    # operator expressions
-
-    def parse_opexpr(self):
-        node = self.parse_opterm()
+    def parse_opexpr(self, alg) -> OrePoly:
+        value = self.parse_opterm(alg)
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.parse_opterm()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            if self.next().text == "+":
+                value = value + self.parse_opterm(alg)
+            else:
+                value = value - self.parse_opterm(alg)
+        return value
 
-    def parse_opterm(self):
-        node = self.parse_opfactor()
+    def parse_opterm(self, alg) -> OrePoly:
+        """Products and quotients; a divisor must be a nonzero coefficient."""
+        value = self.parse_opfactor(alg)
         while self.peek().text in ("*", "/"):
-            op = self.next().text
-            rhs = self.parse_opfactor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            op = self.next()
+            rhs = self.parse_opfactor(alg)
+            if op.text == "*":
+                value = value * rhs
+                continue
+            if set(rhs.terms) - {alg._zero_exp}:
+                raise ProblemSyntaxError("division only by coefficient expressions",
+                                         op.line, op.col)
+            c = rhs.terms.get(alg._zero_exp)
+            if c is None or c.is_zero():
+                raise ProblemSyntaxError("division by zero coefficient", op.line, op.col)
+            value = value.scale(c.inverse())
+        return value
 
-    def parse_opfactor(self):
+    def parse_opfactor(self, alg) -> OrePoly:
         if self.peek().text == "-":
             self.next()
-            return ("neg", self.parse_opfactor())
-        node = self.parse_opatom()
+            return -self.parse_opfactor(alg)
+        value = self.parse_opatom(alg)
         while self.peek().text == "^":
             self.next()
-            node = ("pow", node, self.expect_int())
-        return node
+            value = value ** self.expect_int()
+        return value
 
-    def parse_opatom(self):
+    def parse_opatom(self, alg) -> OrePoly:
         t = self.next()
         if t.kind == "int":
-            return ("num", int(t.text))
+            return alg.scalar(int(t.text))
         if t.kind == "name":
-            return ("sym", t.text)
+            if t.text in alg.gen_index:
+                return alg.gen(t.text)
+            if t.text in alg.field.index:
+                return alg.var(t.text)
+            raise UnknownName("unknown symbol %r" % t.text, t.line, t.col)
         if t.text == "(":
-            node = self.parse_opexpr()
+            value = self.parse_opexpr(alg)
             self.expect(")")
-            return node
+            return value
         raise ProblemSyntaxError("unexpected token %r in expression" % t.text,
                                  t.line, t.col)
 
     # oracles
-
-    def parse_oracle(self):
-        self.expect("oracle")
-        name = self.expect_name().text
-        self.expect("=")
-        node = self.parse_oracle_expr()
-        self.expect(";")
-        return name, node
 
     def parse_oracle_expr(self):
         terms = [self.parse_oracle_term()]
@@ -487,9 +492,6 @@ class Parser:
 def parse(text: str) -> ProblemFile:
     """Parse and build a problem file (algebra, ideals, oracles resolved)."""
     pf = Parser(text).parse_file()
-    for name, exprs in pf.ideals.items():
-        ops = [_eval_opexpr(e, pf.algebra) for e in exprs]
-        pf.built_ideals[name] = LeftIdeal(pf.algebra, ops)
     _check_names(pf)
     return pf
 
@@ -521,39 +523,6 @@ def _check_names(pf: ProblemFile):
                     if summand is not None and name not in summand.variables():
                         raise UnknownName("summation variable %r does not occur in %r"
                                           % (name, d["summand"]), *at)
-
-
-def _eval_opexpr(node, alg: OreAlgebra) -> OrePoly:
-    kind = node[0]
-    if kind == "num":
-        return alg.scalar(node[1])
-    if kind == "sym":
-        name = node[1]
-        if name in alg.gen_index:
-            return alg.gen(name)
-        if name in alg.field.index:
-            return alg.var(name)
-        raise UnknownName("unknown symbol %r" % name)
-    if kind == "neg":
-        return -_eval_opexpr(node[1], alg)
-    if kind == "add":
-        return _eval_opexpr(node[1], alg) + _eval_opexpr(node[2], alg)
-    if kind == "sub":
-        return _eval_opexpr(node[1], alg) - _eval_opexpr(node[2], alg)
-    if kind == "mul":
-        return _eval_opexpr(node[1], alg) * _eval_opexpr(node[2], alg)
-    if kind == "div":
-        lhs = _eval_opexpr(node[1], alg)
-        rhs = _eval_opexpr(node[2], alg)
-        if set(rhs.terms) - {alg._zero_exp}:
-            raise ProblemSyntaxError("division only by coefficient expressions")
-        c = rhs.terms.get(alg._zero_exp)
-        if c is None or c.is_zero():
-            raise ProblemSyntaxError("division by zero coefficient")
-        return lhs.scale(c.inverse())
-    if kind == "pow":
-        return _eval_opexpr(node[1], alg) ** node[2]
-    raise ProblemSyntaxError("bad expression node %r" % (node,))
 
 
 # -- printer ---------------------------------------------------------------------

@@ -395,12 +395,15 @@ def check_identity(summand: SequenceOracle, telescoper: OrePoly,
     (ii) the closed form over the box, and (iii) that the two sides agree
     on the whole box.  Purely finite-box
     evidence: for positive-dimensional annihilators the infinite family of
-    initial conditions is out of reach, and the report says so.
+    initial conditions is out of reach, and the report says so.  A box
+    with no point shows nothing and fails.
     """
     report = IdentityReport(passed=True)
     margin = max((sum(e) for e in telescoper.terms), default=0) + 4
     lhs = DefiniteSum(sum_var, summand, margin=margin)
     points = box_points(outer_ranges)
+    if not points:
+        report.fail({}, "the box has no point")
     for env, value, note in apply_operator_numeric(telescoper, lhs, points):
         report.checked += 1
         if value is None:

@@ -580,10 +580,23 @@ zeilberger B over Sk dega 1 degb 0;
      "1:29: generators Sn and Tn on n do not commute"),
     ("algebra Q(n, n) <Sn: shift(n)>;",
      "1:1: generator, variable, and parameter names must be distinct"),
+    ("algebra Q(n) <Sn: shift(n)>; ideal I = [Sx - 1];", "1:41: unknown symbol 'Sx'"),
+    ("algebra Q(n) <Sn: shift(n)>; ideal I = [Sn / Sn];",
+     "1:44: division only by coefficient expressions"),
+    ("algebra Q(n) <Sn: shift(n)>; ideal I = [Sn / (n - n)];",
+     "1:44: division by zero coefficient"),
+    ("ideal I = [Sn - 1]; algebra Q(n) <Sn: shift(n)>;",
+     "1:1: ideal before the algebra declaration"),
+    ("algebra Q(n) <Sn: shift(n)>; ideal I = [Sn - 1]; ideal I = [Sn];",
+     "1:56: duplicate ideal 'I'"),
+    ("algebra Q(n) <Sn: shift(n)>; oracle c = pow(2, n); oracle c = 1;",
+     "1:59: duplicate oracle 'c'"),
 ], ids=["superscript-digit", "zero-denominator", "arity", "undeclared-variable",
         "undeclared-parameter", "mahler-base", "divdiff-point", "extra-argument",
         "missing-argument", "ill-typed-argument", "noncommuting-generators",
-        "repeated-variable"])
+        "repeated-variable", "unknown-symbol", "division-by-operator",
+        "division-by-zero-coefficient", "ideal-before-algebra", "repeated-ideal",
+        "repeated-oracle"])
 def test_malformed_file_is_a_parse_error_not_a_traceback(text, message, capsys,
                                                          monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -591,6 +604,30 @@ def test_malformed_file_is_a_parse_error_not_a_traceback(text, message, capsys,
     captured = capsys.readouterr()
     assert captured.err == "parse error: %s\n" % message
     assert captured.out == ""
+
+
+def test_errors_are_reported_in_reading_order(capsys, monkeypatch):
+    """Each ideal is built as it is read, so its error comes before a
+    syntax error in a later task."""
+    text = "algebra Q(n) <Sn: shift(n)>;\nideal I = [Sx - 1];\ndim I maxdeg;\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr().err == "parse error: 2:12: unknown symbol 'Sx'\n"
+
+
+@pytest.mark.parametrize("verify, flags", [
+    ("verify T: sum(k, c) == rowsum box 0 positive;", []),
+    ("verify T: sum(k, c) == rowsum;", ["--verify-box", "-1"]),
+], ids=["box-1..0", "verify-box-flag"])
+def test_a_verify_box_without_points_fails(verify, flags, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(NAMED_EXAMPLE + verify + "\n"))
+    assert main(["run", "-", *flags]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verify T: FAIL (0 points)"
+    monkeypatch.setattr("sys.stdin", io.StringIO(NAMED_EXAMPLE + verify + "\n"))
+    assert main(["run", "-", "--format", "json", *flags]) == 1
+    entry = json.loads(capsys.readouterr().out)["tasks"][-1]
+    assert (entry["passed"], entry["checked"], entry["counterexamples"]) == (
+        False, 0, [[{}, "the box has no point"]])
 
 
 # each kind declared as `tests/test_ore.py::make_algebra` builds it directly

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 from fractions import Fraction
@@ -18,12 +19,14 @@ from orecalc.closure import closure_product
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.errors import MultipleTelescopingVars
 from orecalc.groebner import GREVLEX, GRLEX, LeftIdeal, is_member
+from orecalc.growth import growth_probe, growth_zero_dimensional
 from orecalc.modp import exponents_up_to
 from orecalc.ore import (
     OreKind,
     OrePoly,
     coefficient_rows,
     difference_to_shift,
+    format_opoly,
     shift_to_difference,
 )
 from orecalc.telescoping import (
@@ -33,7 +36,7 @@ from orecalc.telescoping import (
     telescoping_bound,
     zeilberger_search,
 )
-from orecalc.verify import Builtin, DefiniteSum, LinExpr
+from orecalc.verify import Builtin, DefiniteSum, LinExpr, apply_operator_numeric
 
 from corpus_objects import (
     abel_ideal,
@@ -332,6 +335,64 @@ class TestAgreement:
         d = hilbert_dimension(T)
         bound, _ = telescoping_bound(2, 1, 1, 3)
         assert d is UNIT_IDEAL or d <= bound
+
+
+
+# -- the integration side: telescoping over a differential generator -------------
+
+INTEGRALS = parse("""algebra Q(n, x) <Sn: shift(n), Dx: diff(x)>;
+ideal G = [Sn + x*Dx - n, x*Dx^2 + (x - n + 1)*Dx];
+ideal L = [x*Dx*Sn - 1];
+""").built_ideals
+
+
+def _factorial_images(A, points=range(11)):
+    """A applied to n!, at n = 0..10."""
+    n_factorial = Builtin("factorial", (lin(n=1),))
+    return [value for _, value, _ in
+            apply_operator_numeric(A, n_factorial, [{"n": n} for n in points])]
+
+
+class TestIntegrationSide:
+    """G annihilates the incomplete Gamma function Gamma(n, x), and
+    L = [x*Dx*Sn - 1] the polylogarithm Li_n(x); both integrate over x."""
+
+    def test_incomplete_gamma_is_zero_dimensional_with_growth_one(self):
+        G = INTEGRALS["G"]
+        assert hilbert_dimension(G) == 0
+        assert growth_zero_dimensional(G, ["x"]).p == 1
+        assert telescoping_bound(0, 1, 1, 1) == (0, True)
+
+    def test_fasenmyer_gives_the_boundary_term_of_the_integral(self):
+        # (n - Sn) + Dx*(-Sn) is in G; integrating over 0..oo leaves the
+        # boundary term -Gamma(n + 1, x) at x = 0, that is -n!
+        G = INTEGRALS["G"]
+        out = fasenmyer_search(G, ["Dx"], max_degree=2)
+        (res,) = out.results
+        assert format_opoly(res.telescoper) == "-Sn + n"
+        assert format_opoly(res.certificates["Dx"]) == "-Sn"
+        assert res.membership_checked and is_member(res.witness(), G)
+        A = restrict_to_x(res.telescoper, ["Dx"])
+        assert [g.name for g in A.algebra.gens] == ["Sn"]
+        assert _factorial_images(A) == [-math.factorial(n) for n in range(11)]
+
+    def test_zeilberger_annihilates_the_integral_n_factorial(self):
+        # the certificate's boundary term x*Gamma(n, x) vanishes at 0 and
+        # at oo, so Sn - n - 1 annihilates n! = int_0^oo Gamma(n, x) dx
+        G = INTEGRALS["G"]
+        res, _ = zeilberger_search(G, "Dx", degA=2, degB=1)
+        assert format_opoly(res.telescoper) == "Sn - n - 1"
+        assert format_opoly(res.certificates["Dx"]) == "x"
+        assert res.membership_checked and is_member(res.witness(), G)
+        assert _factorial_images(restrict_to_x(res.telescoper, ["Dx"])) == [0] * 11
+
+    def test_polylogarithm_is_not_holonomic_and_has_no_low_telescoper(self):
+        L = INTEGRALS["L"]
+        assert hilbert_dimension(L) == 1
+        assert growth_probe(L, ["x"], window=8).p == 1
+        assert telescoping_bound(1, 1, 1, 1) == (1, False)
+        out = fasenmyer_search(L, ["Dx"], max_degree=3)
+        assert out.results == [] and out.budget_exhausted
 
 
 # -- the mod-p rank certificate of the Fasenmyer search --------------------------
