@@ -35,6 +35,9 @@ from .modp import (
     _modp_univ_gcd,
     _point_solver,
     _rational_lift,
+    _univ_divmod,
+    _univ_eval,
+    _univ_trim,
 )
 
 
@@ -179,7 +182,9 @@ class MPoly:
         """Total degree in the given subset of variables (-1 for zero)."""
         if not self.terms:
             return -1
-        return max(sum(e[i] for i in var_indices) for e in self.terms)
+        if len(var_indices) < 2:
+            return max(map(operator.itemgetter(*var_indices), self.terms)) if var_indices else 0
+        return max(map(sum, map(operator.itemgetter(*var_indices), self.terms)))
 
     def variables(self):
         """Indices of variables that actually occur."""
@@ -501,9 +506,9 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
         if fc is None:
             continue  # cancelled, or a repeat of a key pushed again
         qk = tuple(map(operator.sub, fk, gk))
-        if any(x < 0 for x in qk[1:]):
+        if min(qk[1:]) < 0:
             raise ValueError("not divisible")
-        qc = _qdiv(fc, gc)
+        qc = fc if gc == 1 else _qdiv(fc, gc)
         quo[qk[:0:-1]] = qc
         for ek, c in gitems:
             tk = tuple(map(operator.add, qk, ek))
@@ -573,42 +578,10 @@ def poly_lcm(a: MPoly, b: MPoly) -> MPoly:
 def denominator_lcm(values, ring) -> MPoly:
     """Monic lcm of the denominators of the RatFunc values (ring.one for
     none)."""
-    return _lcm_fold(values, ring)[0]
-
-
-def _lcm_fold(values, ring):
-    """(L, steps): L the monic lcm of the denominators of the RatFunc
-    values, folded left to right over the distinct ones (a repeat divides
-    the lcm already), and steps the fold's (d, L'/g, d/g) per distinct
-    denominator d, L' the lcm before d and g = gcd(L', d).  These are
-    `poly_cofactors`' quotients, so L/d is L'/g times the factors d/g of
-    every later step (`_lcm_quotients`), with no division."""
-    den = ring.one
-    steps = []
-    seen = set()
+    L = {}
     for x in values:
-        d = x.den
-        if not d.is_one() and d not in seen:
-            seen.add(d)
-            # L' and d are monic, so d/g is monic and L'*(d/g) is the lcm
-            _, den_g, d_g = poly_cofactors(den, d)
-            den = den * d_g
-            steps.append((d, den_g, d_g))
-    return den, steps
-
-
-def _lcm_quotients(den, steps, ring) -> dict:
-    """{d: L/d} for the lcm L = den of `_lcm_fold` and its distinct
-    denominators d, and {1: L}: products of the fold's cofactors, taken
-    from the last step back."""
-    out = {ring.one: den}
-    later = ring.one  # the product of d/g over the steps after step i
-    for i in range(len(steps) - 1, -1, -1):
-        d, den_g, d_g = steps[i]
-        out[d] = den_g * later
-        if i:
-            later = later * d_g
-    return out
+        factored_merge(L, x.fac)
+    return factored_expand(L, ring)
 
 
 # -- modular gcd (rebuilt along lines mod p, division-verified) --------------------
@@ -708,7 +681,8 @@ def _modular_gcd(a: MPoly, b: MPoly):
             continue
         rng = random.Random(p ^ 0xB0B)
         dead = [(i, rng.randrange(p)) for i in range(nvars) if i not in live]
-        images = [{e: v for e, v in _image_mod_p(f, dead, live, p).items() if v}
+        memo = {}
+        images = [{e: v for e, v in _image_mod_p(f, dead, live, p, memo).items() if v}
                   for f in (a, b)]
         if not all(images):
             continue
@@ -759,117 +733,246 @@ def _image_bounds(a: MPoly, b: MPoly):
     variable at `_IMAGE_POINT`, and 0 where one of them lacks v; None when
     lc_v(a) or lc_v(b) vanishes there."""
     p = _IMAGE_PRIME
-    point = _image_point(a.ring.nvars)
     da, db = _degrees(a), _degrees(b)
-    wa, wb = _term_values_mod_p(a, point, p), _term_values_mod_p(b, point, p)
-    bounds = [0] * len(point)
-    for v, x in enumerate(point):
+    wa, wb = _term_values_mod_p(a), _term_values_mod_p(b)
+    bounds = [0] * len(da)
+    for v in range(len(da)):
         if not (da[v] and db[v]):
             continue
-        inv = pow(x, -1, p)
-        ia = _image_in(wa, v, da[v], inv, p)
-        ib = _image_in(wb, v, db[v], inv, p)
+        ia = _image_in(wa, v, da[v])
+        ib = _image_in(wb, v, db[v])
         if not (ia[-1] and ib[-1]):
             return None
         bounds[v] = len(_modp_univ_gcd(ia, ib, p)) - 1
     return bounds
 
 
-def _term_values_mod_p(f: MPoly, point, p):
-    """(exponent, value mod p at the point) per term of f; None when p
-    divides a coefficient denominator."""
+_POWERS = {}
+
+
+def _powers(i, deg, sign=1):
+    """[x_i^(sign*d) mod `_IMAGE_PRIME` at `_IMAGE_POINT` for d = 0..deg at
+    least], kept and extended as needed."""
+    x = _IMAGE_POINT[i % len(_IMAGE_POINT)]
+    pw = _POWERS.setdefault((i % len(_IMAGE_POINT), sign), [1])
+    if len(pw) <= deg:
+        step = pow(x, sign, _IMAGE_PRIME)
+        while len(pw) <= deg:
+            pw.append(pw[-1] * step % _IMAGE_PRIME)
+    return pw
+
+
+def _term_values_mod_p(f: MPoly):
+    """(exponent, value mod `_IMAGE_PRIME` at `_IMAGE_POINT`) per term of f;
+    None when the prime divides a coefficient denominator."""
+    p = _IMAGE_PRIME
+    table = [_powers(i, d) for i, d in enumerate(_degrees(f))]
     out = []
     for e, c in f.terms.items():
-        if type(c) is int:
-            w = c % p
-        elif c.denominator % p:
-            w = c.numerator * pow(c.denominator, -1, p) % p
-        else:
-            return None
-        for x, d in zip(point, e):
-            if d:
-                w = w * pow(x, d, p) % p
-        out.append((e, w))
+        if type(c) is not int:
+            if not c.denominator % p:
+                return None
+            c = c.numerator * pow(c.denominator, -1, p)
+        out.append((e, c * math.prod(map(list.__getitem__, table, e)) % p))
     return out
 
 
-def _image_in(values, v, deg, inv, p):
+def _image_in(values, v, deg):
     """Dense coefficients in x_v of the image whose term values are
-    `values`, inv being the inverse of x_v's point value: each term's x_v
-    factor is divided back out."""
+    `values`: each term's x_v factor is divided back out."""
     coeffs = [0] * (deg + 1)
+    inv = _powers(v, deg, -1)
     for e, w in values:
         d = e[v]
-        coeffs[d] += w * pow(inv, d, p) if d else w
-    return [c % p for c in coeffs]
+        coeffs[d] += w * inv[d]
+    return [c % _IMAGE_PRIME for c in coeffs]
 
 
-# factored polynomials: {monic factor: multiplicity} with pairwise-coprime
-# factors; lcms and degree reads stay cheap on the shifted-factor products
-# this engine generates, where the expanded forms explode
+# -- factored denominators ----------------------------------------------------------
+#
+# A RatFunc keeps its denominator as {factor: multiplicity}.  The normal
+# forms the engine walks have denominators that are products of shifts of
+# a few leading-coefficient factors, whose expanded forms explode; kept
+# factored, the gcd and lcm of two denominators are the min and max of
+# their dicts, once every factor of one is a factor of the other or
+# coprime to it (`_align`).  Factors are interned (`_factor`), so equal
+# factors are one object, and each pair is compared once.  When two
+# factors share a proper factor, both are split for good into the
+# pairwise-coprime pieces of their refinement (`_refined`), and every
+# dict that holds them reads the pieces from then on (`_resolved`).  The
+# interned factors and their memos last for the process; they change how
+# fast a result comes, never the result, since printing, equality and
+# hashing read the expanded pair.
 
 
-def _divide_out(b: MPoly, f: MPoly):
-    """(k, f / b^k) for the largest k with b^k dividing f (b non-constant)."""
-    k = 0
-    while True:
-        try:
-            f = exact_div(f, b)
-        except ValueError:
-            return k, f
-        k += 1
+class _Factor(MPoly):
+    """A denominator factor: primitive over Z with a positive leading
+    coefficient, interned, so its hash is kept.  `split` is None or the
+    pieces {factor: multiplicity} it is known to be the product of;
+    `coprime` the factors it is known to be coprime to; `shifts` and
+    `images` memoise `_shifted` and its images mod p per variable."""
+
+    __slots__ = ("_hash", "linear", "vars", "split", "coprime", "shifts", "images")
+
+    def __init__(self, f: MPoly):
+        super().__init__(f.ring, f.terms)
+        self._hash = hash(f)
+        self.linear = f.total_degree() == 1
+        self.vars = sorted(f.variables())
+        self.split = None
+        self.coprime = set()
+        self.shifts = {}
+        self.images = {}
+
+    def __hash__(self):
+        return self._hash
 
 
-def factored_merge(A: dict, q: MPoly) -> None:
-    """A := lcm(A, q) in place.
+_FACTORS = {}
+_NOFAC = {}  # the empty factor dict of every polynomial; never mutated
 
-    Keys stay monic and pairwise coprime.  When trial division by the keys
-    already in A takes q down to a constant, q is a product of keys and only
-    their multiplicities change.  Otherwise the pieces are refined as
-    triples (f, a, b) whose f^a multiply to A's product and whose f^b
-    multiply to q: A's keys, each with the multiplicity the trial division
-    found in q, and the leftover r as (r, 0, 1).  A piece x that meets a
-    piece f in a nontrivial g = gcd(f, x) is replaced, with f, by
-    (f/g, a_f, b_f), (g, a_f + a_x, b_f + b_x) and (x/g, a_x, b_x), which
-    keeps both products, as f^a x^b = (f/g)^a g^(a+b) (x/g)^b for either
-    pair of exponents.  Every split lowers the total degree of the pieces,
-    so the loop ends, with pairwise-coprime pieces, and then the lcm is the
-    product of the f^max(a, b) (Bach, Driscoll and Shallit, "Factor
-    refinement", 1993)."""
-    q = q.monic()
-    if q.is_constant():
-        return
-    rest, mults = q, {}
-    for b in A:
-        if rest.is_constant():
+
+def _factor(f: MPoly):
+    """(c, F) with f = c*F and F the interned primitive factor with a
+    positive leading coefficient (f non-constant)."""
+    c = f.rational_content()
+    if f.leading_coeff() < 0:
+        c = -c
+    g = _divided(f, c)
+    F = _FACTORS.get(g)
+    if F is None:
+        F = _FACTORS[g] = _Factor(g)
+    return c, F
+
+
+def _times(n: MPoly, A: dict) -> MPoly:
+    """n times the product of the f^m of the factor dict A, which is
+    expanded first: shifts of one variable share their monomials, so the
+    product has fewer terms than n would meet factor by factor."""
+    q = None
+    for f, m in A.items():
+        for _ in range(m):
+            q = f if q is None else q * f
+    return n if q is None else n * q
+
+
+def _resolved(A: dict) -> dict:
+    """A with each split factor replaced by its pieces, recursively."""
+    for f in A:
+        if f.split:
             break
-        j, rest = _divide_out(b, rest)
-        if j:
-            mults[b] = j
-    if rest.is_constant():
-        for b, j in mults.items():
-            A[b] = max(A[b], j)
-        return
-    pieces = [(f, a, mults.get(f, 0)) for f, a in A.items()]
-    # q and the pieces are monic, so are the exact quotients rest, f/g, x/g
-    stack = [(rest, 0, 1)]
+    else:
+        return A
+    out = {}
+    for f, m in A.items():
+        for g, e in _resolved(f.split).items() if f.split else ((f, 1),):
+            out[g] = out.get(g, 0) + m * e
+    return out
+
+
+def _refined(f: MPoly, g: MPoly) -> list:
+    """Bach, Driscoll and Shallit's factor refinement of f and g ("Factor
+    refinement", 1993): interned pairwise-coprime factors P with exponents
+    (a, b), f and g being the products of the P^a and of the P^b up to
+    constants.  A piece x that meets a piece y in a nontrivial h = gcd(y, x)
+    is replaced, with y, by (y/h, a_y, b_y), (h, a_y + a_x, b_y + b_x) and
+    (x/h, a_x, b_x), which keeps both products; each split lowers the total
+    degree, so the loop ends."""
+    pieces, stack = [(f, 1, 0)], [(g, 0, 1)]
     while stack:
         x, ax, bx = stack.pop()
-        for i, (f, af, bf) in enumerate(pieces):
-            g, f_g, x_g = poly_cofactors(f, x)
-            if not g.is_constant():
+        for i, (y, ay, by) in enumerate(pieces):
+            h, y_h, x_h = poly_cofactors(y, x)
+            if not h.is_constant():
                 break
         else:
             pieces.append((x, ax, bx))
             continue
         del pieces[i]
-        stack.append((g, af + ax, bf + bx))
-        for y, a, b in ((f_g, af, bf), (x_g, ax, bx)):
-            if not y.is_constant():
-                stack.append((y, a, b))
+        stack.append((h, ay + ax, by + bx))
+        for z, a, b in ((y_h, ay, by), (x_h, ax, bx)):
+            if not z.is_constant():
+                stack.append((z, a, b))
+    out = [(_factor(x)[1], a, b) for x, a, b in pieces]
+    for i, (P, _, _) in enumerate(out):
+        for Q, _, _ in out[i + 1:]:
+            P.coprime.add(Q)
+            Q.coprime.add(P)
+    return out
+
+
+def _split(f: _Factor, pieces: dict) -> None:
+    """Record f as the product of the pieces (unless they are f itself),
+    and every shift of f already made as the product of their shifts."""
+    if pieces != {f: 1}:
+        f.split = pieces
+        for (i, offset), (_, g) in list(f.shifts.items()):
+            if g.split is None:
+                _split(g, {_shifted(P, i, offset)[1]: e for P, e in pieces.items()})
+
+
+def _coprime(f: _Factor, g: _Factor) -> bool:
+    """Whether the distinct unsplit factors f and g are coprime, decided
+    once for the pair; when they are not, both are split (`_refined`).
+    Two distinct linear factors are irreducible, so coprime; otherwise
+    their images may prove it (`_images_coprime`)."""
+    if not (f.linear and g.linear or _images_coprime(f, g)):
+        ref = _refined(f, g)
+        _split(f, {P: a for P, a, _ in ref if a})
+        _split(g, {P: b for P, _, b in ref if b})
+        if f.split or g.split:
+            return False
+    f.coprime.add(g)
+    g.coprime.add(f)
+    return True
+
+
+def _align(A: dict, B: dict):
+    """(A, B) resolved until each factor of one is a factor of the other or
+    coprime to all of its factors; then gcd and lcm of their products are
+    the min and the max of the dicts."""
+    while True:
+        A, B = _resolved(A), _resolved(B)
+        rest = B.keys() - A.keys()
+        if all(rest <= f.coprime or all(g in f.coprime or _coprime(f, g) for g in rest)
+               for f in A if f not in B):
+            return A, B
+
+
+def factored_merge(A: dict, q) -> None:
+    """A := lcm(A, q) in place, for a factor dict A and q a factor dict or
+    a polynomial: the max of the two dicts once they are aligned
+    (`_align`).  A's keys come out interned, pairwise coprime and
+    primitive with a positive leading coefficient."""
+    if isinstance(q, MPoly):
+        q = _NOFAC if q.is_constant() else {_factor(q)[1]: 1}
+    if not q:
+        return
+    B, Q = _align({f if type(f) is _Factor else _factor(f)[1]: m for f, m in A.items()}, q)
+    for f, m in Q.items():
+        if m > B.get(f, 0):
+            B[f] = m
     A.clear()
-    for f, a, b in pieces:
-        A[f] = max(a, b)
+    A.update(B)
+
+
+def _over_lcm(values):
+    """(L, numerators): L the lcm of the RatFunc values' factor dicts, and
+    each value's numerator times the factors L has beyond its own, so that
+    the value is that numerator over the product of L."""
+    L = {}
+    for x in values:
+        factored_merge(L, x.fac)
+    out, cofactors = [], {}  # L over each distinct denominator, expanded once
+    for x in values:
+        E = _resolved(x.fac)
+        key = frozenset(E.items())
+        q = cofactors.get(key)
+        if q is None:
+            q = cofactors[key] = _times(x.numer.ring.one, {
+                f: m - E.get(f, 0) for f, m in L.items() if m > E.get(f, 0)})
+        out.append(x.numer * q)
+    return L, out
 
 
 def factored_expand(A: dict, ring) -> MPoly:
@@ -877,6 +980,158 @@ def factored_expand(A: dict, ring) -> MPoly:
     for f, m in sorted(A.items(), key=lambda t: sorted(t[0].terms)):
         out = out * f ** m
     return out.monic()
+
+
+def _shifted(f: _Factor, i, offset):
+    """(c, F) with f(x_i + offset) = c*F, F interned; memoised on f."""
+    r = f.shifts.get((i, offset))
+    if r is None:
+        r = f.shifts[i, offset] = (_factor(f.shift_var(i, offset)) if i in f.vars
+                                   else (1, f))
+        c, F = r
+        F.shifts.setdefault((i, -offset), (_inv(c), f))
+    return r
+
+
+def _images_coprime(f: _Factor, g: _Factor) -> bool:
+    """True when, in every variable x_v the two share, lc_v of neither
+    vanishes at the point and their images have gcd 1: then deg_v of
+    gcd(f, g) is 0 in every variable, so the gcd is 1."""
+    for v in f.vars:
+        if v in g.vars:
+            fv, gv = _factor_image(f, v), _factor_image(g, v)
+            if not (fv and gv) or len(_modp_univ_gcd(fv, gv, _IMAGE_PRIME)) > 1:
+                return False
+    return True
+
+
+def _factor_image(f: _Factor, v):
+    """f's image in x_v (`_image_in`), or None where lc_v(f) vanishes."""
+    img = f.images.get(v, False)
+    if img is False:
+        img = _image_in(_term_values_mod_p(f), v, max(e[v] for e in f.terms))
+        img = f.images[v] = img if img[-1] else None
+    return img
+
+
+def _image_over(img, f: _Factor, v, k):
+    """The image img of n in x_v made that of n/f^k, f^k dividing n; None
+    when f's image cannot divide it."""
+    if not img or v not in f.vars:
+        return img
+    fv = _factor_image(f, v)
+    for _ in range(k):
+        if fv is None:
+            return None
+        img = _univ_divmod(img, fv, _IMAGE_PRIME)[0]
+    return img
+
+
+class _Screen:
+    """The images of a numerator n in each variable x_v mod `_IMAGE_PRIME`,
+    the other variables at `_IMAGE_POINT`, kept in step as factors are
+    divided out of n.  For a factor h of a primitive f, lc_v(h) divides
+    lc_v(f) (Gauss), so where lc_v(f) does not vanish at the point, the
+    image of h keeps its degree in x_v and divides the images of f and n.
+    So f^k divides n only when f_v^k divides n_v, and deg_v gcd(n, f) is
+    at most the degree of the gcd of the images."""
+
+    def __init__(self, n: MPoly, raw: dict):
+        self.n = n
+        self.raw = raw  # n's own images by variable, kept with n by the caller
+        self.values = None
+        self.images = {}
+        self.divisions = []  # (f, k): n has been divided by f^k
+
+    def image(self, v):
+        if v not in self.images:
+            img = self.raw.get(v, False)
+            if img is False:
+                if self.values is None:
+                    self.values = _term_values_mod_p(self.n) or ()
+                img = self.raw[v] = _univ_trim(_image_in(
+                    self.values, v, max(e[v] for e, _ in self.values))) if self.values else None
+            for f, k in self.divisions:
+                img = _image_over(img, f, v, k)
+            self.images[v] = img
+        return self.images[v]
+
+    def divided(self, f: _Factor, k) -> None:
+        self.divisions.append((f, k))
+        for v, img in self.images.items():
+            self.images[v] = _image_over(img, f, v, k)
+
+    def bound(self, f: _Factor, m):
+        """(K, clean): f^k divides n for no k > K (K <= m), and once f^K
+        is known to divide n, clean proves n/f^K coprime to f.  Every
+        variable of f is read, since a factor of f may lack some; a linear
+        f is irreducible, so one is enough.  (m, False) when the images
+        decide nothing."""
+        p = _IMAGE_PRIME
+        K, found = m, []
+        for v in f.vars[:1] if f.linear else f.vars:
+            fv, nv = _factor_image(f, v), self.image(v)
+            if not (fv and nv):
+                return m, False
+            if len(fv) == 2 and _univ_eval(nv, -fv[0] * pow(fv[1], -1, p) % p, p):
+                K = 0  # nv is not zero at the root of fv
+                found.append((0, True))
+                continue
+            j = 0
+            while j < m:
+                q, r = _univ_divmod(nv, fv, p)
+                if r:
+                    break
+                nv, j = q, j + 1
+            K = min(K, j)
+            # a degree-1 image that does not divide nv is coprime to it
+            found.append((j, j < m and (len(fv) == 2
+                                        or len(_modp_univ_gcd(nv, fv, p)) == 1)))
+        return K, all(j == K and coprime for j, coprime in found)
+
+
+def _cancel(n: MPoly, fac: dict, cands, owner=None) -> MPoly:
+    """n over its common factors with the factors `cands` of fac, each
+    taken out of fac (in place) as often as it divides n.  fac is resolved
+    and pairwise coprime; n is the numerator of the RatFunc owner, if
+    given, which keeps n's images (`_Screen`) for another call.  The
+    screen (`_Screen.bound`) only rules divisions out: every division
+    made is exact, and what the images do not decide is settled by exact
+    gcds, which split a factor that n shares only in part."""
+    todo = list(cands)
+    screen = _Screen(n, {} if owner is None else owner._images()) if todo else None
+    while todo:
+        f = todo.pop()
+        m = fac[f]
+        K, clean = screen.bound(f, m)
+        k = 0
+        while k < K:
+            try:
+                n = exact_div(n, f)
+            except ValueError:
+                clean = False
+                break
+            k += 1
+        while not clean and k < m:
+            h, n_h, f_h = poly_cofactors(n, f)
+            if h.is_constant():
+                break
+            if not f_h.is_constant():
+                _split(f, {P: a + b for P, a, b in _refined(h, f_h)})
+                break
+            n = _divided(n_h, f_h.constant_value())
+            k += 1
+        if k:
+            screen.divided(f, k)
+        m -= k
+        del fac[f]
+        if m and f.split:
+            for P, e in _resolved(f.split).items():
+                fac[P] = m * e
+                todo.append(P)
+        elif m:
+            fac[f] = m
+    return n
 
 
 def squarefree_part(a: MPoly, var_indices) -> MPoly:
@@ -901,114 +1156,142 @@ def squarefree_part(a: MPoly, var_indices) -> MPoly:
 
 
 class RatFunc:
-    """Normalized fraction of two MPoly: gcd(num, den) = 1 and den monic.
+    """Normalized fraction: the numerator `numer` over the product P of
+    the factors f^m of `fac` ({factor: multiplicity}, see "factored
+    denominators" above), with gcd(numer, P) = 1.  Factors are primitive
+    over Z with a positive leading coefficient and pairwise coprime, so P
+    is too, and the pair is unique; a polynomial has the empty dict.
+    `num` and `den` are the canonical pair, den = P/lc(P) monic, expanded
+    on first read: for printing, equality, hashing and readers outside
+    `arith` and `growth`.
 
     `__init__` is the one normalising constructor.  The field operations
-    build their results with `_raw`, taking gcds only where a common factor
-    can survive (Henrici's rules; Knuth, TAOCP 2, 4.5.1):
+    build their results with `_raw`, cancelling only where a common factor
+    can survive (Henrici's rules; Knuth, TAOCP 2, 4.5.1), by `_cancel`:
 
-    - a/b + c/d with g = gcd(b, d): if g = 1 the sum is (ad + cb)/(bd).
-      Otherwise t = a(d/g) + c(b/g) over b(d/g), and only h = gcd(t, g)
-      can cancel: a prime dividing b/g divides c(b/g) but neither a nor
-      d/g, so it does not divide t, and likewise for d/g.  A polynomial
-      operand (b or d = 1) needs no gcd at all.
-    - (a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d) and
-      g2 = gcd(c, b), since a, b and c, d are coprime already.
+    - a sum (`sum`) is its numerators over the lcm of the dicts, added;
+    - (a/B)(c/D) = ac/(B + D), the dicts aligned (`_align`), with a tried
+      against the factors of D not in B and c against those of B not in
+      D, since a, B and c, D are coprime already."""
 
-    Both results are coprime, and their denominators are products and
-    quotients of monic polynomials, so monic: the same pair `__init__`
-    would build from the unreduced fraction."""
-
-    __slots__ = ("num", "den")
+    __slots__ = ("numer", "fac", "_num", "_den", "_img")
 
     def __init__(self, num: MPoly, den: MPoly):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
+        fac = _NOFAC
         if num.is_zero():
-            self.num = num.ring.zero
-            self.den = num.ring.one
-            return
-        if not den.is_one():
+            num = num.ring.zero
+        else:
+            if not den.is_constant():
+                _, num, den = poly_cofactors(num, den)
             if den.is_constant():
                 num = _divided(num, den.constant_value())
-                den = den.ring.one
             else:
-                _, num, den = poly_cofactors(num, den)
-                lc = den.leading_coeff()
-                num = _divided(num, lc)
-                den = _divided(den, lc)
-        self.num = num
-        self.den = den
+                c, F = _factor(den)
+                num, fac = _divided(num, c), {F: 1}
+        self.numer, self.fac = num, fac
+        self._num = self._den = self._img = None
 
-    # trusted constructor: used where coprimality/monicity is already known
+    # trusted constructor: used where coprimality is already known
     @classmethod
-    def _raw(cls, num, den):
+    def _raw(cls, numer, fac):
         self = object.__new__(cls)
-        self.num = num
-        self.den = den
+        self.numer, self.fac = numer, fac
+        self._num = self._den = self._img = None
         return self
 
     @classmethod
     def zero(cls, ring) -> "RatFunc":
-        return cls._raw(ring.zero, ring.one)
+        return cls._raw(ring.zero, _NOFAC)
 
     @classmethod
     def one(cls, ring) -> "RatFunc":
-        return cls._raw(ring.one, ring.one)
+        return cls._raw(ring.one, _NOFAC)
 
     @classmethod
     def from_poly(cls, p: MPoly) -> "RatFunc":
-        return cls._raw(p, p.ring.one)
+        return cls._raw(p, _NOFAC)
 
     @classmethod
     def const(cls, ring, c) -> "RatFunc":
-        return cls._raw(ring.const(c), ring.one)
+        return cls._raw(ring.const(c), _NOFAC)
+
+    @property
+    def num(self) -> MPoly:
+        if not self.fac:
+            return self.numer
+        if self._num is None:
+            self._expand()
+        return self._num
+
+    @property
+    def den(self) -> MPoly:
+        if not self.fac:
+            return self.numer.ring.one
+        if self._den is None:
+            self._expand()
+        return self._den
+
+    def _expand(self):
+        P = _times(self.numer.ring.one, self.fac)
+        lc = P.leading_coeff()
+        self._num, self._den = _divided(self.numer, lc), _divided(P, lc)
+
+    def _images(self) -> dict:
+        # the numerator's images (`_Screen`), kept: a value is often
+        # multiplied by many others
+        if self._img is None:
+            self._img = {}
+        return self._img
 
     @property
     def ring(self):
-        return self.num.ring
+        return self.numer.ring
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.numer.terms
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return not self.fac and self.numer.is_one()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_one()
+        return not self.fac and self.numer.is_constant()
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if not a.terms:
-            return other
-        if not c.terms:
-            return self
-        if b.is_one():
-            return RatFunc._raw(a * d + c, d)
-        if d.is_one():
-            return RatFunc._raw(a + c * b, b)
-        if b.terms == d.terms:
-            g, num, bg, dg = b, a + c, None, None
-        else:
-            g, bg, dg = poly_cofactors(b, d)
-            if g.is_one():
-                return RatFunc._raw(a * d + c * b, b * d)
-            num = a * dg + c * bg
-        if not num.terms:
-            return RatFunc.zero(num.ring)
-        h, num_h, g_h = poly_cofactors(num, g)
-        if not h.is_one():
-            # b/h = (g/h)(b/g)
-            num, b = num_h, g_h if bg is None else g_h * bg
-        return RatFunc._raw(num, b if dg is None else b * dg)
+        return RatFunc.sum([self, other])
+
+    @staticmethod
+    def sum(values) -> "RatFunc":
+        """The sum of a nonempty list of RatFuncs: their numerators over
+        the lcm L of the denominators (`_over_lcm`), added, with one
+        cancellation.  A factor f that has its multiplicity in L in one
+        value only cannot divide the sum: it divides the other terms, and
+        no prime of f divides that one.  Only the others are tried."""
+        terms = [x for x in values if x.numer.terms]
+        if len(terms) < 2:
+            return terms[0] if terms else values[0]
+        L, nums = _over_lcm(terms)
+        t = nums[0]
+        for x in nums[1:]:
+            t = t + x
+        if not t.terms:
+            return RatFunc.zero(t.ring)
+        top = {}
+        for x in terms:
+            for f, m in _resolved(x.fac).items():
+                if m == L[f]:
+                    top[f] = top.get(f, 0) + 1
+        t = _cancel(t, L, [f for f, c in top.items() if c > 1])
+        return RatFunc._raw(t, L or _NOFAC)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return RatFunc._raw(-self.numer, self.fac)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -1028,14 +1311,19 @@ class RatFunc:
             return other
         if other.is_one():
             return self
-        a, b, c, d = self.num, self.den, other.num, other.den
+        a, c = self.numer, other.numer
         if not a.terms or not c.terms:
             return RatFunc.zero(a.ring)
-        if not (d.is_one() or a.is_constant()):
-            _, a, d = poly_cofactors(a, d)
-        if not (b.is_one() or c.is_constant()):
-            _, c, b = poly_cofactors(c, b)
-        return RatFunc._raw(a * c, b * d)
+        B, D = self.fac, other.fac
+        B, D = _align(B, D) if B and D else (_resolved(B), _resolved(D))
+        L = dict(B)
+        for f, m in D.items():
+            L[f] = L.get(f, 0) + m
+        if not a.is_constant():
+            a = _cancel(a, L, [f for f in D if f not in B], self)
+        if not c.is_constant():
+            c = _cancel(c, L, [f for f in B if f not in D], other)
+        return RatFunc._raw(a * c, L or _NOFAC)
 
     __rmul__ = __mul__
 
@@ -1049,18 +1337,23 @@ class RatFunc:
         return self._coerce(other) / self
 
     def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
+        n = self.numer
+        if n.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        lc = self.num.leading_coeff()
-        return RatFunc._raw(_divided(self.den, lc), _divided(self.num, lc))
+        P = _times(n.ring.one, self.fac)
+        if n.is_constant():
+            return RatFunc._raw(_divided(P, n.constant_value()), _NOFAC)
+        c, F = _factor(n)
+        return RatFunc._raw(_divided(P, c), {F: 1})
 
     def __pow__(self, n):
         if n == 0:
             return RatFunc.one(self.ring)
         if n < 0:
             return self.inverse() ** (-n)
-        # powers of coprime polynomials stay coprime, of monic ones monic
-        return RatFunc._raw(self.num ** n, self.den ** n)
+        # powers of coprime polynomials stay coprime
+        return RatFunc._raw(self.numer ** n,
+                            {f: m * n for f, m in self.fac.items()} or _NOFAC)
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -1075,6 +1368,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.fac == other.fac:
+            return self.numer == other.numer
         return self.num == other.num and self.den == other.den
 
     def __ne__(self, other):
@@ -1085,7 +1380,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.numer.terms)
 
     def derivative(self, i) -> "RatFunc":
         n, d = self.num, self.den
@@ -1094,11 +1389,15 @@ class RatFunc:
         return RatFunc(n.derivative(i) * d - n * d.derivative(i), d * d)
 
     def shift_var(self, i, offset) -> "RatFunc":
-        # field automorphism: preserves coprimality, may break monicity
-        num = self.num.shift_var(i, offset)
-        den = self.den.shift_var(i, offset)
-        lc = den.leading_coeff()
-        return RatFunc._raw(_divided(num, lc), _divided(den, lc))
+        # a field automorphism: the shifted factors stay pairwise coprime
+        # and coprime to the shifted numerator
+        n, fac = self.numer.shift_var(i, offset), {}
+        for f, m in _resolved(self.fac).items():
+            c, F = _shifted(f, i, offset)
+            fac[F] = m
+            if c != 1:
+                n = _divided(n, c ** m)
+        return RatFunc._raw(n, fac or _NOFAC)
 
     def eval_var(self, i, value: "RatFunc") -> "RatFunc":
         return self.num.eval_var(i, value) / self.den.eval_var(i, value)
@@ -1106,17 +1405,19 @@ class RatFunc:
     def eval_point(self, values) -> Fraction:
         """The exact value at a full rational point, always a Fraction (the
         parts may be ints, and `/` on two ints would give a float)."""
-        d = self.den.eval_point(values)
+        d = 1
+        for f, m in self.fac.items():
+            d *= f.eval_point(values) ** m
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at sample point")
-        return Fraction(self.num.eval_point(values), d)
+        return Fraction(self.numer.eval_point(values), d)
 
     def __repr__(self):
         return "RatFunc(%s)" % self.__str__()
 
     def __str__(self):
-        if self.den.is_one():
-            return format_poly(self.num)
+        if not self.fac:
+            return format_poly(self.numer)
         ns = format_poly(self.num)
         ds = format_poly(self.den)
         if len(self.num.terms) > 1:
@@ -1150,10 +1451,11 @@ def _clear_row(row, ring):
 
 
 def _cleared(row, ring):
-    """The RatFunc row times `denominator_lcm` of its entries, as MPolys;
-    each distinct denominator's quotient comes from the lcm fold."""
-    quotients = _lcm_quotients(*_lcm_fold(row, ring), ring)
-    return [x.num * quotients[x.den] if x.num.terms else ring.zero for x in row]
+    """The RatFunc row times `denominator_lcm` of its entries, as MPolys:
+    `_over_lcm`'s numerators over the lcm's leading coefficient."""
+    L, out = _over_lcm(row)
+    lc = math.prod(f.leading_coeff() ** m for f, m in L.items())
+    return out if lc == 1 else [_divided(x, lc) for x in out]
 
 
 def _strip_row_content(row, ring):
@@ -1517,16 +1819,28 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
     tset = set(t_var_idx)
     xs = [(i, x) for i, x in enumerate(point) if i not in tset]
     columns = range(ncols)
+    memo = {}  # monomial values and coefficient-denominator inverses (`_image_mod_p`)
+    factors = {}  # the image of each distinct denominator factor
+    dens = {(): {tuple(0 for _ in t_var_idx): 1}}  # ... and of each denominator
     pivots, out = {}, []
     for r, row in enumerate(rows):
         images = []
         for x in row:
-            num, den = (x.num, x.den) if isinstance(x, RatFunc) else (x, x.ring.one)
-            pair = (_image_mod_p(num, xs, t_var_idx, p),
-                    _image_mod_p(den, xs, t_var_idx, p))
-            if None in pair:
+            num, fac = (x.numer, x.fac) if isinstance(x, RatFunc) else (x, _NOFAC)
+            image = _image_mod_p(num, xs, t_var_idx, p, memo)
+            if image is None:
                 break
-            images.append(pair)
+            key = tuple(fac.items())
+            den = dens.get(key)
+            if den is None:
+                den = dens[()]
+                for f, m in key:
+                    if f not in factors:
+                        factors[f] = _image_mod_p(f, xs, t_var_idx, p, memo)
+                    for _ in range(m):
+                        den = _image_times(den, factors[f], p)
+                dens[key] = den
+            images.append((image, den))
         else:
             misses = 0
             for s in itertools.count(1) if t_var_idx else (0,):
@@ -1543,38 +1857,52 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
     return out
 
 
-def _image_mod_p(f: MPoly, xs, t_var_idx, p):
+def _image_mod_p(f: MPoly, xs, t_var_idx, p, memo):
     """f mod p with each x-variable i set to x for (i, x) in xs, as a dict
-    {t-exponent: value}; None when p divides a coefficient denominator."""
+    {t-exponent: value}; None when p divides a coefficient denominator.
+    memo keeps, for the caller's xs and p, each monomial's t-exponent and
+    x-value and each coefficient denominator's inverse."""
     out = {}
     for e, c in f.terms.items():
         if type(c) is int:
             v = c % p
-        elif c.denominator % p:
-            v = c.numerator * pow(c.denominator, -1, p) % p
         else:
-            return None
-        for i, x in xs:
-            if e[i]:
-                v = v * pow(x, e[i], p) % p
-        te = tuple(e[j] for j in t_var_idx)
-        out[te] = (out.get(te, 0) + v) % p
+            inv = memo.get(c.denominator)
+            if inv is None:
+                if not c.denominator % p:
+                    return None
+                inv = memo[c.denominator] = pow(c.denominator, -1, p)
+            v = c.numerator * inv % p
+        hit = memo.get(e)
+        if hit is None:
+            w = 1
+            for i, x in xs:
+                if e[i]:
+                    w = w * pow(x, e[i], p) % p
+            hit = memo[e] = (tuple(e[j] for j in t_var_idx), w)
+        te, w = hit
+        out[te] = (out.get(te, 0) + v * w) % p
+    return out
+
+
+def _image_times(a: dict, b: dict, p) -> dict:
+    """The product of two images {t-exponent: value mod p}."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = (out.get(e, 0) + ca * cb) % p
     return out
 
 
 def _sample_mod_p(images, ts, p):
     """The row of (num, den) images at t = ts mod p, as a sparse row
     {col: value}, or None where a denominator vanishes."""
-    powers = {}  # t^te at ts, shared by the row's entries
+    keys = set().union(*(image for pair in images for image in pair))
+    powers = {te: math.prod(pow(t, d, p) for t, d in zip(ts, te)) for te in keys}
 
     def at(image):
-        s = 0
-        for te, c in image.items():
-            m = powers.get(te)
-            if m is None:
-                m = powers[te] = math.prod(pow(t, d, p) for t, d in zip(ts, te)) % p
-            s += c * m
-        return s % p
+        return sum(map(operator.mul, image.values(), map(powers.__getitem__, image))) % p
 
     vec = {}
     for col, (num, den) in enumerate(images):

@@ -29,6 +29,10 @@ class NotDifferenceDifferential(OrecalcError):
     """The algebra is not difference-differential."""
 
 
+class BadWindow(OrecalcError):
+    """A growth window is too short for the exponent fit."""
+
+
 class NonlinearAlgebra(OrecalcError):
     """A generator kind does not admit the linear-extension product rule."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .arith import MPoly, denominator_lcm, factored_expand, factored_merge
 from .dimension import hilbert_dimension
-from .errors import NotDifferenceDifferential, NotZeroDimensional
+from .errors import BadWindow, NotDifferenceDifferential, NotZeroDimensional
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder
 from .modp import exponents_up_to
 from .ore import CATALOG, OreKind, as_shifts
@@ -115,11 +115,21 @@ def uniform_reduction_data(I: LeftIdeal, t_names,
     m = 0
     for entries in table.values():
         for c in entries.values():
-            m = max(m, _deg_t(c.num, t_idx))
+            m = max(m, _deg_t(c.numer, t_idx))
     return UniformReduction(L=L, m=m, ell=_deg_t(L, t_idx),
                             nu=1 if ders else 0,
                             staircase=tuple(staircase), table=table,
                             t_indices=t_idx)
+
+
+# the shortest window a growth certificate is computed for: the exponent
+# fit (`_fit_exponent`) reads the last half of the degree sequence
+MIN_WINDOW = 8
+
+
+def _check_window(window):
+    if window < MIN_WINDOW:
+        raise BadWindow("window must be at least %d" % MIN_WINDOW)
 
 
 def _fact_deg_t(A, t_idx):
@@ -128,23 +138,20 @@ def _fact_deg_t(A, t_idx):
 
 def _clearing_lcms(gb, t_idx, window):
     """For s = 1..window: the lcm of the denominators in the normal forms of
-    all monomials of total degree <= s, factored ({monic factor:
-    multiplicity}, pairwise coprime: expanding these products of shifted
-    factors makes the gcd work explode), and the largest t-degree of the
-    numerators there."""
+    all monomials of total degree <= s, factored (`arith.factored_merge`:
+    the max of the aligned factor dicts; expanding these products of
+    shifted factors makes the gcd work explode), and the largest t-degree
+    of the numerators there."""
     n = gb.algebra.ngens
     lcm = {}
-    seen = set()
     top = 0
     for s in range(1, window + 1):
         for alpha in exponents_up_to(n, s):
             if sum(alpha) != s:
                 continue
             for c in gb.phi(alpha).values():
-                if not c.den.is_one() and c.den not in seen:
-                    seen.add(c.den)
-                    factored_merge(lcm, c.den)
-                top = max(top, _deg_t(c.num, t_idx))
+                factored_merge(lcm, c.fac)
+                top = max(top, _deg_t(c.numer, t_idx))
         yield dict(lcm), top
 
 
@@ -165,8 +172,7 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
     algebra, gens = as_shifts(I.algebra, I.generators)
     if algebra is not I.algebra:
         I = LeftIdeal(algebra, gens)
-    if window < 8:
-        window = 8
+    _check_window(window)
     subs, ders = _zero_dimensional_dd(I, order)
     t_idx = _t_indices(algebra, t_names)
     gb = I.groebner_basis(order)
@@ -192,8 +198,7 @@ def growth_probe(I: LeftIdeal, t_names, window: int = 10,
     to this particular graded order, not a proof.
     """
     algebra = I.algebra
-    if window < 8:
-        window = 8
+    _check_window(window)
     gb = I.groebner_basis(order)
     t_idx = _t_indices(algebra, t_names)
     degrees = [0] + [max(_fact_deg_t(lcm, t_idx), top)

@@ -415,17 +415,18 @@ def apply_gen(alg: OreAlgebra, act, i, vec: dict) -> dict:
     The one sigma/delta step of every module over the algebra: the free
     module, A/I, its direct sums and tensor products, and the coefficient
     field.  `vec` maps basis keys c to coefficients u_c, and `act(i, c)`
-    gives d_i . e_c as such a dict."""
+    gives d_i . e_c as such a dict.  Each coefficient of the result is
+    summed at once (`RatFunc.sum`), over one common denominator."""
     out = {}
     for c, u in vec.items():
         s = alg.sigma(i, u)
         if s:
             for e, v in act(i, c).items():
-                _acc(out, e, s * v)
+                out.setdefault(e, []).append(s * v)
         d = alg.delta(i, u)
         if d:
-            _acc(out, c, d)
-    return out
+            out.setdefault(c, []).append(d)
+    return {e: x for e, x in ((e, RatFunc.sum(xs)) for e, xs in out.items()) if x}
 
 
 def coefficient_rows(columns, zero, key=None, extra=()):

@@ -219,22 +219,31 @@ def test_composite_key_is_split_by_refinement():
     assert A == {k + 1: 1, k + 2: 1, k + 3: 1}
 
 
-def test_refining_merge_divides_each_old_key_once(monkeypatch):
-    # the refinement carries both multiplicities through its splits, so the
-    # only trial divisions are the first pass of q by the keys already held
-    A = {((k + 1) * (k + 2)).monic(): 1, n - k: 2, n + 1: 1}
-    old_keys = len(A)
+def test_factor_pairs_are_refined_once(monkeypatch):
+    # factors are interned and a pair of them is refined once: a second
+    # merge of the same denominators takes no gcd, and reads the pieces the
+    # first one split the composite key into (a ring of its own, so no
+    # other test has met these factors)
+    ring = PolyRing(["n", "k", "refined_once"])
+    n_, k_ = ring.var("n"), ring.var("k")
     calls = []
-    divide_out = arith._divide_out
+    refined = arith._refined
 
-    def counted(b, f):
-        calls.append(b)
-        return divide_out(b, f)
+    def counted(f, g):
+        calls.append((f, g))
+        return refined(f, g)
 
-    monkeypatch.setattr(arith, "_divide_out", counted)
-    factored_merge(A, (k + 1) * (k + 3) * (n - k) ** 3)
-    assert len(calls) <= old_keys
-    assert A == {k + 1: 1, k + 2: 1, k + 3: 1, n - k: 3, n + 1: 1}
+    monkeypatch.setattr(arith, "_refined", counted)
+    q = (k_ + 1) * (k_ + 3) * (n_ - k_) ** 3
+    A = {((k_ + 1) * (k_ + 2)).monic(): 1, n_ - k_: 2, n_ + 1: 1}
+    factored_merge(A, q)
+    assert A == {k_ + 1: 1, k_ + 2: 1, k_ + 3: 1, n_ - k_: 3, n_ + 1: 1}
+    assert calls
+    first = len(calls)
+    B = {((k_ + 1) * (k_ + 2)).monic(): 1}
+    factored_merge(B, q)
+    assert len(calls) == first
+    assert B == {k_ + 1: 1, k_ + 2: 1, k_ + 3: 1, n_ - k_: 3}
 
 
 @SETTINGS

@@ -552,7 +552,7 @@ def test_task_entry_points_are_looked_up_when_the_task_runs(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cli, name, recorder)
     pf = parse(NAMED_EXAMPLE + """growth exact B over k;
-growth probe B over k window 3;
+growth probe B over k window 8;
 zeilberger B over Sk dega 1 degb 0;
 """)
     status, _ = run(pf, out=io.StringIO())

@@ -118,7 +118,7 @@ HALVES = """
 algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
 ideal A = [(2*k + 3)*(k + 1)*Sk - (2*k + 1)*(n - k), (n + 1 - k)*Sn - (n + 1)];
 gb A;
-growth probe A over k window 4;
+growth probe A over k window 8;
 telescope A over Sk maxdeg 2 as T;
 closure product A A maxdeg 2 as P;
 dim P;
@@ -158,7 +158,7 @@ def test_coefficients_stay_in_the_domain(name, monkeypatch):
     if name == "halves":
         # `run` may give the growth task to a forked helper, whose phi
         # entries never reach this process; the probe here fills them
-        growth.growth_probe(pf.built_ideals["A"], ["k"], window=4)
+        growth.growth_probe(pf.built_ideals["A"], ["k"], window=8)
 
     values = []
     for gb in bases:

@@ -1,7 +1,10 @@
+import io
+
 import pytest
 
 from orecalc.arith import RatFunc, divides, poly_lcm
-from orecalc.errors import NotDifferenceDifferential, NotZeroDimensional
+from orecalc.cli import parse, run
+from orecalc.errors import BadWindow, NotDifferenceDifferential, NotZeroDimensional
 from orecalc.groebner import LeftIdeal
 from orecalc.growth import (
     growth_probe,
@@ -132,3 +135,30 @@ class TestGrowthProbe:
         J = LeftIdeal(gens_diff[0].algebra, gens_diff)
         cert2 = growth_probe(J, ["k"], window=8)
         assert cert1.p == cert2.p == 1
+
+
+WINDOW_FILE = """algebra Q(n) <Sn: shift(n)>;
+ideal I = [Sn - 1];
+growth exact I over n window %d;
+growth probe I over n window %d;
+"""
+
+
+class TestWindow:
+    @pytest.mark.parametrize("window", [0, 3, 7])
+    def test_short_window_is_an_error(self, window):
+        status, text = run(parse(WINDOW_FILE % (window, window)), out=io.StringIO())
+        assert status == 1
+        assert text == "growth: error: window must be at least 8\n" * 2
+        I = parse(WINDOW_FILE % (8, 8)).built_ideals["I"]
+        for fn in (growth_zero_dimensional, growth_probe):
+            with pytest.raises(BadWindow, match="window must be at least 8"):
+                fn(I, ["n"], window=window)
+
+    def test_window_8_output_is_unchanged(self):
+        # window 8 was also what every shorter window ran as before
+        status, text = run(parse(WINDOW_FILE % (8, 8)), out=io.StringIO())
+        assert status == 0
+        degrees = "degrees [0, 0, 0, 0, 0, 0, 0, 0, 0] (degenerate)"
+        assert text == ("growth exact I: p = 0  %s\ngrowth probe I: p = 0  %s\n"
+                        % (degrees, degrees))
