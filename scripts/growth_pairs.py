@@ -1,20 +1,23 @@
-"""Paired in-process timing of the growth tasks of one problem file.
+"""Paired in-process timing of the growth, telescope or zeilberger tasks
+of one problem file.
 
-    python3 scripts/growth_pairs.py BASE HEAD FILE [--pairs N] [--window N]
+    python3 scripts/growth_pairs.py BASE HEAD FILE [--pairs N]
+        [--kind growth|telescope|zeilberger] [--window N]
 
 BASE and HEAD are two checkouts of the repository (for instance
 `git archive` of two commits).  Each pair runs FILE once under each, every
 run in a fresh interpreter, alternating which side goes first.  A run
-parses FILE and calls the growth function of each growth task
-(`growth_probe`, `growth_zero_dimensional`) directly on the ideal the
-task names, so interpreter start, parsing and the other tasks are not
-counted; the time includes the task's Groebner basis.  `cli.run` is not
-used, since it may run a growth task in a helper process.  The named
-ideals must be declared in FILE, not bound by a closure task.  --window N
-runs every growth task with window N instead of the one FILE gives it,
-so a probe can be timed at another window without editing FILE.  Prints
-every pair, then each side's median and quartiles and how many pairs HEAD
-won.
+parses FILE and calls the function of each task of the chosen kind
+directly on the ideal the task names: `growth_probe` or
+`growth_zero_dimensional` for growth (the default), `fasenmyer_search`
+for telescope, `zeilberger_search` for zeilberger.  So interpreter start,
+parsing and the other tasks are not counted; the time includes the
+task's Groebner basis.  `cli.run` is not used, since it may run a growth
+task in a helper process.  The named ideals must be declared in FILE, not
+bound by a closure task.  --window N runs every growth task with window N
+instead of the one FILE gives it, so a probe can be timed at another
+window without editing FILE.  Prints every pair, then each side's median
+and quartiles and how many pairs HEAD won.
 """
 from __future__ import annotations
 
@@ -27,31 +30,46 @@ import sys
 import time
 
 
-def _child(src, path, window=None):
+def _task_call(cli, pf, d, kind, window):
+    """The call that runs one task of the kind on its ideal, untimed."""
+    ideal = pf.built_ideals[d["ideal"]]
+    if kind == "growth":
+        from orecalc.growth import growth_probe, growth_zero_dimensional
+        fn = growth_zero_dimensional if d["method"] == "exact" else growth_probe
+        return lambda: fn(ideal, d["tvars"],
+                          window=d["window"] if window is None else window)
+    from orecalc.telescoping import fasenmyer_search, zeilberger_search
+    if kind == "telescope":
+        tgens = [cli._resolve_gen(pf.algebra, t) for t in d["tgens"]]
+        return lambda: fasenmyer_search(ideal, tgens, d["maxdeg"],
+                                        target_dim=d.get("target"))
+    tgen = cli._resolve_gen(pf.algebra, d["tgen"])
+    return lambda: zeilberger_search(ideal, tgen, d["dega"], d["degb"],
+                                     denom_bound=d.get("denoms", 1))
+
+
+def _child(src, path, kind, window=None):
     sys.path.insert(0, src)
     import orecalc.cli as cli
-    from orecalc.growth import growth_probe, growth_zero_dimensional
     with open(path) as fh:
         pf = cli.parse(fh.read())
     spent = 0.0
     for task in pf.tasks:
-        if task.kind == "growth":
-            d = task.data
-            fn = growth_zero_dimensional if d["method"] == "exact" else growth_probe
-            ideal = pf.built_ideals[d["ideal"]]
+        if task.kind == kind:
+            call = _task_call(cli, pf, task.data, kind, window)
             t0 = time.perf_counter()
-            fn(ideal, d["tvars"], window=d["window"] if window is None else window)
+            call()
             spent += time.perf_counter() - t0
-    print(json.dumps({"growth_s": spent}))
+    print(json.dumps({"seconds": spent}))
 
 
-def _run(root, path, window):
+def _run(root, path, kind, window):
     cmd = [sys.executable, os.path.abspath(__file__), "--child",
-           os.path.join(root, "src"), path]
+           os.path.join(root, "src"), path, "--kind", kind]
     if window is not None:
         cmd += ["--window", str(window)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])["growth_s"]
+    return json.loads(out.splitlines()[-1])["seconds"]
 
 
 def _summary(xs):
@@ -66,17 +84,19 @@ def main(argv=None):
     ap.add_argument("head", nargs="?")
     ap.add_argument("file", nargs="?")
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--kind", choices=("growth", "telescope", "zeilberger"),
+                    default="growth")
     ap.add_argument("--window", type=int)
     args = ap.parse_args(argv)
     if args.child:
-        _child(*args.child, window=args.window)
+        _child(*args.child, args.kind, window=args.window)
         return 0
     if not (args.base and args.head and args.file) or args.pairs < 2:
         ap.error("need BASE HEAD FILE and at least 2 pairs")
     base, head, wins = [], [], 0
     for i in range(args.pairs):
         sides = [("base", args.base), ("head", args.head)]
-        got = {name: _run(root, args.file, args.window)
+        got = {name: _run(root, args.file, args.kind, args.window)
                for name, root in (sides if i % 2 == 0 else sides[::-1])}
         base.append(got["base"])
         head.append(got["head"])

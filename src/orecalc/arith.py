@@ -19,7 +19,6 @@ built on these coefficients.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import numbers
 import operator
@@ -29,6 +28,7 @@ from fractions import Fraction
 from .errors import ZeroPolynomial
 from .modp import (
     _echelon_insert_mod_p,
+    _echelon_kernel,
     _gcd_mod_p,
     _interpolate_lines,
     _line_numerators,
@@ -37,6 +37,7 @@ from .modp import (
     _rational_lift,
     _univ_divmod,
     _univ_eval,
+    _univ_mul,
     _univ_trim,
 )
 
@@ -841,6 +842,10 @@ def _factor(f: MPoly):
     g = _divided(f, c)
     F = _FACTORS.get(g)
     if F is None:
+        # g may be f itself, with integral Fraction coefficients: the
+        # interned factor keeps ints, since every later lookup returns it
+        if not _all_int(g.terms):
+            g = MPoly(g.ring, _fix(dict(g.terms)))
         F = _FACTORS[g] = _Factor(g)
     return c, F
 
@@ -958,11 +963,28 @@ def factored_merge(A: dict, q) -> None:
 
 def _over_lcm(values):
     """(L, numerators): L the lcm of the RatFunc values' factor dicts, and
-    each value's numerator times the factors L has beyond its own, so that
-    the value is that numerator over the product of L."""
+    each value's numerator over the product of L (`_over`)."""
     L = {}
     for x in values:
         factored_merge(L, x.fac)
+    return L, _over(values, L)
+
+
+def _keywise_max(dicts) -> dict:
+    """The keywise max of factor dicts: a common multiple of their
+    products, found without a gcd (their lcm when they are aligned)."""
+    L = {}
+    for A in dicts:
+        for f, m in A.items():
+            if m > L.get(f, 0):
+                L[f] = m
+    return L
+
+
+def _over(values, L):
+    """Each RatFunc value's numerator times the factors the factor dict L
+    has beyond the value's resolved dict, which L holds, so that the value
+    is that numerator over the product of L."""
     out, cofactors = [], {}  # L over each distinct denominator, expanded once
     for x in values:
         E = _resolved(x.fac)
@@ -972,7 +994,7 @@ def _over_lcm(values):
             q = cofactors[key] = _times(x.numer.ring.one, {
                 f: m - E.get(f, 0) for f, m in L.items() if m > E.get(f, 0)})
         out.append(x.numer * q)
-    return L, out
+    return out
 
 
 def factored_expand(A: dict, ring) -> MPoly:
@@ -1596,55 +1618,69 @@ def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
     Q(x, t), t the variables t_var_idx.  The Fasenmyer search, the
     Zeilberger search and the certificate ansatz all solve here.
 
-    - Full rank: when the rows reach rank ncols mod p at the image point
-      and sampled t (`_pivot_rows_mod_p`), that proves there is no
-      solution, and the result is [].
-    - Otherwise the rows are cleared and split by powers of t
-      (`_t_expanded_rows`), and `nullspace_selected` solves them exactly.
-      At corank 1 at the image point, the usual case, it rebuilds the
-      kernel vector from point solves mod p and checks it exactly against
-      every t-expanded row: sound because of that check, complete because
-      the rank at a point is at most the rank over Q(x).  Elimination runs
-      only when that rebuild gives up or fails the check, or at corank 2
-      or more.
+    - One mod-p pass (`_pivot_rows_mod_p`) puts every t-expanded row of
+      the rows, taken at the image point, into one echelon.  Those images
+      are a homomorphic image of the exact t-expanded rows
+      (`_t_expanded_rows`), whose kernel is the t-free solutions, so a
+      minor that is nonzero mod p is nonzero over Q(x): rank ncols proves
+      there is no solution, and the result is [].
+    - Otherwise the pass names the t-expanded rows that added rank, and
+      `nullspace_selected` solves exactly, starting from them.  At corank
+      1 at the image point, the usual case, it rebuilds the kernel vector
+      from point solves mod p on the vector's support there and checks it
+      exactly against every t-expanded row: sound because of that check,
+      complete because the rank at a point is at most the rank over Q(x).
+      Elimination runs only when that rebuild gives up or fails the
+      check, or at corank 2 or more.
 
     Every vector returned solves every row exactly."""
-    if len(_pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars),
-                             t_var_idx)) == ncols:
+    selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars), t_var_idx)
+    if len(selected) == ncols:
         return []
+    labels = []
     # rebinding frees the rational rows (if the caller holds no other
     # reference) before the exact solve
-    rows = _t_expanded_rows(rows, ring, t_var_idx)
-    return nullspace_selected(rows, ncols, ring)
+    rows = _t_expanded_rows(rows, ring, t_var_idx, labels)
+    index = {label: i for i, label in enumerate(labels)}
+    return nullspace_selected(rows, ncols, ring, [index[label] for label in selected])
 
 
-def _t_expanded_rows(rows, ring, t_var_idx):
-    """Each RatFunc row cleared of its denominators (`_cleared`) and split
-    by powers of t: one MPoly row over Q[x] per t-exponent that occurs.  A
-    vector over Q(x) solves the row exactly when it solves all of them."""
+def _t_expanded_rows(rows, ring, t_var_idx, labels=None):
+    """Each RatFunc row cleared of its denominators and split by powers of
+    t: one MPoly row over Q[x] per t-exponent te that occurs.  A vector
+    over Q(x) solves the row exactly when it solves all of them.  Row r is
+    cleared by L_r, the keywise max of its entries' resolved factor dicts
+    (`_keywise_max`), as `_pivot_rows_mod_p` clears it; labels, when
+    given, receives each output row's label as that pass names it: (r, te),
+    or r alone when there is no t."""
     out = []
     tset = set(t_var_idx)
-    for row in rows:
+    for r, row in enumerate(rows):
         groups = {}
-        for ci, f in enumerate(_cleared(row, ring)):
+        L = _keywise_max(_resolved(x.fac) for x in row)
+        for ci, f in enumerate(_over(row, L)):
             for e, c in f.terms.items():
                 te = tuple(e[j] for j in t_var_idx)
                 xe = tuple(0 if j in tset else d for j, d in enumerate(e))
                 _acc(groups.setdefault(te, [{} for _ in row])[ci], xe, c)
-        for _, polys in sorted(groups.items()):
+        for te, polys in sorted(groups.items()):
             out.append([MPoly(ring, terms) for terms in polys])
+            if labels is not None:
+                labels.append((r, te) if t_var_idx else r)
     return out
 
 
-def nullspace_selected(rows, ncols, ring) -> list:
+def nullspace_selected(rows, ncols, ring, selected=None) -> list:
     """Nullspace of an MPoly matrix, solved exactly on a selection of rows.
 
-    The rows that add rank to one echelon of their images mod p at the
-    point a = `_image_point` (`_pivot_rows_mod_p`) are selected: rank ncols
-    proves the kernel is {0}.  Rank ncols - 1 means corank 1 at a, and
-    then the kernel vector of the selected rows is rebuilt from kernels at
-    points mod p (`_kernel_by_points`) and checked exactly against every
-    row.  It is the answer:
+    The selection is the rows that add rank to one echelon of their images
+    mod p at the point a = `_image_point`: `selected`, the row indices
+    `_t_free_kernel`'s one pass found, or else `_pivot_rows_mod_p` of the
+    rows.  Rank ncols proves the kernel is {0}.  Rank ncols - 1 means
+    corank 1 at a, and then the kernel vector of the selected rows is
+    rebuilt from kernels at points mod p on its support at a
+    (`_kernel_on_support`) and checked exactly against every row.  It is
+    the answer:
 
     - it is exact, because it solves every row over Q(x);
     - it is complete: the rank at a is at most the rank over Q(x), so the
@@ -1660,17 +1696,18 @@ def nullspace_selected(rows, ncols, ring) -> list:
     returned is checked exactly against the whole matrix.  The basis that
     elimination prints at corank 2 or more is kept that way.
     """
-    rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
+    point = _image_point(ring.nvars)
+    if selected is None:
+        rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
+        selected = _pivot_rows_mod_p(rows, ncols, point)
     if not rows:
         return [[RatFunc.one(ring) if i == j else RatFunc.zero(ring)
                  for i in range(ncols)] for j in range(ncols)]
-    point = _image_point(ring.nvars)
-    selected = _pivot_rows_mod_p(rows, ncols, point)
     if len(selected) == ncols:
         return []
     sub = [rows[i] for i in selected]
     if len(selected) == ncols - 1:
-        vec = _kernel_by_points(sub, ncols, ring, point)
+        vec = _kernel_on_support(sub, ncols, ring, point)
         if vec is not None and all(_solves(row, vec) for row in rows):
             return [_finalize_ratfunc_vector_rat([RatFunc.from_poly(x) for x in vec],
                                                  ring)]
@@ -1699,6 +1736,55 @@ def _solves(row, vec) -> bool:
 
 
 # -- kernels rebuilt from point solves mod p --------------------------------------
+
+
+def _kernel_on_support(rows, ncols, ring, point):
+    """`_kernel_by_points` run on the support S of the kernel at the point
+    a of the ncols - 1 MPoly rows, which are independent mod
+    `_IMAGE_PRIME` there, with |S| - 1 of the rows cut down to the columns
+    S that stay independent at a; the vector padded with zeros, or None
+    when the rows are dependent at a or the rebuild gives up.  The vector
+    is not checked over Q here.
+
+    Let w be a kernel vector over Q(x) with no entry vanishing at a.  Then
+    w(a) spans the kernel at a, so S is the support of w, and w_S solves
+    the rows cut down to S.  Those have rank |S| - 1 at a (their kernel
+    there is the kernel at a restricted to S), so |S| - 1 of them are
+    independent at a; their kernel over Q(x) has dimension at most 1,
+    since the rank at a point is at most the rank over Q(x), and so it is
+    the line of w_S, which the rebuild finds.  An entry of w that vanishes
+    at a is missed, and the padded vector fails the caller's check."""
+    p = _IMAGE_PRIME
+    xs, memo = list(enumerate(point)), {}
+    images = []
+    for row in rows:
+        vec = {}
+        for j, f in enumerate(row):
+            v = _image_mod_p(f, xs, (), p, memo).get((), 0)
+            if v:
+                vec[j] = v
+        images.append(vec)
+    pivots = {}
+    for vec in images:
+        if not _echelon_insert_mod_p(pivots, dict(vec), range(ncols), p):
+            return None  # the rows are not independent at a
+    support = sorted(_echelon_kernel(pivots, range(ncols), p)[1])
+    if len(support) < ncols:
+        pivots, cut = {}, []
+        for row, vec in zip(rows, images):
+            if len(cut) == len(support) - 1:
+                break
+            if _echelon_insert_mod_p(pivots, {c: vec[c] for c in support if c in vec},
+                                     support, p):
+                cut.append([row[c] for c in support])
+        rows = cut
+    w = _kernel_by_points(rows, len(support), ring, point)
+    if w is None:
+        return None
+    out = [ring.zero] * ncols
+    for c, f in zip(support, w):
+        out[c] = f
+    return out
 
 
 def _kernel_by_points(rows, ncols, ring, point):
@@ -1782,79 +1868,119 @@ def _kernel_by_points(rows, ncols, ring, point):
 
 
 def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
-    """The rows that add rank to one echelon mod `_IMAGE_PRIME`: for each
-    pivot, in order, the index of the row it came from, so the length of
-    the list is the rank found (it stops at ncols).  This is the one mod-p
-    rank: the t-free proof, the row selection and `matrix_rank_at_point`.
+    """The t-expanded rows that add rank to one echelon mod
+    `_IMAGE_PRIME`: for each pivot, in order, the label of the row it came
+    from, (r, te) for row r's t-exponent te, or r alone when there is no
+    t, so the length of the list is the rank found (it stops at ncols).
+    This is the one mod-p rank: the t-free proof and the row selection of
+    `_t_free_kernel`, `nullspace_selected`'s selection and
+    `matrix_rank_at_point`.
 
     The entries are MPoly or RatFunc over Q(x, t), t the variables
-    t_var_idx (none for a matrix over Q(x)).  Each entry is taken at the
-    point mod p in the x-variables only, as a polynomial in t; the row is
-    then sampled at t_j = point[t_j]^s for s = 1, 2, ..., each sample
-    reduced into the echelon, until two samples in a row add no rank.  A
+    t_var_idx (none for a matrix over Q(x)).  Each row goes in as its
+    exact t-expansion taken at the point in x (`_cleared_images`): the
+    rows of `_t_expanded_rows`, one per t-exponent, in the same order.  A
     row with a coefficient denominator p divides is skipped, and so is a
-    sample where a denominator vanishes.  Then the rank found is at most
-    the rank over Q(x) of the cleared t-expanded rows (`_t_expanded_rows`),
-    whose kernel is the t-free solutions of the rows:
-
-    - a sample equals a combination, with coefficients t_s^j/D(x, t_s), of
-      the row's cleared t-expanded rows taken at the point;
-    - reducing mod p and setting x to the point is a ring homomorphism on
-      the rational functions whose coefficient denominators are prime to p
-      and whose denominator does not vanish there, and only such entries
-      are sampled;
-    - so a nonzero minor of the samples mod p is the image of a nonzero
-      minor over Q(x).
-
-    Rank ncols therefore proves that no nonzero t-free solution exists; a
-    short rank only costs an exact solve.  The samples need no seed.  For
-    one t the values point[t]^s stay distinct below the order of point[t]
-    mod p, and a nonzero denominator vanishes at no more of them than its
-    t-degree.  A monomial t^a takes the values (point^a)^s, so where the
-    point^a of a row's J monomials are distinct and nonzero, its first J
-    samples are an invertible Vandermonde combination of its t-expanded
-    rows at the point and span what they span, for several t as for one.
-    """
+    row with a denominator factor whose image is the zero polynomial in t.
+    Reducing mod p and setting x to the point is a ring homomorphism on
+    the polynomials whose coefficient denominators are prime to p, so each
+    vector that goes in is the image of a t-expanded row, and a nonzero
+    minor of the images mod p is the image of a nonzero minor over Q(x).
+    The rank found is therefore at most the rank over Q(x) of the
+    t-expanded rows, whose kernel is the t-free solutions of the rows:
+    rank ncols proves that no nonzero t-free solution exists, and a short
+    rank names the rows an exact solve starts from.  No randomness is
+    involved beyond the fixed point."""
     p = _IMAGE_PRIME
     tset = set(t_var_idx)
     xs = [(i, x) for i, x in enumerate(point) if i not in tset]
     columns = range(ncols)
     memo = {}  # monomial values and coefficient-denominator inverses (`_image_mod_p`)
-    factors = {}  # the image of each distinct denominator factor
-    dens = {(): {tuple(0 for _ in t_var_idx): 1}}  # ... and of each denominator
+    cache = {}  # images of the denominator factors and their products
     pivots, out = {}, []
     for r, row in enumerate(rows):
-        images = []
-        for x in row:
-            num, fac = (x.numer, x.fac) if isinstance(x, RatFunc) else (x, _NOFAC)
-            image = _image_mod_p(num, xs, t_var_idx, p, memo)
-            if image is None:
-                break
-            key = tuple(fac.items())
-            den = dens.get(key)
-            if den is None:
-                den = dens[()]
-                for f, m in key:
-                    if f not in factors:
-                        factors[f] = _image_mod_p(f, xs, t_var_idx, p, memo)
-                    for _ in range(m):
-                        den = _image_times(den, factors[f], p)
-                dens[key] = den
-            images.append((image, den))
-        else:
-            misses = 0
-            for s in itertools.count(1) if t_var_idx else (0,):
-                vec = _sample_mod_p(images, [pow(point[j], s, p) for j in t_var_idx], p)
-                if vec is None or not _echelon_insert_mod_p(pivots, vec, columns, p):
-                    misses += 1
-                    if misses == 2:
-                        break
-                    continue
-                out.append(r)
+        vectors = _cleared_images(row, xs, t_var_idx, p, memo, cache)
+        for te in sorted(vectors):
+            if _echelon_insert_mod_p(pivots, vectors[te], columns, p):
+                out.append((r, te) if t_var_idx else r)
                 if len(out) == ncols:
                     return out
-                misses = 0
     return out
+
+
+def _cleared_images(row, xs, t_var_idx, p, memo, cache) -> dict:
+    """{te: {col: value}}: the row's t-expanded rows (`_t_expanded_rows`)
+    at the point xs mod p, one per t-exponent te with a nonzero value; {}
+    when the row is skipped (see `_pivot_rows_mod_p`).
+
+    The row is cleared by L, the keywise max of its entries' resolved
+    factor dicts E_j, so entry j becomes N_j*(L/E_j).  The image of L/E_j
+    is image(L)/image(E_j), an exact division in GF(p)[T] once no factor
+    of L has the zero image, and the image of the entry is that times the
+    image of N_j.  Several t are packed into one T by Kronecker's
+    substitution t_i = T^(B^i), a ring homomorphism, with B above every
+    t-degree of the products, so each product's coefficients come back as
+    the coefficients of its t-monomials.  cache keeps, per call, each
+    factor's image (None when it is zero) and, keyed by the factor dict
+    and the packing, each product of factor images."""
+    nums, dens = [], []
+    for x in row:
+        num, E = (x.numer, _resolved(x.fac)) if isinstance(x, RatFunc) else (x, _NOFAC)
+        image = _image_mod_p(num, xs, t_var_idx, p, memo)
+        if image is None:
+            return {}
+        nums.append(image)
+        dens.append(E)
+    L = _keywise_max(dens)
+    for f in L:
+        if f not in cache:
+            image = _image_mod_p(f, xs, t_var_idx, p, memo)
+            cache[f] = image if any(image.values()) else None
+        if cache[f] is None:
+            return {}
+    B = 1 + max(map(_image_degree, nums), default=0) + sum(
+        m * _image_degree(cache[f]) for f, m in L.items())
+    weights = tuple(B ** i for i in range(len(t_var_idx)))
+
+    def packed(image):
+        out = []
+        for te, v in image.items():
+            if v:  # B bounds the degrees of the nonzero values only
+                k = sum(map(operator.mul, te, weights))
+                out.extend([0] * (k + 1 - len(out)))
+                out[k] = v
+        return out
+
+    def product(A):
+        key = (frozenset(A.items()), weights)
+        if key not in cache:
+            out = [1]
+            for f, m in A.items():
+                for _ in range(m):
+                    out = _univ_mul(out, packed(cache[f]), p)
+            cache[key] = out
+        return cache[key]
+
+    top = product(L)
+    cofactors = {}  # image(L)/image(E) per distinct E of the row
+    vectors = {}
+    for j, (image, E) in enumerate(zip(nums, dens)):
+        key = frozenset(E.items())
+        if key not in cofactors:
+            cofactors[key] = _univ_divmod(top, product(E), p)[0] if E else top
+        for k, v in enumerate(_univ_mul(packed(image), cofactors[key], p)):
+            if v:
+                te = []
+                for _ in weights:
+                    k, d = divmod(k, B)
+                    te.append(d)
+                vectors.setdefault(tuple(te), {})[j] = v
+    return vectors
+
+
+def _image_degree(image) -> int:
+    """The total t-degree of an image {te: value}; 0 for the zero image."""
+    return max((sum(te) for te, v in image.items() if v), default=0)
 
 
 def _image_mod_p(f: MPoly, xs, t_var_idx, p, memo):
@@ -1883,36 +2009,6 @@ def _image_mod_p(f: MPoly, xs, t_var_idx, p, memo):
         te, w = hit
         out[te] = (out.get(te, 0) + v * w) % p
     return out
-
-
-def _image_times(a: dict, b: dict, p) -> dict:
-    """The product of two images {t-exponent: value mod p}."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(operator.add, ea, eb))
-            out[e] = (out.get(e, 0) + ca * cb) % p
-    return out
-
-
-def _sample_mod_p(images, ts, p):
-    """The row of (num, den) images at t = ts mod p, as a sparse row
-    {col: value}, or None where a denominator vanishes."""
-    keys = set().union(*(image for pair in images for image in pair))
-    powers = {te: math.prod(pow(t, d, p) for t, d in zip(ts, te)) for te in keys}
-
-    def at(image):
-        return sum(map(operator.mul, image.values(), map(powers.__getitem__, image))) % p
-
-    vec = {}
-    for col, (num, den) in enumerate(images):
-        d = at(den)
-        if not d:
-            return None
-        v = at(num)
-        if v:
-            vec[col] = v * pow(d, -1, p) % p
-    return vec
 
 
 def matrix_rank_at_point(rows, ncols, point) -> int:

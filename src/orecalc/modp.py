@@ -113,6 +113,19 @@ def _echelon_insert_mod_p(pivots, vec, order, p) -> bool:
     return False
 
 
+def _echelon_kernel(pivots, order, p):
+    """(free column, kernel vector {col: nonzero value} with 1 there) of an
+    echelon (`_echelon_insert_mod_p`) of corank 1 over the columns `order`,
+    by back substitution."""
+    free = next(c for c in order if c not in pivots)
+    vec = {free: 1}
+    for c in reversed(order):
+        row = pivots.get(c)
+        if row is not None:
+            vec[c] = -sum(w * vec[j] for j, w in row.items() if j != c) % p
+    return free, {j: v for j, v in vec.items() if v}
+
+
 # -- kernels rebuilt from point solves ---------------------------------------------
 
 # a MQRR lift is accepted only when its quotient has more bits than this
@@ -162,13 +175,7 @@ def _point_solver(rows, ncols, active, p):
                     vec[col] = v
             if not _echelon_insert_mod_p(pivots, vec, order, p):
                 return None
-        free = next(c for c in order if c not in pivots)
-        vec = {free: 1}
-        for c in reversed(order):
-            row = pivots.get(c)
-            if row is not None:
-                vec[c] = -sum(w * vec[j] for j, w in row.items() if j != c) % p
-        return free, {j: v for j, v in vec.items() if v}
+        return _echelon_kernel(pivots, order, p)
 
     return solve
 

@@ -12,18 +12,23 @@ shift basis onto the reduced difference-form basis and NF_Delta(T f) = T(NF_S f)
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .arith import (
+    _NOFAC,
     MPoly,
     RatFunc,
     _acc,
+    _align,
+    _factor,
     _finalize_ratfunc_vector_rat,
     _t_free_kernel,
     denominator_lcm,
     exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
+    factored_expand,
+    factored_merge,
     poly_gcd,
-    poly_lcm,
     squarefree_part,
 )
 from .dimension import UNIT_IDEAL, hilbert_dimension
@@ -330,7 +335,7 @@ def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t):
     tv = t_var_idx[0]
     denom = _denominator_ansatz(gb, t_var_idx, 1)
     unknowns = [(i, ge, d) for i in t_idx for ge in gb.reduced_monomials(cert_deg)
-                for d in range(denom.degree_in(t_var_idx) + 2)]
+                for d in range(_t_degree(denom, t_var_idx) + 2)]
     columns = [_gen_times(gb, alg, i, {ge: _ansatz_coeff(K, tv, d, denom)}, shift_t)
                for i, ge, d in unknowns]
     # the last column is NF(A); solve the combined homogeneous system where
@@ -354,8 +359,25 @@ def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t):
 
 
 def _ansatz_coeff(K, tv, d, D) -> RatFunc:
-    """t^d/D, the coefficient an ansatz unknown carries (tv the index of t)."""
-    return RatFunc(K.monomial(tuple(d if j == tv else 0 for j in range(K.nvars))), D)
+    """t^d/D, the coefficient an ansatz unknown carries (tv the index of t,
+    D the factor dict of `_denominator_ansatz`).  It is built without a
+    gcd: only a factor equal to t can cancel, and the numerator carries the
+    leading coefficient of D's product, since D is taken monic."""
+    t = _factor(K.var(K.names[tv]))[1]
+    k = min(d, D.get(t, 0))  # t^k cancels
+    fac = dict(D)
+    if k:
+        fac[t] -= k
+        if not fac[t]:
+            del fac[t]
+    lc = math.prod(f.leading_coeff() ** m for f, m in D.items())
+    return RatFunc._raw(K.monomial(tuple(d - k if j == tv else 0 for j in range(K.nvars)),
+                                   lc), fac or _NOFAC)
+
+
+def _t_degree(D, t_var_idx) -> int:
+    """The degree in t of the product of the factor dict D."""
+    return sum(m * f.degree_in(t_var_idx) for f, m in D.items())
 
 
 # -- Fasenmyer-style search -----------------------------------------------------
@@ -367,11 +389,14 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     """Search for t-free operators of I by increasing total degree.
 
     At each degree the normal forms of the candidate monomials give rows
-    over C(x, t), and `arith._t_free_kernel` finds their t-free solutions:
-    a degree whose rows reach full rank mod p (the one mod-p rank,
-    `arith._pivot_rows_mod_p`) has none and is skipped, the other degrees
-    are solved exactly, so every kernel, and every result, comes from
-    exact arithmetic.  Each t-free kernel element is decomposed
+    over C(x, t), and `arith._t_free_kernel` finds their t-free solutions.
+    Its one mod-p pass (`arith._pivot_rows_mod_p`) takes the exact
+    t-expansion of every row at a point mod p, a homomorphic image of the
+    t-expanded rows whose kernel is the t-free solutions, so a degree
+    whose rows reach full rank there has none and is skipped.  The other
+    degrees are solved exactly from the rows the pass selected, so every
+    kernel, and every result, comes from exact arithmetic.  Each t-free
+    kernel element is decomposed
     into telescoper plus certificates; the search stops once the
     telescopers generate an ideal of dimension at most target_dim (when
     given), else runs the budget.
@@ -458,7 +483,10 @@ def _canonical_key(f: OrePoly, order):
 def _denominator_ansatz(gb, t_var_idx, denom_bound):
     """Lcm over t-shifts of the squarefree t-parts of the cleared
     coefficients of the basis elements (the same in shift and in difference
-    form: the transport is unitriangular over Z both ways)."""
+    form: the transport is unitriangular over Z both ways), as a factor
+    dict (`arith.factored_merge`) whose factors are each t itself or
+    coprime to every t, so that t^d over it is in lowest terms once the
+    factors t are cancelled (`_ansatz_coeff`)."""
     K = gb.algebra.field
     factors = {}
     for g in gb.elements:
@@ -469,14 +497,14 @@ def _denominator_ansatz(gb, t_var_idx, denom_bound):
         if sf.is_constant() or sf.degree_in(t_var_idx) == 0:
             continue
         factors[frozenset(sf.terms.items())] = sf
-    D = K.one
+    D = {}
     for sf in factors.values():
         for j in range(-denom_bound, denom_bound + 1):
             img = sf
             for tv in t_var_idx:
                 img = img.shift_var(tv, j)
-            D = poly_lcm(D, img)
-    return D
+            factored_merge(D, img)
+    return _align(D, {_factor(K.var(K.names[tv]))[1]: 1 for tv in t_var_idx})[0]
 
 
 def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
@@ -487,15 +515,19 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     coming from staircase monomials within the B-degree form the square
     coupled part, the higher extraneous rows the constraint part; both are
     solved at once by `arith._t_free_kernel`, so the kernel is that of the
-    square part cut down by the constraints.  That solve is a mod-p rank
-    proof first; then, at corank 1 at the image point, the kernel vector
-    is rebuilt from point solves mod p and checked exactly against every
-    t-expanded row (sound by that check, complete because a rank mod p at
-    a point is at most the rank over C(x)), with elimination only as the
-    fallback.  The rows are in difference form, read off I's own basis
-    (Delta_t*u = S_t*u - u).  Rows in shift coordinates give the same
-    kernel of the same degree; on the double-Stirling ideal (dega 3,
-    degb 2) their rebuild took about 1.5 times as long, and their
+    square part cut down by the constraints.  That solve is one mod-p pass
+    first, over the exact t-expansion of every row at a point (a
+    homomorphic image of the t-expanded rows, so full rank there proves
+    there is no solution); then, at corank 1 at the image point, the
+    kernel vector is rebuilt from point solves mod p on its support there
+    and checked exactly against every t-expanded row (sound by that
+    check, complete because a rank mod p at a point is at most the rank
+    over C(x)), with elimination only as the fallback.  The ansatz
+    denominator D is a factor dict (`_denominator_ansatz`), so each
+    column's t^d/D needs no gcd.  The rows are in difference form, read
+    off I's own basis (Delta_t*u = S_t*u - u).  Rows in shift coordinates
+    give the same kernel of the same degree; on the double-Stirling ideal
+    (dega 3, degb 2) their rebuild took about 1.5 times as long, and their
     elimination about 7 times as long, as in difference form."""
     if isinstance(t_name, (list, tuple)):
         if len(t_name) != 1:
@@ -515,12 +547,12 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     a_mons = [e for e in exponents_up_to(alg.ngens, degA) if e[ti] == 0]
     b_mons = [ge for ge in gb.reduced_monomials(degB) if ge[ti] == 0]
     D = _denominator_ansatz(gb, t_var_idx, denom_bound)
-    degN = D.degree_in(t_var_idx) + denom_bound
+    degN = _t_degree(D, t_var_idx) + denom_bound
     b_unknowns = [(ge, d) for ge in b_mons for d in range(degN + 1)]
 
     system = CoupledSystem(square_shape=(), constraint_shape=(),
                            a_monomials=a_mons, b_monomials=b_mons,
-                           denominator=D)
+                           denominator=factored_expand(D, K))
     # normal-form columns NF(d^e) for A and NF(Dt * t^d/D * d^ge) for B; no
     # name here holds them or their rows, so the exact solve runs without
     # the rational entries

@@ -709,6 +709,45 @@ def test_rebuild_gives_up_past_the_degree_cap(monkeypatch, rows, kernel):
     assert [x.num for x in vec] == kernel
 
 
+def _count_rebuild_columns(monkeypatch):
+    columns = []
+    real = arith._kernel_by_points
+    monkeypatch.setattr(arith, "_kernel_by_points",
+                        lambda rows, ncols, *rest: columns.append(ncols)
+                        or real(rows, ncols, *rest))
+    return columns
+
+
+def test_rebuild_runs_on_the_kernel_support(monkeypatch):
+    # the kernel (k, n + 1, 0, 0) has support {0, 1}: the point solves run
+    # on those two columns and one row, and no elimination runs
+    rows = [[n + 1, -k, ONE, n], [k * (n + 1), -k * k, k, ONE],
+            [R.zero, R.zero, n, k + 2]]
+    columns = _count_rebuild_columns(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    (vec,) = check_kernel(rows, 4)
+    assert [x.num for x in vec] == [k, n + 1, R.zero, R.zero]
+    assert columns == [2] and solves == []
+
+
+def test_kernel_entry_vanishing_at_the_point_falls_back(monkeypatch):
+    # the kernel (1, n - x0, n + 2) over Q(n) has an entry that is nonzero
+    # but vanishes at the image point, so the support there is {0, 2}: the
+    # vector rebuilt on it fails the exact check, and elimination gives the
+    # kernel that sympy gives
+    x0 = arith._image_point(R.nvars)[0]
+    rows = []
+    for r1, r2 in ((RatFunc(k, n + 1), RatFunc.one(R)),
+                   (RatFunc.one(R), RatFunc(k * k, n - k))):
+        r0 = -(r1 * RatFunc.from_poly(n - x0) + r2 * RatFunc.from_poly(n + 2))
+        rows.append([r0, r1, r2])
+    columns = _count_rebuild_columns(monkeypatch)
+    solves = _count_solves(monkeypatch)
+    (vec,) = check_t_free_kernel(rows, 3)
+    assert [x.num for x in vec] == [ONE, n - x0, n + 2]
+    assert columns == [2] and len(solves) == 1
+
+
 def test_rational_lift_takes_only_a_clear_quotient():
     # small fractions come back; a residue whose preimage is too large for
     # one prime shows no quotient above 2^20 and gives None

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from orecalc import arith, closure, groebner, growth
-from orecalc.arith import PolyRing, RatFunc, _coef, _inv, _qdiv
+from orecalc.arith import MPoly, PolyRing, RatFunc, _coef, _inv, _qdiv
 from orecalc.cli import parse, run
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -109,6 +109,20 @@ class TestHelpers:
         assert m.terms == {(1, 0): 1, (0, 0): Fraction(3, 2)}
         r = RatFunc(n + 1, 2 * k + 4)
         assert not _bad_in_ratfuncs([r, r.inverse(), r.shift_var(1, -2)])
+
+    def test_interned_factors_keep_int_coefficients(self):
+        # denominator factors are interned for the process, so the first
+        # operand to intern u + 1 fixes its form for every later RatFunc:
+        # here that operand has integral Fraction coefficients, built
+        # through the raw constructor, and the later values must not
+        # inherit them (a ring of its own, so no other test interns first)
+        S = PolyRing(["u", "w"])
+        u, w = S.var("u"), S.var("w")
+        raw = MPoly(S, {(1, 0): Fraction(1), (0, 0): Fraction(1)})
+        first = RatFunc(w, raw)
+        r = RatFunc(w + 2, 3 * u + 3)
+        assert not _bad_in_ratfuncs([first, r, r.inverse(), r * first,
+                                     r.shift_var(0, -1)])
 
 
 # (2k + 3) and (2k + 1) have leading coefficient 2, so the monic

@@ -509,6 +509,110 @@ class TestRankCertificate:
         assert not _proven_full_rank([[RatFunc.zero(MK)] * 2], 2, MK, T_IDX)
 
 
+def _pass_images(row, ring, t_idx):
+    """The t-expanded images the one pass puts into its echelon for row."""
+    point = arith._image_point(ring.nvars)
+    xs = [(i, x) for i, x in enumerate(point) if i not in t_idx]
+    return arith._cleared_images(row, xs, t_idx, arith._IMAGE_PRIME, {}, {})
+
+
+def _at_point(f, point):
+    p = arith._IMAGE_PRIME
+    v = f.eval_point(point)
+    return v.numerator * pow(v.denominator, -1, p) % p if type(v) is Fraction else v % p
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("ring, t_idx", [(MK, (1,)), (MKL, (1, 2))],
+                             ids=["t=k", "t=k,l"])
+    def test_images_are_the_t_expanded_rows_at_the_point(self, ring, t_idx):
+        # each inserted vector is the exact t-expanded row with the same
+        # label taken at the point, one constant per original row
+        rng = random.Random(0xC5)
+        point = arith._image_point(ring.nvars)
+        compared = 0
+        for _ in range(30):
+            row = [_rand_entry(rng, ring) for _ in range(rng.randint(1, 4))]
+            images = _pass_images(row, ring, t_idx)
+            labels = []
+            exact = _t_expanded_rows([row], ring, t_idx, labels)
+            at_point = {te: {j: v for j, f in enumerate(r)
+                             if (v := _at_point(f, point))}
+                        for (_, te), r in zip(labels, exact)}
+            assert set(images) <= set(at_point)
+            assert all(at_point[te] == {} for te in set(at_point) - set(images))
+            assert all(images[te].keys() == at_point[te].keys() for te in images)
+            scales = {images[te][j] * pow(v, -1, arith._IMAGE_PRIME) % arith._IMAGE_PRIME
+                      for te, vec in at_point.items() for j, v in vec.items()}
+            assert len(scales) <= 1
+            compared += len(images)
+        assert compared > 40
+
+    def test_a_term_that_vanishes_at_the_point_is_not_packed(self):
+        # (m - x0)*k^2 is zero at the point, so the packing base is 2 and
+        # k^2 would land on l's place
+        x0 = arith._image_point(MKL.nvars)[0]
+        m, k, l = (MKL.var(v) for v in MKL.names)
+        for f in ((m - x0) * k ** 2 + l, l + (m - x0) * k ** 2):
+            assert _pass_images([RatFunc.from_poly(f)], MKL, (1, 2)) == {(0, 1): {0: 1}}
+
+    def test_a_denominator_with_the_zero_image_skips_its_row(self, monkeypatch):
+        # mod 7, m^7 - m is the zero polynomial in k at every point, so its
+        # row is skipped and nothing is divided by it; m^7 - m + k is k
+        monkeypatch.setattr(arith, "_IMAGE_PRIME", 7)
+        divisors = []
+        real = arith._univ_divmod
+        monkeypatch.setattr(arith, "_univ_divmod",
+                            lambda a, b, p: divisors.append(b) or real(a, b, p))
+        m, k = MK.var("m"), MK.var("k")
+        vanishing = [RatFunc(k, m ** 7 - m), RatFunc(MK.one, k + 1)]
+        assert _pass_images(vanishing, MK, T_IDX) == {}
+        assert divisors == []
+        assert not _proven_full_rank([vanishing], 2, MK, T_IDX)
+        assert divisors == []
+        kept = [RatFunc(k, m ** 7 - m + k), RatFunc(MK.one, k + 1)]
+        assert _pass_images(kept, MK, T_IDX)
+        assert divisors and all(any(b) for b in divisors)
+
+    def test_a_prime_dividing_a_coefficient_denominator_skips_its_row(self):
+        # the row's exact t-expansion has rows, but none goes into the pass
+        p = arith._IMAGE_PRIME
+        k = MKL.var("k")
+        row = [RatFunc(k * Fraction(1, p) + 1, k + 2), RatFunc.from_poly(MKL.var("l"))]
+        assert _pass_images(row, MKL, (1, 2)) == {}
+        assert _t_expanded_rows([row], MKL, (1, 2))
+        assert _pass_images(row[1:], MKL, (1, 2)) == {(0, 1): {0: 1}}
+
+    def test_the_exact_solve_starts_from_the_pass_selection(self, monkeypatch):
+        # _t_free_kernel makes one pass and hands its selection to
+        # nullspace_selected, which runs no pass of its own; the last
+        # column is -(m + 1) times the first, so no row set is full rank
+        rng = random.Random(0xC6)
+        passes, handed = [], []
+        real_pass, real_solve = arith._pivot_rows_mod_p, arith.nullspace_selected
+
+        def counted(*args):
+            passes.append(args)
+            return real_pass(*args)
+
+        def solve(rows, ncols, ring, selected=None):
+            handed.append(selected)
+            return real_solve(rows, ncols, ring, selected)
+
+        monkeypatch.setattr(arith, "_pivot_rows_mod_p", counted)
+        monkeypatch.setattr(arith, "nullspace_selected", solve)
+        m1 = RatFunc.from_poly(MK.var("m") + 1)
+        for _ in range(10):
+            ncols = rng.randint(2, 4)
+            rows = [[_rand_entry(rng) for _ in range(ncols - 1)]
+                    for _ in range(rng.randint(1, 3))]
+            rows = [row + [-row[0] * m1] for row in rows]
+            del passes[:], handed[:]
+            kernel = _t_free_kernel(rows, ncols, MK, T_IDX)
+            assert kernel
+            assert len(passes) == 1 and len(handed) == 1 and handed[0] is not None
+
+
 def _stirling_eulerian_ideal():
     with open(os.path.join(CORPUS, "stirling_eulerian.ore")) as fh:
         pf = parse(fh.read())
