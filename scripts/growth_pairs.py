@@ -3,6 +3,7 @@ of one problem file.
 
     python3 scripts/growth_pairs.py BASE HEAD FILE [--pairs N]
         [--kind growth|telescope|zeilberger] [--window N]
+        [--dega N] [--degb N]
 
 BASE and HEAD are two checkouts of the repository (for instance
 `git archive` of two commits).  Each pair runs FILE once under each, every
@@ -16,8 +17,16 @@ task's Groebner basis.  `cli.run` is not used, since it may run a growth
 task in a helper process.  The named ideals must be declared in FILE, not
 bound by a closure task.  --window N runs every growth task with window N
 instead of the one FILE gives it, so a probe can be timed at another
-window without editing FILE.  Prints every pair, then each side's median
-and quartiles and how many pairs HEAD won.
+window without editing FILE; --dega N and --degb N likewise override
+every zeilberger task's ansatz degrees.  Prints every pair, then each
+side's median and quartiles and how many pairs HEAD won.
+
+A single side can be run alone, for instance under a deadline:
+
+    timeout 300 python3 scripts/growth_pairs.py --child SRC FILE
+        --kind zeilberger --dega 4 --degb 3
+
+prints {"seconds": ...} unless the deadline stops it first.
 """
 from __future__ import annotations
 
@@ -30,8 +39,9 @@ import sys
 import time
 
 
-def _task_call(cli, pf, d, kind, window):
-    """The call that runs one task of the kind on its ideal, untimed."""
+def _task_call(cli, pf, d, kind, window, dega=None, degb=None):
+    """The call that runs one task of the kind on its ideal, untimed;
+    window, dega and degb, when given, replace the task's own."""
     ideal = pf.built_ideals[d["ideal"]]
     if kind == "growth":
         from orecalc.growth import growth_probe, growth_zero_dimensional
@@ -44,11 +54,13 @@ def _task_call(cli, pf, d, kind, window):
         return lambda: fasenmyer_search(ideal, tgens, d["maxdeg"],
                                         target_dim=d.get("target"))
     tgen = cli._resolve_gen(pf.algebra, d["tgen"])
-    return lambda: zeilberger_search(ideal, tgen, d["dega"], d["degb"],
+    return lambda: zeilberger_search(ideal, tgen,
+                                     d["dega"] if dega is None else dega,
+                                     d["degb"] if degb is None else degb,
                                      denom_bound=d.get("denoms", 1))
 
 
-def _child(src, path, kind, window=None):
+def _child(src, path, kind, window=None, dega=None, degb=None):
     sys.path.insert(0, src)
     import orecalc.cli as cli
     with open(path) as fh:
@@ -56,18 +68,19 @@ def _child(src, path, kind, window=None):
     spent = 0.0
     for task in pf.tasks:
         if task.kind == kind:
-            call = _task_call(cli, pf, task.data, kind, window)
+            call = _task_call(cli, pf, task.data, kind, window, dega, degb)
             t0 = time.perf_counter()
             call()
             spent += time.perf_counter() - t0
     print(json.dumps({"seconds": spent}))
 
 
-def _run(root, path, kind, window):
+def _run(root, path, kind, window, dega=None, degb=None):
     cmd = [sys.executable, os.path.abspath(__file__), "--child",
            os.path.join(root, "src"), path, "--kind", kind]
-    if window is not None:
-        cmd += ["--window", str(window)]
+    for flag, value in (("--window", window), ("--dega", dega), ("--degb", degb)):
+        if value is not None:
+            cmd += [flag, str(value)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])["seconds"]
 
@@ -87,16 +100,19 @@ def main(argv=None):
     ap.add_argument("--kind", choices=("growth", "telescope", "zeilberger"),
                     default="growth")
     ap.add_argument("--window", type=int)
+    ap.add_argument("--dega", type=int)
+    ap.add_argument("--degb", type=int)
     args = ap.parse_args(argv)
     if args.child:
-        _child(*args.child, args.kind, window=args.window)
+        _child(*args.child, args.kind, args.window, args.dega, args.degb)
         return 0
     if not (args.base and args.head and args.file) or args.pairs < 2:
         ap.error("need BASE HEAD FILE and at least 2 pairs")
     base, head, wins = [], [], 0
     for i in range(args.pairs):
         sides = [("base", args.base), ("head", args.head)]
-        got = {name: _run(root, args.file, args.kind, args.window)
+        got = {name: _run(root, args.file, args.kind, args.window, args.dega,
+                          args.degb)
                for name, root in (sides if i % 2 == 0 else sides[::-1])}
         base.append(got["base"])
         head.append(got["head"])

@@ -1,8 +1,8 @@
 """Exact arithmetic: sparse multivariate polynomials over arbitrary-precision
 rationals, normalized rational functions, gcd/squarefree machinery, and
-linear algebra over the rational-function field: kernels rebuilt from
-point solves mod p (with `modp`) or found by fraction-free elimination,
-and checked exactly either way.
+linear algebra over the rational-function field: the t-free kernels
+rebuilt from point solves mod p (with `modp`) and checked exactly,
+closure's found by fraction-free elimination.
 
 Coefficients are stored as a Python `int` whenever they are integral and as
 a `Fraction` only when they are not (`_coef` is the one normaliser; it
@@ -610,6 +610,13 @@ def _gcd_primes():
         m *= 2
 
 
+def _draws(p, n) -> list:
+    """n residues mod p seeded by p alone: the points and directions that
+    `_modular_gcd`, `_solve_points` and `_kernel_by_points` take at p."""
+    rng = random.Random(p ^ 0xB0B)
+    return [rng.randrange(p) for _ in range(n)]
+
+
 def _proth_prime(n) -> bool:
     """True only for a proven prime n = k*2^m + 1 with k < 2^m; False may
     also skip a prime, which only moves the search to the next k."""
@@ -680,15 +687,16 @@ def _modular_gcd(a: MPoly, b: MPoly):
     for p in _gcd_primes():
         if gamma % p == 0:
             continue
-        rng = random.Random(p ^ 0xB0B)
-        dead = [(i, rng.randrange(p)) for i in range(nvars) if i not in live]
+        # values for the dead variables, then x0 and the direction
+        drawn = _draws(p, nvars + len(live) - 1)
+        dead = list(zip((i for i in range(nvars) if i not in live), drawn))
         memo = {}
         images = [{e: v for e, v in _image_mod_p(f, dead, live, p, memo).items() if v}
                   for f in (a, b)]
         if not all(images):
             continue
-        x0 = tuple(rng.randrange(p) for _ in live)
-        generic = (1,) + tuple(rng.randrange(p) for _ in live[1:])
+        x0 = tuple(drawn[len(dead):nvars])
+        generic = (1,) + tuple(drawn[nvars:])
         res = _gcd_mod_p(*images, x0, generic, p)
         if res is None:
             continue
@@ -713,14 +721,22 @@ def _modular_gcd(a: MPoly, b: MPoly):
 # The module's mod-p decisions (gcd image bounds, row selection) are made at
 # this point mod this prime, variable i taking _IMAGE_POINT[i % 16].  Both
 # are fixed, so a result depends on no hidden state; an unlucky point only
-# sends a gcd down the interpolating path or a solve into more verifying
-# rounds.
+# sends a gcd down the interpolating path or a solve to its next (prime,
+# point).
 _IMAGE_PRIME = 2 ** 61 - 1
 _IMAGE_POINT = tuple(random.Random(0x6CD).sample(range(2, _IMAGE_PRIME), 16))
 
 
 def _image_point(nvars) -> list:
     return [_IMAGE_POINT[i % len(_IMAGE_POINT)] for i in range(nvars)]
+
+
+def _solve_points(nvars):
+    """(`_IMAGE_PRIME`, `_image_point`), read at call time, then each prime
+    of `_gcd_primes` at the point `_draws` gives it: a solve's sequence."""
+    yield _IMAGE_PRIME, _image_point(nvars)
+    for p in _gcd_primes():
+        yield p, _draws(p, nvars)
 
 
 def _degrees(f: MPoly) -> list:
@@ -1528,6 +1544,7 @@ def nullspace_poly(rows, ncols, ring) -> list:
     pivot selection, then rational back-substitution; pivot rows stay
     sparse, which keeps both the elimination and the kernel extraction
     small on the structured, mostly-sparse systems the engine produces.
+    Its one caller is `nullspace`, that is, closure.
     """
     m = [list(r) for r in rows if any(not x.is_zero() for x in r)]
     pivots = []  # (row, col) in elimination order
@@ -1624,16 +1641,12 @@ def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
       (`_t_expanded_rows`), whose kernel is the t-free solutions, so a
       minor that is nonzero mod p is nonzero over Q(x): rank ncols proves
       there is no solution, and the result is [].
-    - Otherwise the pass names the t-expanded rows that added rank, and
-      `nullspace_selected` solves exactly, starting from them.  At corank
-      1 at the image point, the usual case, it rebuilds the kernel vector
-      from point solves mod p on the vector's support there and checks it
-      exactly against every t-expanded row: sound because of that check,
-      complete because the rank at a point is at most the rank over Q(x).
-      Elimination runs only when that rebuild gives up or fails the
-      check, or at corank 2 or more.
-
-    Every vector returned solves every row exactly."""
+    - Otherwise `nullspace_selected` rebuilds one vector per free column
+      of the selected rows' echelon, under a degree cap that is a bound,
+      checks each exactly against every t-expanded row, and retries a
+      give-up or a failed check at the next (prime, point): the primes
+      grow without bound, so the lift fits from some prime on.  Each
+      vector's last nonzero column is its own, where the others are 0."""
     selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars), t_var_idx)
     if len(selected) == ncols:
         return []
@@ -1671,58 +1684,43 @@ def _t_expanded_rows(rows, ring, t_var_idx, labels=None):
 
 
 def nullspace_selected(rows, ncols, ring, selected=None) -> list:
-    """Nullspace of an MPoly matrix, solved exactly on a selection of rows.
+    """Nullspace of an MPoly matrix, rebuilt from a selection of rows and
+    checked exactly against all of them.
 
-    The selection is the rows that add rank to one echelon of their images
-    mod p at the point a = `_image_point`: `selected`, the row indices
-    `_t_free_kernel`'s one pass found, or else `_pivot_rows_mod_p` of the
-    rows.  Rank ncols proves the kernel is {0}.  Rank ncols - 1 means
-    corank 1 at a, and then the kernel vector of the selected rows is
-    rebuilt from kernels at points mod p on its support at a
-    (`_kernel_on_support`) and checked exactly against every row.  It is
-    the answer:
+    At a prime p and a point a, first `_IMAGE_PRIME` at `_image_point`,
+    the selection is the rows that add rank to one echelon of their
+    images mod p at a: `selected` (`_t_free_kernel`'s pass there) or
+    `_pivot_rows_mod_p` of the rows.  Rank ncols proves the kernel is
+    {0}.  Otherwise, for each free column f of the echelon of the selected
+    rows, in column order, `_kernel_on_support` rebuilds the vector that
+    is 1 at f and 0 at the other free columns, and each is checked
+    exactly against every row; corank 1 takes one imaging, one echelon
+    and one rebuild.
 
-    - it is exact, because it solves every row over Q(x);
-    - it is complete: the rank at a is at most the rank over Q(x), so the
-      kernel over Q(x) has dimension at most 1, and the vector is nonzero;
-    - at dimension 1 the kernel is one line, and
-      `_finalize_ratfunc_vector_rat` gives every nonzero vector on a line
-      the same bytes, whatever free column the point solves used.
+    Basis: the vector for f is 0 past f and not 0 at f (the selected rows
+    are independent on the pivot columns at a, hence over Q(x)), so r
+    checked vectors are independent, and, as the rank at a point is at
+    most the rank over Q(x), they are the kernel's reduced echelon basis
+    in column order: each vector's last nonzero column is its own free
+    column, where every other vector is 0.
 
-    Otherwise (corank 2 or more at a, or a rebuild that gives up or fails
-    the check) the exact kernel of the selected rows is computed by
-    elimination (`nullspace_poly`) and then verified against every
-    remaining row, pulling in violated rows and repeating, so the kernel
-    returned is checked exactly against the whole matrix.  The basis that
-    elimination prints at corank 2 or more is kept that way.
+    Retry: a give-up or a failed check reruns the pass and the rebuilds at
+    the next (prime, point) of `_solve_points`.  A pair fails when a rank
+    drops or an entry vanishes at a, or a coefficient does not lift, never
+    on the degree cap, a bound.  Each prime comes with a fresh point, and
+    the primes grow without bound, so the lift fits from some prime on,
+    and only an unlucky draw, of vanishing chance there, fails.
     """
-    point = _image_point(ring.nvars)
-    if selected is None:
-        rows = [list(r) for r in rows if any(not x.is_zero() for x in r)]
-        selected = _pivot_rows_mod_p(rows, ncols, point)
-    if not rows:
-        return [[RatFunc.one(ring) if i == j else RatFunc.zero(ring)
-                 for i in range(ncols)] for j in range(ncols)]
-    if len(selected) == ncols:
-        return []
-    sub = [rows[i] for i in selected]
-    if len(selected) == ncols - 1:
-        vec = _kernel_on_support(sub, ncols, ring, point)
-        if vec is not None and all(_solves(row, vec) for row in rows):
-            return [_finalize_ratfunc_vector_rat([RatFunc.from_poly(x) for x in vec],
-                                                 ring)]
-    rest = [rows[i] for i in range(len(rows)) if i not in set(selected)]
-    while True:
-        kernel = nullspace_poly(sub, ncols, ring)
-        if not kernel:
+    for p, point in _solve_points(ring.nvars):
+        if selected is None:
+            selected = _pivot_rows_mod_p(rows, ncols, point, (), p)
+        if len(selected) == ncols:
             return []
-        bad = next((row for row in rest
-                    if not all(_solves(row, [v.num for v in vec]) for vec in kernel)),
-                   None)
-        if bad is None:
-            return kernel
-        sub.append(bad)
-        rest = [r for r in rest if r is not bad]
+        basis = _kernel_on_support([rows[i] for i in selected], ncols, ring, point, p)
+        if basis is not None and all(_solves(row, vec) for vec in basis for row in rows):
+            return [_finalize_ratfunc_vector_rat([RatFunc.from_poly(x) for x in vec], ring)
+                    for vec in basis]
+        selected = None
 
 
 def _solves(row, vec) -> bool:
@@ -1738,60 +1736,58 @@ def _solves(row, vec) -> bool:
 # -- kernels rebuilt from point solves mod p --------------------------------------
 
 
-def _kernel_on_support(rows, ncols, ring, point):
-    """`_kernel_by_points` run on the support S of the kernel at the point
-    a of the ncols - 1 MPoly rows, which are independent mod
-    `_IMAGE_PRIME` there, with |S| - 1 of the rows cut down to the columns
-    S that stay independent at a; the vector padded with zeros, or None
-    when the rows are dependent at a or the rebuild gives up.  The vector
-    is not checked over Q here.
+def _kernel_on_support(rows, ncols, ring, point, p):
+    """One polynomial vector per free column f of the echelon mod p (in
+    column order) of the MPoly rows, independent at the point a: the
+    vector 1 at f and 0 at the other free columns, rebuilt by
+    `_kernel_by_points` (whose degree cap is a bound) on its support S at
+    a from |S| - 1 of the rows cut down to S and independent there, and
+    padded with zeros; None when the rows are dependent at a or a rebuild
+    gives up.  The vectors are not checked over Q here.
 
-    Let w be a kernel vector over Q(x) with no entry vanishing at a.  Then
-    w(a) spans the kernel at a, so S is the support of w, and w_S solves
-    the rows cut down to S.  Those have rank |S| - 1 at a (their kernel
-    there is the kernel at a restricted to S), so |S| - 1 of them are
-    independent at a; their kernel over Q(x) has dimension at most 1,
-    since the rank at a point is at most the rank over Q(x), and so it is
-    the line of w_S, which the rebuild finds.  An entry of w that vanishes
-    at a is missed, and the padded vector fails the caller's check."""
-    p = _IMAGE_PRIME
+    Deleting the other free columns leaves corank 1 at a, where the back
+    substitution with 1 at f is the kernel.  Let w be the kernel vector
+    over Q(x) of the rows so cut, with no entry vanishing at a.  Then w(a)
+    spans the kernel at a, so S is the support of w, and w_S solves the
+    rows cut down to S.  Those have rank |S| - 1 at a, and the |S| - 1
+    kept have a kernel over Q(x) of dimension at most 1, the rank at a
+    point being at most the rank over Q(x): the line of w_S, which the
+    rebuild finds.  An entry of w that vanishes at a is missed, and the
+    padded vector fails the caller's check, which then retries at its
+    next (prime, point)."""
     xs, memo = list(enumerate(point)), {}
-    images = []
-    for row in rows:
-        vec = {}
-        for j, f in enumerate(row):
-            v = _image_mod_p(f, xs, (), p, memo).get((), 0)
-            if v:
-                vec[j] = v
-        images.append(vec)
+    images = [{j: v for j, f in enumerate(row)
+               if (v := _image_mod_p(f, xs, (), p, memo).get((), 0))} for row in rows]
     pivots = {}
     for vec in images:
         if not _echelon_insert_mod_p(pivots, dict(vec), range(ncols), p):
             return None  # the rows are not independent at a
-    support = sorted(_echelon_kernel(pivots, range(ncols), p)[1])
-    if len(support) < ncols:
-        pivots, cut = {}, []
-        for row, vec in zip(rows, images):
-            if len(cut) == len(support) - 1:
-                break
-            if _echelon_insert_mod_p(pivots, {c: vec[c] for c in support if c in vec},
-                                     support, p):
-                cut.append([row[c] for c in support])
-        rows = cut
-    w = _kernel_by_points(rows, len(support), ring, point)
-    if w is None:
-        return None
-    out = [ring.zero] * ncols
-    for c, f in zip(support, w):
-        out[c] = f
-    return out
+    basis = []
+    for free in [c for c in range(ncols) if c not in pivots]:
+        support = sorted(_echelon_kernel(pivots, range(ncols), p, free)[1])
+        cut = rows
+        if len(support) < ncols:
+            cut_pivots, cut = {}, []
+            for row, vec in zip(rows, images):
+                if len(cut) == len(support) - 1:
+                    break
+                if _echelon_insert_mod_p(cut_pivots,
+                                         {c: vec[c] for c in support if c in vec},
+                                         support, p):
+                    cut.append([row[c] for c in support])
+        w = _kernel_by_points(cut, len(support), ring, point, p)
+        if w is None:
+            return None
+        padded = dict(zip(support, w))
+        basis.append([padded.get(c, ring.zero) for c in range(ncols)])
+    return basis
 
 
-def _kernel_by_points(rows, ncols, ring, point):
+def _kernel_by_points(rows, ncols, ring, point, p=None):
     """A polynomial vector spanning the kernel over Q(x) of the ncols - 1
-    MPoly rows, which are independent mod `_IMAGE_PRIME` at the point a,
-    rebuilt from their kernels at points mod p; None when the rebuild
-    gives up.  The vector is not checked over Q here.
+    MPoly rows, which are independent mod p at the point a, rebuilt from
+    their kernels at points mod p; None when the rebuild gives up.  p is
+    `_IMAGE_PRIME` unless given.  The vector is not checked over Q here.
 
     Let w be the primitive polynomial kernel vector, over the variables
     x that occur in the rows, and v = w/w_c its normalisation to 1 at some
@@ -1811,17 +1807,19 @@ def _kernel_by_points(rows, ncols, ring, point):
       each coefficient over one common scale by rational reconstruction
       (`modp._rational_lift`), gives w up to a rational factor.
 
-    The rebuild gives up when a point solve loses rank, when the degree
-    would pass the largest total degree of an entry of the rows (the cap:
-    elimination is left the kernels of higher degree), or when a
-    coefficient does not lift.  None of these steps
-    needs to be right for the result to be: the caller checks the vector
+    The degree cap is a bound: by Cramer's rule the signed maximal minors
+    of the rows are a kernel vector, each of total degree at most the sum
+    over the rows of each row's largest entry degree, and w divides them.
+    So the rebuild gives up only when a point solve loses rank or a
+    coefficient does not lift, at an unlucky point or prime, and the
+    caller retries at its next (prime, point).  None of these steps needs
+    to be right for the result to be: the caller checks the vector
     exactly.
     """
-    p = _IMAGE_PRIME
+    p = _IMAGE_PRIME if p is None else p
     active = sorted({i for row in rows for f in row for e in f.terms
                      for i, d in enumerate(e) if d})
-    cap = max((f.total_degree() for row in rows for f in row), default=0)
+    cap = sum(max((f.total_degree() for f in row), default=0) for row in rows)
     solve = _point_solver(rows, ncols, active, p)
     a = tuple(point[i] % p for i in active)
     base = solve(a)
@@ -1842,8 +1840,7 @@ def _kernel_by_points(rows, ncols, ring, point):
         return _line_numerators(kernel, a, y, c, cols, 2 * cap + 2, p)
 
     if active:
-        generic = (1,) + tuple(_IMAGE_POINT[-1 - i % len(_IMAGE_POINT)]
-                               for i in range(len(active) - 1))
+        generic = (1,) + tuple(_draws(p, ring.nvars + len(active) - 1)[ring.nvars:])
         polys = _interpolate_lines(line, a, generic, free, ncols, cap, p)
         if polys is None:
             return None
@@ -1867,11 +1864,12 @@ def _kernel_by_points(rows, ncols, ring, point):
     return vec
 
 
-def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
-    """The t-expanded rows that add rank to one echelon mod
-    `_IMAGE_PRIME`: for each pivot, in order, the label of the row it came
-    from, (r, te) for row r's t-exponent te, or r alone when there is no
-    t, so the length of the list is the rank found (it stops at ncols).
+def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None) -> list:
+    """The t-expanded rows that add rank to one echelon mod p
+    (`_IMAGE_PRIME` unless given): for each pivot, in order, the label of
+    the row it came from, (r, te) for row r's t-exponent te, or r alone
+    when there is no t, so the length of the list is the rank found (it
+    stops at ncols).
     This is the one mod-p rank: the t-free proof and the row selection of
     `_t_free_kernel`, `nullspace_selected`'s selection and
     `matrix_rank_at_point`.
@@ -1890,8 +1888,8 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=()) -> list:
     t-expanded rows, whose kernel is the t-free solutions of the rows:
     rank ncols proves that no nonzero t-free solution exists, and a short
     rank names the rows an exact solve starts from.  No randomness is
-    involved beyond the fixed point."""
-    p = _IMAGE_PRIME
+    involved beyond the point."""
+    p = _IMAGE_PRIME if p is None else p
     tset = set(t_var_idx)
     xs = [(i, x) for i, x in enumerate(point) if i not in tset]
     columns = range(ncols)

@@ -113,12 +113,14 @@ def _echelon_insert_mod_p(pivots, vec, order, p) -> bool:
     return False
 
 
-def _echelon_kernel(pivots, order, p):
-    """(free column, kernel vector {col: nonzero value} with 1 there) of an
-    echelon (`_echelon_insert_mod_p`) of corank 1 over the columns `order`,
-    by back substitution."""
-    free = next(c for c in order if c not in pivots)
-    vec = {free: 1}
+def _echelon_kernel(pivots, order, p, free=None):
+    """(free column f, kernel vector {col: nonzero value} with 1 at f and 0
+    at the other non-pivot columns) of an echelon (`_echelon_insert_mod_p`)
+    over the columns `order`, f the first non-pivot column unless given."""
+    vec = dict.fromkeys((c for c in order if c not in pivots), 0)
+    if free is None:
+        free = next(iter(vec))
+    vec[free] = 1
     for c in reversed(order):
         row = pivots.get(c)
         if row is not None:

@@ -393,13 +393,14 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     Its one mod-p pass (`arith._pivot_rows_mod_p`) takes the exact
     t-expansion of every row at a point mod p, a homomorphic image of the
     t-expanded rows whose kernel is the t-free solutions, so a degree
-    whose rows reach full rank there has none and is skipped.  The other
-    degrees are solved exactly from the rows the pass selected, so every
-    kernel, and every result, comes from exact arithmetic.  Each t-free
-    kernel element is decomposed
-    into telescoper plus certificates; the search stops once the
-    telescopers generate an ideal of dimension at most target_dim (when
-    given), else runs the budget.
+    whose rows reach full rank there has none and is skipped.  Otherwise
+    one vector per free column is rebuilt under a degree cap that is a
+    bound and checked exactly, a give-up or failed check retried at the
+    next (prime, point) (the primes grow without bound, so the lift fits
+    from some prime on); each vector's last nonzero column is its own,
+    where the others are 0.  Each is decomposed into telescoper plus
+    certificates; the search stops once the telescopers generate an ideal
+    of dimension at most target_dim (when given), else runs the budget.
 
     The rows come from the normal forms in I's own basis, where shift
     t-generators stay shifts (the walk the growth probe and the closures
@@ -464,7 +465,7 @@ def _fasenmyer_rows(gb, monomials, K):
 
 def _to_difference_vector(vec, monomials, alg, shift_t, K):
     """A kernel vector over the shift monomials of `alg`, rewritten over the
-    same monomials in difference form and normalised as `nullspace_poly`
+    same monomials in difference form and normalised as the t-free solve
     normalises its vectors."""
     terms = _to_difference(
         alg, {m: c for m, c in zip(monomials, vec) if not c.is_zero()}, shift_t)
@@ -518,17 +519,16 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     square part cut down by the constraints.  That solve is one mod-p pass
     first, over the exact t-expansion of every row at a point (a
     homomorphic image of the t-expanded rows, so full rank there proves
-    there is no solution); then, at corank 1 at the image point, the
-    kernel vector is rebuilt from point solves mod p on its support there
-    and checked exactly against every t-expanded row (sound by that
-    check, complete because a rank mod p at a point is at most the rank
-    over C(x)), with elimination only as the fallback.  The ansatz
-    denominator D is a factor dict (`_denominator_ansatz`), so each
-    column's t^d/D needs no gcd.  The rows are in difference form, read
-    off I's own basis (Delta_t*u = S_t*u - u).  Rows in shift coordinates
-    give the same kernel of the same degree; on the double-Stirling ideal
-    (dega 3, degb 2) their rebuild took about 1.5 times as long, and their
-    elimination about 7 times as long, as in difference form."""
+    there is no solution); then one vector per free column is rebuilt
+    under a degree cap that is a bound and checked exactly, a give-up or
+    failed check retried at the next (prime, point) (the primes grow
+    without bound, so the lift fits from some prime on).  Each vector's
+    last nonzero column is its own, where the others are 0, and the
+    smallest telescoper among them is kept.  The ansatz denominator D is
+    a factor dict (`_denominator_ansatz`), so each t^d/D needs no gcd.
+    The rows are in difference form, read off I's own basis (Delta_t*u =
+    S_t*u - u); shift rows give the same kernel, and on double-Stirling
+    (dega 3, degb 2) their rebuild took about 1.5 times as long."""
     if isinstance(t_name, (list, tuple)):
         if len(t_name) != 1:
             raise MultipleTelescopingVars(

@@ -377,6 +377,8 @@ def test_gcd_in_four_variables_living_in_a_strict_subset(case):
 
 # -- nullspace_selected against sympy.Matrix.nullspace ------------------------------
 
+P = arith._IMAGE_PRIME
+
 
 def _dot(row, vec):
     return reduce(add, (x * v.num for x, v in zip(row, vec)), R.zero)
@@ -446,14 +448,34 @@ def _count_solves(monkeypatch):
     return solves
 
 
+def _record_attempts(monkeypatch):
+    """The primes of the (prime, point) pairs `nullspace_selected` goes
+    through, in order; elimination raises."""
+    primes = []
+    real = arith._solve_points
+
+    def recorded(nvars):
+        for p, point in real(nvars):
+            primes.append(p)
+            yield p, point
+
+    def eliminate(*args):
+        raise AssertionError("elimination ran")
+
+    monkeypatch.setattr(arith, "_solve_points", recorded)
+    monkeypatch.setattr(arith, "nullspace_poly", eliminate)
+    return primes
+
+
 def test_nullspace_selected_pulls_in_a_row_the_image_loses(monkeypatch):
     # the first row vanishes at the image point, so the selection has rank
-    # 1 where the generic rank is 2, and a verifying round adds the row
+    # 1 where the generic rank is 2: the vector rebuilt for free column 0
+    # fails the check, and the pass at the next point selects the row
     x0 = arith._image_point(R.nvars)[0]
     rows = [[n - x0, (n - x0) * k, R.zero], [R.zero, R.zero, R.one]]
-    solves = _count_solves(monkeypatch)
+    attempts = _record_attempts(monkeypatch)
     (vec,) = check_kernel(rows, 3)
-    assert len(solves) == 2
+    assert attempts == [P, P]
     assert [x.num for x in vec] == [k, -R.one, R.zero]
 
 
@@ -466,8 +488,6 @@ def test_nullspace_selected_of_a_full_rank_matrix_is_empty(monkeypatch):
 
 
 # -- the t-free solve against sympy.Matrix.nullspace ---------------------------------
-
-P = arith._IMAGE_PRIME
 
 
 def _is_zero(x):
@@ -634,7 +654,7 @@ def check_rebuilt_kernel(rows, ncols):
         assert kernel == arith.nullspace_poly(rows, ncols, RX)
         point = arith._image_point(RX.nvars)
         selected = arith._pivot_rows_mod_p(rows, ncols, point)
-        cap = max(x.total_degree() for i in selected for x in rows[i])
+        cap = sum(max(x.total_degree() for x in rows[i]) for i in selected)
         if len(selected) == ncols - 1 and max(
                 x.num.total_degree() for x in kernel[0]) <= cap:
             vec = arith._kernel_by_points([rows[i] for i in selected], ncols, RX, point)
@@ -660,52 +680,83 @@ def test_rebuilt_kernel_of_degree_three():
     assert [x.num for x in vec] == [x * 2 for x in u]
 
 
+def test_rebuilt_kernel_of_corank_three(monkeypatch):
+    # three planted vectors, each 1 at its own free column (2, 4 or 5) and
+    # 0 at the other two and past its own; four rows of rank 3 orthogonal
+    # to them.  The kernel comes back as exactly that basis, made
+    # primitive, from one rebuild per free column at the image point
+    Z, ONE = RX.zero, RX.one
+    plants = {2: [XN + 1, XM * XL, ONE, Z, Z, Z],
+              4: [XL ** 2, Z, Z, XN - XM, ONE, Z],
+              5: [XM * Fraction(1, 2), XN * XL + 3, Z, XL, Z, ONE]}
+    base = []
+    for pivot in (0, 1, 3):
+        row = [ONE if c == pivot else Z for c in range(6)]
+        for f, v in plants.items():
+            row[f] = -v[pivot]
+        base.append(row)
+    rows = [[reduce(add, (c * r[j] for c, r in zip(cs, base))) for j in range(6)]
+            for cs in ([XM, ONE, Z], [ONE, Z, XN + XL], [Z, XL, -ONE], [XN, XM, XL])]
+    columns = _count_rebuild_columns(monkeypatch)
+    attempts = _record_attempts(monkeypatch)
+    kernel = check_rebuilt_kernel(rows, 6)
+    assert [[x.num for x in vec] for vec in kernel] == [
+        plants[2], plants[4], [x * 2 for x in plants[5]]]
+    assert columns == [3, 3, 4] and attempts == [P]
+
+
 def test_rebuild_lift_past_one_prime_fails_the_check(monkeypatch):
     # the kernel (1, c*n) with c = 2^40/3: mod p = 2^61 - 1, 2^40 = 2^-21,
-    # so c lifts to the smaller 1/(3*2^21); the exact check rejects that
-    # vector and elimination finds the right one
+    # so c lifts to the smaller 1/(3*2^21) at any point; the exact check
+    # rejects that vector at both points mod p, and the next prime,
+    # 2^89 - 1, lifts c itself
     c = Fraction(2 ** 40, 3)
     rows = [[n * c, -R.one]]
     point = arith._image_point(R.nvars)
     wrong = arith._kernel_by_points(rows, 2, R, point)
     assert wrong == [R.one, n * Fraction(1, 3 * 2 ** 21)]
     assert not arith._solves(rows[0], wrong)
-    solves = _count_solves(monkeypatch)
+    attempts = _record_attempts(monkeypatch)
     (vec,) = check_kernel(rows, 2)
-    assert len(solves) == 1
+    assert attempts == [P, P, 2 ** 89 - 1]
     assert [x.num for x in vec] == [R.const(3), n * 2 ** 40]
 
 
 def test_rebuild_of_an_unlucky_selection_fails_the_check(monkeypatch):
     # the first row vanishes at the image point, so the selection there has
     # corank 1 where the kernel over Q(n, k) is {0}: the rebuilt vector of
-    # the second row fails the exact check, and elimination pulls the
-    # first row back in
+    # the second row fails the exact check, and the pass at the next point
+    # proves full rank
     x0 = arith._image_point(R.nvars)[0]
     rows = [[n - x0, (n - x0) * k], [R.one, R.one]]
     assert arith._pivot_rows_mod_p(rows, 2, arith._image_point(2)) == [1]
-    solves = _count_solves(monkeypatch)
+    attempts = _record_attempts(monkeypatch)
     assert check_kernel(rows, 2) == []
-    assert len(solves) == 2
+    assert attempts == [P, P]
     # with one column and that row alone, no row is selected at all: the
     # rebuild solves none, and its vector (1) fails the check the same way
+    del attempts[:]
     assert check_kernel([[n - x0]], 1) == []
+    assert attempts == [P, P]
 
 
 @pytest.mark.parametrize("rows, kernel", [
-    # rational along every line: a line gives up at 2*cap + 2 points
+    # rational along every line: a line needs 2*2 + 1 points and a spare
     ([[n, -k, R.zero], [R.zero, n, -k]], [k ** 2, n * k, n ** 2]),
-    # polynomial at its constant entry: the lines fit, the degree 2 passes
+    # polynomial at its constant entry: the lines fit at degree 2
     ([[n, -R.one, R.zero], [R.zero, n, -R.one]], [R.one, n, n ** 2]),
 ], ids=["rational", "polynomial"])
 def test_rebuild_gives_up_past_the_degree_cap(monkeypatch, rows, kernel):
-    # entries of degree 1 and a kernel of degree 2: the cap is the rows'
-    # largest entry degree, so elimination solves it
+    # entries of degree 1 and a kernel of degree 2, past the rows' largest
+    # entry degree; the cap is the degree bound of the 2x2 minors, 1 + 1,
+    # so the rebuild finishes at the image point
+    assert max(x.total_degree() for row in rows for x in row) < 2
+    assert max(x.total_degree() for x in kernel) == 2
     point = arith._image_point(R.nvars)
-    assert arith._kernel_by_points(rows, 3, R, point) is None
-    solves = _count_solves(monkeypatch)
+    assert arith._kernel_by_points(rows, 3, R, point) == kernel
+    attempts = _record_attempts(monkeypatch)
     (vec,) = check_kernel(rows, 3)
-    assert len(solves) == 1
+    assert attempts == [P]
     assert [x.num for x in vec] == kernel
 
 
@@ -733,8 +784,10 @@ def test_rebuild_runs_on_the_kernel_support(monkeypatch):
 def test_kernel_entry_vanishing_at_the_point_falls_back(monkeypatch):
     # the kernel (1, n - x0, n + 2) over Q(n) has an entry that is nonzero
     # but vanishes at the image point, so the support there is {0, 2}: the
-    # vector rebuilt on it fails the exact check, and elimination gives the
-    # kernel that sympy gives
+    # vector rebuilt on it fails the exact check.  At the next point no
+    # entry vanishes, but the coefficient x0, near 2^61, does not lift mod
+    # 2^61 - 1; the next prime rebuilds the kernel that sympy gives on all
+    # three columns
     x0 = arith._image_point(R.nvars)[0]
     rows = []
     for r1, r2 in ((RatFunc(k, n + 1), RatFunc.one(R)),
@@ -742,10 +795,10 @@ def test_kernel_entry_vanishing_at_the_point_falls_back(monkeypatch):
         r0 = -(r1 * RatFunc.from_poly(n - x0) + r2 * RatFunc.from_poly(n + 2))
         rows.append([r0, r1, r2])
     columns = _count_rebuild_columns(monkeypatch)
-    solves = _count_solves(monkeypatch)
+    attempts = _record_attempts(monkeypatch)
     (vec,) = check_t_free_kernel(rows, 3)
     assert [x.num for x in vec] == [ONE, n - x0, n + 2]
-    assert columns == [2] and len(solves) == 1
+    assert columns == [2, 3, 3] and attempts == [P, P, 2 ** 89 - 1]
 
 
 def test_rational_lift_takes_only_a_clear_quotient():

@@ -192,6 +192,41 @@ class TestBuchberger:
         gb = binomial_ideal(alg).groebner_basis(order)
         assert set(gb.leads) == {(1, 0), (0, 1)}
 
+    def test_constant_coefficient_shifts_against_sympy(self):
+        # a shift algebra with constant coefficients is commutative, so its
+        # reduced left basis is the commutative reduced basis, which
+        # sympy.groebner computes on its own; the unit ideal comes back as 1
+        sympy = pytest.importorskip("sympy")
+        units = 0
+        for seed in range(12):
+            rng = random.Random(seed)
+            names = "nmk"[:rng.randint(2, 3)]
+            alg = OreAlgebra(list(names), [OreGenerator("S" + v, OreKind.SHIFT, v)
+                                           for v in names])
+            gens = []
+            for _ in range(rng.randint(2, 3)):
+                terms = {}
+                for _ in range(rng.randint(2, 4)):
+                    e = tuple(rng.randint(0, 2) for _ in names)
+                    if sum(e) <= 2:
+                        terms[e] = terms.get(e, 0) + rng.randint(-3, 3)
+                gens.append({e: c for e, c in terms.items() if c})
+            gb = LeftIdeal(alg, [OrePoly(alg, {e: RatFunc.const(alg.field, c)
+                                               for e, c in g.items()})
+                                 for g in gens]).groebner_basis(GREVLEX)
+            mine = sorted(sorted((e, c.num.leading_coeff()) for e, c in g.terms.items())
+                          for g in gb.elements)
+            S = sympy.symbols(["S" + v for v in names])
+            G = sympy.groebner([sum(c * sympy.Mul(*(x ** d for x, d in zip(S, e)))
+                                    for e, c in g.items()) for g in gens if g],
+                               *S, order="grevlex", domain="QQ")
+            theirs = sorted(sorted((e, Fraction(int(c.p), int(c.q)))
+                                   for e, c in sympy.Poly(f, *S).terms())
+                            for f in G.exprs)
+            assert mine == theirs
+            units += mine == [[((0,) * len(names), 1)]]
+        assert 0 < units < 12
+
 
 class TestMembership:
     def test_generators(self):

@@ -152,8 +152,9 @@ class TestDeepDegeneracy:
 
         monkeypatch.setattr(telescoping, "_certificate_by_ansatz", recorded)
         out = fasenmyer_search(I, ["Sk"], max_degree=3, collect_all=True)
-        # the kernels have dimension > 1, so the count depends on the basis
-        # the exact solve returns: one call at degree 2 and two at degree 3
+        # the kernels have dimension > 1, so the count depends on the basis,
+        # whose vectors each end at their own free column, where the others
+        # are 0: one call at degree 2 and two at degree 3
         assert answers == [None] * 3
         assert [str(r.telescoper) for r in out.results] == [
             "-Sn + 1", "-Sn^2 + 1", "-Sn^3 + 1"]
@@ -297,6 +298,20 @@ class TestZeilberger:
         scale = target_A.terms[max(target_A.terms, key=sum)] / got_A.terms[lead]
         got_B = res.certificates["Sk"].scale(scale)
         assert got_B == target_B
+
+    @pytest.mark.parametrize("degB", [2, 3])
+    def test_double_stirling_one_degree_up(self, monkeypatch, degB):
+        # A of degree 4: the kernels have dimension > 1, each basis vector
+        # ends at its own free column, and the search keeps the smallest
+        # telescoper among them, the same at both B degrees; no elimination
+        def eliminate(*args):
+            raise AssertionError("elimination ran")
+
+        monkeypatch.setattr(arith, "nullspace_poly", eliminate)
+        I = double_stirling_ideal(algebra_nmkl())
+        res, _ = zeilberger_search(I, "Sk", degA=4, degB=degB)
+        assert res is not None and res.membership_checked
+        assert str(res.telescoper) == "Sn*Sm*Sl + (-m - l - 2)*Sm*Sl - Sm - Sl"
 
     def test_unit_ideal(self):
         # every column is zero, so the first A-monomial, 1, is a telescoper
@@ -642,14 +657,14 @@ def test_certificate_skips_change_no_result(monkeypatch, make_ideal, maxdeg,
     answers = []
     real = arith._pivot_rows_mod_p
 
-    def recorded(rows, ncols, point, t_var_idx=()):
-        pivot_rows = real(rows, ncols, point, t_var_idx)
+    def recorded(rows, ncols, point, t_var_idx=(), p=None):
+        pivot_rows = real(rows, ncols, point, t_var_idx, p)
         if t_var_idx:
             answers.append(len(pivot_rows) == ncols)
         return pivot_rows
 
-    def never_proven(rows, ncols, point, t_var_idx=()):
-        return [] if t_var_idx else real(rows, ncols, point)
+    def never_proven(rows, ncols, point, t_var_idx=(), p=None):
+        return [] if t_var_idx else real(rows, ncols, point, t_var_idx, p)
 
     monkeypatch.setattr(arith, "_pivot_rows_mod_p", recorded)
     with_skips = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
