@@ -1,8 +1,8 @@
-"""Paired in-process timing of the growth, telescope or zeilberger tasks
-of one problem file.
+"""Paired in-process timing of the growth, telescope, zeilberger or verify
+tasks of one problem file.
 
     python3 scripts/growth_pairs.py BASE HEAD FILE [--pairs N]
-        [--kind growth|telescope|zeilberger] [--window N]
+        [--kind growth|telescope|zeilberger|verify] [--window N]
         [--dega N] [--degb N]
 
 BASE and HEAD are two checkouts of the repository (for instance
@@ -18,8 +18,11 @@ task in a helper process.  The named ideals must be declared in FILE, not
 bound by a closure task.  --window N runs every growth task with window N
 instead of the one FILE gives it, so a probe can be timed at another
 window without editing FILE; --dega N and --degb N likewise override
-every zeilberger task's ansatz degrees.  Prints every pair, then each
-side's median and quartiles and how many pairs HEAD won.
+every zeilberger task's ansatz degrees.  A verify task needs the
+telescoper an earlier task binds, so for verify the run goes through
+`cli.run` with every task but growth, untimed, and only the calls of
+`check_identity` are timed.  Prints every pair, then each side's median
+and quartiles and how many pairs HEAD won.
 
 A single side can be run alone, for instance under a deadline:
 
@@ -31,6 +34,7 @@ prints {"seconds": ...} unless the deadline stops it first.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import statistics
@@ -60,11 +64,33 @@ def _task_call(cli, pf, d, kind, window, dega=None, degb=None):
                                      denom_bound=d.get("denoms", 1))
 
 
+def _verify_seconds(cli, pf):
+    """Run every task of pf but growth; the seconds spent in check_identity."""
+    spent = 0.0
+    check = cli.check_identity
+
+    def timed(*args, **kwargs):
+        nonlocal spent
+        t0 = time.perf_counter()
+        try:
+            return check(*args, **kwargs)
+        finally:
+            spent += time.perf_counter() - t0
+
+    cli.check_identity = timed
+    pf.tasks = [t for t in pf.tasks if t.kind != "growth"]
+    cli.run(pf, out=io.StringIO())
+    return spent
+
+
 def _child(src, path, kind, window=None, dega=None, degb=None):
     sys.path.insert(0, src)
     import orecalc.cli as cli
     with open(path) as fh:
         pf = cli.parse(fh.read())
+    if kind == "verify":
+        print(json.dumps({"seconds": _verify_seconds(cli, pf)}))
+        return
     spent = 0.0
     for task in pf.tasks:
         if task.kind == kind:
@@ -97,7 +123,8 @@ def main(argv=None):
     ap.add_argument("head", nargs="?")
     ap.add_argument("file", nargs="?")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--kind", choices=("growth", "telescope", "zeilberger"),
+    ap.add_argument("--kind", choices=("growth", "telescope", "zeilberger",
+                                         "verify"),
                     default="growth")
     ap.add_argument("--window", type=int)
     ap.add_argument("--dega", type=int)

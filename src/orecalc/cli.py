@@ -32,6 +32,7 @@ from .verify import (
     Pow,
     Product,
     check_identity,
+    operator_variables,
 )
 
 # -- task syntax -----------------------------------------------------------------
@@ -731,9 +732,10 @@ def _run_tasks(pf, order, verify_box, helpers):
                 lo = 1 if d.get("positive") else 0
                 telescoper = restrict_to_x(results[0].telescoper,
                                            list(results[0].t_gens))
-                outer = [v for v in telescoper.algebra.ground_vars]
-                ranges = {v: (lo, box) for v in outer
-                          if v in summand.variables() | closed.variables()}
+                used = (summand.variables() | closed.variables()
+                        | operator_variables(telescoper))
+                ranges = {v: (lo, box) for v in telescoper.algebra.ground_vars
+                          if v in used}
                 rep = check_identity(summand, telescoper, closed, d["var"], ranges)
                 entry["passed"] = rep.passed
                 entry["checked"] = rep.checked

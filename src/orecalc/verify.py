@@ -96,6 +96,16 @@ class LinExpr:
     def variables(self):
         return {v for v, _ in self.coeffs}
 
+    def split(self, var, env):
+        """(c, d) with self = c*var + d at the other variables' values."""
+        c, d = 0, self.const
+        for v, a in self.coeffs:
+            if v == var:
+                c = a
+            else:
+                d += a * env[v]
+        return c, d
+
     def __str__(self):
         bits = []
         for v, c in self.coeffs:
@@ -122,6 +132,31 @@ _BUILTINS = {
 }
 
 
+# -- supports: where a summand can be nonzero, as an interval in one variable ---
+#
+# An interval is (lo, hi) with lo > hi when it is empty, and an end None
+# where nothing bounds that side; None means nothing is proved.
+
+
+def _half_line(c, d):
+    """The x with c*x + d >= 0."""
+    if c > 0:
+        return -(d // c), None
+    if c < 0:
+        return None, d // -c
+    return (None, None) if d >= 0 else (1, 0)
+
+
+def _meet(a, b):
+    lo = a[0] if b[0] is None else b[0] if a[0] is None else max(a[0], b[0])
+    hi = a[1] if b[1] is None else b[1] if a[1] is None else min(a[1], b[1])
+    return lo, hi
+
+
+def _proved(s):
+    return None if s == (None, None) else s
+
+
 class SequenceOracle:
     """Base for exact sequence expressions; eval(env) -> int or Fraction."""
 
@@ -133,6 +168,11 @@ class SequenceOracle:
 
     def has_finite_support(self) -> bool:
         return False
+
+    def support(self, var, env):
+        """An interval in `var` outside which the value is 0 when the
+        other variables take their values in env, or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -157,6 +197,14 @@ class Builtin(SequenceOracle):
 
     def has_finite_support(self):
         return _BUILTINS[self.name][2]
+
+    def support(self, var, env):
+        # zero unless 0 <= second argument <= first argument
+        if not self.has_finite_support():
+            return None
+        c0, d0 = self.args[0].split(var, env)
+        c1, d1 = self.args[1].split(var, env)
+        return _proved(_meet(_half_line(c1, d1), _half_line(c0 - c1, d0 - d1)))
 
     def __str__(self):
         return "%s(%s)" % (self.name, ", ".join(str(a) for a in self.args))
@@ -222,13 +270,15 @@ class Lin(SequenceOracle):
 class Product(SequenceOracle):
     factors: tuple
 
-    def eval(self, env):
+    def __post_init__(self):
         # bounded-support factors first: a zero there suppresses factors
-        # that would be out of domain outside the window (e.g. Bernoulli)
-        ordered = sorted(self.factors,
-                         key=lambda f: not f.has_finite_support())
+        # that would be out of domain outside the support (e.g. Bernoulli)
+        object.__setattr__(self, "_ordered", tuple(sorted(
+            self.factors, key=lambda f: not f.has_finite_support())))
+
+    def eval(self, env):
         total = 1
-        for f in ordered:
+        for f in self._ordered:
             v = f.eval(env)
             if v == 0:
                 return 0
@@ -243,6 +293,14 @@ class Product(SequenceOracle):
 
     def has_finite_support(self):
         return any(f.has_finite_support() for f in self.factors)
+
+    def support(self, var, env):
+        s = (None, None)
+        for f in self.factors:
+            t = f.support(var, env)
+            if t is not None:
+                s = _meet(s, t)
+        return _proved(s)
 
     def __str__(self):
         return " * ".join(str(f) for f in self.factors)
@@ -261,6 +319,15 @@ class Add(SequenceOracle):
             out |= t.variables()
         return out
 
+    def support(self, var, env):
+        # the hull of the terms' supports, an end kept where every term has it
+        ss = [t.support(var, env) for t in self.terms]
+        if None in ss:
+            return None
+        los, his = [lo for lo, _ in ss], [hi for _, hi in ss]
+        return _proved((None if None in los else min(los),
+                        None if None in his else max(his)))
+
     def __str__(self):
         return " + ".join(str(t) for t in self.terms)
 
@@ -268,18 +335,24 @@ class Add(SequenceOracle):
 class DefiniteSum(SequenceOracle):
     """Sum over the natural (finite) support of the body in one variable.
 
-    The window is found by scanning outward until `margin` consecutive
-    zeros flank the nonzero core; a summand that never dies out raises."""
+    Where the body proves its support at the outer values (`support`: a
+    finite-support builtin is 0 unless 0 <= second argument <= first, a
+    product meets its factors' intervals, a sum joins its terms'), the sum
+    runs over exactly that interval.  Otherwise it runs over a window
+    -w..w, w = margin + 4 + the sum of the outer values' absolute values,
+    whose first and last `margin` values must be 0; a summand that does
+    not die out there raises."""
 
     def __init__(self, var, body, margin=8, cap=600):
         self.var = var
         self.body = body
         self.margin = margin
         self.cap = cap
+        self._outer = tuple(sorted(self.variables()))
         self._memo = {}
 
     def eval(self, env):
-        key = tuple(sorted((v, env[v]) for v in self.variables()))
+        key = tuple(env[v] for v in self._outer)
         v = self._memo.get(key)
         if v is None:
             v = sum(self._values(dict(env)))
@@ -287,16 +360,20 @@ class DefiniteSum(SequenceOracle):
         return v
 
     def _values(self, env):
-        # window sized from the outer indices: the corpus supports all sit
-        # inside +-(sum of |outer|) up to a constant
-        w = self.margin + 4 + sum(abs(env[v]) for v in self.variables())
-        w = min(w, self.cap)
+        s = self.body.support(self.var, env)
+        proved = s is not None and None not in s
+        if proved:
+            xs = range(s[0], s[1] + 1)
+        else:
+            w = min(self.margin + 4 + sum(abs(env[v]) for v in self._outer),
+                    self.cap)
+            xs = range(-w, w + 1)
         vals = []
-        for x in range(-w, w + 1):
+        for x in xs:
             env[self.var] = x
             vals.append(self.body.eval(env))
-        if any(v != 0 for v in vals[:self.margin]) or \
-                any(v != 0 for v in vals[-self.margin:]):
+        if not proved and (any(v != 0 for v in vals[:self.margin]) or
+                           any(v != 0 for v in vals[-self.margin:])):
             raise OutOfDomain("summand does not vanish (no natural boundary)")
         return vals
 
@@ -320,46 +397,62 @@ def _as_shift_form(L: OrePoly) -> OrePoly:
     return L
 
 
+def operator_variables(L: OrePoly) -> set:
+    """The ground variables L involves: in a coefficient or as the
+    variable a generator of L shifts."""
+    names = L.algebra.field.names
+    gvars = [g.var for g in L.algebra.gens]
+    out = set()
+    for exp, coeff in L.terms.items():
+        idx = coeff.numer.variables()
+        for f in coeff.fac:
+            idx |= f.variables()
+        out.update(names[i] for i in idx)
+        out.update(gvars[i] for i, e in enumerate(exp) if e)
+    return out
+
+
 def apply_operator_numeric(L: OrePoly, oracle: SequenceOracle, points):
     """(L . h) evaluated at integer points, h given by the oracle.
 
     Returns a list of (env, value-or-None, note); a vanishing coefficient
-    denominator skips the sample with a note.
+    denominator skips the sample with a note.  At each point every
+    denominator factor of L is evaluated once, and the terms are added
+    over their common denominator.
     """
     L = _as_shift_form(L)
-    alg = L.algebra
-    gvars = [g.var for g in alg.gens]
-    names = alg.field.names
-    needed = set()
-    for exp, coeff in L.terms.items():
-        for i in coeff.num.variables() | coeff.den.variables():
-            needed.add(names[i])
-        for i, e in enumerate(exp):
-            if e:
-                needed.add(gvars[i])
+    names = L.algebra.field.names
+    gvars = [g.var for g in L.algebra.gens]
+    needed = operator_variables(L)
+    # the common denominator: each factor at its largest multiplicity
+    top = {}
+    for coeff in L.terms.values():
+        for f, m in coeff.fac.items():
+            top[f] = max(top.get(f, 0), m)
+    # each term: its shifts, numerator, and cofactor in the common denominator
+    terms = [([(gvars[i], e) for i, e in enumerate(exp) if e], coeff.numer,
+              [(f, m - coeff.fac.get(f, 0)) for f, m in top.items()])
+             for exp, coeff in L.terms.items()]
     out = []
     for env in points:
         missing = needed - set(env)
         if missing:
-            raise KeyError("operator involves %s but the sample point does not"
-                           % ", ".join(sorted(missing)))
+            raise OutOfDomain("operator involves %s but the sample point does not"
+                              % ", ".join(sorted(missing)))
         point = [env.get(v, 0) for v in names]
+        at = {f: f.eval_point(point) for f in top}
+        if 0 in at.values():
+            out.append((dict(env), None, "denominator vanishes at %r" % (env,)))
+            continue
+        den = math.prod(at[f] ** m for f, m in top.items())
         total = 0
-        skipped = None
-        for exp, coeff in L.terms.items():
-            if coeff.den.eval_point(point) == 0:
-                skipped = "denominator vanishes at %r" % (env,)
-                break
-            c = coeff.eval_point(point)
+        for shifts, numer, cofactor in terms:
+            c = numer.eval_point(point) * math.prod(at[f] ** m for f, m in cofactor)
             shifted = dict(env)
-            for i, e in enumerate(exp):
-                if e:
-                    shifted[gvars[i]] += e
+            for v, e in shifts:
+                shifted[v] += e
             total += c * oracle.eval(shifted)
-        if skipped:
-            out.append((dict(env), None, skipped))
-        else:
-            out.append((dict(env), total, ""))
+        out.append((dict(env), Fraction(total, den), ""))
     return out
 
 

@@ -630,6 +630,49 @@ def test_a_verify_box_without_points_fails(verify, flags, capsys, monkeypatch):
         False, 0, [[{}, "the box has no point"]])
 
 
+WIDE_SUPPORT = """
+algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
+ideal B = [(2*n - k + 2)*(2*n - k + 1)*Sn - (2*n + 2)*(2*n + 1),
+           (k + 1)*Sk + k - 2*n];
+oracle c = binomial(2*n, k);
+oracle rowsum = pow(4, n);
+telescope B over Sk maxdeg 3 as T;
+verify T: sum(k, c) == rowsum box 7;
+"""
+
+
+def test_a_verify_sums_over_the_whole_proved_support(capsys, monkeypatch):
+    """binomial(2n, k) is nonzero on 0 <= k <= 2n, wider than the window
+    margin + 4 + n that a scan would guess for it."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(WIDE_SUPPORT))
+    assert main(["run", "-"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "  A = -Sn + 4"
+    assert out[-1] == "verify T: pass (8 points)"
+
+
+UNUSED_VARIABLE = """
+algebra Q(n, k, m) <Sn: shift(n), Sk: shift(k), Sm: shift(m)>;
+ideal B = [(k - n - 1)*Sn + n + 1, (k + 1)*Sk + k - n, Sm - 2];
+oracle c = binomial(n, k);
+oracle rowsum = pow(2, n);
+telescope B over Sk maxdeg 1 as T;
+verify T: sum(k, c) == rowsum box 4;
+"""
+
+
+def test_a_telescoper_in_a_variable_no_oracle_uses_fails_cleanly(capsys,
+                                                                   monkeypatch):
+    """The box spans m, which only the telescoper involves, and
+    (2 - Sm) applied to the row sums is not 0."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(UNUSED_VARIABLE))
+    assert main(["run", "-"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    out = captured.out.splitlines()
+    assert (out[1], out[-1]) == ("  A = -Sm + 2", "verify T: FAIL (25 points)")
+
+
 # each kind declared as `tests/test_ore.py::make_algebra` builds it directly
 DECLARATIONS = {
     "diff": "algebra Q(x) <D: diff(x)>;",

@@ -1,14 +1,22 @@
+import io
 import math
+import os
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
+import orecalc.cli as cli
+from orecalc.arith import RatFunc
 from orecalc.errors import NonDiscreteAlgebra, OutOfDomain
-from orecalc.ore import OreAlgebra, OreGenerator, OreKind
+from orecalc.ore import OreAlgebra, OreGenerator, OreKind, OrePoly
 from orecalc.verify import (
+    Add,
     Builtin,
     Const,
     DefiniteSum,
+    Lin,
     LinExpr,
     Pow,
     Product,
@@ -24,6 +32,7 @@ from orecalc.verify import (
 
 from corpus_objects import (
     algebra_kl,
+    algebra_nk,
     algebra_nmkl,
     double_stirling_ideal,
     double_stirling_telescoper,
@@ -197,3 +206,211 @@ class TestCheckIdentity:
                              {"k": (0, 5)})
         assert not rep.passed
         assert rep.counterexamples
+
+
+# -- proved supports -------------------------------------------------------------
+
+SETTINGS = hypothesis.settings(derandomize=True, database=None, deadline=None,
+                               max_examples=40)
+WIDE = 60  # brute-force window: every proved support below lies inside it
+OUTER = {"n": st.integers(0, 5), "m": st.integers(0, 4)}
+FINITE = ("binomial", "stirling2", "eulerian1")
+
+
+def linexprs(k_coeffs=(-2, -1, 0, 1, 2)):
+    """c*k + a*n + b*m + d with small integer coefficients."""
+    return st.builds(lambda c, a, b, d: lin(d, k=c, n=a, m=b),
+                     st.sampled_from(k_coeffs), st.integers(-2, 2),
+                     st.integers(-1, 1), st.integers(-4, 4))
+
+
+def finite_builtins():
+    """f(c*k + a*n + b*m + d, c'*k + b'*m + d'), mostly with k in the
+    second argument, as in the corpus summands, so that most supports
+    are neither empty nor all of the window."""
+    first = st.builds(lambda c, a, b, d: lin(d, k=c, n=a, m=b),
+                      st.sampled_from([0, 0, 0, 1, -1]), st.sampled_from([1, 1, 2]),
+                      st.sampled_from([0, 0, 1]), st.integers(-2, 2))
+    second = st.builds(lambda c, b, d: lin(d, k=c, m=b),
+                       st.sampled_from([1, 1, -1, 2, 0]), st.sampled_from([0, 1]),
+                       st.integers(-2, 2))
+    return st.builds(lambda name, x, y: Builtin(name, (x, y)),
+                     st.sampled_from(FINITE), first, second)
+
+
+@st.composite
+def products(draw):
+    """Finite-support builtins, some with a Bernoulli number or a negative
+    power behind them, which the builtins must keep from being evaluated
+    outside the support."""
+    factors = draw(st.lists(finite_builtins(), min_size=1, max_size=2))
+    extra = draw(st.sampled_from([None, "bernoulli", "pow"]))
+    if extra == "bernoulli":  # of negative index at some k when d < 0
+        factors.append(Builtin("bernoulli", (lin(draw(st.integers(-3, 3)), k=1),)))
+    elif extra == "pow":  # a negative power for some k
+        factors.append(Pow(lin(draw(st.sampled_from([-2, 3]))),
+                           draw(linexprs())))
+    order = draw(st.permutations(range(len(factors))))
+    return Product(tuple(factors[i] for i in order))
+
+
+def summands():
+    return st.one_of(finite_builtins(), products(),
+                     st.builds(lambda ts: Add(tuple(ts)),
+                               st.lists(st.one_of(finite_builtins(), products()),
+                                        min_size=2, max_size=3)))
+
+
+def _brute_force(body, env):
+    return sum(body.eval(dict(env, k=x)) for x in range(-WIDE, WIDE + 1))
+
+
+class TestSupport:
+    @SETTINGS
+    @hypothesis.given(summands(), st.fixed_dictionaries(OUTER))
+    def test_proved_support_sum_is_the_brute_force_sum(self, body, env):
+        s = body.support("k", env)
+        hypothesis.assume(s is not None and None not in s)
+        assert -WIDE < s[0] and s[1] < WIDE
+        try:
+            expected = _brute_force(body, env)
+        except OutOfDomain:
+            with pytest.raises(OutOfDomain):
+                DefiniteSum("k", body).eval(env)
+        else:
+            assert DefiniteSum("k", body).eval(env) == expected
+
+    @SETTINGS
+    @hypothesis.given(
+        st.one_of(
+            st.builds(Const, st.sampled_from([1, -3, Fraction(1, 2)])),
+            st.builds(Pow, st.sampled_from([lin(2), lin(-1)]), linexprs((1, -1))),
+            # 0 <= 2 <= k + d holds for all large k
+            st.builds(lambda x: Builtin("binomial", (x, lin(2))),
+                      linexprs((1,))),
+            st.builds(lambda x: Add((Builtin("binomial", (lin(n=1), lin(k=1))),
+                                     Pow(lin(3), x))), linexprs((1, -1)))),
+        st.fixed_dictionaries(OUTER))
+    def test_a_summand_without_proved_support_still_raises(self, body, env):
+        s = body.support("k", env)
+        assert s is None or None in s
+        with pytest.raises(OutOfDomain, match="no natural boundary"):
+            DefiniteSum("k", body).eval(env)
+
+    def test_supports_of_the_forms(self):
+        env = {"n": 5, "m": 2, "l": 1}
+        b = Builtin("binomial", (lin(n=1), lin(k=1)))
+        assert b.support("k", env) == (0, 5)
+        # S2(k, l) * S2(n - k, m): l <= k and k <= n - m, neither bounded alone
+        lower = Builtin("stirling2", (lin(k=1), lin(l=1)))
+        upper = Builtin("stirling2", (lin(n=1, k=-1), lin(m=1)))
+        assert lower.support("k", env) == (1, None)
+        assert upper.support("k", env) == (None, 3)
+        assert Product((lower, upper)).support("k", env) == (1, 3)
+        # C(2n, 2k + 1): 0 <= 2k + 1 <= 2n
+        odd = Builtin("binomial", (lin(n=2), lin(1, k=2)))
+        assert odd.support("k", env) == (0, 4)
+        assert Builtin("binomial", (lin(n=1), lin(7))).support("k", env) == (1, 0)
+        assert Builtin("binomial", (lin(n=1), lin(2))).support("k", env) is None
+        assert Add((b, odd)).support("k", env) == (0, 5)
+        assert Add((b, lower)).support("k", env) == (0, None)
+        assert Add((b, Const(1))).support("k", env) is None
+        assert Product((Const(2), Lin(lin(k=1)))).support("k", env) is None
+        assert DefiniteSum("j", b).support("k", env) is None
+
+    def test_a_support_wider_than_the_old_window(self):
+        # 0 <= k <= 2n reaches past margin + 4 + n for n > margin + 4
+        s = DefiniteSum("k", Builtin("binomial", (lin(n=2), lin(k=1))), margin=5)
+        assert [s.eval({"n": n}) for n in range(16)] == [4 ** n for n in range(16)]
+
+
+# -- operators over one denominator ----------------------------------------------
+
+
+def _per_term(L, oracle, env):
+    """(L . h)(env) term by term, each coefficient a Fraction of its
+    expanded numerator and denominator; None if a denominator vanishes."""
+    point = [env.get(v, 0) for v in L.algebra.field.names]
+    total = Fraction(0)
+    for exp, c in L.terms.items():
+        den = c.den.eval_point(point)
+        if den == 0:
+            return None
+        shifted = dict(env)
+        for g, e in zip(L.algebra.gens, exp):
+            if e:
+                shifted[g.var] += e
+        total += Fraction(c.num.eval_point(point)) / den * oracle.eval(shifted)
+    return total
+
+
+def _assert_per_term(L, oracle, points):
+    for env, value, note in apply_operator_numeric(L, oracle, points):
+        expected = _per_term(L, oracle, env)
+        if expected is None:
+            assert (value, note) == (None, "denominator vanishes at %r" % (env,))
+        else:
+            assert (value, note) == (expected, "")
+            assert type(value) is Fraction
+
+
+CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+
+
+@pytest.fixture(scope="module")
+def corpus_checks():
+    """The arguments of every check_identity a corpus file's verify task
+    makes, found by running the file without its growth and dim tasks."""
+    calls = []
+    check = cli.check_identity
+    cli.check_identity = lambda *args: calls.append(args) or check(*args)
+    try:
+        for name in ("abel", "chen_sun_bernoulli", "double_stirling",
+                     "stirling_eulerian"):
+            with open(os.path.join(CORPUS, name + ".ore")) as fh:
+                pf = cli.parse(fh.read())
+            pf.tasks = [t for t in pf.tasks if t.kind not in ("growth", "dim")]
+            cli.run(pf, out=io.StringIO())
+    finally:
+        cli.check_identity = check
+    return calls
+
+
+def test_corpus_telescopers_over_one_denominator(corpus_checks):
+    assert len(corpus_checks) == 4
+    for summand, telescoper, closed, var, ranges in corpus_checks:
+        points = box_points({v: (lo, min(hi, 4)) for v, (lo, hi) in ranges.items()})
+        _assert_per_term(telescoper, DefiniteSum(var, summand), points)
+        _assert_per_term(telescoper, closed, points)
+
+
+_nk = algebra_nk()
+_n, _k = _nk.field.var("n"), _nk.field.var("k")
+# linear factors vanishing inside the box below, one with a 2, and quadratics
+_FACTORS = [_k, _k + 1, _k - 2, _n - _k, 2 * _k - 1 + _n, _n * _k + 1, _k * _k + _n]
+
+
+@st.composite
+def factored_coefficients(draw):
+    num = draw(st.sampled_from([1, -3, Fraction(2, 5)])) * RatFunc.from_poly(
+        draw(st.sampled_from([_nk.field.one, _n + 2, _k - _n])))
+    for i in draw(st.lists(st.integers(0, len(_FACTORS) - 1), max_size=3)):
+        num = num / RatFunc.from_poly(_FACTORS[i])
+    return num
+
+
+@SETTINGS
+@hypothesis.given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                                  factored_coefficients(), min_size=1, max_size=4))
+def test_random_factored_operators_over_one_denominator(terms):
+    L = OrePoly(_nk, terms)
+    oracle = Add((Builtin("binomial", (lin(n=1), lin(k=1))),
+                  Pow(lin(2), lin(n=1, k=1))))
+    _assert_per_term(L, oracle, box_points({"n": (0, 3), "k": (-2, 3)}))
+
+
+def test_an_operator_variable_missing_from_the_point_is_an_error():
+    L = algebra_nk().gen("Sn")
+    with pytest.raises(OutOfDomain, match="operator involves n"):
+        apply_operator_numeric(L, Builtin("binomial", (lin(n=1), lin(k=1))),
+                               [{"k": 0}])
