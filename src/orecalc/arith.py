@@ -18,14 +18,17 @@ built on these coefficients.
 """
 from __future__ import annotations
 
+import array
 import heapq
 import math
 import numbers
 import operator
 import random
+import sys
 from fractions import Fraction
+from itertools import repeat
 
-from .errors import ZeroPolynomial
+from .errors import DegreeOverflow, ZeroPolynomial
 from .modp import (
     _echelon_insert_mod_p,
     _echelon_kernel,
@@ -80,12 +83,62 @@ def _fix(terms: dict) -> dict:
     return terms
 
 
+_INT = frozenset({int})
+
+
 def _all_int(terms: dict) -> bool:
-    return all(type(c) is int for c in terms.values())
+    return _INT.issuperset(map(type, terms.values()))
+
+
+# -- packed monomials ---------------------------------------------------------------
+#
+# A monomial is one int key.  In a ring of n variables, variable i's
+# exponent is the field of _WIDTH bits at bit _WIDTH*i, and the total
+# degree is the field above them all, at bit _WIDTH*n.  Every field is
+# linear in the exponents, so the key of a product of monomials is the
+# sum of their keys.  The top bit of each field is a guard, 0 in every
+# key: a total degree above MAX_DEGREE is refused (`DegreeOverflow`), and
+# each exponent is at most the total degree, so no field ever carries
+# into its neighbour.  Keys compare by total degree, then by the last
+# variable's exponent, then the one before, and so on; grevlex is the
+# same total degree first and the reverse of that after it, which is the
+# order of key ^ ring.low (`_grevlex_max`).  Exponent tuples appear only
+# at the edges: `PolyRing.from_terms` and `MPoly.to_terms`, printing, and
+# the mod-p routines of `modp`, which work over the active variables.
+
+_WIDTH = 16
+_FIELD = (1 << _WIDTH) - 1
+MAX_DEGREE = (1 << (_WIDTH - 1)) - 1
+
+
+def _column(keys, shift):
+    """The field at bit `shift` of each key, lazily."""
+    return map(_FIELD.__and__, map(shift.__rrshift__, keys))
+
+
+def _columns(f) -> list:
+    """Per variable of f's ring, its exponent in each term of f, in the
+    order of f.terms.  A field is 16 bits, so the bytes of the keys, in the
+    machine's order, are an array of unsigned shorts, sliced by variable."""
+    n = f.ring.nvars + 1
+    fields = array.array("H", b"".join(map(int.to_bytes, f.terms, repeat(2 * n),
+                                           repeat(sys.byteorder))))
+    return [fields[i::n] for i in range(n - 1)]
+
+
+def _grevlex_max(keys, ring):
+    """The grevlex-largest of the (nonempty) monomial keys."""
+    low = ring.low
+    return max(map(low.__xor__, keys)) ^ low
 
 
 class PolyRing:
-    """Q[x1,...,xm], identified (and interned) by its ordered variable names."""
+    """Q[x1,...,xm], identified (and interned) by its ordered variable names.
+
+    `shifts[i]` is the bit of variable i's field in a key, `units[i]` the
+    key of x_i, `top` the bit of the total-degree field, `low` the mask of
+    the exponent fields, `limit` the least key of degree MAX_DEGREE + 1
+    and `guards` the guard bits of the exponent fields."""
 
     _interned: dict = {}
 
@@ -97,8 +150,13 @@ class PolyRing:
         ring = super().__new__(cls)
         ring.names = names
         ring.index = {n: i for i, n in enumerate(names)}
-        ring.nvars = len(names)
-        ring._zero_exp = (0,) * len(names)
+        ring.nvars = n = len(names)
+        ring.top = _WIDTH * n
+        ring.shifts = tuple(range(0, ring.top, _WIDTH))
+        ring.units = tuple((1 << s) + (1 << ring.top) for s in ring.shifts)
+        ring.low = (1 << ring.top) - 1
+        ring.limit = (MAX_DEGREE + 1) << ring.top
+        ring.guards = sum(1 << (s + _WIDTH - 1) for s in ring.shifts)
         ring._zero = None
         ring._one = None
         cls._interned[names] = ring
@@ -116,38 +174,43 @@ class PolyRing:
     @property
     def one(self) -> "MPoly":
         if self._one is None:
-            self._one = MPoly(self, {self._zero_exp: 1})
+            self._one = MPoly(self, {0: 1})
         return self._one
 
     def const(self, c) -> "MPoly":
         c = _coef(c)
         if c == 0:
             return self.zero
-        return MPoly(self, {self._zero_exp: c})
+        return MPoly(self, {0: c})
 
     def var(self, name) -> "MPoly":
-        i = self.index[name]
-        exp = [0] * self.nvars
-        exp[i] = 1
-        return MPoly(self, {tuple(exp): 1})
+        return MPoly(self, {self.units[self.index[name]]: 1})
 
-    def monomial(self, exp, coeff=1) -> "MPoly":
-        coeff = _coef(coeff)
-        if coeff == 0:
-            return self.zero
-        return MPoly(self, {tuple(exp): coeff})
+    def from_terms(self, terms) -> "MPoly":
+        """The polynomial of {exponent tuple: coefficient}, zero
+        coefficients left out: the public constructor from exponents."""
+        out = {}
+        for e, c in terms.items():
+            if len(e) != self.nvars or min(e, default=0) < 0:
+                raise ValueError("exponent %r does not fit %r" % (e, self))
+            if sum(e) > MAX_DEGREE:
+                raise DegreeOverflow("total degree %d exceeds %d" % (sum(e), MAX_DEGREE))
+            c = _coef(c)
+            if c:
+                out[sum(map(operator.mul, e, self.units))] = c
+        return MPoly(self, out)
 
-
-def _grevlex_key(exp):
-    # graded reverse lexicographic; max() of keys picks the leading exponent
-    return (sum(exp),) + tuple(map(operator.neg, exp[::-1]))
+    def _exponents(self, key) -> tuple:
+        """The exponent tuple of a monomial key."""
+        return tuple(key >> s & _FIELD for s in self.shifts)
 
 
 class MPoly:
-    """Sparse multivariate polynomial: map exponent vector -> coefficient.
+    """Sparse multivariate polynomial: map monomial key -> coefficient (see
+    "packed monomials" above).
 
-    Invariants: no zero coefficients are stored, and all exponent vectors
-    have the ring's arity, so equal polynomials have identical term maps.
+    Invariants: no zero coefficients are stored, and every key is a
+    monomial of the ring, so equal polynomials have identical term maps.
     A coefficient is an int when it is integral and a Fraction only when it
     is not (see the module docstring); the operations keep it so.
     """
@@ -158,50 +221,51 @@ class MPoly:
         self.ring = ring
         self.terms = terms
 
+    def to_terms(self) -> dict:
+        """{exponent tuple: coefficient}: the public reader of exponents."""
+        return {self.ring._exponents(k): c for k, c in self.terms.items()}
+
     # -- predicates and inspection --------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.ring._zero_exp in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self):
-        if not self.terms:
-            return 0
-        return self.terms.get(self.ring._zero_exp, 0)
+        return self.terms.get(0, 0)
 
     def is_one(self) -> bool:
-        return self.terms.get(self.ring._zero_exp) == 1 and len(self.terms) == 1
+        return self.terms.get(0) == 1 and len(self.terms) == 1
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.ring.top
 
     def degree_in(self, var_indices) -> int:
         """Total degree in the given subset of variables (-1 for zero)."""
         if not self.terms:
             return -1
-        if len(var_indices) < 2:
-            return max(map(operator.itemgetter(*var_indices), self.terms)) if var_indices else 0
-        return max(map(sum, map(operator.itemgetter(*var_indices), self.terms)))
+        shifts = [self.ring.shifts[i] for i in var_indices]
+        if len(shifts) < 2:
+            return max(_column(self.terms, shifts[0])) if shifts else 0
+        return max(sum(k >> s & _FIELD for s in shifts) for k in self.terms)
 
     def variables(self):
         """Indices of variables that actually occur."""
-        seen = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p:
-                    seen.add(i)
-        return seen
+        acc = 0
+        for k in self.terms:
+            acc |= k
+        return {i for i, s in enumerate(self.ring.shifts) if acc >> s & _FIELD}
 
     def leading(self):
-        """(exponent, coefficient) of the grevlex-leading term."""
+        """(key, coefficient) of the grevlex-leading term."""
         if not self.terms:
             raise ZeroPolynomial("leading term of zero polynomial")
-        exp = max(self.terms, key=_grevlex_key)
-        return exp, self.terms[exp]
+        k = _grevlex_max(self.terms, self.ring)
+        return k, self.terms[k]
 
     def leading_coeff(self):
         return self.leading()[1]
@@ -239,7 +303,7 @@ class MPoly:
 
     def __mul__(self, other):
         # a constant factor scales the other operand's terms and keeps its
-        # exponent keys; a unit factor returns it, as MPoly is never mutated
+        # keys; a unit factor returns it, as MPoly is never mutated
         if isinstance(other, MPoly):
             if other.is_constant():
                 c = other.constant_value()
@@ -258,16 +322,23 @@ class MPoly:
             return MPoly(self.ring, out if type(c) is int and _all_int(self.terms)
                          else _fix(out))
         a, b = self.terms, other.terms
+        # the top keys' exponent fields add without a carry, so the sum
+        # reaches the limit exactly when the degrees add up past MAX_DEGREE
+        if max(a) + max(b) >= self.ring.limit:
+            raise DegreeOverflow("product of total degree %d exceeds %d" % (
+                self.total_degree() + other.total_degree(), MAX_DEGREE))
         if len(a) > len(b):
             a, b = b, a
-        out = {}
+        rows = iter(a.items())
+        ea, ca = next(rows)
+        out = {ea + eb: ca * cb for eb, cb in b.items()}
         get = out.get
-        add = operator.add
-        for ea, ca in a.items():
+        for ea, ca in rows:
             for eb, cb in b.items():
-                e = tuple(map(add, ea, eb))
+                e = ea + eb
                 out[e] = get(e, 0) + ca * cb
-        out = {e: c for e, c in out.items() if c}
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
         return MPoly(self.ring, out if _all_int(a) and _all_int(b) else _fix(out))
 
     __rmul__ = __mul__
@@ -280,8 +351,9 @@ class MPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -304,12 +376,12 @@ class MPoly:
     # -- calculus / substitution ------------------------------------------------
 
     def derivative(self, i) -> "MPoly":
+        s, unit = self.ring.shifts[i], self.ring.units[i]
         out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                ne = list(e)
-                ne[i] -= 1
-                out[tuple(ne)] = c * e[i]
+        for k, c in self.terms.items():
+            d = k >> s & _FIELD
+            if d:
+                out[k - unit] = c * d
         return MPoly(self.ring, _fix(out))
 
     def shift_var(self, i, offset) -> "MPoly":
@@ -317,52 +389,57 @@ class MPoly:
         if offset == 0:
             return self
         offset = _coef(offset)
+        s, unit = self.ring.shifts[i], self.ring.units[i]
+        rows = {}  # d: the coefficients of (x_i + offset)^d, from x_i^0 up
         out = {}
-        for e, c in self.terms.items():
-            d = e[i]
-            if d == 0:
-                _acc(out, e, c)
+        get = out.get
+        for k, c in self.terms.items():
+            d = k >> s & _FIELD
+            if not d:
+                out[k] = get(k, 0) + c
                 continue
-            # (x+t)^d expanded over binomials
-            for j in range(d + 1):
-                ne = list(e)
-                ne[i] = j
-                _acc(out, tuple(ne), c * math.comb(d, j) * offset ** (d - j))
-        return MPoly(self.ring, out)
+            row = rows.get(d)
+            if row is None:
+                row = rows[d] = [math.comb(d, j) * offset ** (d - j) for j in range(d + 1)]
+            k -= d * unit
+            for b in row:
+                out[k] = get(k, 0) + c * b
+                k += unit
+        if 0 in out.values():
+            out = {e: c for e, c in out.items() if c}
+        return MPoly(self.ring, out if type(offset) is int and _all_int(self.terms)
+                     else _fix(out))
 
     def scale_var(self, i, factor_index=None, factor=None) -> "MPoly":
         """Substitute x_i -> q*x_i where q is the variable at factor_index,
         or x_i -> factor*x_i for a rational factor."""
+        s = self.ring.shifts[i]
+        unit = 0 if factor_index is None else self.ring.units[factor_index]
         out = {}
         for e, c in self.terms.items():
-            d = e[i]
-            if factor_index is not None and d:
-                ne = list(e)
-                ne[factor_index] += d
-                e = tuple(ne)
-            if factor is not None and d:
-                c = c * _coef(factor) ** d
+            d = e >> s & _FIELD
+            if d:
+                e += d * unit
+                if factor is not None:
+                    c = c * _coef(factor) ** d
             _acc(out, e, c)
-        return MPoly(self.ring, out)
+        return _checked(MPoly(self.ring, out))
 
     def power_var(self, i, b) -> "MPoly":
         """Substitute x_i -> x_i**b (Mahler substitution)."""
+        s, unit = self.ring.shifts[i], self.ring.units[i]
         out = {}
         for e, c in self.terms.items():
-            ne = list(e)
-            ne[i] *= b
-            _acc(out, tuple(ne), c)
-        return MPoly(self.ring, out)
+            _acc(out, e + (b - 1) * (e >> s & _FIELD) * unit, c)
+        return _checked(MPoly(self.ring, out))
 
     def eval_var(self, i, value: "RatFunc") -> "RatFunc":
         """Substitute a rational function for x_i, by Horner in x_i."""
+        s, unit = self.ring.shifts[i], self.ring.units[i]
         groups = {}
         for e, c in self.terms.items():
-            ne = list(e)
-            d = ne[i]
-            ne[i] = 0
-            g = groups.setdefault(d, {})
-            _acc(g, tuple(ne), c)
+            d = e >> s & _FIELD
+            _acc(groups.setdefault(d, {}), e - d * unit, c)
         if not groups:
             return RatFunc.zero(self.ring)
         result = RatFunc.zero(self.ring)
@@ -380,13 +457,14 @@ class MPoly:
         """Evaluate at a full rational point (sequence indexed like the
         ring): exact, an int when the point and the coefficients are."""
         values = [_coef(x) for x in values]
+        used = [(values[i], self.ring.shifts[i]) for i in self.variables()]
         total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(values, e):
-                if p:
-                    v *= x ** p
-            total += v
+        for k, c in self.terms.items():
+            for x, s in used:
+                d = k >> s & _FIELD
+                if d:
+                    c *= x ** d
+            total += c
         return total
 
     # -- normalization ----------------------------------------------------------
@@ -411,6 +489,14 @@ class MPoly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _checked(f: MPoly) -> MPoly:
+    """f, unless a substitution took one of its terms past MAX_DEGREE (a
+    key at or above the limit: the degree field is the top one)."""
+    if f.terms and max(f.terms) >= f.ring.limit:
+        raise DegreeOverflow("total degree %d exceeds %d" % (f.total_degree(), MAX_DEGREE))
+    return f
 
 
 def _divided(f: MPoly, c) -> MPoly:
@@ -443,13 +529,14 @@ def _acc(d, e, c):
 def format_poly(p: MPoly) -> str:
     if not p.terms:
         return "0"
-    names = p.ring.names
+    ring = p.ring
+    names = ring.names
     bits = []
-    for e in sorted(p.terms, key=_grevlex_key, reverse=True):
-        c = p.terms[e]
+    for k in sorted(p.terms, key=ring.low.__xor__, reverse=True):
+        c = p.terms[k]
         mono = "*".join(
             names[i] if d == 1 else "%s^%d" % (names[i], d)
-            for i, d in enumerate(e) if d
+            for i, d in enumerate(ring._exponents(k)) if d
         )
         if mono:
             if c == 1:
@@ -475,15 +562,16 @@ def _fmt_coeff(c) -> str:
 
 # -- exact division and gcd ------------------------------------------------------
 
-def _heap_key(exp):
-    # negated grevlex key, flat: heapq pops the order-largest exponent
-    # first, the key of a product of monomials is the sum of their keys,
-    # and key[:0:-1] is the exponent again
-    return (-sum(exp),) + exp[::-1]
-
-
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
-    """Exact polynomial division; raises ValueError if g does not divide f."""
+    """Exact polynomial division; raises ValueError if g does not divide f.
+
+    Heap division (Monagan and Pearce) in the order of the keys, which is
+    a monomial order: the heap holds the negated keys of the remainder's
+    terms, so it pops the largest first.  A remainder term whose key fk
+    has an exponent field below that of g's top key gk is not divisible,
+    and then g does not divide f: with every exponent field's guard bit set
+    in fk, fk - gk clears a guard exactly where gk's field is the larger
+    (the degree field follows the exponents)."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
@@ -492,31 +580,30 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
         return f
     if g.is_constant():
         return _divided(f, g.constant_value())
-    ge, gc = g.leading()
-    gk = _heap_key(ge)
-    # the remainder and the heap are keyed by `_heap_key`, so each step
-    # adds keys and never builds an exponent it does not store
-    rem = {_heap_key(e): c for e, c in f.terms.items()}
-    heap = list(rem)
+    guards = f.ring.guards
+    gk = max(g.terms)
+    gc = g.terms[gk]
+    rem = dict(f.terms)
+    heap = [-k for k in rem]
     heapq.heapify(heap)
     quo = {}
-    gitems = [(_heap_key(e), c) for e, c in g.terms.items() if e != ge]
+    gitems = [(k, c) for k, c in g.terms.items() if k != gk]
     while heap:
-        fk = heapq.heappop(heap)
+        fk = -heapq.heappop(heap)
         fc = rem.pop(fk, None)
         if fc is None:
             continue  # cancelled, or a repeat of a key pushed again
-        qk = tuple(map(operator.sub, fk, gk))
-        if min(qk[1:]) < 0:
+        if (fk | guards) - gk & guards != guards:
             raise ValueError("not divisible")
+        qk = fk - gk
         qc = fc if gc == 1 else _qdiv(fc, gc)
-        quo[qk[:0:-1]] = qc
+        quo[qk] = qc
         for ek, c in gitems:
-            tk = tuple(map(operator.add, qk, ek))
+            tk = qk + ek
             cur = rem.get(tk)
             if cur is None:
                 rem[tk] = -qc * c
-                heapq.heappush(heap, tk)
+                heapq.heappush(heap, -tk)
             else:
                 cur -= qc * c
                 if cur:
@@ -683,31 +770,29 @@ def _modular_gcd(a: MPoly, b: MPoly):
     else:
         live = sorted(a.variables() | b.variables())
     gamma = math.gcd(a.leading_coeff().numerator, b.leading_coeff().numerator)
-    nvars = a.ring.nvars
+    ring = a.ring
+    nvars = ring.nvars
+    shifts = [ring.shifts[i] for i in live]
+    units = [ring.units[i] for i in live]
     for p in _gcd_primes():
         if gamma % p == 0:
             continue
         # values for the dead variables, then x0 and the direction
         drawn = _draws(p, nvars + len(live) - 1)
-        dead = list(zip((i for i in range(nvars) if i not in live), drawn))
-        memo = {}
-        images = [{e: v for e, v in _image_mod_p(f, dead, live, p, memo).items() if v}
+        image = _Images(ring, zip((i for i in range(nvars) if i not in live), drawn), live, p)
+        # `modp` takes the images as term dicts over the live variables
+        images = [{tuple(k >> s & _FIELD for s in shifts): v for k, v in image(f).items() if v}
                   for f in (a, b)]
         if not all(images):
             continue
-        x0 = tuple(drawn[len(dead):nvars])
+        x0 = tuple(drawn[nvars - len(live):nvars])
         generic = (1,) + tuple(drawn[nvars:])
         res = _gcd_mod_p(*images, x0, generic, p)
         if res is None:
             continue
         half = p // 2
-        terms = {}
-        for e, v in res.items():
-            full = [0] * nvars
-            for i, d in zip(live, e):
-                full[i] = d
-            terms[tuple(full)] = v
-        scale = gamma * pow(terms[max(terms, key=_grevlex_key)], -1, p)
+        terms = {sum(map(operator.mul, e, units)): v for e, v in res.items()}
+        scale = gamma * pow(terms[_grevlex_max(terms, ring)], -1, p)
         for e, v in terms.items():
             v = v * scale % p
             terms[e] = v - p if v > half else v
@@ -741,7 +826,7 @@ def _solve_points(nvars):
 
 def _degrees(f: MPoly) -> list:
     """deg_v(f) for every variable v of the ring (f nonzero)."""
-    return [max(col) for col in zip(*f.terms)]
+    return list(map(max, _columns(f)))
 
 
 def _image_bounds(a: MPoly, b: MPoly):
@@ -750,14 +835,13 @@ def _image_bounds(a: MPoly, b: MPoly):
     variable at `_IMAGE_POINT`, and 0 where one of them lacks v; None when
     lc_v(a) or lc_v(b) vanishes there."""
     p = _IMAGE_PRIME
-    da, db = _degrees(a), _degrees(b)
     wa, wb = _term_values_mod_p(a), _term_values_mod_p(b)
-    bounds = [0] * len(da)
-    for v in range(len(da)):
-        if not (da[v] and db[v]):
+    bounds = [0] * a.ring.nvars
+    for v, (ca, cb) in enumerate(zip(wa[0], wb[0])):
+        if not (max(ca) and max(cb)):
             continue
-        ia = _image_in(wa, v, da[v])
-        ib = _image_in(wb, v, db[v])
+        ia = _image_in(wa, v)
+        ib = _image_in(wb, v)
         if not (ia[-1] and ib[-1]):
             return None
         bounds[v] = len(_modp_univ_gcd(ia, ib, p)) - 1
@@ -780,27 +864,35 @@ def _powers(i, deg, sign=1):
 
 
 def _term_values_mod_p(f: MPoly):
-    """(exponent, value mod `_IMAGE_PRIME` at `_IMAGE_POINT`) per term of f;
-    None when the prime divides a coefficient denominator."""
+    """(columns, values): per variable, its exponent in each term of f, and
+    the value of each term mod `_IMAGE_PRIME` at `_IMAGE_POINT`, by one
+    power table per variable; None when the prime divides a coefficient
+    denominator."""
     p = _IMAGE_PRIME
-    table = [_powers(i, d) for i, d in enumerate(_degrees(f))]
-    out = []
-    for e, c in f.terms.items():
-        if type(c) is not int:
-            if not c.denominator % p:
-                return None
-            c = c.numerator * pow(c.denominator, -1, p)
-        out.append((e, c * math.prod(map(list.__getitem__, table, e)) % p))
-    return out
+    values = list(f.terms.values())
+    columns = _columns(f)
+    if not _all_int(f.terms):
+        for j, c in enumerate(values):
+            if type(c) is not int:
+                if not c.denominator % p:
+                    return None
+                values[j] = c.numerator * pow(c.denominator, -1, p)
+    for i, col in enumerate(columns):
+        top = max(col)
+        if top:
+            values = list(map(operator.mul, values, map(_powers(i, top).__getitem__, col)))
+    return columns, list(map(p.__rmod__, values))
 
 
-def _image_in(values, v, deg):
+def _image_in(term_values, v):
     """Dense coefficients in x_v of the image whose term values are
-    `values`: each term's x_v factor is divided back out."""
+    `term_values` (`_term_values_mod_p`): each term's x_v factor is divided
+    back out."""
+    col, values = term_values[0][v], term_values[1]
+    deg = max(col)
     coeffs = [0] * (deg + 1)
     inv = _powers(v, deg, -1)
-    for e, w in values:
-        d = e[v]
+    for d, w in zip(col, values):
         coeffs[d] += w * inv[d]
     return [c % _IMAGE_PRIME for c in coeffs]
 
@@ -1003,6 +1095,9 @@ def _over(values, L):
     is that numerator over the product of L."""
     out, cofactors = [], {}  # L over each distinct denominator, expanded once
     for x in values:
+        if not x.numer.terms:
+            out.append(x.numer)
+            continue
         E = _resolved(x.fac)
         key = frozenset(E.items())
         q = cofactors.get(key)
@@ -1047,7 +1142,7 @@ def _factor_image(f: _Factor, v):
     """f's image in x_v (`_image_in`), or None where lc_v(f) vanishes."""
     img = f.images.get(v, False)
     if img is False:
-        img = _image_in(_term_values_mod_p(f), v, max(e[v] for e in f.terms))
+        img = _image_in(_term_values_mod_p(f), v)
         img = f.images[v] = img if img[-1] else None
     return img
 
@@ -1087,8 +1182,8 @@ class _Screen:
             if img is False:
                 if self.values is None:
                     self.values = _term_values_mod_p(self.n) or ()
-                img = self.raw[v] = _univ_trim(_image_in(
-                    self.values, v, max(e[v] for e, _ in self.values))) if self.values else None
+                img = self.raw[v] = (_univ_trim(_image_in(self.values, v))
+                                     if self.values else None)
             for f, k in self.divisions:
                 img = _image_over(img, f, v, k)
             self.images[v] = img
@@ -1660,26 +1755,35 @@ def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
 
 def _t_expanded_rows(rows, ring, t_var_idx, labels=None):
     """Each RatFunc row cleared of its denominators and split by powers of
-    t: one MPoly row over Q[x] per t-exponent te that occurs.  A vector
-    over Q(x) solves the row exactly when it solves all of them.  Row r is
-    cleared by L_r, the keywise max of its entries' resolved factor dicts
-    (`_keywise_max`), as `_pivot_rows_mod_p` clears it; labels, when
-    given, receives each output row's label as that pass names it: (r, te),
-    or r alone when there is no t."""
+    t: one MPoly row over Q[x] per t-part that occurs, the key tk of a
+    monomial in t.  A term of key k goes to tk's row with key k - tk.  A
+    vector over Q(x) solves the row exactly when it solves all of them.
+    Row r is cleared by L_r, the keywise max of its entries' resolved
+    factor dicts (`_keywise_max`), as `_pivot_rows_mod_p` clears it;
+    labels, when given, receives each output row's label as that pass
+    names it: (r, tk), or r alone when there is no t."""
     out = []
-    tset = set(t_var_idx)
+    fields = [(ring.shifts[j], ring.units[j]) for j in t_var_idx]
     for r, row in enumerate(rows):
-        groups = {}
+        groups = {}  # tk: {column: terms}
         L = _keywise_max(_resolved(x.fac) for x in row)
-        for ci, f in enumerate(_over(row, L)):
-            for e, c in f.terms.items():
-                te = tuple(e[j] for j in t_var_idx)
-                xe = tuple(0 if j in tset else d for j, d in enumerate(e))
-                _acc(groups.setdefault(te, [{} for _ in row])[ci], xe, c)
-        for te, polys in sorted(groups.items()):
-            out.append([MPoly(ring, terms) for terms in polys])
+        for j, f in enumerate(_over(row, L)):
+            for k, c in f.terms.items():
+                tk = 0
+                for s, unit in fields:
+                    tk += (k >> s & _FIELD) * unit
+                polys = groups.get(tk)
+                if polys is None:
+                    polys = groups[tk] = {}
+                terms = polys.get(j)
+                if terms is None:
+                    terms = polys[j] = {}
+                terms[k - tk] = c
+        for tk, polys in sorted(groups.items()):
+            out.append([MPoly(ring, polys[j]) if j in polys else ring.zero
+                        for j in range(len(row))])
             if labels is not None:
-                labels.append((r, te) if t_var_idx else r)
+                labels.append((r, tk) if t_var_idx else r)
     return out
 
 
@@ -1755,9 +1859,9 @@ def _kernel_on_support(rows, ncols, ring, point, p):
     rebuild finds.  An entry of w that vanishes at a is missed, and the
     padded vector fails the caller's check, which then retries at its
     next (prime, point)."""
-    xs, memo = list(enumerate(point)), {}
-    images = [{j: v for j, f in enumerate(row)
-               if (v := _image_mod_p(f, xs, (), p, memo).get((), 0))} for row in rows]
+    image = _Images(ring, enumerate(point), (), p)
+    images = [{j: v for j, f in enumerate(row) if f.terms and (v := image(f).get(0, 0))}
+              for row in rows]
     pivots = {}
     for vec in images:
         if not _echelon_insert_mod_p(pivots, dict(vec), range(ncols), p):
@@ -1817,10 +1921,14 @@ def _kernel_by_points(rows, ncols, ring, point, p=None):
     exactly.
     """
     p = _IMAGE_PRIME if p is None else p
-    active = sorted({i for row in rows for f in row for e in f.terms
-                     for i, d in enumerate(e) if d})
+    active = sorted(set().union(*(f.variables() for row in rows for f in row)))
+    shifts = [ring.shifts[i] for i in active]
     cap = sum(max((f.total_degree() for f in row), default=0) for row in rows)
-    solve = _point_solver(rows, ncols, active, p)
+    # `modp` takes the rows, and gives the vector back, as term dicts over
+    # the active variables
+    solve = _point_solver([[{tuple(k >> s & _FIELD for s in shifts): c
+                             for k, c in f.terms.items()} for f in row] for row in rows],
+                          ncols, len(active), p)
     a = tuple(point[i] % p for i in active)
     base = solve(a)
     if base is None:
@@ -1846,20 +1954,19 @@ def _kernel_by_points(rows, ncols, ring, point, p=None):
             return None
     else:
         polys = {j: {(): x} for j, x in base[1].items() if x}
+    units = [ring.units[i] for i in active]
+    polys = {j: {sum(map(operator.mul, e, units)): v for e, v in f.items()}
+             for j, f in polys.items()}
     # one common scale: the leading coefficient of the first entry is 1
     lead = next(f for f in polys.values() if f)
-    inv = pow(lead[max(lead, key=_grevlex_key)], -1, p)
+    inv = pow(lead[_grevlex_max(lead, ring)], -1, p)
     vec = [ring.zero] * ncols
     for j, f in polys.items():
         terms = {}
-        for e, v in f.items():
-            q = _rational_lift(v * inv % p, p)
+        for k, v in f.items():
+            q = terms[k] = _rational_lift(v * inv % p, p)
             if q is None:
                 return None
-            full = [0] * ring.nvars
-            for i, d in zip(active, e):
-                full[i] = d
-            terms[tuple(full)] = q
         vec[j] = MPoly(ring, terms)
     return vec
 
@@ -1867,7 +1974,7 @@ def _kernel_by_points(rows, ncols, ring, point, p=None):
 def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None) -> list:
     """The t-expanded rows that add rank to one echelon mod p
     (`_IMAGE_PRIME` unless given): for each pivot, in order, the label of
-    the row it came from, (r, te) for row r's t-exponent te, or r alone
+    the row it came from, (r, tk) for row r's t-part tk, or r alone
     when there is no t, so the length of the list is the rank found (it
     stops at ncols).
     This is the one mod-p rank: the t-free proof and the row selection of
@@ -1877,7 +1984,7 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None) -> list:
     The entries are MPoly or RatFunc over Q(x, t), t the variables
     t_var_idx (none for a matrix over Q(x)).  Each row goes in as its
     exact t-expansion taken at the point in x (`_cleared_images`): the
-    rows of `_t_expanded_rows`, one per t-exponent, in the same order.  A
+    rows of `_t_expanded_rows`, one per t-part, in the same order.  A
     row with a coefficient denominator p divides is skipped, and so is a
     row with a denominator factor whose image is the zero polynomial in t.
     Reducing mod p and setting x to the point is a ring homomorphism on
@@ -1890,26 +1997,29 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None) -> list:
     rank names the rows an exact solve starts from.  No randomness is
     involved beyond the point."""
     p = _IMAGE_PRIME if p is None else p
+    ring = next((x.ring for row in rows for x in row), None)
+    if ring is None:
+        return []
     tset = set(t_var_idx)
-    xs = [(i, x) for i, x in enumerate(point) if i not in tset]
+    image = _Images(ring, ((i, x) for i, x in enumerate(point) if i not in tset),
+                    t_var_idx, p)
     columns = range(ncols)
-    memo = {}  # monomial values and coefficient-denominator inverses (`_image_mod_p`)
     cache = {}  # images of the denominator factors and their products
     pivots, out = {}, []
     for r, row in enumerate(rows):
-        vectors = _cleared_images(row, xs, t_var_idx, p, memo, cache)
-        for te in sorted(vectors):
-            if _echelon_insert_mod_p(pivots, vectors[te], columns, p):
-                out.append((r, te) if t_var_idx else r)
+        vectors = _cleared_images(row, image, cache)
+        for tk in sorted(vectors):
+            if _echelon_insert_mod_p(pivots, vectors[tk], columns, p):
+                out.append((r, tk) if t_var_idx else r)
                 if len(out) == ncols:
                     return out
     return out
 
 
-def _cleared_images(row, xs, t_var_idx, p, memo, cache) -> dict:
-    """{te: {col: value}}: the row's t-expanded rows (`_t_expanded_rows`)
-    at the point xs mod p, one per t-exponent te with a nonzero value; {}
-    when the row is skipped (see `_pivot_rows_mod_p`).
+def _cleared_images(row, image, cache) -> dict:
+    """{tk: {col: value}}: the row's t-expanded rows (`_t_expanded_rows`)
+    under the map `image` (an `_Images`), one per t-part tk with a nonzero
+    value; {} when the row is skipped (see `_pivot_rows_mod_p`).
 
     The row is cleared by L, the keywise max of its entries' resolved
     factor dicts E_j, so entry j becomes N_j*(L/E_j).  The image of L/E_j
@@ -1921,36 +2031,37 @@ def _cleared_images(row, xs, t_var_idx, p, memo, cache) -> dict:
     the coefficients of its t-monomials.  cache keeps, per call, each
     factor's image (None when it is zero) and, keyed by the factor dict
     and the packing, each product of factor images."""
-    nums, dens = [], []
-    for x in row:
+    p = image.p
+    nums, dens = {}, []  # the images of the nonzero entries, by column
+    for j, x in enumerate(row):
         num, E = (x.numer, _resolved(x.fac)) if isinstance(x, RatFunc) else (x, _NOFAC)
-        image = _image_mod_p(num, xs, t_var_idx, p, memo)
-        if image is None:
-            return {}
-        nums.append(image)
-        dens.append(E)
+        if num.terms:
+            img = nums[j] = image(num)
+            if img is None:
+                return {}
+            dens.append(E)
     L = _keywise_max(dens)
     for f in L:
         if f not in cache:
-            image = _image_mod_p(f, xs, t_var_idx, p, memo)
-            cache[f] = image if any(image.values()) else None
+            img = image(f)
+            cache[f] = img if any(img.values()) else None
         if cache[f] is None:
             return {}
-    B = 1 + max(map(_image_degree, nums), default=0) + sum(
-        m * _image_degree(cache[f]) for f, m in L.items())
-    weights = tuple(B ** i for i in range(len(t_var_idx)))
+    B = 1 + max(map(image.degree, nums.values()), default=0) + sum(
+        m * image.degree(cache[f]) for f, m in L.items())
+    weights = [B ** i for i in range(len(image.t))]
 
-    def packed(image):
+    def packed(img):
         out = []
-        for te, v in image.items():
+        for tk, v in img.items():
             if v:  # B bounds the degrees of the nonzero values only
-                k = sum(map(operator.mul, te, weights))
+                k = sum((tk >> s & _FIELD) * w for (s, _), w in zip(image.t, weights))
                 out.extend([0] * (k + 1 - len(out)))
                 out[k] = v
         return out
 
     def product(A):
-        key = (frozenset(A.items()), weights)
+        key = (frozenset(A.items()), B)
         if key not in cache:
             out = [1]
             for f, m in A.items():
@@ -1962,51 +2073,66 @@ def _cleared_images(row, xs, t_var_idx, p, memo, cache) -> dict:
     top = product(L)
     cofactors = {}  # image(L)/image(E) per distinct E of the row
     vectors = {}
-    for j, (image, E) in enumerate(zip(nums, dens)):
+    for (j, img), E in zip(nums.items(), dens):
         key = frozenset(E.items())
         if key not in cofactors:
             cofactors[key] = _univ_divmod(top, product(E), p)[0] if E else top
-        for k, v in enumerate(_univ_mul(packed(image), cofactors[key], p)):
+        for k, v in enumerate(_univ_mul(packed(img), cofactors[key], p)):
             if v:
-                te = []
-                for _ in weights:
+                tk = 0
+                for _, unit in image.t:
                     k, d = divmod(k, B)
-                    te.append(d)
-                vectors.setdefault(tuple(te), {})[j] = v
+                    tk += d * unit
+                vectors.setdefault(tk, {})[j] = v
     return vectors
 
 
-def _image_degree(image) -> int:
-    """The total t-degree of an image {te: value}; 0 for the zero image."""
-    return max((sum(te) for te, v in image.items() if v), default=0)
+class _Images:
+    """The map that takes a polynomial mod p with each variable i set to x
+    for (i, x) in xs, the variables t_var_idx kept: image(f) is
+    {t-part key: value}, the key 0 alone when there is no t; None when p
+    divides a coefficient denominator.  It keeps, for its point and p,
+    each monomial's t-part and x-value, and a power table per variable's
+    field."""
 
+    def __init__(self, ring, xs, t_var_idx, p):
+        self.p, self.top = p, ring.top
+        self.xs = [(ring.shifts[i], x % p, [1]) for i, x in xs]
+        self.t = [(ring.shifts[j], ring.units[j]) for j in t_var_idx]
+        self.monomials = {}
 
-def _image_mod_p(f: MPoly, xs, t_var_idx, p, memo):
-    """f mod p with each x-variable i set to x for (i, x) in xs, as a dict
-    {t-exponent: value}; None when p divides a coefficient denominator.
-    memo keeps, for the caller's xs and p, each monomial's t-exponent and
-    x-value and each coefficient denominator's inverse."""
-    out = {}
-    for e, c in f.terms.items():
-        if type(c) is int:
-            v = c % p
-        else:
-            inv = memo.get(c.denominator)
-            if inv is None:
+    def __call__(self, f: MPoly):
+        p, monomials = self.p, self.monomials
+        out = {}
+        for k, c in f.terms.items():
+            if type(c) is not int:
                 if not c.denominator % p:
                     return None
-                inv = memo[c.denominator] = pow(c.denominator, -1, p)
-            v = c.numerator * inv % p
-        hit = memo.get(e)
-        if hit is None:
-            w = 1
-            for i, x in xs:
-                if e[i]:
-                    w = w * pow(x, e[i], p) % p
-            hit = memo[e] = (tuple(e[j] for j in t_var_idx), w)
-        te, w = hit
-        out[te] = (out.get(te, 0) + v * w) % p
-    return out
+                c = c.numerator * pow(c.denominator, -1, p)
+            hit = monomials.get(k)
+            if hit is None:
+                hit = monomials[k] = self._split(k)
+            tk, w = hit
+            out[tk] = (out.get(tk, 0) + c * w) % p
+        return out
+
+    def _split(self, k):
+        """(t-part key, x-value mod p) of the monomial key k."""
+        p, w = self.p, 1
+        for s, x, powers in self.xs:
+            d = k >> s & _FIELD
+            if d:
+                while len(powers) <= d:
+                    powers.append(powers[-1] * x % p)
+                w = w * powers[d] % p
+        tk = 0
+        for s, unit in self.t:
+            tk += (k >> s & _FIELD) * unit
+        return tk, w
+
+    def degree(self, img) -> int:
+        """The total t-degree of an image {tk: value}; 0 for the zero image."""
+        return max((tk >> self.top for tk, v in img.items() if v), default=0)
 
 
 def matrix_rank_at_point(rows, ncols, point) -> int:

@@ -14,10 +14,17 @@ from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .arith import PolyRing, RatFunc, _coef
+from .arith import MAX_DEGREE, PolyRing, RatFunc, _coef
 from .closure import closure_apply, closure_product, closure_sum
 from .dimension import hilbert_dimension
-from .errors import KindError, OrecalcError, OutOfDomain, ProblemSyntaxError, UnknownName
+from .errors import (
+    DegreeOverflow,
+    KindError,
+    OrecalcError,
+    OutOfDomain,
+    ProblemSyntaxError,
+    UnknownName,
+)
 from .groebner import GREVLEX, GRLEX, LeftIdeal, MonomialOrder
 from .growth import growth_probe, growth_zero_dimensional
 from .ore import CATALOG, OreAlgebra, OreGenerator, OreKind, OrePoly, format_opoly
@@ -303,7 +310,7 @@ class Parser:
             op = self.next()
             rhs = self.parse_opfactor(alg)
             if op.text == "*":
-                value = value * rhs
+                value = _within_degree(lambda: value * rhs, op)
                 continue
             if set(rhs.terms) - {alg._zero_exp}:
                 raise ProblemSyntaxError("division only by coefficient expressions",
@@ -320,8 +327,12 @@ class Parser:
             return -self.parse_opfactor(alg)
         value = self.parse_opatom(alg)
         while self.peek().text == "^":
-            self.next()
-            value = value ** self.expect_int()
+            op, t = self.next(), self.peek()
+            n = self.expect_int()
+            if n > MAX_DEGREE:
+                raise ProblemSyntaxError("exponent %d exceeds %d" % (n, MAX_DEGREE),
+                                         t.line, t.col)
+            value = _within_degree(lambda: value ** n, op)
         return value
 
     def parse_opatom(self, alg) -> OrePoly:
@@ -490,6 +501,15 @@ class Parser:
         return t.text
 
 
+def _within_degree(compute, token):
+    """compute(), a polynomial degree past `MAX_DEGREE` reported as a
+    syntax error at the operator token."""
+    try:
+        return compute()
+    except DegreeOverflow as exc:
+        raise ProblemSyntaxError(str(exc), token.line, token.col)
+
+
 def parse(text: str) -> ProblemFile:
     """Parse and build a problem file (algebra, ideals, oracles resolved)."""
     pf = Parser(text).parse_file()
@@ -587,19 +607,24 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
 
     A growth task binds no name and no task reads its result, so when a
     spare CPU is usable it runs in a forked helper process (`helper.Helper`)
-    while the tasks after it go on here.  Its entry, text line and status
-    are put back at its place, so the output is the same either way; a
-    helper that gives no valid result has its task run here instead.
-    Every helper is reaped before `run` returns or raises."""
+    while the other tasks go on here.  It starts when `run` begins if its
+    ideal is one the file declares and no closure before it rebinds that
+    name with `as` (`_start_helpers`), else at its place.  Its entry, text
+    line and status are put back at its place, so the output is the same
+    either way; a helper that gives no valid result has its task run here
+    instead.  Every helper is reaped before `run` returns or raises."""
     out = out if out is not None else sys.stdout
-    helpers = []   # (entry index, line index, helper, growth arguments)
+    helpers = {}   # task index: (helper, growth arguments)
+    slots = []     # (entry index, line index, task index) of each helper's result
     try:
-        status, report, lines = _run_tasks(pf, order, verify_box, helpers)
-        for i, j, helper, args in helpers:
+        _start_helpers(pf, order, helpers)
+        status, report, lines = _run_tasks(pf, order, verify_box, helpers, slots)
+        for i, j, t in slots:
+            helper, args = helpers[t]
             report["tasks"][i], lines[j], failed = helper.result() or _growth(*args)
             status |= failed
     finally:
-        for _, _, helper, _ in helpers:
+        for helper, _ in helpers.values():
             helper.stop()
     if fmt == "json":
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -609,10 +634,38 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
     return status, rendered
 
 
-def _run_tasks(pf, order, verify_box, helpers):
-    """The tasks in order; (exit status, report, text lines).  Each growth
-    task started in a helper is added to `helpers`, and its report entry
-    and text line are None until the caller puts its result there."""
+def _start_helpers(pf, order, helpers):
+    """Start a helper for each growth task, in file order, whose ideal is
+    the file's own: declared there, and rebound by no closure `as` before
+    the task.  helpers receives {task index: (helper, growth arguments)};
+    the first helper that cannot start ends the search."""
+    rebound = set()
+    for t, task in enumerate(pf.tasks):
+        d = task.data
+        if task.kind == "closure" and "as" in d:
+            rebound.add(d["as"])
+        elif task.kind == "growth" and d["ideal"] in pf.built_ideals.keys() - rebound:
+            from .helper import Helper  # only files with a growth task import it
+            args = (dict(pf.built_ideals), d, order, _entry(task))
+            helper = Helper.start(_growth, args, len(helpers))
+            if helper is None:
+                return
+            helpers[t] = helper, args
+
+
+def _entry(task):
+    """A task's report entry before it runs."""
+    entry = {"task": task.kind, "ok": True}
+    entry.update({k: v for k, v in task.data.items() if isinstance(v, (str, int, list))})
+    return entry
+
+
+def _run_tasks(pf, order, verify_box, helpers, slots):
+    """The tasks in order; (exit status, report, text lines).  A growth
+    task runs in its helper in `helpers`, or in one started here and added
+    there, when one can start; then its slot goes to `slots`, and its
+    report entry and text line are None until the caller puts its result
+    there."""
     report = {"schema_version": 1, "tasks": []}
     lines = []
     status = 0
@@ -622,10 +675,9 @@ def _run_tasks(pf, order, verify_box, helpers):
     def emit(text):
         lines.append(text)
 
-    for task in pf.tasks:
+    for t, task in enumerate(pf.tasks):
         d = task.data
-        entry = {"task": task.kind, "ok": True}
-        entry.update({k: v for k, v in d.items() if isinstance(v, (str, int, list))})
+        entry = _entry(task)
         try:
             if task.kind == "gb":
                 I = _get(ideals, d["ideal"])
@@ -664,17 +716,20 @@ def _run_tasks(pf, order, verify_box, helpers):
                 if not res.bound_met:
                     status = 1
             elif task.kind == "growth":
-                from .helper import Helper  # only files with a growth task import it
-                # the names as bound here: a task whose helper gives no
-                # result runs again after the later tasks have bound theirs
-                args = (dict(ideals), d, order, entry)
-                helper = Helper.start(_growth, args, len(helpers))
-                if helper is None:
+                if t not in helpers:
+                    from .helper import Helper  # only files with a growth task import it
+                    # the names as bound here: a task whose helper gives no
+                    # result runs again after the later tasks have bound theirs
+                    args = (dict(ideals), d, order, entry)
+                    helper = Helper.start(_growth, args, len(helpers))
+                    if helper is not None:
+                        helpers[t] = helper, args
+                if t in helpers:  # placeholders until the helper's result is in
+                    slots.append((len(report["tasks"]), len(lines), t))
+                    entry = line = None
+                else:
                     entry, line, failed = _growth(*args)
                     status |= failed
-                else:  # placeholders until the helper's result is in
-                    helpers.append((len(report["tasks"]), len(lines), helper, args))
-                    entry = line = None
                 emit(line)
             elif task.kind == "telescope":
                 I = _get(ideals, d["ideal"])

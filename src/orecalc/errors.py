@@ -9,6 +9,10 @@ class ZeroPolynomial(OrecalcError):
     """An operation that requires a nonzero polynomial got zero."""
 
 
+class DegreeOverflow(OrecalcError):
+    """A monomial's total degree would pass `arith.MAX_DEGREE`."""
+
+
 class UnknownVariable(OrecalcError):
     """A symbol is not a ground variable or parameter of the algebra."""
 

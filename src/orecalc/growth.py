@@ -43,7 +43,18 @@ class GrowthCertificate:
     degenerate: bool = False
     heuristic: bool = False
     window: int = 0
-    polys: list = dataclass_field(default_factory=list)
+    # the clearing polynomials P_s as factor dicts, and their ring; `polys`
+    # expands them on first read
+    facts: list = dataclass_field(default_factory=list, repr=False)
+    ring: object = dataclass_field(default=None, repr=False)
+    _polys: list = dataclass_field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def polys(self) -> list:
+        """The clearing polynomials P_s, expanded and monic."""
+        if self._polys is None:
+            self._polys = [factored_expand(A, self.ring) for A in self.facts]
+        return self._polys
 
     def __str__(self):
         tag = " (degenerate)" if self.degenerate else ""
@@ -177,7 +188,6 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
     t_idx = _t_indices(algebra, t_names)
     gb = I.groebner_basis(order)
     facts = [{}] + [lcm for lcm, _ in _clearing_lcms(gb, t_idx, window)]
-    polys = [factored_expand(A, algebra.field) for A in facts]
     degrees = [_fact_deg_t(A, t_idx) for A in facts]
     p, degenerate = _fit_exponent(degrees)
     method = "ExactClearing"
@@ -186,7 +196,8 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
         method = "HolonomicLPower"
     return GrowthCertificate(method=method, order=order, t_names=tuple(t_names),
                              degrees=degrees, p=p, degenerate=degenerate,
-                             heuristic=False, window=window, polys=polys)
+                             heuristic=False, window=window, facts=facts,
+                             ring=algebra.field)
 
 
 def growth_probe(I: LeftIdeal, t_names, window: int = 10,

@@ -134,10 +134,10 @@ def _echelon_kernel(pivots, order, p, free=None):
 _LIFT_MARGIN = 20
 
 
-def _point_solver(rows, ncols, active, p):
-    """solve(x) for the ncols - 1 MPoly rows: (free column, kernel vector
-    {col: nonzero value} with 1 there) of their images mod p with the
-    variables `active` at x, or None when they lose rank there.
+def _point_solver(rows, ncols, n, p):
+    """solve(x) for the ncols - 1 rows of term dicts {exponent: coefficient}
+    in n variables: (free column, kernel vector {col: nonzero value} with 1
+    there) of their images mod p at x, or None when they lose rank there.
 
     Each point is one sparse echelon (`_echelon_insert_mod_p`) and one
     back substitution.  The rows go in by their number of entries and the
@@ -148,14 +148,13 @@ def _point_solver(rows, ncols, active, p):
     for row in rows:
         entries = []
         for col, f in enumerate(row):
-            if f.terms:
+            if f:
                 # an integer coefficient stays as it is: most are small
                 entries.append((col, tuple(
-                    monomials.setdefault(tuple(e[i] for i in active), len(monomials))
-                    for e in f.terms), tuple(
+                    monomials.setdefault(e, len(monomials)) for e in f), tuple(
                     c if type(c) is int
                     else c.numerator * pow(c.denominator, -1, p) % p
-                    for c in f.terms.values())))
+                    for c in f.values())))
         compiled.append(entries)
     compiled.sort(key=len)
     counts = [0] * ncols
@@ -163,7 +162,7 @@ def _point_solver(rows, ncols, active, p):
         for col, _, _ in entries:
             counts[col] += 1
     order = sorted(range(ncols), key=counts.__getitem__)
-    degrees = [max((e[i] for e in monomials), default=0) for i in range(len(active))]
+    degrees = [max((e[i] for e in monomials), default=0) for i in range(n)]
 
     def solve(x):
         powers = [[pow(xi, d, p) for d in range(top + 1)] for xi, top in zip(x, degrees)]

@@ -11,14 +11,21 @@ Skew polynomials (OrePoly) multiply by repeated application of that rule.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
 
-from .arith import MPoly, PolyRing, RatFunc, _acc, _grevlex_key
+from .arith import MPoly, PolyRing, RatFunc, _acc
 from .errors import AlgebraMismatch, KindMismatch, UnknownVariable
+
+
+def _grevlex_key(exp):
+    # graded reverse lexicographic on generator exponent tuples; max() of
+    # keys picks the leading exponent
+    return (sum(exp),) + tuple(map(operator.neg, exp[::-1]))
 
 
 class OreKind(Enum):
@@ -350,8 +357,9 @@ class OrePoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):

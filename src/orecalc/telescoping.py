@@ -183,13 +183,13 @@ def restrict_to_x(f: OrePoly, t_names) -> OrePoly:
 
 def _remap_poly(p: MPoly, remap, ring) -> MPoly:
     terms = {}
-    for e, c in p.terms.items():
+    for e, c in p.to_terms().items():
         ne = [0] * ring.nvars
         for i, d in enumerate(e):
             if d:
                 ne[remap[i]] = d
         terms[tuple(ne)] = c
-    return MPoly(ring, terms)
+    return ring.from_terms(terms)
 
 
 # -- telescoper extraction ------------------------------------------------------
@@ -363,7 +363,8 @@ def _ansatz_coeff(K, tv, d, D) -> RatFunc:
     D the factor dict of `_denominator_ansatz`).  It is built without a
     gcd: only a factor equal to t can cancel, and the numerator carries the
     leading coefficient of D's product, since D is taken monic."""
-    t = _factor(K.var(K.names[tv]))[1]
+    x = K.var(K.names[tv])
+    t = _factor(x)[1]
     k = min(d, D.get(t, 0))  # t^k cancels
     fac = dict(D)
     if k:
@@ -371,8 +372,7 @@ def _ansatz_coeff(K, tv, d, D) -> RatFunc:
         if not fac[t]:
             del fac[t]
     lc = math.prod(f.leading_coeff() ** m for f, m in D.items())
-    return RatFunc._raw(K.monomial(tuple(d - k if j == tv else 0 for j in range(K.nvars)),
-                                   lc), fac or _NOFAC)
+    return RatFunc._raw(x ** (d - k) * lc, fac or _NOFAC)
 
 
 def _t_degree(D, t_var_idx) -> int:

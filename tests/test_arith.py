@@ -33,7 +33,7 @@ def rand_poly(ring, rng, max_terms=4, max_exp=3, max_coeff=6):
         c = Fraction(rng.randint(-max_coeff, max_coeff))
         if c:
             terms[e] = terms.get(e, Fraction(0)) + c
-    return MPoly(ring, {e: c for e, c in terms.items() if c})
+    return ring.from_terms(terms)
 
 
 class TestMPoly:
@@ -94,7 +94,7 @@ LINE_GCDS = {
 
 
 def _mod_p1(f):
-    return {e: c.numerator * pow(c.denominator, -1, P1) % P1 for e, c in f.terms.items()}
+    return {e: c.numerator * pow(c.denominator, -1, P1) % P1 for e, c in f.to_terms().items()}
 
 
 class TestGcd:

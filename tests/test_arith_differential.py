@@ -50,7 +50,7 @@ def to_sympy(p: MPoly):
     gens = sympy.symbols(p.ring.names)
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * sympy.Mul(*(x ** d for x, d in zip(gens, e)))
-                for e, c in p.terms.items()), sympy.Integer(0))
+                for e, c in p.to_terms().items()), sympy.Integer(0))
 
 
 def assert_canonical(r: RatFunc, expected):
@@ -290,7 +290,7 @@ def polys3(draw, coeff=st.integers(-5, 5), max_terms=3, max_exp=2):
     terms = draw(st.dictionaries(
         st.tuples(*[st.integers(0, max_exp)] * 3), coeff.filter(bool),
         min_size=1, max_size=max_terms))
-    return MPoly(R3, {e: coefficient(draw, c) for e, c in terms.items()})
+    return MPoly(R3, {k: coefficient(draw, c) for k, c in R3.from_terms(terms).terms.items()})
 
 
 wide = st.integers(2 ** 107, 2 ** 130) | st.integers(-2 ** 130, -2 ** 107)
@@ -313,7 +313,7 @@ def test_gcd_of_shifted_linear_products(ia, ib, ca, cb):
     check_cofactors(a, b)
 
 
-nk_polys = polys3().map(lambda p: MPoly(R3, {(e[0], e[1], 0): c for e, c in p.terms.items()}))
+nk_polys = polys3().map(lambda p: R3.from_terms({(e[0], e[1], 0): c for e, c in p.to_terms().items()}))
 
 
 @SETTINGS
@@ -354,7 +354,7 @@ def gcds4(draw):
                            for i in range(4)]).filter(lambda e: sum(e) <= 2)
         terms = draw(st.dictionaries(exps, st.integers(-5, 5).filter(bool),
                                      min_size=1, max_size=max_terms))
-        return MPoly(R4, {e: coefficient(draw, c) for e, c in terms.items()})
+        return MPoly(R4, {k: coefficient(draw, c) for k, c in R4.from_terms(terms).terms.items()})
 
     g = reduce(lambda f, _: f * poly(live, 3), range(draw(st.integers(1, 3))), R4.one)
     everything = range(4)
@@ -401,7 +401,7 @@ def check_kernel(rows, ncols):
 
 small = st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-3, 3)),
                  max_size=2).map(lambda ts: reduce(
-                     add, (R.monomial((a, b), c) for a, b, c in ts), R.zero))
+                     add, (R.from_terms({(a, b): c}) for a, b, c in ts), R.zero))
 
 
 @st.composite
@@ -534,7 +534,7 @@ def check_t_free_kernel(rows, ncols):
 
 n_polys = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3)), min_size=1,
                    max_size=2).map(lambda ts: reduce(
-                       add, (R.monomial((a, 0), c) for a, c in ts), R.zero))
+                       add, (R.from_terms({(a, 0): c}) for a, c in ts), R.zero))
 
 
 @st.composite
@@ -603,7 +603,7 @@ EXPONENTS3 = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
 xpolys = st.lists(st.tuples(st.sampled_from(EXPONENTS3),
                             st.fractions(min_value=-4, max_value=4, max_denominator=3)),
                   min_size=1, max_size=3).map(lambda ts: reduce(
-                      add, (RX.monomial(e, c) for e, c in ts), RX.zero))
+                      add, (RX.from_terms({e: c}) for e, c in ts), RX.zero))
 multipliers = st.sampled_from([RX.one, -RX.one, RX.const(2), RX.zero, XN, XM - XL,
                                XL + 1])
 

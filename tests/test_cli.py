@@ -311,14 +311,43 @@ def test_growth_helper_and_inline_reports_agree(name, golden_dir, monkeypatch):
         assert by_helper[0][1] == fh.read()
 
 
-@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
-def test_no_helper_outlives_a_failing_run(exc, monkeypatch):
-    """A task after the growth task raises while its helper may still run."""
+REBOUND = """algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
+ideal B = [(k - n - 1)*Sn + n + 1, (k + 1)*Sk + k - n];
+ideal C = [Sn - 1, (k + 1)*Sk - (k + 2)];
+closure product B C maxdeg 2 as B;
+growth exact B over k window 8;
+"""
+
+
+def test_a_growth_ideal_rebound_by_an_earlier_closure(monkeypatch):
+    """The helper of a growth task whose ideal an earlier closure rebinds
+    with `as` computes on the rebound ideal, as the task does inline."""
+    def reports():
+        return [run(parse(REBOUND), fmt=fmt, out=io.StringIO()) for fmt in ("json", "text")]
+
+    forks = _choose_growth_path(monkeypatch, "helper")
+    by_helper = reports()
+    assert len(forks) == 2
+    assert by_helper[1][1].splitlines()[1] == (
+        "growth exact B: p = 1  degrees [0, 3, 5, 7, 9, 11, 13, 15, 17]")
+    _choose_growth_path(monkeypatch, "inline")
+    assert reports() == by_helper
+
+
+@pytest.mark.parametrize("exc, failing", [
+    pytest.param(RuntimeError, "fasenmyer_search", id="RuntimeError"),
+    pytest.param(KeyboardInterrupt, "fasenmyer_search", id="KeyboardInterrupt"),
+    pytest.param(RuntimeError, "format_opoly", id="first-task-RuntimeError"),
+    pytest.param(KeyboardInterrupt, "format_opoly", id="first-task-KeyboardInterrupt"),
+])
+def test_no_helper_outlives_a_failing_run(exc, failing, monkeypatch):
+    """A task raises while the growth task's helper may still run: one
+    after the growth task, or the first task (gb, whose printing fails)."""
     def fails(*args, **kwargs):
         raise exc("task failed")
 
     forks = _choose_growth_path(monkeypatch, "helper")
-    monkeypatch.setattr(cli, "fasenmyer_search", fails)
+    monkeypatch.setattr(cli, failing, fails)
     with pytest.raises(exc):
         run(parse(_corpus_text("binomial")), out=io.StringIO())
     assert len(forks) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orecalc.arith import MPoly, RatFunc
+from orecalc.arith import RatFunc
 from orecalc.dimension import UNIT_IDEAL, hilbert_dimension
 from orecalc.errors import AlgebraMismatch
 from orecalc.groebner import (
@@ -38,7 +38,7 @@ def rand_opoly(alg, rng, max_deg=2, nterms=3):
         for _ in range(2):
             ce = tuple(rng.randint(0, 1) for _ in alg.field.names)
             coeffs[ce] = coeffs.get(ce, Fraction(0)) + rng.randint(-3, 3)
-        c = MPoly(alg.field, {k: v for k, v in coeffs.items() if v})
+        c = alg.field.from_terms(coeffs)
         if c.is_zero():
             continue
         out = out + OrePoly(alg, {e: RatFunc.from_poly(c)})

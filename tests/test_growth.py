@@ -5,6 +5,7 @@ import pytest
 from orecalc.arith import RatFunc, divides, poly_lcm
 from orecalc.cli import parse, run
 from orecalc.errors import BadWindow, NotDifferenceDifferential, NotZeroDimensional
+from orecalc import growth
 from orecalc.groebner import LeftIdeal
 from orecalc.growth import (
     growth_probe,
@@ -75,6 +76,16 @@ class TestGrowthExact:
             assert divides(a, b)
         # degrees nondecreasing
         assert all(x <= y for x, y in zip(cert.degrees, cert.degrees[1:]))
+
+    def test_clearing_polynomials_are_expanded_on_first_read(self, monkeypatch):
+        calls = []
+        expand = growth.factored_expand
+        monkeypatch.setattr(growth, "factored_expand",
+                            lambda A, ring: calls.append(A) or expand(A, ring))
+        cert = growth_zero_dimensional(binomial_ideal(), ["k"], window=8)
+        assert calls == []
+        assert len(cert.polys) == 9 and cert.polys[0].is_one()
+        assert len(calls) == 9 and cert.polys is cert.polys and len(calls) == 9
 
     def test_works_through_difference_form(self):
         # the same ideal expressed with difference operators (Prop. 1 route)

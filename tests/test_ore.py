@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from orecalc.arith import MPoly, PolyRing, RatFunc
+from orecalc.arith import PolyRing, RatFunc
 from orecalc.errors import AlgebraMismatch, KindMismatch
 from orecalc.ore import (
     CATALOG,
@@ -38,7 +38,7 @@ def rand_ratfunc(ring, rng, avoid_pole_at=None):
             c = Fraction(rng.randint(-5, 5))
             if c:
                 terms[e] = terms.get(e, Fraction(0)) + c
-        return MPoly(ring, {e: c for e, c in terms.items() if c})
+        return ring.from_terms(terms)
 
     num = rp()
     den = rp()

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from orecalc.arith import MPoly, PolyRing, RatFunc, divides, nullspace
+from orecalc.arith import PolyRing, RatFunc, divides, nullspace
 from orecalc.closure import closure_apply, closure_product, closure_sum
 from orecalc.groebner import GREVLEX, LeftIdeal, buchberger
 from orecalc.growth import growth_zero_dimensional
@@ -165,7 +165,7 @@ def test_nullspace_exactness():
         for _ in range(rng.randint(1, 2)):
             e = (rng.randint(0, 1), rng.randint(0, 1))
             terms[e] = terms.get(e, Fraction(0)) + rng.randint(-4, 4)
-        num = MPoly(R, {e: c for e, c in terms.items() if c})
+        num = R.from_terms(terms)
         den = (k + rng.randint(1, 3)) * (n + rng.randint(1, 3))
         return RatFunc(num, den if rng.random() < 0.5 else R.one)
 

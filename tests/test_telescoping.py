@@ -7,7 +7,6 @@ import pytest
 
 from orecalc import arith, groebner, telescoping
 from orecalc.arith import (
-    MPoly,
     PolyRing,
     RatFunc,
     _t_expanded_rows,
@@ -432,7 +431,7 @@ def _rand_poly(rng, ring, variables, max_deg=2):
             e[v] = rng.randint(0, max_deg)
         e = tuple(e)
         terms[e] = terms.get(e, Fraction(0)) + rng.randint(-4, 4)
-    return MPoly(ring, {e: c for e, c in terms.items() if c})
+    return ring.from_terms(terms)
 
 
 def _rand_entry(rng, ring=MK):
@@ -528,7 +527,7 @@ def _pass_images(row, ring, t_idx):
     """The t-expanded images the one pass puts into its echelon for row."""
     point = arith._image_point(ring.nvars)
     xs = [(i, x) for i, x in enumerate(point) if i not in t_idx]
-    return arith._cleared_images(row, xs, t_idx, arith._IMAGE_PRIME, {}, {})
+    return arith._cleared_images(row, arith._Images(ring, xs, t_idx, arith._IMAGE_PRIME), {})
 
 
 def _at_point(f, point):
@@ -569,7 +568,7 @@ class TestOnePass:
         x0 = arith._image_point(MKL.nvars)[0]
         m, k, l = (MKL.var(v) for v in MKL.names)
         for f in ((m - x0) * k ** 2 + l, l + (m - x0) * k ** 2):
-            assert _pass_images([RatFunc.from_poly(f)], MKL, (1, 2)) == {(0, 1): {0: 1}}
+            assert _pass_images([RatFunc.from_poly(f)], MKL, (1, 2)) == {l.leading()[0]: {0: 1}}
 
     def test_a_denominator_with_the_zero_image_skips_its_row(self, monkeypatch):
         # mod 7, m^7 - m is the zero polynomial in k at every point, so its
@@ -596,7 +595,7 @@ class TestOnePass:
         row = [RatFunc(k * Fraction(1, p) + 1, k + 2), RatFunc.from_poly(MKL.var("l"))]
         assert _pass_images(row, MKL, (1, 2)) == {}
         assert _t_expanded_rows([row], MKL, (1, 2))
-        assert _pass_images(row[1:], MKL, (1, 2)) == {(0, 1): {0: 1}}
+        assert _pass_images(row[1:], MKL, (1, 2)) == {MKL.var("l").leading()[0]: {0: 1}}
 
     def test_the_exact_solve_starts_from_the_pass_selection(self, monkeypatch):
         # _t_free_kernel makes one pass and hands its selection to
