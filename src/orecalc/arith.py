@@ -18,15 +18,12 @@ built on these coefficients.
 """
 from __future__ import annotations
 
-import array
 import heapq
 import math
 import numbers
 import operator
 import random
-import sys
 from fractions import Fraction
-from itertools import repeat
 
 from .errors import DegreeOverflow, ZeroPolynomial
 from .modp import (
@@ -114,16 +111,6 @@ MAX_DEGREE = (1 << (_WIDTH - 1)) - 1
 def _column(keys, shift):
     """The field at bit `shift` of each key, lazily."""
     return map(_FIELD.__and__, map(shift.__rrshift__, keys))
-
-
-def _columns(f) -> list:
-    """Per variable of f's ring, its exponent in each term of f, in the
-    order of f.terms.  A field is 16 bits, so the bytes of the keys, in the
-    machine's order, are an array of unsigned shorts, sliced by variable."""
-    n = f.ring.nvars + 1
-    fields = array.array("H", b"".join(map(int.to_bytes, f.terms, repeat(2 * n),
-                                           repeat(sys.byteorder))))
-    return [fields[i::n] for i in range(n - 1)]
 
 
 def _grevlex_max(keys, ring):
@@ -698,8 +685,9 @@ def _gcd_primes():
 
 
 def _draws(p, n) -> list:
-    """n residues mod p seeded by p alone: the points and directions that
-    `_modular_gcd`, `_solve_points` and `_kernel_by_points` take at p."""
+    """n residues mod p seeded by p alone: every point and direction the
+    module takes at p (`_image_point`, `_modular_gcd`, `_solve_points` and
+    `_kernel_by_points`)."""
     rng = random.Random(p ^ 0xB0B)
     return [rng.randrange(p) for _ in range(n)]
 
@@ -721,15 +709,15 @@ def _modular_gcd(a: MPoly, b: MPoly):
     """(h, a/h, b/h) for integer-primitive a, b and h their primitive gcd.
 
     First, image bounds (Brown 1971).  For each variable v both operands
-    contain, a and b are taken mod `_IMAGE_PRIME` at `_IMAGE_POINT` in every
-    variable but v.  By Gauss's lemma h divides a over Z, so lc_v(h)
-    divides lc_v(a); where lc_v(a) does not vanish at the point, the image
-    of h keeps its degree in v and divides the image of a.  So the degree
-    of the univariate gcd of the images bounds deg_v(h) whenever neither
-    leading coefficient vanishes; a variable only one operand contains has
-    bound 0.  All bounds 0 means h = 1.  An operand whose degrees meet
-    every bound is the only candidate, accepted once it divides the other
-    operand exactly.
+    contain, a and b are taken mod `_IMAGE_PRIME` at `_image_point` in
+    every variable but v (`_image_in`).  By Gauss's lemma h divides a over
+    Z, so lc_v(h) divides lc_v(a); where lc_v(a) does not vanish at the
+    point, the image of h keeps its degree in v and divides the image of
+    a.  So the degree of the univariate gcd of the images bounds deg_v(h)
+    whenever neither leading coefficient vanishes; a variable only one
+    operand contains has bound 0.  All bounds 0 means h = 1.  An operand
+    whose degrees meet every bound is the only candidate, accepted once it
+    divides the other operand exactly.
 
     Otherwise h is rebuilt mod p along lines (`modp._gcd_mod_p`, after
     Kaltofen 1988), for each p of `_gcd_primes` that does not divide
@@ -803,98 +791,65 @@ def _modular_gcd(a: MPoly, b: MPoly):
             continue
 
 
-# The module's mod-p decisions (gcd image bounds, row selection) are made at
-# this point mod this prime, variable i taking _IMAGE_POINT[i % 16].  Both
-# are fixed, so a result depends on no hidden state; an unlucky point only
-# sends a gcd down the interpolating path or a solve to its next (prime,
-# point).
-_IMAGE_PRIME = 2 ** 61 - 1
-_IMAGE_POINT = tuple(random.Random(0x6CD).sample(range(2, _IMAGE_PRIME), 16))
+# The module's mod-p decisions (gcd image bounds, factor screens, row
+# selection) are made at the first prime of `_gcd_primes`, at the point
+# `_draws` gives it.  Both are fixed, so a result depends on no hidden
+# state; an unlucky point only sends a gcd down the interpolating path or a
+# solve to its next (prime, point).
+_IMAGE_PRIME = _GCD_PRIMES[0]
 
 
 def _image_point(nvars) -> list:
-    return [_IMAGE_POINT[i % len(_IMAGE_POINT)] for i in range(nvars)]
+    return _draws(_IMAGE_PRIME, nvars)
 
 
 def _solve_points(nvars):
-    """(`_IMAGE_PRIME`, `_image_point`), read at call time, then each prime
-    of `_gcd_primes` at the point `_draws` gives it: a solve's sequence."""
-    yield _IMAGE_PRIME, _image_point(nvars)
+    """Each prime of `_gcd_primes` once, at the point `_draws` gives it,
+    first (`_IMAGE_PRIME`, `_image_point`): a solve's sequence."""
     for p in _gcd_primes():
         yield p, _draws(p, nvars)
 
 
 def _degrees(f: MPoly) -> list:
     """deg_v(f) for every variable v of the ring (f nonzero)."""
-    return list(map(max, _columns(f)))
+    return [max(_column(f.terms, s)) for s in f.ring.shifts]
 
 
 def _image_bounds(a: MPoly, b: MPoly):
-    """Per variable v, deg_v of the gcd of the images of the
-    integer-coefficient a and b mod `_IMAGE_PRIME` with every other
-    variable at `_IMAGE_POINT`, and 0 where one of them lacks v; None when
-    lc_v(a) or lc_v(b) vanishes there."""
-    p = _IMAGE_PRIME
-    wa, wb = _term_values_mod_p(a), _term_values_mod_p(b)
+    """Per variable v, deg_v of the gcd of the images (`_image_in`) of the
+    integer-coefficient a and b in x_v, and 0 where one of them lacks v;
+    None when lc_v(a) or lc_v(b) vanishes at the point."""
     bounds = [0] * a.ring.nvars
-    for v, (ca, cb) in enumerate(zip(wa[0], wb[0])):
-        if not (max(ca) and max(cb)):
-            continue
-        ia = _image_in(wa, v)
-        ib = _image_in(wb, v)
+    for v in a.variables() & b.variables():
+        ia, ib = _image_in(a, v), _image_in(b, v)
         if not (ia[-1] and ib[-1]):
             return None
-        bounds[v] = len(_modp_univ_gcd(ia, ib, p)) - 1
+        bounds[v] = len(_modp_univ_gcd(ia, ib, _IMAGE_PRIME)) - 1
     return bounds
 
 
-_POWERS = {}
+_VIEWS = {}  # (ring, v): the `_Images` at the image point with x_v free
 
 
-def _powers(i, deg, sign=1):
-    """[x_i^(sign*d) mod `_IMAGE_PRIME` at `_IMAGE_POINT` for d = 0..deg at
-    least], kept and extended as needed."""
-    x = _IMAGE_POINT[i % len(_IMAGE_POINT)]
-    pw = _POWERS.setdefault((i % len(_IMAGE_POINT), sign), [1])
-    if len(pw) <= deg:
-        step = pow(x, sign, _IMAGE_PRIME)
-        while len(pw) <= deg:
-            pw.append(pw[-1] * step % _IMAGE_PRIME)
-    return pw
-
-
-def _term_values_mod_p(f: MPoly):
-    """(columns, values): per variable, its exponent in each term of f, and
-    the value of each term mod `_IMAGE_PRIME` at `_IMAGE_POINT`, by one
-    power table per variable; None when the prime divides a coefficient
-    denominator."""
-    p = _IMAGE_PRIME
-    values = list(f.terms.values())
-    columns = _columns(f)
-    if not _all_int(f.terms):
-        for j, c in enumerate(values):
-            if type(c) is not int:
-                if not c.denominator % p:
-                    return None
-                values[j] = c.numerator * pow(c.denominator, -1, p)
-    for i, col in enumerate(columns):
-        top = max(col)
-        if top:
-            values = list(map(operator.mul, values, map(_powers(i, top).__getitem__, col)))
-    return columns, list(map(p.__rmod__, values))
-
-
-def _image_in(term_values, v):
-    """Dense coefficients in x_v of the image whose term values are
-    `term_values` (`_term_values_mod_p`): each term's x_v factor is divided
-    back out."""
-    col, values = term_values[0][v], term_values[1]
-    deg = max(col)
-    coeffs = [0] * (deg + 1)
-    inv = _powers(v, deg, -1)
-    for d, w in zip(col, values):
-        coeffs[d] += w * inv[d]
-    return [c % _IMAGE_PRIME for c in coeffs]
+def _image_in(f: MPoly, v):
+    """Dense coefficients in x_v of the nonzero f mod `_IMAGE_PRIME`, every
+    other variable at `_image_point`: deg_v(f) + 1 of them, the last being
+    lc_v(f) there (0 where it vanishes); None when the prime divides a
+    coefficient denominator."""
+    ring = f.ring
+    image = _VIEWS.get((ring, v))
+    if image is None:
+        image = _VIEWS[ring, v] = _Images(
+            ring, ((i, x) for i, x in enumerate(_image_point(ring.nvars)) if i != v),
+            (v,), _IMAGE_PRIME)
+    img = image(f)
+    if img is None:
+        return None
+    top = ring.top
+    coeffs = [0] * ((max(img) >> top) + 1)
+    for tk, c in img.items():
+        coeffs[tk >> top] = c
+    return coeffs
 
 
 # -- factored denominators ----------------------------------------------------------
@@ -1109,10 +1064,7 @@ def _over(values, L):
 
 
 def factored_expand(A: dict, ring) -> MPoly:
-    out = ring.one
-    for f, m in sorted(A.items(), key=lambda t: sorted(t[0].terms)):
-        out = out * f ** m
-    return out.monic()
+    return _times(ring.one, A).monic()
 
 
 def _shifted(f: _Factor, i, offset):
@@ -1142,7 +1094,7 @@ def _factor_image(f: _Factor, v):
     """f's image in x_v (`_image_in`), or None where lc_v(f) vanishes."""
     img = f.images.get(v, False)
     if img is False:
-        img = _image_in(_term_values_mod_p(f), v)
+        img = _image_in(f, v)
         img = f.images[v] = img if img[-1] else None
     return img
 
@@ -1161,29 +1113,23 @@ def _image_over(img, f: _Factor, v, k):
 
 
 class _Screen:
-    """The images of a numerator n in each variable x_v mod `_IMAGE_PRIME`,
-    the other variables at `_IMAGE_POINT`, kept in step as factors are
-    divided out of n.  For a factor h of a primitive f, lc_v(h) divides
-    lc_v(f) (Gauss), so where lc_v(f) does not vanish at the point, the
-    image of h keeps its degree in x_v and divides the images of f and n.
-    So f^k divides n only when f_v^k divides n_v, and deg_v gcd(n, f) is
-    at most the degree of the gcd of the images."""
+    """The images of a numerator n in each variable x_v (`_image_in`), kept
+    in step as factors are divided out of n.  For a factor h of a
+    primitive f, lc_v(h) divides lc_v(f) (Gauss), so where lc_v(f) does
+    not vanish at the point, the image of h keeps its degree in x_v and
+    divides the images of f and n.  So f^k divides n only when f_v^k
+    divides n_v, and deg_v gcd(n, f) is at most the degree of the gcd of
+    the images."""
 
-    def __init__(self, n: MPoly, raw: dict):
+    def __init__(self, n: MPoly):
         self.n = n
-        self.raw = raw  # n's own images by variable, kept with n by the caller
-        self.values = None
         self.images = {}
         self.divisions = []  # (f, k): n has been divided by f^k
 
     def image(self, v):
         if v not in self.images:
-            img = self.raw.get(v, False)
-            if img is False:
-                if self.values is None:
-                    self.values = _term_values_mod_p(self.n) or ()
-                img = self.raw[v] = (_univ_trim(_image_in(self.values, v))
-                                     if self.values else None)
+            img = _image_in(self.n, v)
+            img = None if img is None else _univ_trim(img)
             for f, k in self.divisions:
                 img = _image_over(img, f, v, k)
             self.images[v] = img
@@ -1223,16 +1169,15 @@ class _Screen:
         return K, all(j == K and coprime for j, coprime in found)
 
 
-def _cancel(n: MPoly, fac: dict, cands, owner=None) -> MPoly:
+def _cancel(n: MPoly, fac: dict, cands) -> MPoly:
     """n over its common factors with the factors `cands` of fac, each
     taken out of fac (in place) as often as it divides n.  fac is resolved
-    and pairwise coprime; n is the numerator of the RatFunc owner, if
-    given, which keeps n's images (`_Screen`) for another call.  The
-    screen (`_Screen.bound`) only rules divisions out: every division
-    made is exact, and what the images do not decide is settled by exact
-    gcds, which split a factor that n shares only in part."""
+    and pairwise coprime.  The screen (`_Screen.bound`) only rules
+    divisions out: every division made is exact, and what the images do
+    not decide is settled by exact gcds, which split a factor that n
+    shares only in part."""
     todo = list(cands)
-    screen = _Screen(n, {} if owner is None else owner._images()) if todo else None
+    screen = _Screen(n) if todo else None
     while todo:
         f = todo.pop()
         m = fac[f]
@@ -1307,7 +1252,7 @@ class RatFunc:
       against the factors of D not in B and c against those of B not in
       D, since a, B and c, D are coprime already."""
 
-    __slots__ = ("numer", "fac", "_num", "_den", "_img")
+    __slots__ = ("numer", "fac", "_num", "_den")
 
     def __init__(self, num: MPoly, den: MPoly):
         if den.is_zero():
@@ -1324,14 +1269,14 @@ class RatFunc:
                 c, F = _factor(den)
                 num, fac = _divided(num, c), {F: 1}
         self.numer, self.fac = num, fac
-        self._num = self._den = self._img = None
+        self._num = self._den = None
 
     # trusted constructor: used where coprimality is already known
     @classmethod
     def _raw(cls, numer, fac):
         self = object.__new__(cls)
         self.numer, self.fac = numer, fac
-        self._num = self._den = self._img = None
+        self._num = self._den = None
         return self
 
     @classmethod
@@ -1370,13 +1315,6 @@ class RatFunc:
         P = _times(self.numer.ring.one, self.fac)
         lc = P.leading_coeff()
         self._num, self._den = _divided(self.numer, lc), _divided(P, lc)
-
-    def _images(self) -> dict:
-        # the numerator's images (`_Screen`), kept: a value is often
-        # multiplied by many others
-        if self._img is None:
-            self._img = {}
-        return self._img
 
     @property
     def ring(self):
@@ -1453,9 +1391,9 @@ class RatFunc:
         for f, m in D.items():
             L[f] = L.get(f, 0) + m
         if not a.is_constant():
-            a = _cancel(a, L, [f for f in D if f not in B], self)
+            a = _cancel(a, L, [f for f in D if f not in B])
         if not c.is_constant():
-            c = _cancel(c, L, [f for f in B if f not in D], other)
+            c = _cancel(c, L, [f for f in B if f not in D])
         return RatFunc._raw(a * c, L or _NOFAC)
 
     __rmul__ = __mul__
@@ -2088,11 +2026,12 @@ def _cleared_images(row, image, cache) -> dict:
 
 
 class _Images:
-    """The map that takes a polynomial mod p with each variable i set to x
-    for (i, x) in xs, the variables t_var_idx kept: image(f) is
-    {t-part key: value}, the key 0 alone when there is no t; None when p
-    divides a coefficient denominator.  It keeps, for its point and p,
-    each monomial's t-part and x-value, and a power table per variable's
+    """The module's one map from a polynomial to its image mod p: each
+    variable i set to x for (i, x) in xs, the variables t_var_idx kept.
+    image(f) is {t-part key: value}, with a key for every t-part of f's
+    terms, the key 0 alone when there is no t; None when p divides a
+    coefficient denominator.  It keeps, for its point and p, each
+    monomial's t-part and x-value, and a power table per variable's
     field."""
 
     def __init__(self, ring, xs, t_var_idx, p):

@@ -216,6 +216,18 @@ def _monomial_split(Q: OrePoly, t_idx):
              for i, t in certs.items()})
 
 
+def _checked_result(telescoper, certificates, provenance, degree, t_names,
+                    I: LeftIdeal, order, shift_t) -> TelescopingResult:
+    """The result, its membership checked: the witness, carried back to
+    I's own basis (`difference_to_shift`), lies in I."""
+    result = TelescopingResult(telescoper=telescoper, certificates=certificates,
+                               provenance=provenance, degree=degree,
+                               t_gens=tuple(t_names))
+    result.membership_checked = is_member(
+        difference_to_shift(result.witness(), shift_t), I, order)
+    return result
+
+
 def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
                        order: MonomialOrder = GREVLEX,
                        provenance="Fasenmyer", degree=None) -> TelescopingResult:
@@ -238,14 +250,8 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
         degree = Q.total_degree()
     R, certs = _monomial_split(Q, t_idx)
     if not R.is_zero():
-        result = TelescopingResult(
-            telescoper=R,
-            certificates={alg.gens[i].name: certs[i] for i in t_idx},
-            provenance=provenance, degree=degree,
-            t_gens=tuple(t_names))
-        result.membership_checked = is_member(
-            difference_to_shift(result.witness(), shift_t), I, order)
-        return result
+        return _checked_result(R, {alg.gens[i].name: certs[i] for i in t_idx},
+                               provenance, degree, t_names, I, order, shift_t)
     live = [i for i in t_idx if not certs[i].is_zero()]
     if not live:
         raise ValueError("zero operator has no telescoper")
@@ -271,14 +277,8 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
             part = certs[j].scale(sa) if j != i else C.scale(a)
             part = part - certs2[j].scale(b)
             new_certs[alg.gens[j].name] = part
-        result = TelescopingResult(
-            telescoper=R2.scale(-b),
-            certificates=new_certs,
-            provenance=provenance, degree=degree,
-            t_gens=tuple(t_names))
-        result.membership_checked = is_member(
-            difference_to_shift(result.witness(), shift_t), I, order)
-        return result
+        return _checked_result(R2.scale(-b), new_certs, provenance, degree,
+                               t_names, I, order, shift_t)
     # deeper degeneracy: chase the t-free core chain for a candidate A,
     # then solve for a certificate by bounded ansatz
     core = C
@@ -314,11 +314,8 @@ def _certificate_by_ansatz(A: OrePoly, I: LeftIdeal, t_names, order,
     for cert_deg in range(1, _MAX_CERT_DEGREE + 1):
         sol = _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t)
         if sol is not None:
-            result = TelescopingResult(
-                telescoper=A, certificates={alg.gens[i].name: sol[i] for i in t_idx},
-                provenance=provenance, degree=degree, t_gens=tuple(t_names))
-            result.membership_checked = is_member(
-                difference_to_shift(result.witness(), shift_t), I, order)
+            result = _checked_result(A, {alg.gens[i].name: sol[i] for i in t_idx},
+                                     provenance, degree, t_names, I, order, shift_t)
             if result.membership_checked:
                 return result
     return None
@@ -580,11 +577,8 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
         return None, system
     A, B = min(candidates, key=lambda ab: _tiebreak_key(ab[0], order))
     A, B = _normalize_pair(A, B, order)
-    result = TelescopingResult(
-        telescoper=A, certificates={t_name: B}, provenance="Zeilberger",
-        degree=degA, t_gens=(t_name,))
-    result.membership_checked = is_member(
-        difference_to_shift(result.witness(), shift_t), I, order)
+    result = _checked_result(A, {t_name: B}, "Zeilberger", degA, (t_name,),
+                             I, order, shift_t)
     system.solved = True
     return result, system
 

@@ -341,6 +341,7 @@ def test_gcd_where_a_leading_coefficient_vanishes_at_the_image_point(ig, q1, q2)
 
 
 R4 = PolyRing(["n", "k", "m", "l"])
+P = arith._IMAGE_PRIME
 
 
 @st.composite
@@ -375,9 +376,60 @@ def test_gcd_in_four_variables_living_in_a_strict_subset(case):
     assert arith.divides(g, h)
 
 
-# -- nullspace_selected against sympy.Matrix.nullspace ------------------------------
+# -- the image map against term-by-term evaluation ---------------------------------
 
-P = arith._IMAGE_PRIME
+
+def _reference_image(f: MPoly, v):
+    """Dense coefficients in x_v of f mod the image prime, every other
+    variable at the image point, term by term with pow; None when the prime
+    divides a coefficient denominator."""
+    p = arith._IMAGE_PRIME
+    point = arith._image_point(f.ring.nvars)
+    terms = f.to_terms()
+    coeffs = [0] * (max(e[v] for e in terms) + 1)
+    for e, c in terms.items():
+        c = Fraction(c)
+        if c.denominator % p == 0:
+            return None
+        w = c.numerator * pow(c.denominator, -1, p)
+        for i, (x, d) in enumerate(zip(point, e)):
+            if i != v:
+                w = w * pow(x, d, p) % p
+        coeffs[e[v]] = (coeffs[e[v]] + w) % p
+    return coeffs
+
+
+@SETTINGS
+@hypothesis.given(polys3(st.integers(-5, 5) | wide, max_terms=5, max_exp=3),
+                  st.integers(0, 2))
+def test_image_in_matches_term_by_term_evaluation(f, v):
+    hypothesis.assume(v in f.variables())
+    assert arith._image_in(f, v) == _reference_image(f, v)
+
+
+def test_image_in_of_a_denominator_the_prime_divides_is_none():
+    f = n3 * Fraction(1, 3 * P) + k3
+    assert arith._image_in(f, 0) is None
+    assert _reference_image(f, 0) is None
+
+
+def test_image_in_keeps_a_leading_coefficient_that_vanishes():
+    # lc_n(f) = m - x2 vanishes at the point: the image still has deg_n(f)
+    # + 1 entries, the last one 0
+    x2 = arith._image_point(R3.nvars)[2]
+    f = (m3 - x2) * n3 ** 2 + k3 * n3 + 1
+    image = arith._image_in(f, 0)
+    assert len(image) == 3 and image[-1] == 0 and image[1]
+    assert image == _reference_image(f, 0)
+
+
+def test_image_point_has_distinct_coordinates_in_many_variables():
+    point = arith._image_point(40)
+    assert len(set(point)) == 40 and not set(point) & {0, 1}
+    assert arith._image_point(3) == point[:3]
+
+
+# -- nullspace_selected against sympy.Matrix.nullspace ------------------------------
 
 
 def _dot(row, vec):
@@ -467,15 +519,21 @@ def _record_attempts(monkeypatch):
     return primes
 
 
+def test_solve_points_take_each_prime_once():
+    pairs = list(itertools.islice(arith._solve_points(3), 4))
+    assert pairs[0] == (P, arith._image_point(3))
+    assert len({p for p, _ in pairs}) == 4
+
+
 def test_nullspace_selected_pulls_in_a_row_the_image_loses(monkeypatch):
     # the first row vanishes at the image point, so the selection has rank
     # 1 where the generic rank is 2: the vector rebuilt for free column 0
-    # fails the check, and the pass at the next point selects the row
+    # fails the check, and the pass at the next prime selects the row
     x0 = arith._image_point(R.nvars)[0]
     rows = [[n - x0, (n - x0) * k, R.zero], [R.zero, R.zero, R.one]]
     attempts = _record_attempts(monkeypatch)
     (vec,) = check_kernel(rows, 3)
-    assert attempts == [P, P]
+    assert attempts == [P, 2 ** 89 - 1]
     assert [x.num for x in vec] == [k, -R.one, R.zero]
 
 
@@ -708,8 +766,7 @@ def test_rebuilt_kernel_of_corank_three(monkeypatch):
 def test_rebuild_lift_past_one_prime_fails_the_check(monkeypatch):
     # the kernel (1, c*n) with c = 2^40/3: mod p = 2^61 - 1, 2^40 = 2^-21,
     # so c lifts to the smaller 1/(3*2^21) at any point; the exact check
-    # rejects that vector at both points mod p, and the next prime,
-    # 2^89 - 1, lifts c itself
+    # rejects that vector, and the next prime, 2^89 - 1, lifts c itself
     c = Fraction(2 ** 40, 3)
     rows = [[n * c, -R.one]]
     point = arith._image_point(R.nvars)
@@ -718,26 +775,26 @@ def test_rebuild_lift_past_one_prime_fails_the_check(monkeypatch):
     assert not arith._solves(rows[0], wrong)
     attempts = _record_attempts(monkeypatch)
     (vec,) = check_kernel(rows, 2)
-    assert attempts == [P, P, 2 ** 89 - 1]
+    assert attempts == [P, 2 ** 89 - 1]
     assert [x.num for x in vec] == [R.const(3), n * 2 ** 40]
 
 
 def test_rebuild_of_an_unlucky_selection_fails_the_check(monkeypatch):
     # the first row vanishes at the image point, so the selection there has
     # corank 1 where the kernel over Q(n, k) is {0}: the rebuilt vector of
-    # the second row fails the exact check, and the pass at the next point
+    # the second row fails the exact check, and the pass at the next prime
     # proves full rank
     x0 = arith._image_point(R.nvars)[0]
     rows = [[n - x0, (n - x0) * k], [R.one, R.one]]
     assert arith._pivot_rows_mod_p(rows, 2, arith._image_point(2)) == [1]
     attempts = _record_attempts(monkeypatch)
     assert check_kernel(rows, 2) == []
-    assert attempts == [P, P]
+    assert attempts == [P, 2 ** 89 - 1]
     # with one column and that row alone, no row is selected at all: the
     # rebuild solves none, and its vector (1) fails the check the same way
     del attempts[:]
     assert check_kernel([[n - x0]], 1) == []
-    assert attempts == [P, P]
+    assert attempts == [P, 2 ** 89 - 1]
 
 
 @pytest.mark.parametrize("rows, kernel", [
@@ -784,10 +841,9 @@ def test_rebuild_runs_on_the_kernel_support(monkeypatch):
 def test_kernel_entry_vanishing_at_the_point_falls_back(monkeypatch):
     # the kernel (1, n - x0, n + 2) over Q(n) has an entry that is nonzero
     # but vanishes at the image point, so the support there is {0, 2}: the
-    # vector rebuilt on it fails the exact check.  At the next point no
-    # entry vanishes, but the coefficient x0, near 2^61, does not lift mod
-    # 2^61 - 1; the next prime rebuilds the kernel that sympy gives on all
-    # three columns
+    # vector rebuilt on it fails the exact check.  The next prime, 2^89 - 1,
+    # comes with its own point, where no entry vanishes, and rebuilds the
+    # kernel that sympy gives on all three columns
     x0 = arith._image_point(R.nvars)[0]
     rows = []
     for r1, r2 in ((RatFunc(k, n + 1), RatFunc.one(R)),
@@ -798,7 +854,7 @@ def test_kernel_entry_vanishing_at_the_point_falls_back(monkeypatch):
     attempts = _record_attempts(monkeypatch)
     (vec,) = check_t_free_kernel(rows, 3)
     assert [x.num for x in vec] == [ONE, n - x0, n + 2]
-    assert columns == [2, 3, 3] and attempts == [P, P, 2 ** 89 - 1]
+    assert columns == [2, 3] and attempts == [P, 2 ** 89 - 1]
 
 
 def test_rational_lift_takes_only_a_clear_quotient():
