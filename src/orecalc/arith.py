@@ -1320,6 +1320,14 @@ class RatFunc:
     def ring(self):
         return self.numer.ring
 
+    def variables(self):
+        """Indices of the variables that occur: the numerator's and each
+        denominator factor's, with nothing expanded."""
+        vs = self.numer.variables()
+        for f in self.fac:
+            vs |= f.variables()
+        return vs
+
     def is_zero(self) -> bool:
         return not self.numer.terms
 
@@ -1504,9 +1512,9 @@ class RatFunc:
 def nullspace(rows) -> list:
     """Basis of the right nullspace of a matrix of RatFunc entries.
 
-    Exact fraction-free elimination with lowest-degree pivoting; returned
-    vectors have polynomial entries, cleared of denominators and
-    content-reduced, with a deterministic sign.
+    Exact fraction-free elimination with fill-aware pivoting, fill first,
+    then total degree (`nullspace_poly`); returned vectors are in the one
+    primitive form (`_finalize_ratfunc_vector_rat`).
     """
     rows = list(rows)
     ring = next((x.ring for row in rows for x in row), None)
@@ -1517,23 +1525,18 @@ def nullspace(rows) -> list:
 
 
 def _clear_row(row, ring):
-    """The RatFunc row times the lcm of its denominators, content-free."""
-    return _strip_row_content(_cleared(row, ring), ring)
-
-
-def _cleared(row, ring):
-    """The RatFunc row times `denominator_lcm` of its entries, as MPolys:
-    `_over_lcm`'s numerators over the lcm's leading coefficient."""
-    L, out = _over_lcm(row)
-    lc = math.prod(f.leading_coeff() ** m for f, m in L.items())
-    return out if lc == 1 else [_divided(x, lc) for x in out]
+    """The RatFunc row times the lcm of its denominators (`_over_lcm`), in
+    the primitive form of `_strip_row_content`."""
+    return _strip_row_content(_over_lcm(row)[1], ring)
 
 
 def _strip_row_content(row, ring):
-    """The MPoly row over the monic gcd g of its entries, or over its
-    rational content when g is 1.  g is folded with `poly_cofactors`, and
-    each entry keeps its quotient: when g shrinks to g', the earlier
-    quotients are multiplied by g/g', so no entry is divided twice."""
+    """The MPoly row over the monic gcd g of its entries and over the
+    rational content of the quotients, so that the entries have gcd 1 and
+    their coefficients are coprime ints.  g is folded with
+    `poly_cofactors`, and each entry keeps its quotient: when g shrinks to
+    g', the earlier quotients are multiplied by g/g', so no entry is
+    divided twice."""
     g = ring.zero
     out = list(row)
     done = []
@@ -1542,16 +1545,14 @@ def _strip_row_content(row, ring):
             continue
         g, shrink, out[i] = poly_cofactors(g, x)
         if g.is_one():
+            out = row
             break
         if not shrink.is_one():
             for j in done:
                 out[j] = out[j] * shrink
         done.append(i)
-    if done and not g.is_one():
-        return out
-    # still strip the rational content for compactness
-    c = _rows_rational_content(row)
-    return row if c == 1 else [_divided(x, c) for x in row]
+    c = _rows_rational_content(out)
+    return out if c == 1 else [_divided(x, c) for x in out]
 
 
 def _rows_rational_content(row):
@@ -1647,16 +1648,12 @@ def _pick_pivot(m, used_rows, used_cols):
 
 def _finalize_ratfunc_vector_rat(vec, ring):
     """The one primitive polynomial vector on the line of vec over Q(x):
-    cleared of denominators (`_clear_row`), over the monic gcd of its
-    entries and over their rational content, with the first nonzero
-    entry's leading coefficient positive.  Every nonzero multiple of vec
-    gives the same vector: the cleared vector is h*u for u primitive and h
-    a polynomial, the gcd leaves a rational multiple of u, and the content
-    and the sign fix it."""
+    cleared of denominators and put in the primitive form (`_clear_row`),
+    with the first nonzero entry's leading coefficient positive.  Every
+    nonzero multiple of vec gives the same vector: the cleared vector is
+    h*u for u primitive and h a polynomial, the gcd leaves a rational
+    multiple of u, and the content and the sign fix it."""
     polys = _clear_row(vec, ring)
-    c = _rows_rational_content(polys)
-    if c != 1:
-        polys = [_divided(x, c) for x in polys]
     first = next((p for p in polys if not p.is_zero()), None)
     if first is not None and first.leading_coeff() < 0:
         polys = [-p for p in polys]

@@ -15,7 +15,7 @@ from functools import partial
 from .arith import RatFunc, _acc, nullspace
 from .dimension import UNIT_IDEAL, hilbert_dimension
 from .errors import AlgebraMismatch, KindMismatch, NonlinearAlgebra
-from .groebner import GREVLEX, GroebnerBasis, LeftIdeal, MonomialOrder
+from .groebner import GREVLEX, GroebnerBasis, LeftIdeal, MonomialOrder, _monic
 from .modp import exponents_up_to
 from .ore import OrePoly, apply_gen, coefficient_rows, peel_walk
 
@@ -124,11 +124,7 @@ def _autoreduce(rels, order, alg):
             helper = GroebnerBasis(alg, order, out)
             r = helper.normal_form(r)
         if not r.is_zero():
-            lead = order.leading_exp(r)
-            lc = r.terms[lead]
-            if not lc.is_one():
-                r = r.scale(lc.inverse())
-            out.append(r)
+            out.append(_monic(r, order))
     return out
 
 

@@ -184,8 +184,7 @@ class OreAlgebra:
     def apply_sigma_delta(self, gen_name, a: RatFunc):
         """(sigma(a), delta(a)) for the named generator."""
         i = self.gen_index[gen_name]
-        bad = a.num.variables() | a.den.variables()
-        if any(v >= len(self.field.names) for v in bad):
+        if any(v >= len(self.field.names) for v in a.variables()):
             raise UnknownVariable("coefficient uses a foreign variable")
         return self.sigma(i, a), self.delta(i, a)
 

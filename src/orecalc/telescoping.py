@@ -28,12 +28,11 @@ from .arith import (
     exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
     factored_expand,
     factored_merge,
-    poly_gcd,
     squarefree_part,
 )
 from .dimension import UNIT_IDEAL, hilbert_dimension
 from .errors import MultipleTelescopingVars, NoTelescopableVariable
-from .groebner import GREVLEX, LeftIdeal, MonomialOrder, is_member
+from .groebner import GREVLEX, LeftIdeal, MonomialOrder, _monic, is_member
 from .modp import exponents_up_to
 from .ore import (
     OreAlgebra,
@@ -144,8 +143,7 @@ def _t_data(alg: OreAlgebra, t_names):
 
 
 def _is_t_free(c: RatFunc, t_var_idx) -> bool:
-    vs = c.num.variables() | c.den.variables()
-    return not (vs & set(t_var_idx))
+    return not (c.variables() & set(t_var_idx))
 
 
 def x_subalgebra(alg: OreAlgebra, t_names):
@@ -471,8 +469,7 @@ def _to_difference_vector(vec, monomials, alg, shift_t, K):
 
 
 def _canonical_key(f: OrePoly, order):
-    inv = f.terms[order.leading_exp(f)].inverse()
-    return frozenset((e, inv * c) for e, c in f.terms.items())
+    return frozenset(_monic(f, order).terms.items())
 
 
 # -- Zeilberger-style search ------------------------------------------------------
@@ -603,20 +600,10 @@ def _tiebreak_key(A: OrePoly, order):
 
 
 def _normalize_pair(A, B, order):
-    # clear to content-free polynomial coefficients with positive lead
-    K = A.algebra.field
-    scale = RatFunc.from_poly(denominator_lcm(A.terms.values(), K))
-    nums = [(c * scale).num for c in A.terms.values()]
-    g = nums[0]
-    for p in nums[1:]:
-        if g.is_one():
-            break
-        g = poly_gcd(g, p)
-    if not g.is_one():
-        scale = scale / RatFunc.from_poly(g)
-    newA = A.scale(scale)
-    lead_c = newA.terms[order.leading_exp(newA)]
-    if lead_c.num.leading_coeff() < 0:
-        scale = -scale
-        newA = newA.scale(RatFunc.const(K, -1))
-    return newA, B.scale(scale)
+    """(A, B) times the one factor that puts A's coefficients, its leading
+    one first, in the one primitive form (`_finalize_ratfunc_vector_rat`),
+    so that A's leading coefficient is positive."""
+    lead = order.leading_exp(A)
+    vec = [A.terms[lead]] + [c for e, c in A.terms.items() if e != lead]
+    scale = _finalize_ratfunc_vector_rat(vec, A.algebra.field)[0] / vec[0]
+    return A.scale(scale), B.scale(scale)

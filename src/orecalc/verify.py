@@ -404,10 +404,7 @@ def operator_variables(L: OrePoly) -> set:
     gvars = [g.var for g in L.algebra.gens]
     out = set()
     for exp, coeff in L.terms.items():
-        idx = coeff.numer.variables()
-        for f in coeff.fac:
-            idx |= f.variables()
-        out.update(names[i] for i in idx)
+        out.update(names[i] for i in coeff.variables())
         out.update(gvars[i] for i, e in enumerate(exp) if e)
     return out
 

@@ -1,7 +1,10 @@
+import math
 import os
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from orecalc import arith, modp
@@ -318,11 +321,34 @@ class TestRatFunc:
         assert r.den.leading_coeff() == 1
         assert poly_gcd(r.num, r.den).is_one()
 
+    def test_variables_read_the_factors_unexpanded(self):
+        r = RatFunc.from_poly(R2.const(3)) / RatFunc.from_poly(k * (k + 1))
+        assert r.variables() == {1}
+        assert (r * RatFunc.from_poly(n)).variables() == {0, 1}
+        assert r._num is None and r._den is None
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             RatFunc.from_poly(k) / RatFunc.zero(R2)
         with pytest.raises(ZeroDivisionError):
             RatFunc(k, R2.zero)
+
+
+_coeffs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _coeffs,
+                         max_size=3).map(R2.from_terms)
+_rows = st.lists(_polys, min_size=1, max_size=4).filter(any)
+_multipliers = st.builds(RatFunc, _polys.filter(bool), _polys.filter(bool))
+
+
+def assert_primitive(row):
+    """Int coefficients, rational content 1 and entry gcd 1."""
+    assert all(type(c) is int for x in row for c in x.terms.values())
+    assert arith._rows_rational_content(row) == 1
+    g = R2.zero
+    for x in row:
+        g = poly_gcd(g, x)
+    assert g.is_one()
 
 
 class TestNullspace:
@@ -402,6 +428,28 @@ class TestNullspace:
         # each entry is multiplied by L/d, the quotient exact division gives
         dens = [k * (k + 1), (k + 1) * (n - k), k, (2 * n + 1) * k, R2.one, k * (k + 1)]
         row = [RatFunc(n + i, d) for i, d in enumerate(dens)] + [RatFunc.zero(R2)]
+        # the numerators are over the product of the lcm's factors, which is
+        # the monic lcm times its leading coefficient
         den = arith.denominator_lcm(row, R2)
         assert den == poly_lcm(poly_lcm(poly_lcm(dens[0], dens[1]), dens[2]), dens[3])
-        assert arith._cleared(row, R2) == [x.num * exact_div(den, x.den) for x in row]
+        L, nums = arith._over_lcm(row)
+        lc = math.prod(f.leading_coeff() ** m for f, m in L.items())
+        assert nums == [x.num * exact_div(den, x.den) * lc for x in row]
+
+    def test_stripped_row_is_over_its_gcd_and_its_content(self):
+        # the gcd n + 1 leaves [2, 1/3], and the content 1/3 leaves [6, 1]
+        row = [2 * n + 2, (n + 1) * Fraction(1, 3)]
+        assert arith._strip_row_content(row, R2) == [R2.const(6), R2.one]
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=40)
+    @hypothesis.given(_rows, st.lists(_multipliers, min_size=1, max_size=3))
+    def test_primitive_form_is_canonical_on_its_line(self, row, multipliers):
+        vec = [RatFunc.from_poly(x) for x in row]
+        want = arith._finalize_ratfunc_vector_rat(vec, R2)
+        assert_primitive([x.num for x in want])
+        assert_primitive(arith._strip_row_content(row, R2))
+        for c in multipliers:
+            multiple = [c * x for x in vec]
+            assert arith._finalize_ratfunc_vector_rat(multiple, R2) == want
+            assert_primitive(arith._strip_row_content([c.numer * x for x in row], R2))

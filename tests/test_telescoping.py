@@ -312,6 +312,17 @@ class TestZeilberger:
         assert res is not None and res.membership_checked
         assert str(res.telescoper) == "Sn*Sm*Sl + (-m - l - 2)*Sm*Sl - Sm - Sl"
 
+    def test_normalized_pair_loses_the_integer_content(self):
+        # A over its content 2, and the certificate over the same factor
+        alg = algebra_nk()
+        n, Sn, Sk = alg.var("n"), alg.gen("Sn"), alg.gen("Sk")
+        A, B = telescoping._normalize_pair(2 * n * Sn + 4, 3 * Sk, GREVLEX)
+        assert A == n * Sn + 2
+        assert B == Fraction(3, 2) * Sk
+        A, B = telescoping._normalize_pair(-2 * n * Sn - 4, 3 * Sk, GREVLEX)
+        assert A == n * Sn + 2
+        assert B == Fraction(-3, 2) * Sk
+
     def test_unit_ideal(self):
         # every column is zero, so the first A-monomial, 1, is a telescoper
         alg = algebra_nk()
