@@ -1067,6 +1067,12 @@ def factored_expand(A: dict, ring) -> MPoly:
     return _times(ring.one, A).monic()
 
 
+def factored_degree_in(A: dict, var_indices) -> int:
+    """The total degree in the given variables of the product of the
+    factor dict A."""
+    return sum(m * f.degree_in(var_indices) for f, m in A.items())
+
+
 def _shifted(f: _Factor, i, offset):
     """(c, F) with f(x_i + offset) = c*F, F interned; memoised on f."""
     r = f.shifts.get((i, offset))

@@ -607,21 +607,19 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
 
     A growth task binds no name and no task reads its result, so when a
     spare CPU is usable it runs in a forked helper process (`helper.Helper`)
-    while the other tasks go on here.  It starts when `run` begins if its
-    ideal is one the file declares and no closure before it rebinds that
-    name with `as` (`_start_helpers`), else at its place.  Its entry, text
-    line and status are put back at its place, so the output is the same
-    either way; a helper that gives no valid result has its task run here
-    instead.  Every helper is reaped before `run` returns or raises."""
+    while the other tasks go on here.  Helpers start only when `run`
+    begins (`_start_helpers`); a growth task without one runs at its
+    place.  A helper's entry, text and status are put back at its task's
+    index, so the output is the same either way; a helper that gives no
+    valid result has its task run here instead.  Every helper is reaped
+    before `run` returns or raises."""
     out = out if out is not None else sys.stdout
     helpers = {}   # task index: (helper, growth arguments)
-    slots = []     # (entry index, line index, task index) of each helper's result
     try:
         _start_helpers(pf, order, helpers)
-        status, report, lines = _run_tasks(pf, order, verify_box, helpers, slots)
-        for i, j, t in slots:
-            helper, args = helpers[t]
-            report["tasks"][i], lines[j], failed = helper.result() or _growth(*args)
+        status, report, blocks = _run_tasks(pf, order, verify_box, helpers)
+        for t, (helper, args) in helpers.items():
+            report["tasks"][t], blocks[t], failed = helper.result() or _growth(*args)
             status |= failed
     finally:
         for helper, _ in helpers.values():
@@ -629,16 +627,17 @@ def run(pf: ProblemFile, order: MonomialOrder = GREVLEX, fmt="text",
     if fmt == "json":
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
-        rendered = "\n".join(lines) + ("\n" if lines else "")
+        rendered = "\n".join(blocks) + ("\n" if blocks else "")
     out.write(rendered)
     return status, rendered
 
 
 def _start_helpers(pf, order, helpers):
-    """Start a helper for each growth task, in file order, whose ideal is
-    the file's own: declared there, and rebound by no closure `as` before
-    the task.  helpers receives {task index: (helper, growth arguments)};
-    the first helper that cannot start ends the search."""
+    """The one place helpers start: one for each growth task, in file
+    order, whose ideal is the file's own: declared there, and rebound by
+    no closure `as` before the task.  helpers receives {task index:
+    (helper, growth arguments)}; the first helper that cannot start ends
+    the search."""
     rebound = set()
     for t, task in enumerate(pf.tasks):
         d = task.data
@@ -660,24 +659,26 @@ def _entry(task):
     return entry
 
 
-def _run_tasks(pf, order, verify_box, helpers, slots):
-    """The tasks in order; (exit status, report, text lines).  A growth
-    task runs in its helper in `helpers`, or in one started here and added
-    there, when one can start; then its slot goes to `slots`, and its
-    report entry and text line are None until the caller puts its result
+def _run_tasks(pf, order, verify_box, helpers):
+    """The tasks in order; (exit status, report, text blocks), with one
+    report entry and one text block per task.  Both are None for a task
+    that has a helper in `helpers`, until the caller puts its result
     there."""
     report = {"schema_version": 1, "tasks": []}
-    lines = []
+    blocks = []
     status = 0
     named_results = {}
     ideals = dict(pf.built_ideals)
 
-    def emit(text):
-        lines.append(text)
-
     for t, task in enumerate(pf.tasks):
+        if t in helpers:
+            report["tasks"].append(None)
+            blocks.append(None)
+            continue
         d = task.data
         entry = _entry(task)
+        lines = []
+        emit = lines.append
         try:
             if task.kind == "gb":
                 I = _get(ideals, d["ideal"])
@@ -716,20 +717,8 @@ def _run_tasks(pf, order, verify_box, helpers, slots):
                 if not res.bound_met:
                     status = 1
             elif task.kind == "growth":
-                if t not in helpers:
-                    from .helper import Helper  # only files with a growth task import it
-                    # the names as bound here: a task whose helper gives no
-                    # result runs again after the later tasks have bound theirs
-                    args = (dict(ideals), d, order, entry)
-                    helper = Helper.start(_growth, args, len(helpers))
-                    if helper is not None:
-                        helpers[t] = helper, args
-                if t in helpers:  # placeholders until the helper's result is in
-                    slots.append((len(report["tasks"]), len(lines), t))
-                    entry = line = None
-                else:
-                    entry, line, failed = _growth(*args)
-                    status |= failed
+                entry, line, failed = _growth(ideals, d, order, entry)
+                status |= failed
                 emit(line)
             elif task.kind == "telescope":
                 I = _get(ideals, d["ideal"])
@@ -805,7 +794,8 @@ def _run_tasks(pf, order, verify_box, helpers, slots):
             _, line, status = _failed(entry, task.kind, exc)
             emit(line)
         report["tasks"].append(entry)
-    return status, report, lines
+        blocks.append("\n".join(lines))
+    return status, report, blocks
 
 
 def _resolve_gen(algebra, name, line=None, col=None):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .arith import MPoly, denominator_lcm, factored_expand, factored_merge
+from .arith import (MPoly, denominator_lcm, factored_degree_in, factored_expand,
+                    factored_merge)
 from .dimension import hilbert_dimension
 from .errors import BadWindow, NotDifferenceDifferential, NotZeroDimensional
 from .groebner import GREVLEX, LeftIdeal, MonomialOrder
@@ -65,11 +66,6 @@ class GrowthCertificate:
 
 def _t_indices(algebra, t_names):
     return tuple(algebra.field.index[t] for t in t_names)
-
-
-def _deg_t(poly: MPoly, t_idx) -> int:
-    d = poly.degree_in(t_idx)
-    return max(d, 0)
 
 
 def _finite_staircase(gb):
@@ -126,8 +122,8 @@ def uniform_reduction_data(I: LeftIdeal, t_names,
     m = 0
     for entries in table.values():
         for c in entries.values():
-            m = max(m, _deg_t(c.numer, t_idx))
-    return UniformReduction(L=L, m=m, ell=_deg_t(L, t_idx),
+            m = max(m, c.numer.degree_in(t_idx))
+    return UniformReduction(L=L, m=m, ell=L.degree_in(t_idx),
                             nu=1 if ders else 0,
                             staircase=tuple(staircase), table=table,
                             t_indices=t_idx)
@@ -141,10 +137,6 @@ MIN_WINDOW = 8
 def _check_window(window):
     if window < MIN_WINDOW:
         raise BadWindow("window must be at least %d" % MIN_WINDOW)
-
-
-def _fact_deg_t(A, t_idx):
-    return sum(m * _deg_t(f, t_idx) for f, m in A.items())
 
 
 def _clearing_lcms(gb, t_idx, window):
@@ -162,7 +154,7 @@ def _clearing_lcms(gb, t_idx, window):
                 continue
             for c in gb.phi(alpha).values():
                 factored_merge(lcm, c.fac)
-                top = max(top, _deg_t(c.numer, t_idx))
+                top = max(top, c.numer.degree_in(t_idx))
         yield dict(lcm), top
 
 
@@ -188,7 +180,7 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
     t_idx = _t_indices(algebra, t_names)
     gb = I.groebner_basis(order)
     facts = [{}] + [lcm for lcm, _ in _clearing_lcms(gb, t_idx, window)]
-    degrees = [_fact_deg_t(A, t_idx) for A in facts]
+    degrees = [factored_degree_in(A, t_idx) for A in facts]
     p, degenerate = _fit_exponent(degrees)
     method = "ExactClearing"
     if ders and not subs and all(
@@ -212,7 +204,7 @@ def growth_probe(I: LeftIdeal, t_names, window: int = 10,
     _check_window(window)
     gb = I.groebner_basis(order)
     t_idx = _t_indices(algebra, t_names)
-    degrees = [0] + [max(_fact_deg_t(lcm, t_idx), top)
+    degrees = [0] + [max(factored_degree_in(lcm, t_idx), top)
                      for lcm, top in _clearing_lcms(gb, t_idx, window)]
     p, degenerate = _fit_exponent(degrees)
     return GrowthCertificate(method="EmpiricalProbe", order=order,

@@ -1,10 +1,11 @@
 """A call computed in a forked helper process, so the caller goes on meanwhile.
 
-`cli.run` hands each growth task to a `Helper` when a spare CPU is usable.
-The child sends the call's result as JSON down a pipe; it never writes to
+When `cli.run` begins, `cli._start_helpers` hands growth tasks to
+`Helper`s while spare CPUs are usable; no helper starts anywhere else.  The
+child sends the call's result as JSON down a pipe; it never writes to
 stdout and ends with `os._exit`, so no atexit handler and no inherited
 buffer runs in it.  `cli` imports this module only when a file has a
-growth task, so the other files do not pay for its import.
+growth task a helper can take, so the other files do not pay for its import.
 """
 from __future__ import annotations
 

@@ -26,6 +26,7 @@ from .arith import (
     _t_free_kernel,
     denominator_lcm,
     exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
+    factored_degree_in,
     factored_expand,
     factored_merge,
     squarefree_part,
@@ -330,7 +331,7 @@ def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t):
     tv = t_var_idx[0]
     denom = _denominator_ansatz(gb, t_var_idx, 1)
     unknowns = [(i, ge, d) for i in t_idx for ge in gb.reduced_monomials(cert_deg)
-                for d in range(_t_degree(denom, t_var_idx) + 2)]
+                for d in range(factored_degree_in(denom, t_var_idx) + 2)]
     columns = [_gen_times(gb, alg, i, {ge: _ansatz_coeff(K, tv, d, denom)}, shift_t)
                for i, ge, d in unknowns]
     # the last column is NF(A); solve the combined homogeneous system where
@@ -370,11 +371,6 @@ def _ansatz_coeff(K, tv, d, D) -> RatFunc:
     return RatFunc._raw(x ** (d - k) * lc, fac or _NOFAC)
 
 
-def _t_degree(D, t_var_idx) -> int:
-    """The degree in t of the product of the factor dict D."""
-    return sum(m * f.degree_in(t_var_idx) for f, m in D.items())
-
-
 # -- Fasenmyer-style search -----------------------------------------------------
 
 
@@ -384,18 +380,11 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     """Search for t-free operators of I by increasing total degree.
 
     At each degree the normal forms of the candidate monomials give rows
-    over C(x, t), and `arith._t_free_kernel` finds their t-free solutions.
-    Its one mod-p pass (`arith._pivot_rows_mod_p`) takes the exact
-    t-expansion of every row at a point mod p, a homomorphic image of the
-    t-expanded rows whose kernel is the t-free solutions, so a degree
-    whose rows reach full rank there has none and is skipped.  Otherwise
-    one vector per free column is rebuilt under a degree cap that is a
-    bound and checked exactly, a give-up or failed check retried at the
-    next (prime, point) (the primes grow without bound, so the lift fits
-    from some prime on); each vector's last nonzero column is its own,
-    where the others are 0.  Each is decomposed into telescoper plus
-    certificates; the search stops once the telescopers generate an ideal
-    of dimension at most target_dim (when given), else runs the budget.
+    over C(x, t), and `arith._t_free_kernel` finds their t-free solutions
+    (a degree with none is skipped after its mod-p pass).  Each is
+    decomposed into telescoper plus certificates; the search stops once
+    the telescopers generate an ideal of dimension at most target_dim
+    (when given), else runs the budget.
 
     The rows come from the normal forms in I's own basis, where shift
     t-generators stay shifts (the walk the growth probe and the closures
@@ -510,16 +499,9 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     coming from staircase monomials within the B-degree form the square
     coupled part, the higher extraneous rows the constraint part; both are
     solved at once by `arith._t_free_kernel`, so the kernel is that of the
-    square part cut down by the constraints.  That solve is one mod-p pass
-    first, over the exact t-expansion of every row at a point (a
-    homomorphic image of the t-expanded rows, so full rank there proves
-    there is no solution); then one vector per free column is rebuilt
-    under a degree cap that is a bound and checked exactly, a give-up or
-    failed check retried at the next (prime, point) (the primes grow
-    without bound, so the lift fits from some prime on).  Each vector's
-    last nonzero column is its own, where the others are 0, and the
-    smallest telescoper among them is kept.  The ansatz denominator D is
-    a factor dict (`_denominator_ansatz`), so each t^d/D needs no gcd.
+    square part cut down by the constraints, and the smallest telescoper
+    among its vectors is kept.  The ansatz denominator D is a factor dict
+    (`_denominator_ansatz`), so each t^d/D needs no gcd.
     The rows are in difference form, read off I's own basis (Delta_t*u =
     S_t*u - u); shift rows give the same kernel, and on double-Stirling
     (dega 3, degb 2) their rebuild took about 1.5 times as long."""
@@ -541,7 +523,7 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     a_mons = [e for e in exponents_up_to(alg.ngens, degA) if e[ti] == 0]
     b_mons = [ge for ge in gb.reduced_monomials(degB) if ge[ti] == 0]
     D = _denominator_ansatz(gb, t_var_idx, denom_bound)
-    degN = _t_degree(D, t_var_idx) + denom_bound
+    degN = factored_degree_in(D, t_var_idx) + denom_bound
     b_unknowns = [(ge, d) for ge in b_mons for d in range(degN + 1)]
 
     system = CoupledSystem(square_shape=(), constraint_shape=(),

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
+from .arith import _keywise_max
 from .errors import NonDiscreteAlgebra, OutOfDomain
 from .ore import OreKind, OrePoly, as_shifts
 
@@ -422,10 +423,7 @@ def apply_operator_numeric(L: OrePoly, oracle: SequenceOracle, points):
     gvars = [g.var for g in L.algebra.gens]
     needed = operator_variables(L)
     # the common denominator: each factor at its largest multiplicity
-    top = {}
-    for coeff in L.terms.values():
-        for f, m in coeff.fac.items():
-            top[f] = max(top.get(f, 0), m)
+    top = _keywise_max(coeff.fac for coeff in L.terms.values())
     # each term: its shifts, numerator, and cofactor in the common denominator
     terms = [([(gvars[i], e) for i, e in enumerate(exp) if e], coeff.numer,
               [(f, m - coeff.fac.get(f, 0)) for f, m in top.items()])

@@ -314,22 +314,33 @@ def test_growth_helper_and_inline_reports_agree(name, golden_dir, monkeypatch):
 REBOUND = """algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
 ideal B = [(k - n - 1)*Sn + n + 1, (k + 1)*Sk + k - n];
 ideal C = [Sn - 1, (k + 1)*Sk - (k + 2)];
-closure product B C maxdeg 2 as B;
-growth exact B over k window 8;
 """
+CLOSURE = "closure product B C maxdeg 2 as B;\n"
+GROWTH = "growth exact B over k window 8;\n"
 
 
-def test_a_growth_ideal_rebound_by_an_earlier_closure(monkeypatch):
-    """The helper of a growth task whose ideal an earlier closure rebinds
-    with `as` computes on the rebound ideal, as the task does inline."""
+@pytest.mark.parametrize("tasks, forks_per_run, growth_at, growth_line", [
+    pytest.param(CLOSURE + GROWTH, 0, 1,
+                 "growth exact B: p = 1  degrees [0, 3, 5, 7, 9, 11, 13, 15, 17]",
+                 id="closure-before"),
+    pytest.param(GROWTH + CLOSURE, 1, 0,
+                 "growth exact B: p = 1  degrees [0, 2, 4, 6, 8, 10, 12, 14, 16]",
+                 id="closure-after"),
+])
+def test_a_growth_ideal_rebound_by_an_earlier_closure(tasks, forks_per_run, growth_at,
+                                                      growth_line, monkeypatch):
+    """A growth task whose ideal an earlier closure rebinds with `as` gets
+    no helper and runs at its place on the rebound ideal; with the closure
+    after it, its helper computes on the declared ideal.  Both give the
+    inline reports."""
     def reports():
-        return [run(parse(REBOUND), fmt=fmt, out=io.StringIO()) for fmt in ("json", "text")]
+        return [run(parse(REBOUND + tasks), fmt=fmt, out=io.StringIO())
+                for fmt in ("json", "text")]
 
     forks = _choose_growth_path(monkeypatch, "helper")
     by_helper = reports()
-    assert len(forks) == 2
-    assert by_helper[1][1].splitlines()[1] == (
-        "growth exact B: p = 1  degrees [0, 3, 5, 7, 9, 11, 13, 15, 17]")
+    assert len(forks) == 2 * forks_per_run
+    assert by_helper[1][1].splitlines()[growth_at] == growth_line
     _choose_growth_path(monkeypatch, "inline")
     assert reports() == by_helper
 
