@@ -350,10 +350,6 @@ class MPoly:
             return NotImplemented
         return self.ring is other.ring and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.ring.names, frozenset(self.terms.items())))
 
@@ -397,20 +393,12 @@ class MPoly:
         return MPoly(self.ring, out if type(offset) is int and _all_int(self.terms)
                      else _fix(out))
 
-    def scale_var(self, i, factor_index=None, factor=None) -> "MPoly":
-        """Substitute x_i -> q*x_i where q is the variable at factor_index,
-        or x_i -> factor*x_i for a rational factor."""
-        s = self.ring.shifts[i]
-        unit = 0 if factor_index is None else self.ring.units[factor_index]
-        out = {}
-        for e, c in self.terms.items():
-            d = e >> s & _FIELD
-            if d:
-                e += d * unit
-                if factor is not None:
-                    c = c * _coef(factor) ** d
-            _acc(out, e, c)
-        return _checked(MPoly(self.ring, out))
+    def scale_var(self, i, factor_index) -> "MPoly":
+        """Substitute x_i -> q*x_i where q is the variable at factor_index."""
+        s, unit = self.ring.shifts[i], self.ring.units[factor_index]
+        # injective on keys: each term keeps its x_i degree d and gains q^d
+        return _checked(MPoly(self.ring, {e + (e >> s & _FIELD) * unit: c
+                                          for e, c in self.terms.items()}))
 
     def power_var(self, i, b) -> "MPoly":
         """Substitute x_i -> x_i**b (Mahler substitution)."""
@@ -1456,10 +1444,6 @@ class RatFunc:
         if self.fac == other.fac:
             return self.numer == other.numer
         return self.num == other.num and self.den == other.den
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash((self.num, self.den))

@@ -30,10 +30,6 @@ class ClosureResult:
     used_degree: int
     dimension: object
 
-    def __iter__(self):  # allow: ideal, met = result
-        yield self.ideal
-        yield self.bound_met
-
 
 def _check_linear(alg):
     for i in range(alg.ngens):

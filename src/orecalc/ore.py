@@ -366,10 +366,6 @@ class OrePoly:
             return NotImplemented
         return self.algebra == other.algebra and self.terms == other.terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 

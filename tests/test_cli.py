@@ -682,13 +682,33 @@ verify T: sum(k, c) == rowsum box 7;
 
 
 def test_a_verify_sums_over_the_whole_proved_support(capsys, monkeypatch):
-    """binomial(2n, k) is nonzero on 0 <= k <= 2n, wider than the window
-    margin + 4 + n that a scan would guess for it."""
+    """binomial(2n, k) is nonzero on 0 <= k <= 2n, which reaches past n."""
     monkeypatch.setattr("sys.stdin", io.StringIO(WIDE_SUPPORT))
     assert main(["run", "-"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[1] == "  A = -Sn + 4"
     assert out[-1] == "verify T: pass (8 points)"
+
+
+DIVERGENT_SUM = """
+algebra Q(n, k) <Sn: shift(n), Sk: shift(k)>;
+ideal I = [(k - 2*n - 19)*Sk - (k + 1), Sn - 1];
+oracle f = binomial(k, 2*n + 20);
+oracle zero = 0;
+telescope I over Sk maxdeg 2 as T;
+verify T: sum(k, f) == zero box 3;
+"""
+
+
+def test_a_verify_of_a_divergent_sum_fails(capsys, monkeypatch):
+    """binomial(k, 2n + 20) is 0 below k = 2n + 20 only, so the sum over k
+    diverges and no finite sum may stand in for it."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(DIVERGENT_SUM))
+    assert main(["run", "-"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out.splitlines()[-1] == (
+        "verify: error: summand does not vanish (no natural boundary)")
 
 
 UNUSED_VARIABLE = """

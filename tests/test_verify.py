@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import math
 import os
+import re
 from fractions import Fraction
 
 import hypothesis
@@ -126,9 +128,24 @@ class TestOracleExpressions:
             assert s.eval({"n": n}) == 2 ** n
 
     def test_definite_sum_no_boundary_raises(self):
-        s = DefiniteSum("k", Const(Fraction(1)), cap=50)
+        s = DefiniteSum("k", Const(Fraction(1)))
         with pytest.raises(OutOfDomain):
             s.eval({})
+
+    def test_a_half_line_support_raises(self):
+        # C(3, k) + C(k, 40) diverges; its hull (0, None) bounds one side only
+        body = Add((Builtin("binomial", (lin(3), lin(k=1))),
+                    Builtin("binomial", (lin(k=1), lin(40)))))
+        assert body.support("k", {}) == (0, None)
+        with pytest.raises(OutOfDomain, match="no natural boundary"):
+            DefiniteSum("k", body).eval({})
+
+    def test_a_zero_term_keeps_the_sum(self):
+        b = Builtin("binomial", (lin(n=1), lin(k=1)))
+        assert Const(0).support("k", {}) == (1, 0)
+        assert Add((b, Const(0))).support("k", {"n": 5}) == (0, 5)
+        s = DefiniteSum("k", Add((b, Const(0))))
+        assert [s.eval({"n": n}) for n in range(8)] == [2 ** n for n in range(8)]
 
 
 class TestApplyOperator:
@@ -319,8 +336,8 @@ class TestSupport:
         assert DefiniteSum("j", b).support("k", env) is None
 
     def test_a_support_wider_than_the_old_window(self):
-        # 0 <= k <= 2n reaches past margin + 4 + n for n > margin + 4
-        s = DefiniteSum("k", Builtin("binomial", (lin(n=2), lin(k=1))), margin=5)
+        # 0 <= k <= 2n: the whole support, however far it reaches past n
+        s = DefiniteSum("k", Builtin("binomial", (lin(n=2), lin(k=1))))
         assert [s.eval({"n": n}) for n in range(16)] == [4 ** n for n in range(16)]
 
 
@@ -382,6 +399,52 @@ def test_corpus_telescopers_over_one_denominator(corpus_checks):
         points = box_points({v: (lo, min(hi, 4)) for v, (lo, hi) in ranges.items()})
         _assert_per_term(telescoper, DefiniteSum(var, summand), points)
         _assert_per_term(telescoper, closed, points)
+
+
+def _load_perfbench_inputs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "inputs.py")
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_inputs = _load_perfbench_inputs()
+
+
+def _corpus_text(name):
+    with open(os.path.join(CORPUS, name + ".ore")) as fh:
+        return fh.read()
+
+
+_VERIFIED = sorted(name for name in (f[:-len(".ore")] for f in os.listdir(CORPUS)
+                                      if f.endswith(".ore"))
+                   if re.search(r"(?m)^verify ", _corpus_text(name)))
+
+
+@pytest.mark.parametrize("shift", (0,) + _inputs.SHIFTS)
+@pytest.mark.parametrize("name", _VERIFIED)
+def test_every_corpus_sum_runs_over_a_proved_finite_support(name, shift,
+                                                             monkeypatch):
+    """Every sum a corpus verify task evaluates, at every point it reaches,
+    has a proved finite support, also with the index variables translated
+    as the benchmark's seeded inputs translate them."""
+    text = _corpus_text(name)
+    pf = cli.parse(_inputs.shifted_text(
+        text, {v: shift for v in _inputs.ground_vars(text)}))
+    pf.tasks = [t for t in pf.tasks if t.kind in ("closure", "telescope", "verify")]
+    supports = []
+    evaluate = DefiniteSum.eval
+
+    def recording(self, env):
+        supports.append(self.body.support(self.var, env))
+        return evaluate(self, env)
+
+    monkeypatch.setattr(DefiniteSum, "eval", recording)
+    assert cli.run(pf, out=io.StringIO())[0] == 0
+    assert supports
+    assert all(s is not None and None not in s for s in supports)
 
 
 _nk = algebra_nk()
