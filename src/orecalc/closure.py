@@ -27,7 +27,6 @@ class ClosureResult:
     ideal: LeftIdeal
     bound: object          # int, or None when trivially satisfied
     bound_met: bool
-    used_degree: int
     dimension: object
 
 
@@ -131,10 +130,7 @@ def _closure_run(alg, start, act, bound, max_degree, order):
     states = {alg._zero_exp: start}
     step = partial(apply_gen, alg, act)
     relations = []
-    used = 0
-    dim = None
     for s in range(1, max_degree + 1):
-        used = s
         monomials = exponents_up_to(alg.ngens, s)
         rels = _kernel_relations(states, step, monomials, alg)
         rels = _autoreduce(rels, order, alg)
@@ -144,11 +140,11 @@ def _closure_run(alg, start, act, bound, max_degree, order):
         J = LeftIdeal(alg, relations)
         dim = hilbert_dimension(J, order)
         if bound is None or _numeric_dim(dim) is None or dim <= bound:
-            return ClosureResult(J, bound, True, s, dim)
+            return ClosureResult(J, bound, True, dim)
     J = LeftIdeal(alg, relations)
     dim = hilbert_dimension(J, order) if relations else alg.ngens
     met = bound is None or (relations and (_numeric_dim(dim) is None or dim <= bound))
-    return ClosureResult(J, bound, bool(met), used, dim)
+    return ClosureResult(J, bound, bool(met), dim)
 
 
 def closure_product(I1: LeftIdeal, I2: LeftIdeal, max_degree: int,

@@ -37,13 +37,11 @@ class UniformReduction:
 @dataclass
 class GrowthCertificate:
     method: str                  # ExactClearing | HolonomicLPower | EmpiricalProbe
-    order: MonomialOrder
     t_names: tuple
     degrees: list
     p: object                    # int, or None if the fit failed
     degenerate: bool = False
     heuristic: bool = False
-    window: int = 0
     # the clearing polynomials P_s as factor dicts, and their ring; `polys`
     # expands them on first read
     facts: list = dataclass_field(default_factory=list, repr=False)
@@ -186,10 +184,9 @@ def growth_zero_dimensional(I: LeftIdeal, t_names, window: int = 10,
     if ders and not subs and all(
             g.kind is OreKind.DIFFERENTIATION for g in algebra.gens):
         method = "HolonomicLPower"
-    return GrowthCertificate(method=method, order=order, t_names=tuple(t_names),
+    return GrowthCertificate(method=method, t_names=tuple(t_names),
                              degrees=degrees, p=p, degenerate=degenerate,
-                             heuristic=False, window=window, facts=facts,
-                             ring=algebra.field)
+                             heuristic=False, facts=facts, ring=algebra.field)
 
 
 def growth_probe(I: LeftIdeal, t_names, window: int = 10,
@@ -207,10 +204,9 @@ def growth_probe(I: LeftIdeal, t_names, window: int = 10,
     degrees = [0] + [max(factored_degree_in(lcm, t_idx), top)
                      for lcm, top in _clearing_lcms(gb, t_idx, window)]
     p, degenerate = _fit_exponent(degrees)
-    return GrowthCertificate(method="EmpiricalProbe", order=order,
-                             t_names=tuple(t_names), degrees=degrees, p=p,
-                             degenerate=degenerate, heuristic=True,
-                             window=window)
+    return GrowthCertificate(method="EmpiricalProbe", t_names=tuple(t_names),
+                             degrees=degrees, p=p, degenerate=degenerate,
+                             heuristic=True)
 
 
 def _fit_exponent(degrees):

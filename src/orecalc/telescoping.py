@@ -27,7 +27,6 @@ from .arith import (
     denominator_lcm,
     exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
     factored_degree_in,
-    factored_expand,
     factored_merge,
     squarefree_part,
 )
@@ -79,7 +78,6 @@ class TelescopingResult:
 class SearchOutcome:
     results: list
     budget_exhausted: bool
-    target_dim: object
     achieved_dim: object
     trivial: bool = False        # unit ideal encountered
 
@@ -93,9 +91,6 @@ class CoupledSystem:
 
     square_shape: tuple
     constraint_shape: tuple
-    a_monomials: list
-    b_monomials: list
-    denominator: MPoly
     solved: bool = False
 
 
@@ -235,10 +230,10 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
     When the direct split has zero remainder, one multiplication by
     sigma(a) for the least nonzero certificate (a the telescopable
     witness) recovers a nonzero telescoper, exactly as in the dimension
-    bound's proof; deeper degeneracies go through a bounded certificate
-    ansatz instead.  Q is in difference form; I may be too, or have the
-    t-generators as shifts, and then each check carries the witness back to
-    I's own basis (Delta_t = S_t - 1)."""
+    bound's proof; a Q that needs more than one such multiplication raises
+    NoTelescopableVariable, and the search skips it.  Q is in difference
+    form; I may be too, or have the t-generators as shifts, and then each
+    check carries the witness back to I's own basis (Delta_t = S_t - 1)."""
     alg = Q.algebra
     shift_t = _carried_names(I, alg, t_names)
     t_idx, t_vars, t_var_idx = _t_data(alg, t_names)
@@ -267,108 +262,19 @@ def extract_telescoper(Q: OrePoly, I: LeftIdeal, t_names,
     # sigma(a) * Q = -b*C_i + sum_j d_{t_j} (adjusted certificates)
     C = certs[i]
     R2, certs2 = _monomial_split(C, t_idx)
-    if not R2.is_zero():
-        # A = -b*R2; certificates: j == i: a*C_i - b*C2_i ... plus the
-        # sigma(a)-scaled other piles
-        sa = alg.sigma(i, a)
-        new_certs = {}
-        for j in t_idx:
-            part = certs[j].scale(sa) if j != i else C.scale(a)
-            part = part - certs2[j].scale(b)
-            new_certs[alg.gens[j].name] = part
-        return _checked_result(R2.scale(-b), new_certs, provenance, degree,
-                               t_names, I, order, shift_t)
-    # deeper degeneracy: chase the t-free core chain for a candidate A,
-    # then solve for a certificate by bounded ansatz
-    core = C
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 50 or core.is_zero():
-            raise NoTelescopableVariable(
-                "could not recover a nonzero telescoper from the split chain")
-        Rj, certsj = _monomial_split(core, t_idx)
-        if not Rj.is_zero():
-            candidate = Rj
-            break
-        core = next((certsj[j] for j in t_idx if not certsj[j].is_zero()), alg.zero)
-    res = _certificate_by_ansatz(candidate, I, t_names, order,
-                                 provenance=provenance, degree=degree)
-    if res is None:
+    if R2.is_zero():
         raise NoTelescopableVariable(
-            "candidate telescoper admits no bounded certificate")
-    return res
-
-
-_MAX_CERT_DEGREE = 4
-
-
-def _certificate_by_ansatz(A: OrePoly, I: LeftIdeal, t_names, order,
-                           provenance, degree):
-    """Solve NF(A + sum d_t W_t) = 0 for W with rational t-coefficients."""
-    alg = A.algebra
-    shift_t = _carried_names(I, alg, t_names)
-    t_idx, _, t_var_idx = _t_data(alg, t_names)
-    gb = I.groebner_basis(order)
-    for cert_deg in range(1, _MAX_CERT_DEGREE + 1):
-        sol = _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t)
-        if sol is not None:
-            result = _checked_result(A, {alg.gens[i].name: sol[i] for i in t_idx},
-                                     provenance, degree, t_names, I, order, shift_t)
-            if result.membership_checked:
-                return result
-    return None
-
-
-def _solve_certificate(A, gb, t_idx, t_var_idx, cert_deg, shift_t):
-    """Inhomogeneous bounded solve for certificates of a fixed candidate;
-    implemented for a single telescoping variable.  The columns are normal
-    forms in gb carried over to difference form."""
-    if len(t_var_idx) != 1:
-        return None
-    alg = A.algebra
-    K = alg.field
-    tv = t_var_idx[0]
-    denom = _denominator_ansatz(gb, t_var_idx, 1)
-    unknowns = [(i, ge, d) for i in t_idx for ge in gb.reduced_monomials(cert_deg)
-                for d in range(factored_degree_in(denom, t_var_idx) + 2)]
-    columns = [_gen_times(gb, alg, i, {ge: _ansatz_coeff(K, tv, d, denom)}, shift_t)
-               for i, ge, d in unknowns]
-    # the last column is NF(A); solve the combined homogeneous system where
-    # that column is forced to 1 (scale-normalized inhomogeneous solve)
-    columns.append(_to_difference(
-        gb.algebra, gb.normal_form(difference_to_shift(A, shift_t)).terms, shift_t))
-    _, rows = coefficient_rows(columns, RatFunc.zero(K))
-    for vec in _t_free_kernel(rows, len(columns), K, t_var_idx):
-        lam = vec[-1]
-        if lam.is_zero():
-            continue
-        out = {i: alg.zero for i in t_idx}
-        for (u, val) in zip(unknowns, vec[:-1]):
-            if val.is_zero():
-                continue
-            i, ge, d = u
-            coeff = _ansatz_coeff(K, tv, d, denom) * (val / lam)
-            out[i] = out[i] + OrePoly(alg, {ge: coeff})
-        return {i: -out[i] for i in t_idx}
-    return None
-
-
-def _ansatz_coeff(K, tv, d, D) -> RatFunc:
-    """t^d/D, the coefficient an ansatz unknown carries (tv the index of t,
-    D the factor dict of `_denominator_ansatz`).  It is built without a
-    gcd: only a factor equal to t can cancel, and the numerator carries the
-    leading coefficient of D's product, since D is taken monic."""
-    x = K.var(K.names[tv])
-    t = _factor(x)[1]
-    k = min(d, D.get(t, 0))  # t^k cancels
-    fac = dict(D)
-    if k:
-        fac[t] -= k
-        if not fac[t]:
-            del fac[t]
-    lc = math.prod(f.leading_coeff() ** m for f, m in D.items())
-    return RatFunc._raw(x ** (d - k) * lc, fac or _NOFAC)
+            "one witness multiplication leaves no telescoper")
+    # A = -b*R2; certificates: j == i: a*C_i - b*C2_i ... plus the
+    # sigma(a)-scaled other piles
+    sa = alg.sigma(i, a)
+    new_certs = {}
+    for j in t_idx:
+        part = certs[j].scale(sa) if j != i else C.scale(a)
+        part = part - certs2[j].scale(b)
+        new_certs[alg.gens[j].name] = part
+    return _checked_result(R2.scale(-b), new_certs, provenance, degree,
+                           t_names, I, order, shift_t)
 
 
 # -- Fasenmyer-style search -----------------------------------------------------
@@ -401,7 +307,7 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
         res = TelescopingResult(telescoper=alg.one, certificates={},
                                 provenance="Fasenmyer", degree=0,
                                 t_gens=tuple(t_names), membership_checked=True)
-        return SearchOutcome([res], False, target_dim, UNIT_IDEAL, trivial=True)
+        return SearchOutcome([res], False, UNIT_IDEAL, trivial=True)
     gb = I.groebner_basis(order)
     K = alg.field
     results = []
@@ -434,11 +340,11 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
             xgens = [restrict_to_x(r.telescoper, t_names) for r in results]
             achieved = hilbert_dimension(LeftIdeal(xalg, xgens), order)
             if target_dim is None and not collect_all:
-                return SearchOutcome(results, False, target_dim, achieved)
+                return SearchOutcome(results, False, achieved)
             if target_dim is not None and (
                     achieved is UNIT_IDEAL or achieved <= target_dim):
-                return SearchOutcome(results, False, target_dim, achieved)
-    return SearchOutcome(results, True, target_dim, achieved)
+                return SearchOutcome(results, False, achieved)
+    return SearchOutcome(results, True, achieved)
 
 
 def _fasenmyer_rows(gb, monomials, K):
@@ -491,6 +397,23 @@ def _denominator_ansatz(gb, t_var_idx, denom_bound):
     return _align(D, {_factor(K.var(K.names[tv]))[1]: 1 for tv in t_var_idx})[0]
 
 
+def _ansatz_coeff(K, tv, d, D) -> RatFunc:
+    """t^d/D, the coefficient an ansatz unknown carries (tv the index of t,
+    D the factor dict of `_denominator_ansatz`).  It is built without a
+    gcd: only a factor equal to t can cancel, and the numerator carries the
+    leading coefficient of D's product, since D is taken monic."""
+    x = K.var(K.names[tv])
+    t = _factor(x)[1]
+    k = min(d, D.get(t, 0))  # t^k cancels
+    fac = dict(D)
+    if k:
+        fac[t] -= k
+        if not fac[t]:
+            del fac[t]
+    lc = math.prod(f.leading_coeff() ** m for f, m in D.items())
+    return RatFunc._raw(x ** (d - k) * lc, fac or _NOFAC)
+
+
 def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
                       denom_bound: int = 1, order: MonomialOrder = GREVLEX):
     """Ansatz A + Delta_t*B with A over C(x)<d_x> and B over the staircase.
@@ -526,15 +449,14 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     degN = factored_degree_in(D, t_var_idx) + denom_bound
     b_unknowns = [(ge, d) for ge in b_mons for d in range(degN + 1)]
 
-    system = CoupledSystem(square_shape=(), constraint_shape=(),
-                           a_monomials=a_mons, b_monomials=b_mons,
-                           denominator=factored_expand(D, K))
+    system = CoupledSystem(square_shape=(), constraint_shape=())
     # normal-form columns NF(d^e) for A and NF(Dt * t^d/D * d^ge) for B; no
     # name here holds them or their rows, so the exact solve runs without
     # the rational entries
     kernel = _t_free_kernel(
-        _coupled_rows(system, [_to_difference(gb.algebra, gb.phi(e), shift_t)
-                               for e in a_mons]
+        _coupled_rows(system, K, len(a_mons) + len(b_mons),
+                      [_to_difference(gb.algebra, gb.phi(e), shift_t)
+                       for e in a_mons]
                       + [_gen_times(gb, alg, ti, {ge: _ansatz_coeff(K, tv, d, D)},
                                     shift_t) for ge, d in b_unknowns],
                       gb.reduced_monomials(degB), degB, order),
@@ -562,15 +484,15 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     return result, system
 
 
-def _coupled_rows(system, columns, staircase, degB, order):
-    """Rows over C(x, t) of the coupled system with these columns: the
+def _coupled_rows(system, K, ncols, columns, staircase, degB, order):
+    """Rows over K = C(x, t) of the coupled system with these columns: the
     square block (the staircase within the B degree, counted fully) first,
-    then the constraint rows.  Records both shapes in `system`."""
+    then the constraint rows.  Records both shapes in `system`, ncols
+    columns wide (one per A and per B monomial)."""
     support, rows = coefficient_rows(
-        columns, RatFunc.zero(system.denominator.ring),
+        columns, RatFunc.zero(K),
         key=lambda w: (sum(w) > degB, order.key(w)), extra=staircase)
     n_square = sum(sum(w) <= degB for w in support)
-    ncols = len(system.a_monomials) + len(system.b_monomials)
     system.square_shape = (n_square, ncols)
     system.constraint_shape = (len(support) - n_square, ncols)
     return rows

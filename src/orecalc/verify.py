@@ -324,10 +324,14 @@ class Add(SequenceOracle):
         return out
 
     def support(self, var, env):
-        # the hull of the terms' supports, an end kept where every term has it
+        # the hull of the terms' nonempty supports, an end kept where every
+        # such term has it; empty when every term's is
         ss = [t.support(var, env) for t in self.terms]
         if None in ss:
             return None
+        ss = [(lo, hi) for lo, hi in ss if lo is None or hi is None or lo <= hi]
+        if not ss:
+            return (1, 0)
         los, his = [lo for lo, _ in ss], [hi for _, hi in ss]
         return _proved((None if None in los else min(los),
                         None if None in his else max(his)))
@@ -342,9 +346,10 @@ class DefiniteSum(SequenceOracle):
     At the outer values the body states an interval outside which it is 0
     (`support`: a finite-support builtin is 0 unless 0 <= second argument
     <= first, a product meets its factors' intervals, a sum takes the hull
-    of its terms', the constant 0 is empty), and the sum runs over exactly
-    that interval.  A body with no such finite interval raises: nothing
-    then bounds the sum, so no finite sum could be checked against it."""
+    of its terms' nonempty ones, the constant 0 is empty), and the sum runs
+    over exactly that interval.  A body with no such finite interval
+    raises: nothing then bounds the sum, so no finite sum could be checked
+    against it."""
 
     def __init__(self, var, body):
         self.var = var

@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module."""
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -31,3 +32,27 @@ def unused_imports(path):
 def test_module_uses_every_import(path):
     unused = {name for name in unused_imports(path) if (path.stem, name) not in ALLOWED}
     assert not unused, "%s imports %s and never uses it" % (path.name, sorted(unused))
+
+
+def _reads(node):
+    """The names a subtree reads: as a name, an attribute or an import alias."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.asname or sub.name
+
+
+TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+READS = collections.Counter(name for tree in TREES.values() for name in _reads(tree))
+PRIVATE = [(stem, node) for stem, tree in TREES.items() for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+
+
+@pytest.mark.parametrize("stem, node", PRIVATE,
+                         ids=["%s.%s" % (stem, node.name) for stem, node in PRIVATE])
+def test_private_definition_has_a_reader(stem, node):
+    inside = sum(name == node.name for name in _reads(node))
+    assert READS[node.name] > inside, "%s.%s is never read" % (stem, node.name)

@@ -147,6 +147,17 @@ class TestOracleExpressions:
         s = DefiniteSum("k", Add((b, Const(0))))
         assert [s.eval({"n": n}) for n in range(8)] == [2 ** n for n in range(8)]
 
+    def test_an_empty_term_does_not_widen_the_hull(self):
+        # C(9, k)*C(k, 5) is 0 outside 5 <= k <= 9, and the 0 term adds no point
+        b = Product((Builtin("binomial", (lin(9), lin(k=1))),
+                     Builtin("binomial", (lin(k=1), lin(5)))))
+        assert Add((b, Const(0))).support("k", {}) == (5, 9)
+        # C(n, 7) at n = 5 is empty in k as well: so is the sum
+        empty = Builtin("binomial", (lin(n=1), lin(7)))
+        assert Add((Const(0), empty)).support("k", {"n": 5}) == (1, 0)
+        assert DefiniteSum("k", Add((b, Const(0)))).eval({}) == sum(
+            math.comb(9, k) * math.comb(k, 5) for k in range(10))
+
 
 class TestApplyOperator:
     def test_stirling_recurrence_operator(self):
