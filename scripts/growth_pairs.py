@@ -3,7 +3,7 @@ tasks of one problem file.
 
     python3 scripts/growth_pairs.py BASE HEAD FILE [--pairs N]
         [--kind growth|telescope|zeilberger|verify] [--window N]
-        [--dega N] [--degb N]
+        [--maxdeg N] [--dega N] [--degb N]
 
 BASE and HEAD are two checkouts of the repository (for instance
 `git archive` of two commits).  Each pair runs FILE once under each, every
@@ -17,8 +17,9 @@ task's Groebner basis.  `cli.run` is not used, since it may run a growth
 task in a helper process.  The named ideals must be declared in FILE, not
 bound by a closure task.  --window N runs every growth task with window N
 instead of the one FILE gives it, so a probe can be timed at another
-window without editing FILE; --dega N and --degb N likewise override
-every zeilberger task's ansatz degrees.  A verify task needs the
+window without editing FILE; --maxdeg N likewise overrides every
+telescope task's degree budget, and --dega N and --degb N every
+zeilberger task's ansatz degrees.  A verify task needs the
 telescoper an earlier task binds, so for verify the run goes through
 `cli.run` with every task but growth, untimed, and only the calls of
 `check_identity` are timed.  Prints every pair, then each side's median
@@ -43,9 +44,9 @@ import sys
 import time
 
 
-def _task_call(cli, pf, d, kind, window, dega=None, degb=None):
+def _task_call(cli, pf, d, kind, window, maxdeg=None, dega=None, degb=None):
     """The call that runs one task of the kind on its ideal, untimed;
-    window, dega and degb, when given, replace the task's own."""
+    window, maxdeg, dega and degb, when given, replace the task's own."""
     ideal = pf.built_ideals[d["ideal"]]
     if kind == "growth":
         from orecalc.growth import growth_probe, growth_zero_dimensional
@@ -55,7 +56,8 @@ def _task_call(cli, pf, d, kind, window, dega=None, degb=None):
     from orecalc.telescoping import fasenmyer_search, zeilberger_search
     if kind == "telescope":
         tgens = [cli._resolve_gen(pf.algebra, t) for t in d["tgens"]]
-        return lambda: fasenmyer_search(ideal, tgens, d["maxdeg"],
+        return lambda: fasenmyer_search(ideal, tgens,
+                                        d["maxdeg"] if maxdeg is None else maxdeg,
                                         target_dim=d.get("target"))
     tgen = cli._resolve_gen(pf.algebra, d["tgen"])
     return lambda: zeilberger_search(ideal, tgen,
@@ -83,7 +85,7 @@ def _verify_seconds(cli, pf):
     return spent
 
 
-def _child(src, path, kind, window=None, dega=None, degb=None):
+def _child(src, path, kind, window=None, maxdeg=None, dega=None, degb=None):
     sys.path.insert(0, src)
     import orecalc.cli as cli
     with open(path) as fh:
@@ -94,17 +96,18 @@ def _child(src, path, kind, window=None, dega=None, degb=None):
     spent = 0.0
     for task in pf.tasks:
         if task.kind == kind:
-            call = _task_call(cli, pf, task.data, kind, window, dega, degb)
+            call = _task_call(cli, pf, task.data, kind, window, maxdeg, dega, degb)
             t0 = time.perf_counter()
             call()
             spent += time.perf_counter() - t0
     print(json.dumps({"seconds": spent}))
 
 
-def _run(root, path, kind, window, dega=None, degb=None):
+def _run(root, path, kind, window, maxdeg=None, dega=None, degb=None):
     cmd = [sys.executable, os.path.abspath(__file__), "--child",
            os.path.join(root, "src"), path, "--kind", kind]
-    for flag, value in (("--window", window), ("--dega", dega), ("--degb", degb)):
+    for flag, value in (("--window", window), ("--maxdeg", maxdeg),
+                        ("--dega", dega), ("--degb", degb)):
         if value is not None:
             cmd += [flag, str(value)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
@@ -127,19 +130,21 @@ def main(argv=None):
                                          "verify"),
                     default="growth")
     ap.add_argument("--window", type=int)
+    ap.add_argument("--maxdeg", type=int)
     ap.add_argument("--dega", type=int)
     ap.add_argument("--degb", type=int)
     args = ap.parse_args(argv)
     if args.child:
-        _child(*args.child, args.kind, args.window, args.dega, args.degb)
+        _child(*args.child, args.kind, args.window, args.maxdeg, args.dega,
+               args.degb)
         return 0
     if not (args.base and args.head and args.file) or args.pairs < 2:
         ap.error("need BASE HEAD FILE and at least 2 pairs")
     base, head, wins = [], [], 0
     for i in range(args.pairs):
         sides = [("base", args.base), ("head", args.head)]
-        got = {name: _run(root, args.file, args.kind, args.window, args.dega,
-                          args.degb)
+        got = {name: _run(root, args.file, args.kind, args.window, args.maxdeg,
+                          args.dega, args.degb)
                for name, root in (sides if i % 2 == 0 else sides[::-1])}
         base.append(got["base"])
         head.append(got["head"])

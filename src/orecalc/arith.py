@@ -9,9 +9,14 @@ a `Fraction` only when they are not (`_coef` is the one normaliser; it
 rejects floats).  Most coefficients the engine meets are integers, and int
 arithmetic is several times cheaper than Fraction arithmetic.  An integral
 `Fraction` built by hand is still a legal coefficient, since it compares
-and hashes equal to its int.  Every coefficient division goes through the
-exact quotient `_qdiv` (or `_inv`): in Python `int / int` is a float, so a
-bare `/` between coefficients would silently leave exact arithmetic.
+and hashes equal to its int.  Rational coefficients are multiplied over
+one denominator: `MPoly.__mul__` takes each operand with a `Fraction`
+coefficient as an integer polynomial over the lcm of its coefficient
+denominators, multiplies ints only, and divides the product's
+coefficients by the two lcms once.  Every coefficient division goes
+through the exact quotient `_qdiv` (or `_inv`): in Python `int / int` is a
+float, so a bare `/` between coefficients would silently leave exact
+arithmetic.
 
 Everything here is immutable and pure; all the operator algebra upstairs is
 built on these coefficients.
@@ -85,6 +90,13 @@ _INT = frozenset({int})
 
 def _all_int(terms: dict) -> bool:
     return _INT.issuperset(map(type, terms.values()))
+
+
+def _integral(terms: dict):
+    """(d, terms times d as ints): d the lcm of the coefficient
+    denominators."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return d, {e: c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
 # -- packed monomials ---------------------------------------------------------------
@@ -314,6 +326,13 @@ class MPoly:
         if max(a) + max(b) >= self.ring.limit:
             raise DegreeOverflow("product of total degree %d exceeds %d" % (
                 self.total_degree() + other.total_degree(), MAX_DEGREE))
+        # rational operands are multiplied as integer polynomials over the
+        # product of their common denominators, divided out once at the end
+        scale = 1
+        if not (_all_int(a) and _all_int(b)):
+            da, a = _integral(a)
+            db, b = _integral(b)
+            scale = da * db
         if len(a) > len(b):
             a, b = b, a
         rows = iter(a.items())
@@ -326,7 +345,9 @@ class MPoly:
                 out[e] = get(e, 0) + ca * cb
         if 0 in out.values():
             out = {e: c for e, c in out.items() if c}
-        return MPoly(self.ring, out if _all_int(a) and _all_int(b) else _fix(out))
+        if scale != 1:
+            out = {e: _qdiv(c, scale) for e, c in out.items()}
+        return MPoly(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -995,6 +1016,26 @@ def _align(A: dict, B: dict):
             return A, B
 
 
+def _record_product(fg: MPoly, f: MPoly, g: MPoly) -> None:
+    """Record the interned factor of fg = f*g as split into the factors of
+    f and g, aligned (`_align`).  The parser calls this for each product
+    of two polynomial coefficients it reads, so such a product keeps its
+    factors where it is inverted (`groebner._monic`) and in every
+    denominator built from it.  A factor split before is refined by the
+    same pieces instead."""
+    if f.is_constant() or g.is_constant():
+        return
+    A, B = _align({_factor(f)[1]: 1}, {_factor(g)[1]: 1})
+    pieces = dict(A)
+    for P, m in B.items():
+        pieces[P] = pieces.get(P, 0) + m
+    F = _factor(fg)[1]
+    if F.split is None:
+        _split(F, pieces)
+    else:
+        _align(_resolved(F.split), pieces)
+
+
 def factored_merge(A: dict, q) -> None:
     """A := lcm(A, q) in place, for a factor dict A and q a factor dict or
     a polynomial: the max of the two dicts once they are aligned
@@ -1650,10 +1691,10 @@ def _finalize_ratfunc_vector_rat(vec, ring):
     return [RatFunc.from_poly(p) for p in polys]
 
 
-def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
+def _t_free_kernel(rows, ncols, ring, t_var_idx, selected=None) -> list:
     """Basis of the solutions over Q(x) of rows of RatFunc entries over
-    Q(x, t), t the variables t_var_idx.  The Fasenmyer search, the
-    Zeilberger search and the certificate ansatz all solve here.
+    Q(x, t), t the variables t_var_idx.  The Fasenmyer search and the
+    Zeilberger search solve here.
 
     - One mod-p pass (`_pivot_rows_mod_p`) puts every t-expanded row of
       the rows, taken at the image point, into one echelon.  Those images
@@ -1666,8 +1707,12 @@ def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
       checks each exactly against every t-expanded row, and retries a
       give-up or a failed check at the next (prime, point): the primes
       grow without bound, so the lift fits from some prime on.  Each
-      vector's last nonzero column is its own, where the others are 0."""
-    selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars), t_var_idx)
+      vector's last nonzero column is its own, where the others are 0.
+
+    selected, when given, is that pass over these rows, made by the caller
+    (`_prefix_kernels`)."""
+    if selected is None:
+        selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars), t_var_idx)
     if len(selected) == ncols:
         return []
     labels = []
@@ -1676,6 +1721,34 @@ def _t_free_kernel(rows, ncols, ring, t_var_idx) -> list:
     rows = _t_expanded_rows(rows, ring, t_var_idx, labels)
     index = {label: i for i, label in enumerate(labels)}
     return nullspace_selected(rows, ncols, ring, [index[label] for label in selected])
+
+
+def _prefix_kernels(rows, sizes, ring, t_var_idx):
+    """For each of the increasing sizes n, lazily, the basis of the t-free
+    solutions of the rows cut to their first n columns (the last size
+    their width), as `_t_free_kernel` gives it.
+
+    One mod-p pass (`_pivot_rows_mod_p`) runs over the whole rows, and
+    the pivots among the first n columns give the rank of the images cut
+    to them.  Each image is a t-expanded row cleared by its whole row's
+    factors: the cut row times a nonzero polynomial, with the same t-free
+    solutions as the cut row.  So rank n proves, as in `_t_free_kernel`,
+    that the cut rows have none, and that prefix gives [] with no further
+    pass.  Every other prefix is solved by `_t_free_kernel`, the whole
+    rows from this pass's selection."""
+    if not sizes:
+        return
+    cols = []
+    selected = _pivot_rows_mod_p(rows, sizes[-1], _image_point(ring.nvars),
+                                 t_var_idx, cols=cols)
+    for n in sizes:
+        if sum(c < n for c in cols) == n:
+            yield []
+        elif n == sizes[-1]:
+            yield _t_free_kernel(rows, n, ring, t_var_idx, selected)
+        else:
+            yield _t_free_kernel([row[:n] for row in rows if any(row[:n])],
+                                 n, ring, t_var_idx)
 
 
 def _t_expanded_rows(rows, ring, t_var_idx, labels=None):
@@ -1896,15 +1969,19 @@ def _kernel_by_points(rows, ncols, ring, point, p=None):
     return vec
 
 
-def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None) -> list:
+def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None, cols=None) -> list:
     """The t-expanded rows that add rank to one echelon mod p
     (`_IMAGE_PRIME` unless given): for each pivot, in order, the label of
     the row it came from, (r, tk) for row r's t-part tk, or r alone
     when there is no t, so the length of the list is the rank found (it
-    stops at ncols).
+    stops at ncols).  cols, when given, receives each pivot's column, in
+    the same order.
     This is the one mod-p rank: the t-free proof and the row selection of
-    `_t_free_kernel`, `nullspace_selected`'s selection and
-    `matrix_rank_at_point`.
+    `_t_free_kernel`, the prefix ranks of `_prefix_kernels`,
+    `nullspace_selected`'s selection and `matrix_rank_at_point`.  Each
+    pivot is the leftmost nonzero column of its reduced vector, so the
+    pivots in the first n columns number the rank of the images cut to
+    those columns: one pass gives the rank of every column prefix.
 
     The entries are MPoly or RatFunc over Q(x, t), t the variables
     t_var_idx (none for a matrix over Q(x)).  Each row goes in as its
@@ -1936,6 +2013,8 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None) -> list:
         for tk in sorted(vectors):
             if _echelon_insert_mod_p(pivots, vectors[tk], columns, p):
                 out.append((r, tk) if t_var_idx else r)
+                if cols is not None:
+                    cols.append(next(reversed(pivots)))
                 if len(out) == ncols:
                     return out
     return out

@@ -14,7 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .arith import MAX_DEGREE, PolyRing, RatFunc, _coef
+from .arith import MAX_DEGREE, PolyRing, RatFunc, _coef, _record_product
 from .closure import closure_apply, closure_product, closure_sum
 from .dimension import hilbert_dimension
 from .errors import (
@@ -310,7 +310,12 @@ class Parser:
             op = self.next()
             rhs = self.parse_opfactor(alg)
             if op.text == "*":
-                value = _within_degree(lambda: value * rhs, op)
+                product = _within_degree(lambda: value * rhs, op)
+                # a product of polynomial coefficients keeps its factors
+                a, b, ab = map(_coefficient, (value, rhs, product))
+                if a and b and ab and not (a.fac or b.fac):
+                    _record_product(ab.numer, a.numer, b.numer)
+                value = product
                 continue
             if set(rhs.terms) - {alg._zero_exp}:
                 raise ProblemSyntaxError("division only by coefficient expressions",
@@ -499,6 +504,11 @@ class Parser:
         if kind in (_GEN, _TGEN, _VAR, _SUMVAR):
             pos.setdefault(t.text, (t.line, t.col))
         return t.text
+
+
+def _coefficient(f: OrePoly):
+    """The coefficient of f when f is one, else None."""
+    return f.terms.get(f.algebra._zero_exp) if len(f.terms) == 1 else None
 
 
 def _within_degree(compute, token):

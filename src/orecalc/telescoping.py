@@ -23,6 +23,7 @@ from .arith import (
     _align,
     _factor,
     _finalize_ratfunc_vector_rat,
+    _prefix_kernels,
     _t_free_kernel,
     denominator_lcm,
     exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
@@ -285,12 +286,18 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
                      collect_all: bool = False) -> SearchOutcome:
     """Search for t-free operators of I by increasing total degree.
 
-    At each degree the normal forms of the candidate monomials give rows
-    over C(x, t), and `arith._t_free_kernel` finds their t-free solutions
-    (a degree with none is skipped after its mod-p pass).  Each is
-    decomposed into telescoper plus certificates; the search stops once
-    the telescopers generate an ideal of dimension at most target_dim
-    (when given), else runs the budget.
+    The normal forms of the candidate monomials give rows over C(x, t),
+    one column per monomial.  The monomials are graded, so those of
+    degree d are a prefix of those of the budget, and the rows of degree d
+    are the budget's rows cut to that prefix.  One mod-p pass over the
+    budget's rows (`arith._prefix_kernels`) proves which degrees, from 1
+    on, have no t-free solution, so a negative search ends after it; from
+    the first degree it does not prove, `arith._t_free_kernel` finds each
+    degree's t-free solutions.  Each is decomposed into telescoper plus
+    certificates; the search stops once the telescopers generate an ideal
+    of dimension at most target_dim (when given), else runs the budget.
+    So a search whose telescoper lies below the budget still walks the
+    normal forms up to the budget.
 
     The rows come from the normal forms in I's own basis, where shift
     t-generators stay shifts (the walk the growth probe and the closures
@@ -314,10 +321,11 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     found_keys = set()
     xalg = x_subalgebra(alg, t_names)
     achieved = None
-    for deg in range(1, max_degree + 1):
-        monomials = exponents_up_to(alg.ngens, deg)
-        kernel = _t_free_kernel(_fasenmyer_rows(gb, monomials, K),
-                                len(monomials), K, t_var_idx)
+    budget = exponents_up_to(alg.ngens, max_degree)
+    sizes = [math.comb(alg.ngens + d, d) for d in range(1, max_degree + 1)]
+    kernels = _prefix_kernels(_fasenmyer_rows(gb, budget, K), sizes, K, t_var_idx)
+    for deg, (size, kernel) in enumerate(zip(sizes, kernels), 1):
+        monomials = budget[:size]
         for vec in kernel:
             vec = _to_difference_vector(vec, monomials, I.algebra, shift_t, K)
             terms = {m: c for m, c in zip(monomials, vec) if not c.is_zero()}

@@ -4,12 +4,16 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 
 import pytest
 
 import orecalc.cli as cli
+from orecalc import arith
 from orecalc.cli import main, parse, print_problem, run
 from orecalc.errors import KindError, ProblemSyntaxError, UnknownName
+from orecalc.groebner import GREVLEX
 from orecalc.ore import CATALOG, OreKind
 
 from test_ore import make_algebra
@@ -291,6 +295,61 @@ def _assert_report_matches(name, golden_dir):
 def _corpus_text(name):
     with open(os.path.join(CORPUS, name + ".ore")) as fh:
         return fh.read()
+
+
+def _leading_coefficients(ideal):
+    return [g.terms[GREVLEX.leading_exp(g)] for g in ideal.generators]
+
+
+def test_parsed_products_keep_their_factors():
+    """The parser records each product of polynomial coefficients as split
+    into the factors written, so Buchberger's inverted leading
+    coefficients enter the walk as those factors."""
+    pf = parse(_corpus_text("nonproper"))
+    U = pf.built_ideals["U"]
+    K = U.algebra.field
+    m, k = K.var("m"), K.var("k")
+    written = ((m * k + k + 1, m, m - 2 * k + 1),
+               (m * k + m + 1, 2 * m - 2 * k - 1, m - k - 1))
+    factors = set()
+    for lc, product in zip(_leading_coefficients(U), written):
+        pieces = {arith._factor(f)[1]: 1 for f in product}
+        assert arith._resolved({arith._factor(lc.numer)[1]: 1}) == pieces
+        factors.update(pieces)
+    for g in U.groebner_basis().elements:
+        for c in g.terms.values():
+            assert set(arith._resolved(c.fac)) <= factors
+
+
+def _json_report(text):
+    """The --format json report of a fresh `orecalc run` of text."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "orecalc.cli", "run", "--format",
+                           "json", "-"], input=text, capture_output=True,
+                          text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_expanded_leading_coefficients_give_the_same_report():
+    """U with its leading coefficients written expanded gives the same
+    reduced basis, dimension and telescope report.  Each text runs in a
+    fresh process, since factors and their splits are interned for the
+    process."""
+    text = re.sub(r"(?m)^growth [^;]*;\n", "", _corpus_text("nonproper"))
+    text = text.replace("dim U;", "gb U;\ndim U;")
+    expanded = text
+    lcs = _leading_coefficients(parse(text).built_ideals["U"])
+    products = ("((m*k + k + 1)*m*(m - 2*k + 1))",
+                "((m*k + m + 1)*2*(2*m - 2*k - 1)*(m - k - 1))")
+    for product, lc in zip(products, lcs):
+        assert product in expanded
+        expanded = expanded.replace(product, "(%s)" % lc)
+    assert "(m*k + k + 1)" not in expanded
+    factored = _json_report(text)
+    assert [t["task"] for t in factored["tasks"]] == ["gb", "dim", "telescope"]
+    assert _json_report(expanded) == factored
 
 
 @pytest.mark.parametrize("name, golden_dir", [("binomial", GOLDEN),

@@ -16,7 +16,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from orecalc.arith import MAX_DEGREE, PolyRing, exact_div, format_poly  # noqa: E402
+from orecalc.arith import MAX_DEGREE, MPoly, PolyRing, exact_div, format_poly  # noqa: E402
 from orecalc.cli import main  # noqa: E402
 from orecalc.errors import DegreeOverflow  # noqa: E402
 
@@ -186,6 +186,65 @@ class TestAgainstTuples:
         point = data.draw(st.lists(st.one_of(st.integers(-2, 2), st.just(Fraction(1, 2))),
                                    min_size=n, max_size=n))
         assert F.eval_point(point) == evaluate(f, point)
+
+
+RATIONALS = st.fractions(-4, 4, max_denominator=7).filter(lambda c: c.denominator > 1)
+
+
+def fraction_product(f, g):
+    """The product term by term, every coefficient a Fraction."""
+    out = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            e = tuple(map(operator.add, ea, eb))
+            out[e] = out.get(e, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def rational_polys(draw, n, R):
+    """(terms, MPoly): a nonzero polynomial with at least one coefficient
+    that is not integral, its integral ones stored as ints or, through the
+    raw constructor, as integral Fractions."""
+    f = draw(polys(n))
+    f[draw(exponents(n))] = draw(RATIONALS)
+    P = R.from_terms(f)
+    return P.to_terms(), MPoly(R, {k: Fraction(c) if draw(st.booleans()) else c
+                                   for k, c in P.terms.items()})
+
+
+class TestRationalProducts:
+    """Operands with Fraction coefficients are multiplied as integer
+    polynomials over their common denominators."""
+
+    @hypothesis.settings(SETTINGS)
+    @hypothesis.given(st.data())
+    def test_the_product_is_the_fraction_product(self, data):
+        n, R = data.draw(rings())
+        f, F = data.draw(rational_polys(n, R))
+        g = data.draw(polys(n))
+        G = data.draw(st.sampled_from([R.from_terms(g), None]))
+        if G is None:
+            g, G = data.draw(rational_polys(n, R))
+        if g and degree(f) + degree(g) > MAX_DEGREE:
+            with pytest.raises(DegreeOverflow):
+                F * G
+            return
+        product = F * G
+        assert product.to_terms() == fraction_product(f, g)
+        if G.is_one():  # the operand itself, integral Fractions and all
+            assert product is F
+        else:
+            assert all(type(c) is int or c.denominator > 1
+                       for c in product.terms.values())
+
+    def test_a_rational_product_past_the_width_raises(self):
+        R = PolyRing(["x"])
+        half = R.from_terms({(MAX_DEGREE // 2 + 1,): Fraction(1, 2)})
+        with pytest.raises(DegreeOverflow):
+            half * half
+        rest = R.from_terms({(MAX_DEGREE - MAX_DEGREE // 2 - 1,): 4})
+        assert (half * rest).to_terms() == {(MAX_DEGREE,): 2}
 
 
 class TestDegreeGuard:

@@ -3,6 +3,8 @@ import os
 import random
 from fractions import Fraction
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from orecalc import arith, groebner, telescoping
@@ -645,6 +647,20 @@ def _summary(out):
              for r in out.results])
 
 
+def _sizes(I, maxdeg):
+    """The number of candidate monomials of each degree 1..maxdeg."""
+    return [math.comb(I.algebra.ngens + d, d) for d in range(1, maxdeg + 1)]
+
+
+def _budget_proofs(rows, sizes, ring, t_idx):
+    """Per degree, whether the one pass over the budget's rows proves it:
+    its pivots among the degree's columns number those columns."""
+    cols = []
+    arith._pivot_rows_mod_p(rows, sizes[-1], arith._image_point(ring.nvars),
+                            t_idx, cols=cols)
+    return [sum(c < n for c in cols) == n for n in sizes]
+
+
 @pytest.mark.parametrize("make_ideal, maxdeg, target", [
     (binomial_ideal, 2, None),
     (abel_ideal, 3, 2),
@@ -652,18 +668,21 @@ def _summary(out):
 ], ids=["binomial", "abel", "stirling_eulerian"])
 def test_certificate_skips_change_no_result(monkeypatch, make_ideal, maxdeg,
                                             target):
+    # the degrees the budget pass proves are skipped; a pass that proves
+    # nothing leaves exact solves at every degree, with the same results
     I = make_ideal()
+    sizes = _sizes(I, maxdeg)
     answers = []
     real = arith._pivot_rows_mod_p
 
-    def recorded(rows, ncols, point, t_var_idx=(), p=None):
-        pivot_rows = real(rows, ncols, point, t_var_idx, p)
-        if t_var_idx:
-            answers.append(len(pivot_rows) == ncols)
+    def recorded(rows, ncols, point, t_var_idx=(), p=None, cols=None):
+        pivot_rows = real(rows, ncols, point, t_var_idx, p, cols)
+        if cols is not None:  # the budget pass
+            answers.extend(sum(c < n for c in cols) == n for n in sizes)
         return pivot_rows
 
-    def never_proven(rows, ncols, point, t_var_idx=(), p=None):
-        return [] if t_var_idx else real(rows, ncols, point, t_var_idx, p)
+    def never_proven(rows, ncols, point, t_var_idx=(), p=None, cols=None):
+        return [] if t_var_idx else real(rows, ncols, point, t_var_idx, p, cols)
 
     monkeypatch.setattr(arith, "_pivot_rows_mod_p", recorded)
     with_skips = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
@@ -740,9 +759,11 @@ def _factorial_shift(ring, lin, s):
     return out
 
 
-def _random_hypergeometric_ideal(rng):
+def _random_hypergeometric_ideal(rng, nonproper=False):
     """Annihilator of c^k * prod_i (a_i n + b_i k + c_i)!^(+-1): its shift
-    quotients, cleared, in Q(n, k)<Sn, Sk>."""
+    quotients, cleared, in Q(n, k)<Sn, Sk>.  When nonproper, the term is
+    also divided by a*n*k + b*n + c*k + d, a != 0, which is not a product
+    of integer-linear factors, as in nonproper.ore."""
     alg = algebra_nk()
     K = alg.field
     base = RatFunc.const(K, rng.choice([1, 2, -3]))
@@ -753,9 +774,19 @@ def _random_hypergeometric_ideal(rng):
         for gi, g in enumerate(("Sn", "Sk")):
             f = _factorial_shift(K, lin, lin[gi])
             q[g] = q[g] * (f if up else f.inverse())
+    if nonproper:
+        n, k = K.var("n"), K.var("k")
+        P = (n * k * rng.randint(1, 2) + n * rng.randint(0, 2) + k * rng.randint(-1, 2)
+             + rng.randint(1, 3))
+        for gi, g in enumerate(("Sn", "Sk")):
+            q[g] = q[g] * RatFunc(P, P.shift_var(K.index[("n", "k")[gi]], 1))
     return LeftIdeal(alg, [alg.gen(g).scale(RatFunc.from_poly(r.den))
                            - alg.scalar(RatFunc.from_poly(r.num))
                            for g, r in q.items()])
+
+
+def _random_nonproper_ideal(rng):
+    return _random_hypergeometric_ideal(rng, nonproper=True)
 
 
 def _random_second_order_ideal(rng):
@@ -880,3 +911,108 @@ def test_one_basis_per_ideal(monkeypatch):
     assert res is not None and res.membership_checked
     xalg = telescoping.x_subalgebra(I.algebra, ["Sk"])
     assert [a for a in built if a != xalg] == [I.algebra]
+
+
+# -- one mod-p pass at the budget -------------------------------------------------
+
+
+def _per_degree_kernels(rows, sizes, ring, t_var_idx):
+    """The search without the budget pass: each degree's rows solved by a
+    `_t_free_kernel` of their own, with its own mod-p pass."""
+    for n in sizes:
+        yield _t_free_kernel([row[:n] for row in rows if any(row[:n])], n, ring,
+                             t_var_idx)
+
+
+def _assert_budget_pass_sound(I, t_names, maxdeg):
+    """Every degree the budget pass proves has an empty kernel under its
+    own per-degree solve, and each degree's rows are the budget's rows cut
+    to its columns; returns the proofs."""
+    alg = telescoping._difference_algebra(I.algebra, t_names)[0]
+    _, _, t_idx = telescoping._t_data(alg, t_names)
+    K = alg.field
+    gb = I.groebner_basis()
+    sizes = _sizes(I, maxdeg)
+    budget = exponents_up_to(alg.ngens, maxdeg)
+    rows = telescoping._fasenmyer_rows(gb, budget, K)
+    proofs = _budget_proofs(rows, sizes, K, t_idx)
+    for n, proved in zip(sizes, proofs):
+        own = telescoping._fasenmyer_rows(gb, budget[:n], K)
+        assert own == [row[:n] for row in rows if any(row[:n])]
+        if proved:
+            assert _t_free_kernel(own, n, K, t_idx) == []
+    assert proofs == sorted(proofs, reverse=True)  # a leading run of degrees
+    return proofs
+
+
+def _assert_same_search(monkeypatch, I, t_names, maxdeg, target=None,
+                        collect_all=False):
+    """The search gives the summary of a search solving every degree."""
+    out = fasenmyer_search(I, t_names, maxdeg, target_dim=target,
+                           collect_all=collect_all)
+    with monkeypatch.context() as m:
+        m.setattr(telescoping, "_prefix_kernels", _per_degree_kernels)
+        per_degree = fasenmyer_search(I, t_names, maxdeg, target_dim=target,
+                                      collect_all=collect_all)
+    assert _summary(out) == _summary(per_degree)
+
+
+_CORPUS_SEARCHES = [
+    (binomial_ideal, ["Sk"], 3, None),
+    (abel_ideal, ["Sk"], 3, 2),
+    (_stirling_eulerian_ideal, ["Sk"], 4, 1),
+    (stirling_ideal, ["Sl"], 3, None),
+    (double_stirling_ideal, ["Sk"], 4, 2),
+    (nonproper_ideal, ["Sk"], 5, None),
+]
+_CORPUS_IDS = ["binomial", "abel", "stirling_eulerian", "stirling-Sl",
+               "double_stirling", "nonproper"]
+
+
+class TestBudgetPass:
+    """Fasenmyer proves its lower degrees from one mod-p pass over the
+    budget's rows.  The oracle is the search it replaced: one
+    `_t_free_kernel` per degree."""
+
+    @pytest.mark.parametrize("make, t_names, maxdeg, target", _CORPUS_SEARCHES,
+                             ids=_CORPUS_IDS)
+    def test_corpus_proofs_are_sound(self, make, t_names, maxdeg, target):
+        proofs = _assert_budget_pass_sound(make(), t_names, maxdeg)
+        if make is nonproper_ideal:
+            assert all(proofs)
+
+    @pytest.mark.parametrize("make, t_names, maxdeg, target", _CORPUS_SEARCHES,
+                             ids=_CORPUS_IDS)
+    def test_corpus_search_is_the_per_degree_search(self, monkeypatch, make,
+                                                    t_names, maxdeg, target):
+        _assert_same_search(monkeypatch, make(), t_names, maxdeg, target)
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                         max_examples=40)
+    @hypothesis.given(st.sampled_from([_random_hypergeometric_ideal,
+                                       _random_nonproper_ideal,
+                                       _random_second_order_ideal]),
+                      st.randoms(use_true_random=False), st.integers(1, 3))
+    def test_random_shift_ideals(self, make, rng, maxdeg):
+        I = make(rng)
+        hypothesis.assume(not I.is_unit_ideal())
+        _assert_budget_pass_sound(I, ["Sk"], maxdeg)
+        with pytest.MonkeyPatch.context() as m:
+            _assert_same_search(m, I, ["Sk"], maxdeg, collect_all=True)
+
+    @pytest.mark.parametrize("make, maxdeg, target, degrees", [
+        (nonproper_ideal, 5, None, []),
+        (double_stirling_ideal, 4, 2, [4]),
+    ], ids=["nonproper", "double_stirling"])
+    def test_one_pass_per_search(self, monkeypatch, make, maxdeg, target, degrees):
+        # nonproper's pass proves every degree; double_stirling's proves
+        # the degrees below its budget, whose exact solve starts from the
+        # pass's selection
+        I = make()
+        passes = []
+        real = arith._pivot_rows_mod_p
+        monkeypatch.setattr(arith, "_pivot_rows_mod_p",
+                            lambda *a, **kw: passes.append(a[1]) or real(*a, **kw))
+        out = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
+        assert [r.degree for r in out.results] == degrees
+        assert passes == _sizes(I, maxdeg)[-1:]
