@@ -23,14 +23,18 @@ zeilberger task's ansatz degrees.  A verify task needs the
 telescoper an earlier task binds, so for verify the run goes through
 `cli.run` with every task but growth, untimed, and only the calls of
 `check_identity` are timed.  Prints every pair, then each side's median
-and quartiles and how many pairs HEAD won.
+and quartiles and how many pairs HEAD won.  Each run also gives the text
+of its results (telescopers and certificates, growth degrees, or verify
+reports); a pair whose two sides disagree is flagged, and the exit status
+is then 1.
 
 A single side can be run alone, for instance under a deadline:
 
     timeout 300 python3 scripts/growth_pairs.py --child SRC FILE
         --kind zeilberger --dega 4 --degb 3
 
-prints {"seconds": ...} unless the deadline stops it first.
+prints {"seconds": ..., "results": [...]} unless the deadline stops it
+first.
 """
 from __future__ import annotations
 
@@ -66,23 +70,40 @@ def _task_call(cli, pf, d, kind, window, maxdeg=None, dega=None, degb=None):
                                      denom_bound=d.get("denoms", 1))
 
 
+def _result_text(kind, out) -> str:
+    """The text of one task's result, the same on both sides of a pair
+    when they agree."""
+    if kind == "growth":
+        return "%s, degrees %s" % (out, out.degrees)
+    if kind == "verify":
+        return "passed %s, %d checked" % (out.passed, out.checked)
+    results = out.results if kind == "telescope" else [
+        r for r in out[:1] if r is not None]
+    return "; ".join("%s with %s" % (r.telescoper, {name: str(c) for name, c
+                                                    in r.certificates.items()})
+                     for r in results) or "none"
+
+
 def _verify_seconds(cli, pf):
-    """Run every task of pf but growth; the seconds spent in check_identity."""
-    spent = 0.0
+    """Run every task of pf but growth; the seconds spent in check_identity
+    and its reports."""
+    spent, reports = 0.0, []
     check = cli.check_identity
 
     def timed(*args, **kwargs):
         nonlocal spent
         t0 = time.perf_counter()
         try:
-            return check(*args, **kwargs)
+            report = check(*args, **kwargs)
         finally:
             spent += time.perf_counter() - t0
+        reports.append(_result_text("verify", report))
+        return report
 
     cli.check_identity = timed
     pf.tasks = [t for t in pf.tasks if t.kind != "growth"]
     cli.run(pf, out=io.StringIO())
-    return spent
+    return spent, reports
 
 
 def _child(src, path, kind, window=None, maxdeg=None, dega=None, degb=None):
@@ -91,16 +112,18 @@ def _child(src, path, kind, window=None, maxdeg=None, dega=None, degb=None):
     with open(path) as fh:
         pf = cli.parse(fh.read())
     if kind == "verify":
-        print(json.dumps({"seconds": _verify_seconds(cli, pf)}))
+        spent, results = _verify_seconds(cli, pf)
+        print(json.dumps({"seconds": spent, "results": results}))
         return
-    spent = 0.0
+    spent, results = 0.0, []
     for task in pf.tasks:
         if task.kind == kind:
             call = _task_call(cli, pf, task.data, kind, window, maxdeg, dega, degb)
             t0 = time.perf_counter()
-            call()
+            out = call()
             spent += time.perf_counter() - t0
-    print(json.dumps({"seconds": spent}))
+            results.append(_result_text(kind, out))
+    print(json.dumps({"seconds": spent, "results": results}))
 
 
 def _run(root, path, kind, window, maxdeg=None, dega=None, degb=None):
@@ -111,7 +134,7 @@ def _run(root, path, kind, window, maxdeg=None, dega=None, degb=None):
         if value is not None:
             cmd += [flag, str(value)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])["seconds"]
+    return json.loads(out.splitlines()[-1])
 
 
 def _summary(xs):
@@ -140,20 +163,27 @@ def main(argv=None):
         return 0
     if not (args.base and args.head and args.file) or args.pairs < 2:
         ap.error("need BASE HEAD FILE and at least 2 pairs")
-    base, head, wins = [], [], 0
+    base, head, wins, differ = [], [], 0, 0
     for i in range(args.pairs):
         sides = [("base", args.base), ("head", args.head)]
         got = {name: _run(root, args.file, args.kind, args.window, args.maxdeg,
                           args.dega, args.degb)
                for name, root in (sides if i % 2 == 0 else sides[::-1])}
-        base.append(got["base"])
-        head.append(got["head"])
-        wins += got["head"] < got["base"]
-        print("pair %d: base %.3f s, head %.3f s" % (i + 1, got["base"], got["head"]))
+        base.append(got["base"]["seconds"])
+        head.append(got["head"]["seconds"])
+        wins += head[-1] < base[-1]
+        same = got["base"]["results"] == got["head"]["results"]
+        differ += not same
+        print("pair %d: base %.3f s, head %.3f s%s" % (
+            i + 1, base[-1], head[-1], "" if same else ", RESULTS DIFFER"))
     print("base: " + _summary(base))
     print("head: " + _summary(head))
     print("head faster in %d of %d pairs" % (wins, args.pairs))
-    return 0
+    print("results: %s" % ("the same in every pair" if not differ else
+                           "differ in %d of %d pairs" % (differ, args.pairs)))
+    for name in ("base", "head"):
+        print("%s results: %s" % (name, got[name]["results"]))
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

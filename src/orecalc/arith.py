@@ -1016,20 +1016,22 @@ def _align(A: dict, B: dict):
             return A, B
 
 
-def _record_product(fg: MPoly, f: MPoly, g: MPoly) -> None:
-    """Record the interned factor of fg = f*g as split into the factors of
-    f and g, aligned (`_align`).  The parser calls this for each product
-    of two polynomial coefficients it reads, so such a product keeps its
-    factors where it is inverted (`groebner._monic`) and in every
-    denominator built from it.  A factor split before is refined by the
-    same pieces instead."""
-    if f.is_constant() or g.is_constant():
+def _record_product(product: MPoly, operands) -> None:
+    """Record the interned factor of the product of the f^m, (f, m) in
+    operands, as split into the factors of the f, aligned (`_align`), each
+    taken m times.  The parser calls this for each product of two
+    polynomial coefficients it reads and for each power of one, so such a
+    product keeps its factors where it is inverted (`groebner._monic`) and
+    in every denominator built from it.  A factor split before is refined
+    by the same pieces instead."""
+    if any(f.is_constant() for f, _ in operands):
         return
-    A, B = _align({_factor(f)[1]: 1}, {_factor(g)[1]: 1})
-    pieces = dict(A)
-    for P, m in B.items():
-        pieces[P] = pieces.get(P, 0) + m
-    F = _factor(fg)[1]
+    pieces = {}
+    for f, m in operands:
+        pieces, A = _align(pieces, {_factor(f)[1]: 1})
+        for P, e in A.items():
+            pieces[P] = pieces.get(P, 0) + m * e
+    F = _factor(product)[1]
     if F.split is None:
         _split(F, pieces)
     else:
@@ -1140,6 +1142,10 @@ def _image_over(img, f: _Factor, v, k):
     if not img or v not in f.vars:
         return img
     fv = _factor_image(f, v)
+    if fv is not None and len(fv) == 2 and not fv[0]:
+        # fv = c*x_v: dividing by fv^k drops img's k low zeros
+        c = pow(fv[1], -k, _IMAGE_PRIME)
+        return [x * c % _IMAGE_PRIME for x in img[k:]]
     for _ in range(k):
         if fv is None:
             return None
@@ -1192,6 +1198,10 @@ class _Screen:
                 found.append((0, True))
                 continue
             j = 0
+            if len(fv) == 2 and not fv[0]:
+                # fv = c*x_v divides nv once per zero low coefficient
+                j = min(m, next(i for i, c in enumerate(nv) if c))
+                nv = nv[j:]
             while j < m:
                 q, r = _univ_divmod(nv, fv, p)
                 if r:
@@ -1691,81 +1701,59 @@ def _finalize_ratfunc_vector_rat(vec, ring):
     return [RatFunc.from_poly(p) for p in polys]
 
 
-def _t_free_kernel(rows, ncols, ring, t_var_idx, selected=None) -> list:
-    """Basis of the solutions over Q(x) of rows of RatFunc entries over
-    Q(x, t), t the variables t_var_idx.  The Fasenmyer search and the
-    Zeilberger search solve here.
-
-    - One mod-p pass (`_pivot_rows_mod_p`) puts every t-expanded row of
-      the rows, taken at the image point, into one echelon.  Those images
-      are a homomorphic image of the exact t-expanded rows
-      (`_t_expanded_rows`), whose kernel is the t-free solutions, so a
-      minor that is nonzero mod p is nonzero over Q(x): rank ncols proves
-      there is no solution, and the result is [].
-    - Otherwise `nullspace_selected` rebuilds one vector per free column
-      of the selected rows' echelon, under a degree cap that is a bound,
-      checks each exactly against every t-expanded row, and retries a
-      give-up or a failed check at the next (prime, point): the primes
-      grow without bound, so the lift fits from some prime on.  Each
-      vector's last nonzero column is its own, where the others are 0.
-
-    selected, when given, is that pass over these rows, made by the caller
-    (`_prefix_kernels`)."""
-    if selected is None:
-        selected = _pivot_rows_mod_p(rows, ncols, _image_point(ring.nvars), t_var_idx)
-    if len(selected) == ncols:
-        return []
-    labels = []
-    # rebinding frees the rational rows (if the caller holds no other
-    # reference) before the exact solve
-    rows = _t_expanded_rows(rows, ring, t_var_idx, labels)
-    index = {label: i for i, label in enumerate(labels)}
-    return nullspace_selected(rows, ncols, ring, [index[label] for label in selected])
-
-
 def _prefix_kernels(rows, sizes, ring, t_var_idx):
-    """For each of the increasing sizes n, lazily, the basis of the t-free
-    solutions of the rows cut to their first n columns (the last size
-    their width), as `_t_free_kernel` gives it.
+    """For each of the increasing sizes n, lazily, the basis of the
+    solutions over Q(x) of the RatFunc rows over Q(x, t), t the variables
+    t_var_idx, cut to their first n columns (n at most their width).  The
+    Fasenmyer and Zeilberger searches solve here, with one mod-p pass
+    however many prefixes they solve.
 
-    One mod-p pass (`_pivot_rows_mod_p`) runs over the whole rows, and
-    the pivots among the first n columns give the rank of the images cut
-    to them.  Each image is a t-expanded row cleared by its whole row's
-    factors: the cut row times a nonzero polynomial, with the same t-free
-    solutions as the cut row.  So rank n proves, as in `_t_free_kernel`,
-    that the cut rows have none, and that prefix gives [] with no further
-    pass.  Every other prefix is solved by `_t_free_kernel`, the whole
-    rows from this pass's selection."""
+    - The pass (`_pivot_rows_mod_p`) puts the exact t-expansion of every
+      row, cleared by its whole row's factors, at the image point into
+      one echelon.  Cut to n columns, those are a homomorphic image of
+      `_t_expanded_rows(rows, n, ...)`: the t-expansion of each cut row
+      times a nonzero polynomial, whose kernel over Q(x) is the cut rows'
+      t-free solutions.  So a minor nonzero mod p is nonzero over Q(x),
+      and as the pivots are leftmost, those below n number a rank of the
+      cut rows: n of them prove that the prefix has no solution.
+    - Every other prefix is solved by `nullspace_selected` over those
+      expanded rows, from the pass's own selection: the rows whose pivot
+      is below n.  A reduced row with its pivot at n or past it is 0 on
+      the first n columns, so the selected rows are independent there
+      and span the cut images.  Each rebuilt vector is checked exactly,
+      and its last nonzero column is its own, where the others are 0."""
     if not sizes:
         return
     cols = []
     selected = _pivot_rows_mod_p(rows, sizes[-1], _image_point(ring.nvars),
                                  t_var_idx, cols=cols)
     for n in sizes:
-        if sum(c < n for c in cols) == n:
+        picked = [label for label, c in zip(selected, cols) if c < n]
+        if len(picked) == n:
             yield []
-        elif n == sizes[-1]:
-            yield _t_free_kernel(rows, n, ring, t_var_idx, selected)
-        else:
-            yield _t_free_kernel([row[:n] for row in rows if any(row[:n])],
-                                 n, ring, t_var_idx)
+            continue
+        labels = []
+        expanded = _t_expanded_rows(rows, n, ring, t_var_idx, labels)
+        index = {label: i for i, label in enumerate(labels)}
+        yield nullspace_selected(expanded, n, ring, [index[label] for label in picked])
 
 
-def _t_expanded_rows(rows, ring, t_var_idx, labels=None):
-    """Each RatFunc row cleared of its denominators and split by powers of
-    t: one MPoly row over Q[x] per t-part that occurs, the key tk of a
-    monomial in t.  A term of key k goes to tk's row with key k - tk.  A
-    vector over Q(x) solves the row exactly when it solves all of them.
-    Row r is cleared by L_r, the keywise max of its entries' resolved
-    factor dicts (`_keywise_max`), as `_pivot_rows_mod_p` clears it;
-    labels, when given, receives each output row's label as that pass
-    names it: (r, tk), or r alone when there is no t."""
+def _t_expanded_rows(rows, ncols, ring, t_var_idx, labels=None):
+    """Each RatFunc row, cut to its first ncols entries, cleared of the
+    denominators of the whole row and split by powers of t: one MPoly row
+    over Q[x] per t-part that occurs, the key tk of a monomial in t.  A
+    term of key k goes to tk's row with key k - tk.  A vector over Q(x)
+    solves the cut row exactly when it solves all of them.  Row r is
+    cleared by L_r, the keywise max of all its entries' resolved factor
+    dicts (`_keywise_max`), as `_pivot_rows_mod_p` clears it; labels,
+    when given, receives each output row's label as that pass names it:
+    (r, tk), or r alone when there is no t."""
     out = []
     fields = [(ring.shifts[j], ring.units[j]) for j in t_var_idx]
     for r, row in enumerate(rows):
         groups = {}  # tk: {column: terms}
         L = _keywise_max(_resolved(x.fac) for x in row)
-        for j, f in enumerate(_over(row, L)):
+        for j, f in enumerate(_over(row[:ncols], L)):
             for k, c in f.terms.items():
                 tk = 0
                 for s, unit in fields:
@@ -1779,7 +1767,7 @@ def _t_expanded_rows(rows, ring, t_var_idx, labels=None):
                 terms[k - tk] = c
         for tk, polys in sorted(groups.items()):
             out.append([MPoly(ring, polys[j]) if j in polys else ring.zero
-                        for j in range(len(row))])
+                        for j in range(ncols)])
             if labels is not None:
                 labels.append((r, tk) if t_var_idx else r)
     return out
@@ -1791,7 +1779,7 @@ def nullspace_selected(rows, ncols, ring, selected=None) -> list:
 
     At a prime p and a point a, first `_IMAGE_PRIME` at `_image_point`,
     the selection is the rows that add rank to one echelon of their
-    images mod p at a: `selected` (`_t_free_kernel`'s pass there) or
+    images mod p at a: `selected` (`_prefix_kernels`'s pass there) or
     `_pivot_rows_mod_p` of the rows.  Rank ncols proves the kernel is
     {0}.  Otherwise, for each free column f of the echelon of the selected
     rows, in column order, `_kernel_on_support` rebuilds the vector that
@@ -1976,9 +1964,9 @@ def _pivot_rows_mod_p(rows, ncols, point, t_var_idx=(), p=None, cols=None) -> li
     when there is no t, so the length of the list is the rank found (it
     stops at ncols).  cols, when given, receives each pivot's column, in
     the same order.
-    This is the one mod-p rank: the t-free proof and the row selection of
-    `_t_free_kernel`, the prefix ranks of `_prefix_kernels`,
-    `nullspace_selected`'s selection and `matrix_rank_at_point`.  Each
+    This is the one mod-p rank: the prefix ranks and the row selection
+    of `_prefix_kernels`, `nullspace_selected`'s selection and
+    `matrix_rank_at_point`.  Each
     pivot is the leftmost nonzero column of its reduced vector, so the
     pivots in the first n columns number the rank of the images cut to
     those columns: one pass gives the rank of every column prefix.

@@ -314,7 +314,7 @@ class Parser:
                 # a product of polynomial coefficients keeps its factors
                 a, b, ab = map(_coefficient, (value, rhs, product))
                 if a and b and ab and not (a.fac or b.fac):
-                    _record_product(ab.numer, a.numer, b.numer)
+                    _record_product(ab.numer, [(a.numer, 1), (b.numer, 1)])
                 value = product
                 continue
             if set(rhs.terms) - {alg._zero_exp}:
@@ -337,7 +337,12 @@ class Parser:
             if n > MAX_DEGREE:
                 raise ProblemSyntaxError("exponent %d exceeds %d" % (n, MAX_DEGREE),
                                          t.line, t.col)
-            value = _within_degree(lambda: value ** n, op)
+            power = _within_degree(lambda: value ** n, op)
+            # a power of a polynomial coefficient keeps its factors
+            a = _coefficient(value)
+            if a and n > 1 and not a.fac:
+                _record_product(_coefficient(power).numer, [(a.numer, n)])
+            value = power
         return value
 
     def parse_opatom(self, alg) -> OrePoly:

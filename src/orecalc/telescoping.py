@@ -24,7 +24,6 @@ from .arith import (
     _factor,
     _finalize_ratfunc_vector_rat,
     _prefix_kernels,
-    _t_free_kernel,
     denominator_lcm,
     exact_div,  # noqa: F401  perfbench/test_perfbench.py traces it from here
     factored_degree_in,
@@ -292,10 +291,11 @@ def fasenmyer_search(I: LeftIdeal, t_names, max_degree: int,
     are the budget's rows cut to that prefix.  One mod-p pass over the
     budget's rows (`arith._prefix_kernels`) proves which degrees, from 1
     on, have no t-free solution, so a negative search ends after it; from
-    the first degree it does not prove, `arith._t_free_kernel` finds each
-    degree's t-free solutions.  Each is decomposed into telescoper plus
-    certificates; the search stops once the telescopers generate an ideal
-    of dimension at most target_dim (when given), else runs the budget.
+    the first degree it does not prove, each degree's t-free solutions
+    are solved from that pass's selection.  Each is decomposed into
+    telescoper plus certificates; the search stops once the telescopers
+    generate an ideal of dimension at most target_dim (when given), else
+    runs the budget.
     So a search whose telescoper lies below the budget still walks the
     normal forms up to the budget.
 
@@ -429,10 +429,20 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     Returns (TelescopingResult or None, CoupledSystem).  The system rows
     coming from staircase monomials within the B-degree form the square
     coupled part, the higher extraneous rows the constraint part; both are
-    solved at once by `arith._t_free_kernel`, so the kernel is that of the
-    square part cut down by the constraints, and the smallest telescoper
-    among its vectors is kept.  The ansatz denominator D is a factor dict
+    solved at once, so the kernel is that of the square part cut down by
+    the constraints.  The ansatz denominator D is a factor dict
     (`_denominator_ansatz`), so each t^d/D needs no gcd.
+
+    The result is the telescoper with the least leading monomial, as in
+    Chyzak's algorithm, which looks for the telescoper of least order.
+    The columns are the B unknowns, then A's monomials ascending in the
+    order, and `arith._prefix_kernels` solves one prefix per A column
+    from one mod-p pass.  A kernel vector's last nonzero column is then
+    the lead of its A when A != 0, and every vector of a prefix before
+    the first with an A != 0 has A = 0, so that vector's A is the least,
+    unique up to scale.  The order is graded, so degA is a budget: the
+    result is the same for every degA at or above its degree.  The pair
+    is reported once its membership in I is checked exactly.
     The rows are in difference form, read off I's own basis (Delta_t*u =
     S_t*u - u); shift rows give the same kernel, and on double-Stirling
     (dega 3, degb 2) their rebuild took about 1.5 times as long."""
@@ -446,48 +456,43 @@ def zeilberger_search(I: LeftIdeal, t_name: str, degA: int, degB: int,
     tv = t_var_idx[0]
     gb = I.groebner_basis(order)
     K = alg.field
-    Dt = alg.gen(t_name)
 
     # ansatz monomial lists: A over all d_x-monomials (its reducible ones
     # matter: the reduced rewriting would drag t into the coefficients),
-    # B over the d_t-free staircase monomials
-    a_mons = [e for e in exponents_up_to(alg.ngens, degA) if e[ti] == 0]
+    # ascending in the order, B over the d_t-free staircase monomials
+    a_mons = sorted((e for e in exponents_up_to(alg.ngens, degA) if e[ti] == 0),
+                    key=order.key)
     b_mons = [ge for ge in gb.reduced_monomials(degB) if ge[ti] == 0]
     D = _denominator_ansatz(gb, t_var_idx, denom_bound)
     degN = factored_degree_in(D, t_var_idx) + denom_bound
     b_unknowns = [(ge, d) for ge in b_mons for d in range(degN + 1)]
+    nb = len(b_unknowns)
 
     system = CoupledSystem(square_shape=(), constraint_shape=())
-    # normal-form columns NF(d^e) for A and NF(Dt * t^d/D * d^ge) for B; no
-    # name here holds them or their rows, so the exact solve runs without
-    # the rational entries
-    kernel = _t_free_kernel(
+    # normal-form columns NF(Dt * t^d/D * d^ge) for B, then NF(d^e) for A;
+    # the first prefix whose kernel has a vector with A != 0 ends at its
+    # lead, the least any telescoper has
+    kernels = _prefix_kernels(
         _coupled_rows(system, K, len(a_mons) + len(b_mons),
-                      [_to_difference(gb.algebra, gb.phi(e), shift_t)
-                       for e in a_mons]
-                      + [_gen_times(gb, alg, ti, {ge: _ansatz_coeff(K, tv, d, D)},
-                                    shift_t) for ge, d in b_unknowns],
+                      [_gen_times(gb, alg, ti, {ge: _ansatz_coeff(K, tv, d, D)},
+                                  shift_t) for ge, d in b_unknowns]
+                      + [_to_difference(gb.algebra, gb.phi(e), shift_t)
+                         for e in a_mons],
                       gb.reduced_monomials(degB), degB, order),
-        len(a_mons) + len(b_unknowns), K, t_var_idx)
-    candidates = []
-    for vec in kernel:
-        a_terms = {e: val for e, val in zip(a_mons, vec) if not val.is_zero()}
-        if not a_terms:
-            continue
-        A = OrePoly(alg, a_terms)
-        B = alg.zero
-        for (ge, d), val in zip(b_unknowns, vec[len(a_mons):]):
-            if not val.is_zero():
-                B = B + OrePoly(alg, {ge: _ansatz_coeff(K, tv, d, D) * val})
-        if not gb.normal_form(difference_to_shift(A + Dt * B, shift_t)).is_zero():
-            continue
-        candidates.append((A, B))
-    if not candidates:
+        range(nb + 1, nb + len(a_mons) + 1), K, t_var_idx)
+    vec = next((v for kernel in kernels for v in kernel if any(v[nb:])), None)
+    if vec is None:
         return None, system
-    A, B = min(candidates, key=lambda ab: _tiebreak_key(ab[0], order))
+    A = OrePoly(alg, {e: val for e, val in zip(a_mons, vec[nb:]) if val})
+    B = alg.zero
+    for (ge, d), val in zip(b_unknowns, vec):
+        if val:
+            B = B + OrePoly(alg, {ge: _ansatz_coeff(K, tv, d, D) * val})
     A, B = _normalize_pair(A, B, order)
-    result = _checked_result(A, {t_name: B}, "Zeilberger", degA, (t_name,),
-                             I, order, shift_t)
+    result = _checked_result(A, {t_name: B}, "Zeilberger", A.total_degree(),
+                             (t_name,), I, order, shift_t)
+    if not result.membership_checked:
+        return None, system
     system.solved = True
     return result, system
 
@@ -504,11 +509,6 @@ def _coupled_rows(system, K, ncols, columns, staircase, degB, order):
     system.square_shape = (n_square, ncols)
     system.constraint_shape = (len(support) - n_square, ncols)
     return rows
-
-
-def _tiebreak_key(A: OrePoly, order):
-    return (A.total_degree(), len(A.terms),
-            tuple(sorted(order.key(e) for e in A.terms)))
 
 
 def _normalize_pair(A, B, order):

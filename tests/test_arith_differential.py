@@ -3,7 +3,7 @@ for the four RatFunc field operations, the normalising constructor for
 the canonical pair, `poly_lcm` for `factored_merge`,
 `sympy.Poly.cofactors` for `poly_gcd` and `poly_cofactors`,
 `sympy.Matrix.nullspace` for `nullspace_selected`, and sympy's own
-t-expansion and nullspace over Q(n) for `_t_free_kernel`."""
+t-expansion and nullspace over Q(n) for `_prefix_kernels`."""
 import itertools
 from fractions import Fraction
 from functools import reduce
@@ -573,10 +573,10 @@ def sympy_t_expanded(rows):
 
 
 def check_t_free_kernel(rows, ncols):
-    """`_t_free_kernel` with t = k spans the same space over Q(n) as sympy's
-    nullspace of the t-expanded matrix, and its vectors are free of k and
-    solve every row."""
-    kernel = arith._t_free_kernel(rows, ncols, R, (1,))
+    """`_prefix_kernels` with t = k, at the full width, spans the same space
+    over Q(n) as sympy's nullspace of the t-expanded matrix, and its vectors
+    are free of k and solve every row."""
+    kernel = next(arith._prefix_kernels(rows, [ncols], R, (1,)))
     expected = _over_q_n(sympy_t_expanded(rows)).nullspace().to_Matrix().tolist()
     assert len(kernel) == len(expected)
     mine = [[as_sympy(v) for v in vec] for vec in kernel]

@@ -321,6 +321,21 @@ def test_parsed_products_keep_their_factors():
             assert set(arith._resolved(c.fac)) <= factors
 
 
+def test_parsed_powers_keep_their_factors():
+    """A power of a polynomial coefficient is recorded as split into its
+    base's factors, each taken the exponent times, as the same product
+    written out is."""
+    resolved = []
+    for lc in ("((m*k + 1)^2)", "((m*k + 1)*(m*k + 1))"):
+        pf = parse("algebra Q(m, k) <Sm: shift(m), Sk: shift(k)>;\n"
+                   "ideal U = [%s*Sm - 1, Sk - 1];" % lc)
+        U = pf.built_ideals["U"]
+        c = _leading_coefficients(U)[0]
+        resolved.append(arith._resolved({arith._factor(c.numer)[1]: 1}))
+    m, k = U.algebra.field.var("m"), U.algebra.field.var("k")
+    assert resolved == [{arith._factor(m * k + 1)[1]: 2}] * 2
+
+
 def _json_report(text):
     """The --format json report of a fresh `orecalc run` of text."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -104,3 +104,27 @@ def test_unfactored_denominators_that_share_a_factor_are_refined():
         _check(z, pair)
         assert all(f.total_degree() == 1 for f in z.fac)
     assert sorted(str(f) for f in (x * y).fac) == ["k + 1", "k + 2", "k + 3"]
+
+
+
+@pytest.mark.parametrize("factor, rest, power", [
+    (n, k + 1, 3), (n, n * k + 2, 0), (n, n * k, 4), (n * k, n + 1, 2)],
+    ids=["n", "n-absent", "n-in-rest", "nk"])
+def test_screen_reads_a_root_at_zero_off_the_low_zeros(factor, rest, power):
+    """A factor whose image in x_v is c*x_v (a bare variable, or n*k in
+    x_n) is counted and divided out of the screen's images by their zero
+    low coefficients: the bound is the multiplicity, capped at m, and the
+    images are those of the exact quotient."""
+    from orecalc import arith
+    f = arith._factor(factor)[1]
+    num = factor ** power * rest
+    for m in (1, 8):
+        quotients = [num]
+        while len(quotients) <= m and arith.divides(f, quotients[-1]):
+            quotients.append(exact_div(quotients[-1], f))
+        K = len(quotients) - 1
+        screen = arith._Screen(num)
+        assert screen.bound(f, m) == (K, K < m)
+        screen.divided(f, K)
+        for v in f.vars:
+            assert screen.image(v) == arith._univ_trim(arith._image_in(quotients[-1], v))

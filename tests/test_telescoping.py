@@ -11,8 +11,8 @@ from orecalc import arith, groebner, telescoping
 from orecalc.arith import (
     PolyRing,
     RatFunc,
+    _prefix_kernels,
     _t_expanded_rows,
-    _t_free_kernel,
     nullspace_selected,
 )
 from orecalc.cli import parse
@@ -291,17 +291,21 @@ class TestZeilberger:
 
     @pytest.mark.parametrize("degB", [2, 3])
     def test_double_stirling_one_degree_up(self, monkeypatch, degB):
-        # A of degree 4: the kernels have dimension > 1, each basis vector
-        # ends at its own free column, and the search keeps the smallest
-        # telescoper among them, the same at both B degrees; no elimination
+        # dega is a budget: from dega 3 up, at both B degrees, the kernels
+        # of the prefixes before the telescoper's lead are proved empty,
+        # and the search gives the same pair; no elimination
         def eliminate(*args):
             raise AssertionError("elimination ran")
 
         monkeypatch.setattr(arith, "nullspace_poly", eliminate)
         I = double_stirling_ideal(algebra_nmkl())
-        res, _ = zeilberger_search(I, "Sk", degA=4, degB=degB)
-        assert res is not None and res.membership_checked
-        assert str(res.telescoper) == "Sn*Sm*Sl + (-m - l - 2)*Sm*Sl - Sm - Sl"
+        for degA in (degB + 1, degB + 2):
+            res, _ = zeilberger_search(I, "Sk", degA=degA, degB=degB)
+            assert res is not None and res.membership_checked
+            assert res.degree == 3
+            assert str(res.telescoper) == "Sn*Sm*Sl + (-m - l - 2)*Sm*Sl - Sm - Sl"
+            assert str(res.certificates["Sk"]) == (
+                "(m*k + k)/(n - k + 1)*Sm*Sl + (k/(n - k + 1))*Sl")
 
     def test_normalized_pair_loses_the_integer_content(self):
         # A over its content 2, and the certificate over the same factor
@@ -464,7 +468,7 @@ class TestRankCertificate:
                 row[j] = -rest / RatFunc.from_poly(c[j])
                 rows.append(row)
             assert not _proven_full_rank(rows, ncols, MK, T_IDX)
-            kernel = _t_free_kernel(rows, ncols, MK, T_IDX)
+            kernel = next(_prefix_kernels(rows, [ncols], MK, T_IDX))
             assert kernel
             for vec in kernel:
                 for row in rows:
@@ -484,11 +488,11 @@ class TestRankCertificate:
             ncols = rng.randint(1, 3)
             rows = [[_rand_entry(rng, ring) for _ in range(ncols)]
                     for _ in range(rng.randint(1, 3))]
-            kernel = nullspace_selected(_t_expanded_rows(rows, ring, t_idx),
+            kernel = nullspace_selected(_t_expanded_rows(rows, ncols, ring, t_idx),
                                         ncols, ring)
             full = _proven_full_rank(rows, ncols, ring, t_idx)
             assert full == (kernel == [])
-            assert _t_free_kernel(rows, ncols, ring, t_idx) == kernel
+            assert next(_prefix_kernels(rows, [ncols], ring, t_idx)) == kernel
             proved += full
         assert 10 <= proved < 40
 
@@ -502,7 +506,7 @@ class TestRankCertificate:
         one, over_p = RatFunc.one(MK), RatFunc.const(MK, Fraction(1, p))
         rows = [[over_p, -one], [one, RatFunc.const(MK, -p)]]
         assert not _proven_full_rank(rows, 2, MK, T_IDX)
-        (vec,) = _t_free_kernel(rows, 2, MK, T_IDX)
+        (vec,) = next(_prefix_kernels(rows, [2], MK, T_IDX))
         assert vec == [RatFunc.const(MK, p), one]
 
     def test_denominator_vanishing_at_every_sample(self, monkeypatch):
@@ -551,7 +555,7 @@ class TestOnePass:
             row = [_rand_entry(rng, ring) for _ in range(rng.randint(1, 4))]
             images = _pass_images(row, ring, t_idx)
             labels = []
-            exact = _t_expanded_rows([row], ring, t_idx, labels)
+            exact = _t_expanded_rows([row], len(row), ring, t_idx, labels)
             at_point = {te: {j: v for j, f in enumerate(r)
                              if (v := _at_point(f, point))}
                         for (_, te), r in zip(labels, exact)}
@@ -596,20 +600,20 @@ class TestOnePass:
         k = MKL.var("k")
         row = [RatFunc(k * Fraction(1, p) + 1, k + 2), RatFunc.from_poly(MKL.var("l"))]
         assert _pass_images(row, MKL, (1, 2)) == {}
-        assert _t_expanded_rows([row], MKL, (1, 2))
+        assert _t_expanded_rows([row], 2, MKL, (1, 2))
         assert _pass_images(row[1:], MKL, (1, 2)) == {MKL.var("l").leading()[0]: {0: 1}}
 
     def test_the_exact_solve_starts_from_the_pass_selection(self, monkeypatch):
-        # _t_free_kernel makes one pass and hands its selection to
+        # _prefix_kernels makes one pass and hands its selection to
         # nullspace_selected, which runs no pass of its own; the last
         # column is -(m + 1) times the first, so no row set is full rank
         rng = random.Random(0xC6)
         passes, handed = [], []
         real_pass, real_solve = arith._pivot_rows_mod_p, arith.nullspace_selected
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             passes.append(args)
-            return real_pass(*args)
+            return real_pass(*args, **kwargs)
 
         def solve(rows, ncols, ring, selected=None):
             handed.append(selected)
@@ -624,7 +628,7 @@ class TestOnePass:
                     for _ in range(rng.randint(1, 3))]
             rows = [row + [-row[0] * m1] for row in rows]
             del passes[:], handed[:]
-            kernel = _t_free_kernel(rows, ncols, MK, T_IDX)
+            kernel = next(_prefix_kernels(rows, [ncols], MK, T_IDX))
             assert kernel
             assert len(passes) == 1 and len(handed) == 1 and handed[0] is not None
 
@@ -734,11 +738,11 @@ def _assert_same_kernel(I, t_names, deg):
     monomials = exponents_up_to(alg.ngens, deg)
     gb = work.groebner_basis()
     _, rows = coefficient_rows([gb.phi(m) for m in monomials], RatFunc.zero(K))
-    old = _t_free_kernel(rows, len(monomials), K, t_var_idx)
+    old = next(_prefix_kernels(rows, [len(monomials)], K, t_var_idx))
     rows = telescoping._fasenmyer_rows(I.groebner_basis(), monomials, K)
     new = [telescoping._to_difference_vector(v, monomials, I.algebra,
                                              t_names, K)
-           for v in _t_free_kernel(rows, len(monomials), K, t_var_idx)]
+           for v in next(_prefix_kernels(rows, [len(monomials)], K, t_var_idx))]
     echelon = _rref(new)
     assert len(echelon) == len(new) == len(old)
     assert _rref(old) == echelon
@@ -918,10 +922,10 @@ def test_one_basis_per_ideal(monkeypatch):
 
 def _per_degree_kernels(rows, sizes, ring, t_var_idx):
     """The search without the budget pass: each degree's rows solved by a
-    `_t_free_kernel` of their own, with its own mod-p pass."""
+    `_prefix_kernels` of their own, with its own mod-p pass."""
     for n in sizes:
-        yield _t_free_kernel([row[:n] for row in rows if any(row[:n])], n, ring,
-                             t_var_idx)
+        yield next(_prefix_kernels([row[:n] for row in rows if any(row[:n])], [n],
+                                   ring, t_var_idx))
 
 
 def _assert_budget_pass_sound(I, t_names, maxdeg):
@@ -940,7 +944,7 @@ def _assert_budget_pass_sound(I, t_names, maxdeg):
         own = telescoping._fasenmyer_rows(gb, budget[:n], K)
         assert own == [row[:n] for row in rows if any(row[:n])]
         if proved:
-            assert _t_free_kernel(own, n, K, t_idx) == []
+            assert next(_prefix_kernels(own, [n], K, t_idx)) == []
     assert proofs == sorted(proofs, reverse=True)  # a leading run of degrees
     return proofs
 
@@ -971,8 +975,8 @@ _CORPUS_IDS = ["binomial", "abel", "stirling_eulerian", "stirling-Sl",
 
 class TestBudgetPass:
     """Fasenmyer proves its lower degrees from one mod-p pass over the
-    budget's rows.  The oracle is the search it replaced: one
-    `_t_free_kernel` per degree."""
+    budget's rows.  The oracle is the search it replaced: one pass and
+    one solve per degree."""
 
     @pytest.mark.parametrize("make, t_names, maxdeg, target", _CORPUS_SEARCHES,
                              ids=_CORPUS_IDS)
@@ -1003,11 +1007,13 @@ class TestBudgetPass:
     @pytest.mark.parametrize("make, maxdeg, target, degrees", [
         (nonproper_ideal, 5, None, []),
         (double_stirling_ideal, 4, 2, [4]),
-    ], ids=["nonproper", "double_stirling"])
+        (abel_ideal, 5, 2, [3]),
+        (binomial_ideal, 5, None, [2]),
+    ], ids=["nonproper", "double_stirling", "abel", "binomial"])
     def test_one_pass_per_search(self, monkeypatch, make, maxdeg, target, degrees):
-        # nonproper's pass proves every degree; double_stirling's proves
-        # the degrees below its budget, whose exact solve starts from the
-        # pass's selection
+        # nonproper's pass proves every degree; the others' prove the
+        # degrees below their telescopers, whose exact solves start from
+        # the pass's selection, at the budget or below it
         I = make()
         passes = []
         real = arith._pivot_rows_mod_p
@@ -1016,3 +1022,115 @@ class TestBudgetPass:
         out = fasenmyer_search(I, ["Sk"], maxdeg, target_dim=target)
         assert [r.degree for r in out.results] == degrees
         assert passes == _sizes(I, maxdeg)[-1:]
+
+
+# -- Zeilberger's least telescoper ------------------------------------------------
+
+
+def _search_and_rows(monkeypatch, I, degA, degB):
+    """Zeilberger's result on I over Sk, with the rows and sizes it hands
+    to `arith._prefix_kernels`."""
+    seen = []
+    real = telescoping._prefix_kernels
+
+    def captured(rows, sizes, ring, t_var_idx):
+        seen.append((rows, sizes, ring, t_var_idx))
+        return real(rows, sizes, ring, t_var_idx)
+
+    with monkeypatch.context() as m:
+        m.setattr(telescoping, "_prefix_kernels", captured)
+        res, _ = zeilberger_search(I, "Sk", degA, degB)
+    (case,) = seen
+    return res, case
+
+
+def _least_a_by_elimination(rows, sizes, ring, t_var_idx):
+    """(kernel dimension, A part of the kernel vector whose A has the least
+    lead): the kernel by elimination over the t-expanded rows, reduced by
+    last nonzero column; the A part is None when every kernel vector has
+    A = 0.  The columns are the B unknowns, then A's monomials ascending."""
+    nb, ncols = sizes[0] - 1, sizes[-1]
+    basis = arith.nullspace_poly(_t_expanded_rows(rows, ncols, ring, t_var_idx),
+                                 ncols, ring)
+    echelon = [v[::-1] for v in _rref([v[::-1] for v in basis])]
+    by_lead = {max(j for j, x in enumerate(v) if x): v for v in echelon}
+    a_leads = [j for j in by_lead if j >= nb]
+    return len(basis), (by_lead[min(a_leads)][nb:] if a_leads else None)
+
+
+def _assert_least_telescoper(monkeypatch, I, degA, degB):
+    """The search's A is a multiple of the A with the least lead; returns
+    the kernel dimension."""
+    res, (rows, sizes, ring, t_idx) = _search_and_rows(monkeypatch, I, degA, degB)
+    dim, want = _least_a_by_elimination(rows, sizes, ring, t_idx)
+    if want is None:
+        assert res is None
+        return dim
+    assert res is not None and res.membership_checked
+    alg = res.telescoper.algebra
+    ti = alg.gen_index["Sk"]
+    a_mons = sorted((e for e in exponents_up_to(alg.ngens, degA) if e[ti] == 0),
+                    key=GREVLEX.key)
+    assert len(a_mons) == len(want)
+    zero = RatFunc.zero(ring)
+    got = [res.telescoper.terms.get(e, zero) for e in a_mons]
+    # the one primitive form is the same for every nonzero multiple
+    assert (arith._finalize_ratfunc_vector_rat(got, ring)
+            == arith._finalize_ratfunc_vector_rat(want, ring))
+    return dim
+
+
+def _counted(monkeypatch, names):
+    """Call counts of the named `arith` functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(arith, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(arith, name, counted)
+    return counts
+
+
+class TestLeastTelescoper:
+    """Zeilberger's A has the least leading monomial any telescoper of the
+    ansatz has.  The oracle is the kernel by exact elimination, reduced by
+    last nonzero column."""
+
+    def test_double_stirling_one_degree_up(self, monkeypatch):
+        I = double_stirling_ideal(algebra_nmkl())
+        assert _assert_least_telescoper(monkeypatch, I, 4, 2) == 2
+
+    @pytest.mark.parametrize("make", [_random_hypergeometric_ideal,
+                                      _random_second_order_ideal],
+                             ids=["hypergeometric", "second_order"])
+    def test_random_ideals(self, monkeypatch, make):
+        rng = random.Random(0xE1)
+        wide = 0
+        for _ in range(8):
+            I = make(rng)
+            if I.is_unit_ideal():
+                continue
+            for degA, degB in ((1, 0), (2, 1)):
+                wide += _assert_least_telescoper(monkeypatch, I, degA, degB) > 1
+        assert wide >= 4
+
+    def test_a_free_b_column(self, monkeypatch):
+        # 2^n does not depend on k: Delta_k*1 is in I, so the first B
+        # column is 0, no prefix is proved, and the search solves each
+        # prefix up to the telescoper's lead, skipping the vector with A = 0
+        alg = algebra_nk()
+        I = LeftIdeal(alg, [alg.gen("Sn") - alg.scalar(2), alg.gen("Sk") - alg.one])
+        res, (rows, sizes, ring, t_idx) = _search_and_rows(monkeypatch, I, 1, 0)
+        assert all(not row[0] for row in rows)
+        assert _assert_least_telescoper(monkeypatch, I, 1, 0) == 3
+        assert str(res.telescoper) == "1"
+
+    @pytest.mark.parametrize("degA, degB", [(3, 2), (4, 2), (5, 3)])
+    def test_one_pass_one_expansion_one_rebuild(self, monkeypatch, degA, degB):
+        counts = _counted(monkeypatch, ["_pivot_rows_mod_p", "_t_expanded_rows",
+                                        "_kernel_by_points"])
+        res, _ = zeilberger_search(double_stirling_ideal(algebra_nmkl()), "Sk",
+                                   degA, degB)
+        assert res is not None and res.membership_checked
+        assert counts == dict.fromkeys(counts, 1)
